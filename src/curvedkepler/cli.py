@@ -23,7 +23,9 @@ import numpy as np
 
 from .conics import classify_conic, conic_from_dynamics, periastron_family, sample_conic
 from .dynamics import ConservedSet, KeplerParams, PhaseState, integrate
-from .effective_potential import classify_orbit, potential_profile, turning_points, w_eff
+from .effective_potential import (
+    _radial_roots, classify_orbit, potential_profile, turning_points, w_eff,
+)
 from .errors import (
     CurvedKeplerError,
     DomainError,
@@ -57,6 +59,23 @@ def _fmt(x) -> str:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; ConfigError naming ``what`` unless a finite, non-bool number."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        f"{what} must be a finite number, got {value!r}",
+    )
+    return float(value)
+
+
+def _finite_flag(text: str) -> float:
+    """argparse type of every float flag, so NaN and inf exit 2."""
+    try:
+        return _finite(float(text), "value")
+    except (ValueError, ConfigError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -104,9 +123,6 @@ class RunConfig:
     chart: str
 
     def validated(self) -> "RunConfig":
-        _require(
-            math.isfinite(self.kappa), f"kappa must be a finite real, got {self.kappa!r}"
-        )
         _require(self.k > 0.0, f"coupling k must be > 0, got {self.k!r}")
         _require(
             (self.state is None) != (self.elements is None),
@@ -117,7 +133,7 @@ class RunConfig:
         if self.elements is not None:
             _require(len(self.elements) == 3, "elements needs 3 numbers: E,J,phi0")
         _require(
-            math.isfinite(self.t_end) and self.t_end > 0.0,
+            self.t_end > 0.0,
             f"t_end must be > 0, got {self.t_end!r}",
         )
         _require(
@@ -150,24 +166,32 @@ def _parse_numbers(text: str, n: int, what: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     _require(len(parts) == n, f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(_finite(float(p), what) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _config_numbers(values, what: str) -> tuple | None:
+    if values is None:
+        return None
+    _require(isinstance(values, list), f"{what} must be a list of numbers, got {values!r}")
+    return tuple(_finite(v, what) for v in values)
 
 
 def _merge_run_config(args) -> RunConfig:
     raw = _load_config_file(args.config) if args.config else {}
     initial = raw.get("initial", {})
     _require(isinstance(initial, dict), 'config "initial" must be an object')
-    state = initial.get("state")
-    elements = initial.get("elements")
+    state = _config_numbers(initial.get("state"), 'config "initial.state"')
+    elements = _config_numbers(initial.get("elements"), 'config "initial.elements"')
     if args.state is not None or args.elements is not None:
         # flag-provided initial conditions replace the file's entirely
         state = _parse_numbers(args.state, 4, "--state") if args.state else None
         elements = _parse_numbers(args.elements, 3, "--elements") if args.elements else None
 
     def pick(flag, key, default=None):
-        return flag if flag is not None else raw.get(key, default)
+        value = raw.get(key, default) if flag is None else flag
+        return None if value is None else _finite(value, f'config "{key}"')
 
     kappa = pick(args.kappa, "kappa")
     k = pick(args.k, "k")
@@ -176,14 +200,14 @@ def _merge_run_config(args) -> RunConfig:
     _require(k is not None, "k is needed (flag --k or config)")
     _require(t_end is not None, "t_end is needed (flag --t-end or config)")
     return RunConfig(
-        kappa=float(kappa),
-        k=float(k),
-        state=tuple(state) if state is not None else None,
-        elements=tuple(elements) if elements is not None else None,
-        t_end=float(t_end),
-        tol=float(pick(args.tol, "tol", 1e-9)),
-        output=str(pick(args.output, "output", "csv")),
-        chart=str(pick(args.chart, "chart", "polar")),
+        kappa=kappa,
+        k=k,
+        state=state,
+        elements=elements,
+        t_end=t_end,
+        tol=pick(args.tol, "tol", 1e-9),
+        output=str(args.output or raw.get("output", "csv")),
+        chart=str(args.chart or raw.get("chart", "polar")),
     ).validated()
 
 
@@ -325,10 +349,7 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
     if j == 0.0:
         record.update({"ecc": None, "d": None, "conic": None, "thresholds": None})
     else:
-        e_p = e - 0.5 * kap * j * j
-        one_plus_z = 1.0 + 2.0 * e_p * j * j / (k * k)
-        ecc = math.sqrt(max(0.0, one_plus_z))
-        d = j * j / k
+        d, ecc, _, _ = _radial_roots(kap, k, j, e)
         spec = conic_from_dynamics(kap, d, ecc)
         conic_type = classify_conic(spec)
         record["ecc"] = float(ecc)
@@ -563,39 +584,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="integrate an orbit and dump the trajectory")
     sim.add_argument("--config", help="JSON config file (flags override it)")
-    sim.add_argument("--kappa", type=float)
-    sim.add_argument("--k", type=float)
+    sim.add_argument("--kappa", type=_finite_flag)
+    sim.add_argument("--k", type=_finite_flag)
     sim.add_argument("--state", help="initial r,phi,v_r,v_phi")
     sim.add_argument("--elements", help="initial E,J,phi0 (starts at a turning point)")
-    sim.add_argument("--t-end", dest="t_end", type=float)
-    sim.add_argument("--tol", type=float)
+    sim.add_argument("--t-end", dest="t_end", type=_finite_flag)
+    sim.add_argument("--tol", type=_finite_flag)
     sim.add_argument("--output", choices=OUTPUT_FORMATS)
     sim.add_argument("--chart", choices=CHARTS)
     sim.add_argument("--out", help="output file (default stdout)")
 
     cls = sub.add_parser("classify", help="classify one (kappa, k, J, E) pair")
-    cls.add_argument("--kappa", type=float, required=True)
-    cls.add_argument("--k", type=float, required=True)
-    cls.add_argument("--J", dest="j", type=float, required=True)
-    cls.add_argument("--E", dest="e", type=float, required=True)
+    cls.add_argument("--kappa", type=_finite_flag, required=True)
+    cls.add_argument("--k", type=_finite_flag, required=True)
+    cls.add_argument("--J", dest="j", type=_finite_flag, required=True)
+    cls.add_argument("--E", dest="e", type=_finite_flag, required=True)
     cls.add_argument("--out")
 
     scan = sub.add_parser("potential-scan", help="sample the effective potential")
-    scan.add_argument("--kappa", type=float, required=True)
-    scan.add_argument("--k", type=float, required=True)
-    scan.add_argument("--J", dest="j", type=float, required=True)
-    scan.add_argument("--r-min", dest="r_min", type=float, default=0.1)
-    scan.add_argument("--r-max", dest="r_max", type=float, default=None)
+    scan.add_argument("--kappa", type=_finite_flag, required=True)
+    scan.add_argument("--k", type=_finite_flag, required=True)
+    scan.add_argument("--J", dest="j", type=_finite_flag, required=True)
+    scan.add_argument("--r-min", dest="r_min", type=_finite_flag, default=0.1)
+    scan.add_argument("--r-max", dest="r_max", type=_finite_flag, default=None)
     scan.add_argument("--steps", type=int, default=200)
     scan.add_argument("--out")
 
     con = sub.add_parser("conic", help="sample a conic or a periastron family")
-    con.add_argument("--kappa", type=float, required=True)
-    con.add_argument("--d", type=float, help="size parameter D")
-    con.add_argument("--ecc", type=float, help="eccentricity")
+    con.add_argument("--kappa", type=_finite_flag, required=True)
+    con.add_argument("--d", type=_finite_flag, help="size parameter D")
+    con.add_argument("--ecc", type=_finite_flag, help="eccentricity")
     con.add_argument(
         "--periastron",
-        type=float,
+        type=_finite_flag,
         help="emit the whole landmark family with this periastron instead",
     )
     con.add_argument("--phi-steps", dest="phi_steps", type=int, default=360)

@@ -8,7 +8,9 @@ potential
 
 whose landmark energies (circular minimum, and on the hyperbolic plane
 the escape plateau -k*sqrt(-kappa)) split the (j, E) plane into the
-orbit classes below.
+orbit classes below.  In u the potential is a quadratic, the same for
+every curvature, so the turning points are its closed-form roots mapped
+back to radii by acot_k.
 """
 
 from __future__ import annotations
@@ -17,25 +19,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     CurvedKeplerError,
     DomainError,
     InfeasibleError,
     SingularityError,
 )
-from .ktrig import atan_k, cos_k, curvature_value, radial_limit, sin_k
+from .ktrig import acot_k, atan_k, cos_k, curvature_value, radial_limit, sin_k
 
 #: relative half-width of the bands around landmark energies inside
 #: which classify_orbit reports the boundary class itself
 LANDMARK_RTOL = 1e-9
 
 _TANGENCY_RTOL = 1e-12
-_GRID_NODES = 256
-# beyond this many curvature radii the hyperbolic potential is flat to
-# double precision and a scan would see spurious roots of W - E
-_HYP_SCAN_CAP = 16.0
 
 
 class OrbitLabel(Enum):
@@ -158,35 +154,39 @@ def escape_angular_momentum(kappa, k: float) -> float:
     return math.sqrt(k / math.sqrt(-kap))
 
 
-def _bisect(g, a: float, b: float, ga: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (ga < 0.0) != (gm < 0.0):
-            b = mid
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
+def _radial_roots(kap: float, k: float, j: float, e: float):
+    """Conic elements (d, ecc, u_per, u_apo) of the pair (j, e), j != 0.
+
+    W(u) = e is the quadratic (j**2/2) u**2 - k u + (kappa j**2/2 - e) = 0
+    with roots u = (1 +- ecc)/d, d = j**2/k.  The larger root comes from
+    the sum form and the smaller from the product of the roots,
+    kappa - 2e/j**2, so neither cancels as ecc -> 1.  A negative
+    discriminant (e below the minimum of the quadratic) is clamped to
+    the double root.
+    """
+    j2 = j * j
+    root = math.sqrt(max(0.0, k * k + 2.0 * j2 * (e - 0.5 * kap * j2)))
+    u_per = (k + root) / j2
+    return j2 / k, root / k, u_per, (kap - 2.0 * e / j2) / u_per
 
 
 def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     """All radii with W(r) = e, sorted; a tangency is reported twice.
 
-    Bracketing scan over a log-spaced grid (with the critical radius
-    inserted as a node) followed by bisection to float resolution; each
-    root is verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|).
+    In u = cot_k(r) the potential is the quadratic
+    W(u) = -k u + (j**2/2)(u**2 + kappa), so the roots are closed-form:
+    ``_radial_roots`` for j != 0, the linear root u = -e/k for j = 0.
+    A root counts when it lies on the physical branch of acot_k (any u
+    on the sphere, u > 0 on the plane, u > sqrt(-kappa) on the
+    hyperbolic plane); an apoastron within ``_TANGENCY_RTOL`` of the
+    hyperbolic plateau is the plateau itself (the horoellipse, open at
+    infinity).  Each radius is verified to satisfy
+    |W(r) - e| < 1e-11 * max(1, |e|); CurvedKeplerError reports a miss.
     """
     kap = curvature_value(kappa)
     k = _validate_coupling(k)
     if not (math.isfinite(j) and math.isfinite(e)):
         raise DomainError(f"need finite (j, e), got ({j!r}, {e!r})")
-
-    def g(r):
-        return w_eff(kap, k, j, r) - e
 
     crit = critical_point(kap, k, j)
     if crit is not None:
@@ -196,57 +196,30 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
         if e < w_m:
             return []
 
-    # inner edge: W -> +inf for j != 0, -inf for j = 0, so walk inward
-    # until the sign is settled
-    want_positive = j != 0.0
-    r_lo = 1e-8 / (1.0 + math.sqrt(abs(e)))
-    for _ in range(40):
-        glo = g(r_lo)
-        if (glo > 0.0) == want_positive and glo != 0.0:
-            break
-        r_lo *= 1e-2
+    if j == 0.0:
+        us = [-e / k]
     else:
-        raise CurvedKeplerError("could not settle the inner scan edge")
+        _, _, u_per, u_apo = _radial_roots(kap, k, j, e)
+        us = [u_per, u_apo]
+    if kap <= 0.0:
+        # off the sphere a radius needs u beyond the plateau sqrt(-kappa)
+        us = [u for u in us if u > math.sqrt(-kap) * (1.0 + _TANGENCY_RTOL)]
+    pairs = sorted((acot_k(kap, u), u) for u in us)
 
-    # outer edge by regime
-    if kap > 0.0:
-        r_hi = radial_limit(kap) * (1.0 - 1e-9)
-    else:
-        cap = _HYP_SCAN_CAP / math.sqrt(-kap) if kap < 0.0 else 1e15
-        r_hi = max(1.0, 2.0 * (crit[0] if crit else j * j / k + 1.0))
-        while r_hi < cap and g(r_hi) <= 0.0:
-            r_hi *= 2.0
-        r_hi = min(r_hi, cap)
-
-    nodes = [float(x) for x in np.geomspace(r_lo, r_hi, _GRID_NODES)]
-    if crit is not None and r_lo < crit[0] < r_hi:
-        nodes.append(crit[0])
-        nodes.sort()
-
-    roots = []
-    ga = g(nodes[0])
-    for a, b in zip(nodes, nodes[1:]):
-        gb = g(b)
-        if ga == 0.0:
-            roots.append(a)
-        elif (ga < 0.0) != (gb < 0.0):
-            roots.append(_bisect(g, a, b, ga))
-        ga = gb
-    if ga == 0.0:
-        roots.append(nodes[-1])
-
-    # drop duplicates from a root sitting exactly on a node
-    out = []
-    for r in sorted(roots):
-        if out and abs(r - out[-1]) <= 1e-12 * max(1.0, r):
-            continue
-        out.append(r)
-    for r in out:
-        if abs(g(r)) >= 1e-11 * max(1.0, abs(e)):
+    tol = 1e-11 * max(1.0, abs(e))
+    for r, u in pairs:
+        residual = w_eff(kap, k, j, r) - e
+        if abs(residual) >= tol:
+            # the roots are exact in u; near the antipode of a nearly flat
+            # sphere one ulp of r can move W by more than tol
+            u_residual = -k * u + 0.5 * j * j * (u * u + kap) - e
+            shift = abs((j * j * u - k) * (u * u + kap)) * math.ulp(r)
             raise CurvedKeplerError(
-                f"turning point verification failed at r={r!r}"
+                f"turning point verification failed at r={r!r}: W(r) - e = "
+                f"{residual!r}, tol {tol!r}; at u={u!r} the residual W(u) - e = "
+                f"{u_residual!r}, and one ulp(r) = {math.ulp(r)!r} moves W(r) by {shift!r}"
             )
-    return out
+    return [r for r, _ in pairs]
 
 
 def classify_orbit(

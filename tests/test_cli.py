@@ -322,6 +322,58 @@ def test_simulate_rejects_malformed_config_json(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"kappa": "abc"},
+        {"k": "1.0"},
+        {"t_end": [1.0]},
+        {"tol": True},
+        {"t_end": float("nan")},
+        {"initial": {"elements": [1.2, "abc", 0.0]}},
+        {"initial": {"elements": "1.2,1,0"}},
+        {"initial": {"state": [1.0, 0.0, None, 1.0]}},
+    ],
+)
+def test_simulate_config_wrong_json_types_exit_2(capsys, tmp_path, patch):
+    doc = {"schema": 1, "kappa": 1.0, "k": 1.0, "t_end": 1.0}
+    doc["initial"] = {"elements": [1.2, 1.0, 0.0]}
+    doc.update(patch)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "config error" in err and "Traceback" not in err
+    key = next(iter(patch))
+    if key == "initial":
+        key = "initial." + next(iter(patch["initial"]))
+    assert f'config "{key}"' in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize(
+    "line, flag",
+    [
+        ("classify --kappa={} --k 1 --J 1 --E -0.3", "--kappa"),
+        ("classify --kappa 1 --k 1 --J 1 --E={}", "--E"),
+        ("simulate --kappa 1 --k={} --elements=-0.3,1,0 --t-end 1", "--k"),
+        ("simulate --kappa 1 --k 1 --elements=-0.3,1,0 --t-end={}", "--t-end"),
+        ("simulate --kappa 1 --k 1 --elements=-0.3,{},0 --t-end 1", "--elements"),
+        ("simulate --kappa 1 --k 1 --state=1,0,{},1 --t-end 1", "--state"),
+        ("potential-scan --kappa 1 --k 1 --J 1 --r-max={}", "--r-max"),
+        ("conic --kappa -1 --d 0.5 --ecc={}", "--ecc"),
+        ("conic --kappa -1 --periastron={}", "--periastron"),
+    ],
+)
+def test_non_finite_float_flags_exit_2(capsys, line, flag, value):
+    code, out, err = run_cli(capsys, line.format(value).split())
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert flag in err and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_infeasible_elements_exit_3(capsys):
     # far below the flat circular energy -0.5: no turning point at all
     code, _, err = run_cli(
