@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import classify_conic, conic_from_dynamics, periastron_family, sample_conic
-from .dynamics import ConservedSet, KeplerParams, PhaseState, integrate
+from .conics import (
+    classify_conic, conic_from_dynamics, conic_thresholds, periastron_family, sample_conic,
+)
+from .dynamics import ConservedSet, KeplerParams, PhaseState, check_coupling, check_tol, integrate
 from .effective_potential import (
     _radial_roots, classify_orbit, potential_profile, turning_points, w_eff,
 )
@@ -59,6 +61,14 @@ def _fmt(x) -> str:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _config_checked(check, value):
+    """``check(value)``, its DomainError reported as a configuration error."""
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _finite(value, what: str) -> float:
@@ -123,7 +133,7 @@ class RunConfig:
     chart: str
 
     def validated(self) -> "RunConfig":
-        _require(self.k > 0.0, f"coupling k must be > 0, got {self.k!r}")
+        _config_checked(check_coupling, self.k)
         _require(
             (self.state is None) != (self.elements is None),
             "exactly one initial-condition form is needed: state or elements",
@@ -136,10 +146,7 @@ class RunConfig:
             self.t_end > 0.0,
             f"t_end must be > 0, got {self.t_end!r}",
         )
-        _require(
-            1e-13 <= self.tol <= 1e-6,
-            f"tol must lie in [1e-13, 1e-6], got {self.tol!r}",
-        )
+        _config_checked(check_tol, self.tol)
         _require(
             self.output in OUTPUT_FORMATS,
             f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}",
@@ -307,31 +314,6 @@ def cmd_simulate(config: RunConfig, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def _conic_thresholds(spec) -> dict:
-    from .conics import ConicFamily, equiparabola_ecc
-
-    kap = spec.kappa
-    if kap > 0.0:
-        return {"ecc_equatorial": 1.0}
-    if kap == 0.0:
-        return {"ecc_parabola": 1.0}
-    c = math.sqrt(-kap)
-    if spec.family is ConicFamily.LATUS:
-        t = c * tan_k(kap, spec.p)
-        return {
-            "ecc_horoellipse": 1.0 - t,
-            "ecc_horohyperbola": 1.0 + t,
-            "ecc_equiparabola": equiparabola_ecc(spec),
-        }
-    if spec.family is ConicFamily.COLATUS:
-        t = c * tan_k(kap, spec.p_tilde)
-        return {
-            "ecc_horohyperbola": 1.0 + 1.0 / t,
-            "ecc_equiparabola": equiparabola_ecc(spec),
-        }
-    return {"ecc_horohyperbola": 2.0}
-
-
 def classify_record(kappa, k: float, j: float, e: float) -> dict:
     """Classification record for one (kappa, k, J, E) pair, JSON-ready."""
     kap = curvature_value(kappa)
@@ -362,7 +344,7 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
             "p_tilde": None if spec.p_tilde is None else float(spec.p_tilde),
         }
         record["thresholds"] = {
-            key: float(val) for key, val in _conic_thresholds(spec).items()
+            key: float(val) for key, val in conic_thresholds(spec).items()
         }
     record["landmarks"] = {
         "e_circular": None if prof.e_cir is None else float(prof.e_cir),
@@ -373,7 +355,7 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
 
 
 def cmd_classify(kappa: float, k: float, j: float, e: float, out) -> int:
-    record = classify_record(kappa, k, j, e)
+    record = classify_record(kappa, _config_checked(check_coupling, k), j, e)
     print(json.dumps(record, indent=2), file=out)
     return EXIT_OK
 
@@ -385,7 +367,7 @@ def cmd_classify(kappa: float, k: float, j: float, e: float, out) -> int:
 
 def cmd_potential_scan(kappa, k, j, r_lo, r_hi, steps, out) -> int:
     kap = curvature_value(kappa)
-    _require(k > 0.0, f"coupling k must be > 0, got {k!r}")
+    k = _config_checked(check_coupling, k)
     limit = radial_limit(kap)
     _require(
         0.0 < r_lo < r_hi < limit,

@@ -178,66 +178,81 @@ def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
     return ConicSpec(kap, ecc, ConicFamily.COLATUS, p_tilde=atan_k(kap, 1.0 / ((-kap) * d)))
 
 
-def classify_conic(spec: ConicSpec) -> ConicType:
-    """Eccentricity-interval classification of a conic.
+def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
+    """Eccentricity thresholds of the conic's size chart, by name.
 
-    The thresholds depend on the size chart; measure-zero boundary
-    classes (horoellipse, horohyperbola, flat parabola, equiparabola,
-    spherical equatorial) are detected inside a relative band of
-    ``BOUNDARY_RTOL`` because floating-point orbits never sit exactly on
-    them.
+    ``ecc_equatorial`` on the sphere, ``ecc_parabola`` on the plane; on
+    the hyperbolic plane ``ecc_horohyperbola`` in every chart, plus
+    ``ecc_equiparabola`` in the latus and colatus charts and
+    ``ecc_horoellipse`` in the latus chart only.
     """
     kap = spec.kappa
-    ecc = spec.ecc
-    if math.isinf(ecc):
-        return ConicType(ConicLabel.LINE_PAIR)
     if kap > 0.0:
-        if ecc == 0.0:
-            return ConicType(ConicLabel.CIRCLE)
-        if _near(ecc, 1.0):
-            return ConicType(ConicLabel.ELLIPSE, higgs="equatorial")
-        return ConicType(ConicLabel.ELLIPSE, higgs="sub" if ecc < 1.0 else "super")
+        return {"ecc_equatorial": 1.0}
     if kap == 0.0:
-        if ecc == 0.0:
-            return ConicType(ConicLabel.CIRCLE)
-        if _near(ecc, 1.0):
-            return ConicType(ConicLabel.PARABOLA)
-        if ecc < 1.0:
-            return ConicType(ConicLabel.ELLIPSE)
-        return ConicType(ConicLabel.HYPERBOLA)
-
+        return {"ecc_parabola": 1.0}
     c = math.sqrt(-kap)
     if spec.family is ConicFamily.LATUS:
         t = c * tan_k(kap, spec.p)  # = tanh(c p), in (0, 1)
-        lo, hi = 1.0 - t, 1.0 + t
+        return {
+            "ecc_horoellipse": 1.0 - t,
+            "ecc_horohyperbola": 1.0 + t,
+            "ecc_equiparabola": equiparabola_ecc(spec),
+        }
+    if spec.family is ConicFamily.COLATUS:
+        t = c * tan_k(kap, spec.p_tilde)
+        return {
+            "ecc_horohyperbola": 1.0 + 1.0 / t,
+            "ecc_equiparabola": equiparabola_ecc(spec),
+        }
+    # separatrix: the common p -> inf limit, parabolas up to ecc = 2
+    return {"ecc_horohyperbola": 2.0}
+
+
+def classify_conic(spec: ConicSpec) -> ConicType:
+    """Eccentricity-interval classification of a conic.
+
+    The thresholds are those of :func:`conic_thresholds`; measure-zero
+    boundary classes (horoellipse, horohyperbola, flat parabola,
+    equiparabola, spherical equatorial) are detected inside a relative
+    band of ``BOUNDARY_RTOL`` because floating-point orbits never sit
+    exactly on them.
+    """
+    ecc = spec.ecc
+    if math.isinf(ecc):
+        return ConicType(ConicLabel.LINE_PAIR)
+    th = conic_thresholds(spec)
+    if spec.kappa > 0.0:
+        if ecc == 0.0:
+            return ConicType(ConicLabel.CIRCLE)
+        if _near(ecc, th["ecc_equatorial"]):
+            return ConicType(ConicLabel.ELLIPSE, higgs="equatorial")
+        return ConicType(ConicLabel.ELLIPSE, higgs="sub" if ecc < th["ecc_equatorial"] else "super")
+    if spec.kappa == 0.0:
+        if ecc == 0.0:
+            return ConicType(ConicLabel.CIRCLE)
+        if _near(ecc, th["ecc_parabola"]):
+            return ConicType(ConicLabel.PARABOLA)
+        if ecc < th["ecc_parabola"]:
+            return ConicType(ConicLabel.ELLIPSE)
+        return ConicType(ConicLabel.HYPERBOLA)
+
+    lo = th.get("ecc_horoellipse")
+    if lo is not None:
         if ecc == 0.0:
             return ConicType(ConicLabel.CIRCLE)
         if _near(ecc, lo):
             return ConicType(ConicLabel.HOROELLIPSE)
         if ecc < lo:
             return ConicType(ConicLabel.ELLIPSE)
-        if _near(ecc, hi):
-            return ConicType(ConicLabel.HOROHYPERBOLA)
-        if ecc > hi:
-            return ConicType(ConicLabel.HYPERBOLA)
-        if _near(ecc, equiparabola_ecc(spec)):
-            return ConicType(ConicLabel.EQUIPARABOLA)
-        return ConicType(ConicLabel.PARABOLA)
-    if spec.family is ConicFamily.COLATUS:
-        t = c * tan_k(kap, spec.p_tilde)
-        hi = 1.0 + 1.0 / t
-        if _near(ecc, hi):
-            return ConicType(ConicLabel.HOROHYPERBOLA)
-        if ecc > hi:
-            return ConicType(ConicLabel.HYPERBOLA)
-        if _near(ecc, equiparabola_ecc(spec)):
-            return ConicType(ConicLabel.EQUIPARABOLA)
-        return ConicType(ConicLabel.PARABOLA)
-    # separatrix: the common p -> inf limit, parabolas up to ecc = 2
-    if _near(ecc, 2.0):
+    hi = th["ecc_horohyperbola"]
+    if _near(ecc, hi):
         return ConicType(ConicLabel.HOROHYPERBOLA)
-    if ecc > 2.0:
+    if ecc > hi:
         return ConicType(ConicLabel.HYPERBOLA)
+    equi = th.get("ecc_equiparabola")
+    if equi is not None and _near(ecc, equi):
+        return ConicType(ConicLabel.EQUIPARABOLA)
     return ConicType(ConicLabel.PARABOLA)
 
 

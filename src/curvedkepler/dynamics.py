@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import (
     SingularityError,
     StiffnessError,
 )
-from .geometry import PolarPoint
-from .ktrig import atan_k, cos_k, curvature_value, radial_limit, sin_k
+from .geometry import PolarPoint, check_interior_radius
+from .ktrig import atan_k, cos_k, curvature_value, radial_limit, sin_k, sincos_k
 
 COLLISION_RADIUS = 1e-10
 # below this radius a step-size underflow is interpreted as reaching the
@@ -35,6 +36,24 @@ COLLISION_RADIUS = 1e-10
 _COLLISION_SOFT = 1e-4
 
 FOUR_PI = 4.0 * math.pi
+
+#: admissible range of the trajectory accuracy target ``tol``
+TOL_RANGE = (1e-13, 1e-6)
+
+
+def check_coupling(k: float) -> float:
+    """The Kepler coupling as a float; DomainError unless finite and positive."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"coupling k must be positive, got {k!r}")
+    return float(k)
+
+
+def check_tol(tol: float) -> float:
+    """The accuracy target ``tol``; DomainError outside ``TOL_RANGE``."""
+    lo, hi = TOL_RANGE
+    if not (lo <= tol <= hi):
+        raise DomainError(f"tol must lie in [{lo:g}, {hi:g}], got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -64,8 +83,7 @@ class KeplerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", curvature_value(self.kappa))
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"coupling k must be positive, got {self.k!r}")
+        check_coupling(self.k)
 
 
 @dataclass(frozen=True)
@@ -89,42 +107,63 @@ class ConservedSet:
 
     @classmethod
     def from_state(cls, state: PhaseState, params: KeplerParams) -> "ConservedSet":
-        mom = momenta(params.kappa, state)
-        e = energy(state, params)
-        e_p = e - 0.5 * params.kappa * mom.j * mom.j
-        i3, i4 = runge_lenz(params.kappa, state, params)
-        return cls(e=e, j=mom.j, e_p=e_p, i3=i3, i4=i4)
+        return cls(*_state_integrals(params.kappa, params.k, state))
 
 
-def _check_radius_interior(kappa: float, r: float) -> float:
-    if not math.isfinite(r) or r <= 0.0:
-        raise SingularityError(f"radius must be positive, got {r!r}")
-    if r >= radial_limit(kappa):
-        raise DomainError(f"radius {r!r} outside the chart for kappa={kappa!r}")
-    return r
+# ----------------------------------------------------------------------
+# the Kepler kernel: every curvature goes through the (s, c) evaluator
+# sc = sincos_k(kappa) and the formulas below
+# ----------------------------------------------------------------------
 
 
-def kepler_potential(params: KeplerParams, r: float) -> float:
-    """Attractive Kepler potential -k cos_k(r)/sin_k(r).
-
-    Evaluated in cotangent form so the equator (kappa > 0) is an
-    ordinary zero instead of a tangent pole.
-    """
-    kappa = params.kappa
-    r = _check_radius_interior(kappa, r)
-    c = cos_k(kappa, r)
-    if kappa > 0.0 and abs(c) < 1e-15:
+def _potential(k: float, s: float, c: float) -> float:
+    """U = -k c/s, in cotangent form so the equator (kappa > 0) is an
+    ordinary zero instead of a tangent pole."""
+    if abs(c) < 1e-15:
         # r sits within a couple of ulps of the equator radius
         # pi/(2 sqrt(kappa)); the true cotangent there is below double
         # resolution, so report the crossing value itself
         return 0.0
-    return -params.k * c / sin_k(kappa, r)
+    return -k * c / s
+
+
+def _momenta(s, c, cphi, sphi, v_r, v_phi):
+    """(P1, P2, J) from s, c = sin_k(r), cos_k(r) and cos, sin of phi."""
+    cs_vphi = c * s * v_phi
+    return (cphi * v_r - sphi * cs_vphi, sphi * v_r + cphi * cs_vphi, s * s * v_phi)
+
+
+def _kepler_rhs(sc, k, r, phi, v_r, v_phi):
+    """(dr, dphi, dv_r, dv_phi) of the Kepler flow."""
+    s, c = sc(r)
+    return (v_r, v_phi, s * c * v_phi * v_phi - k / (s * s), -2.0 * (c / s) * v_r * v_phi)
+
+
+def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
+    """(E, J, E_P, I3, I4) of a Kepler state."""
+    s, c = sc(r)
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    p1, p2, j = _momenta(s, c, cphi, sphi, v_r, v_phi)
+    e = 0.5 * (v_r * v_r + j * v_phi) + _potential(k, s, c)
+    return (e, j, e - 0.5 * kappa * j * j, p2 * j - k * cphi, p1 * j + k * sphi)
+
+
+def _state_integrals(kappa: float, k: float, state: PhaseState):
+    r = check_interior_radius(kappa, state.r)
+    return _first_integrals(sincos_k(kappa), kappa, k, r, state.phi, state.v_r, state.v_phi)
+
+
+def kepler_potential(params: KeplerParams, r: float) -> float:
+    """Attractive Kepler potential -k cos_k(r)/sin_k(r), zero on the equator."""
+    kappa = params.kappa
+    r = check_interior_radius(kappa, r)
+    return _potential(params.k, *sincos_k(kappa)(r))
 
 
 def kepler_potential_gradient(params: KeplerParams, r: float) -> float:
     """dU/dr = k / sin_k(r)**2 (always positive: the force pulls inward)."""
     kappa = params.kappa
-    r = _check_radius_interior(kappa, r)
+    r = check_interior_radius(kappa, r)
     s = sin_k(kappa, r)
     return params.k / (s * s)
 
@@ -136,7 +175,7 @@ def gauss_law_flux(params: KeplerParams, r: float) -> float:
     singles out the cotangent potential as the curved point source.
     """
     kappa = params.kappa
-    r = _check_radius_interior(kappa, r)
+    r = check_interior_radius(kappa, r)
     s = sin_k(kappa, r)
     return FOUR_PI * (s * s) * kepler_potential_gradient(params, r)
 
@@ -144,25 +183,15 @@ def gauss_law_flux(params: KeplerParams, r: float) -> float:
 def eom_rhs(state: PhaseState, params: KeplerParams):
     """Right-hand side (dr, dphi, dv_r, dv_phi) of the Kepler equations."""
     kappa = params.kappa
-    r = _check_radius_interior(kappa, state.r)
-    s = sin_k(kappa, r)
-    c = cos_k(kappa, r)
-    f_r = s * c * state.v_phi**2 - params.k / (s * s)
-    f_phi = -2.0 * (c / s) * state.v_r * state.v_phi
-    return (state.v_r, state.v_phi, f_r, f_phi)
+    r = check_interior_radius(kappa, state.r)
+    return _kepler_rhs(sincos_k(kappa), params.k, r, state.phi, state.v_r, state.v_phi)
 
 
 def momenta(kappa, state: PhaseState) -> Momenta:
     """Noether momenta P1, P2 and the angular momentum J = sin_k(r)^2 v_phi."""
-    k = curvature_value(kappa)
-    s = sin_k(k, state.r)
-    c = cos_k(k, state.r)
-    cs = c * s
+    s, c = sincos_k(kappa)(state.r)
     cphi, sphi = math.cos(state.phi), math.sin(state.phi)
-    p1 = cphi * state.v_r - cs * sphi * state.v_phi
-    p2 = sphi * state.v_r + cs * cphi * state.v_phi
-    j = s * s * state.v_phi
-    return Momenta(p1=p1, p2=p2, j=j)
+    return Momenta(*_momenta(s, c, cphi, sphi, state.v_r, state.v_phi))
 
 
 def kinetic_energy(kappa, state: PhaseState) -> float:
@@ -174,17 +203,14 @@ def kinetic_energy(kappa, state: PhaseState) -> float:
 
 def energy(state: PhaseState, params: KeplerParams, potential=None) -> float:
     """Total energy T + U.  ``potential`` overrides the Kepler default."""
-    u = kepler_potential(params, state.r) if potential is None else potential(state.r)
-    return kinetic_energy(params.kappa, state) + u
+    if potential is None:
+        return _state_integrals(params.kappa, params.k, state)[0]
+    return kinetic_energy(params.kappa, state) + potential(state.r)
 
 
 def runge_lenz(kappa, state: PhaseState, params: KeplerParams):
     """The two Runge-Lenz-type integrals (i3, i4) of the curved Kepler flow."""
-    k = curvature_value(kappa)
-    mom = momenta(k, state)
-    i3 = mom.p2 * mom.j - params.k * math.cos(state.phi)
-    i4 = mom.p1 * mom.j + params.k * math.sin(state.phi)
-    return (i3, i4)
+    return _state_integrals(curvature_value(kappa), params.k, state)[3:]
 
 
 def killing_fields(kappa, p: PolarPoint):
@@ -211,7 +237,7 @@ def separable_integrals(kappa, state: PhaseState, f: Callable, g: Callable):
     they split the energy as 2E = i1 + kappa*i2.
     """
     k = curvature_value(kappa)
-    r = _check_radius_interior(k, state.r)
+    r = check_interior_radius(k, state.r)
     mom = momenta(k, state)
     cot = cos_k(k, r) / sin_k(k, r)
     g_val = g(state.phi)
@@ -429,17 +455,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end)
 
 
-def _integrate_adaptive(
-    rhs,
-    y0,
-    t_end,
-    tol,
-    kappa,
-    invariants=None,
-    dense=False,
-    r_max=None,
-    max_steps=5_000_000,
-):
+def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_steps=5_000_000):
     """Generic DOPRI5(4) driver on 4-component float tuples.
 
     ``tol`` is a trajectory-accuracy target, not a per-step bound: the
@@ -454,12 +470,13 @@ def _integrate_adaptive(
     """
     rtol = atol = _DRIFT_MARGIN * tol
     t = 0.0
-    y = tuple(map(float, y0))
+    y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
+    r_max = radial_limit(kappa)  # inf off the sphere: no antipode to reach
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SingularityError(f"right-hand side failed at the initial state: {exc}")
-    inv0 = invariants(*y) if invariants is not None else None
+    inv0 = invariants(*y)
 
     times = [0.0]
     states = [y]
@@ -527,7 +544,7 @@ def _integrate_adaptive(
                 rr <= 0.0 for rr in stage_rs
             ):
                 bad_stage = True
-            elif r_max is not None and any(rr >= r_max for rr in stage_rs):
+            elif r_max < math.inf and any(rr >= r_max for rr in stage_rs):
                 bad_stage = True
 
         if bad_stage:
@@ -557,16 +574,15 @@ def _integrate_adaptive(
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
-        if invariants is not None:
-            inv1 = invariants(*y_new)
-            spike = any(
-                abs(a - b) > _SPIKE_FACTOR * tol * max(1.0, abs(a))
-                for a, b in zip(inv0, inv1)
-            )
-            if spike:
-                h *= 0.5
-                continue
-            inv0 = inv1
+        inv1 = invariants(*y_new)
+        spike = any(
+            abs(a - b) > _SPIKE_FACTOR * tol * max(1.0, abs(a))
+            for a, b in zip(inv0, inv1)
+        )
+        if spike:
+            h *= 0.5
+            continue
+        inv0 = inv1
 
         t_new = t + h
         times.append(t_new)
@@ -601,59 +617,6 @@ def _integrate_adaptive(
     )
 
 
-def _kepler_rhs_factory(kappa: float, k: float):
-    if kappa > 0.0:
-        c = math.sqrt(kappa)
-
-        def rhs(r, phi, vr, vphi):
-            s = math.sin(c * r) / c
-            cc = math.cos(c * r)
-            inv_s2 = 1.0 / (s * s)
-            return (
-                vr,
-                vphi,
-                s * cc * vphi * vphi - k * inv_s2,
-                -2.0 * (cc / s) * vr * vphi,
-            )
-
-    elif kappa == 0.0:
-
-        def rhs(r, phi, vr, vphi):
-            inv_r = 1.0 / r
-            return (
-                vr,
-                vphi,
-                r * vphi * vphi - k * inv_r * inv_r,
-                -2.0 * inv_r * vr * vphi,
-            )
-
-    else:
-        c = math.sqrt(-kappa)
-
-        def rhs(r, phi, vr, vphi):
-            s = math.sinh(c * r) / c
-            cc = math.cosh(c * r)
-            inv_s2 = 1.0 / (s * s)
-            return (
-                vr,
-                vphi,
-                s * cc * vphi * vphi - k * inv_s2,
-                -2.0 * (cc / s) * vr * vphi,
-            )
-
-    return rhs
-
-
-def _kepler_invariants_factory(kappa: float, k: float):
-    def inv(r, phi, vr, vphi):
-        s = sin_k(kappa, r)
-        c = cos_k(kappa, r)
-        e = 0.5 * (vr * vr + s * s * vphi * vphi) - k * c / s
-        return (e, s * s * vphi)
-
-    return inv
-
-
 def integrate(
     state0: PhaseState,
     params: KeplerParams,
@@ -685,24 +648,20 @@ def integrate(
     trajectory and records the ``collision`` event instead of raising.
     """
     kappa = params.kappa
-    _check_radius_interior(kappa, state0.r)
-    if not (1e-13 <= tol <= 1e-6):
-        raise DomainError(f"tol must lie in [1e-13, 1e-6], got {tol!r}")
+    check_interior_radius(kappa, state0.r)
+    check_tol(tol)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
-    rhs = _kepler_rhs_factory(kappa, params.k)
-    inv = _kepler_invariants_factory(kappa, params.k)
-    y0 = (state0.r, state0.phi, state0.v_r, state0.v_phi)
-    r_max = radial_limit(kappa)
+    sc = sincos_k(kappa)
+    integrals = partial(_first_integrals, sc, kappa, params.k)
     return _integrate_adaptive(
-        rhs,
-        y0,
+        partial(_kepler_rhs, sc, params.k),
+        state0,
         t_end,
         tol,
         kappa,
-        invariants=inv,
-        dense=dense,
-        r_max=r_max if math.isfinite(r_max) else None,
+        lambda *y: integrals(*y)[:2],  # the spike guard watches (E, J)
+        dense,
     )
 
 
@@ -724,13 +683,12 @@ def integrate_separable(
     integrals (i1, i2) and the energy.
     """
     k = curvature_value(kappa)
-    _check_radius_interior(k, state0.r)
-    if not (1e-13 <= tol <= 1e-6):
-        raise DomainError(f"tol must lie in [1e-13, 1e-6], got {tol!r}")
+    check_interior_radius(k, state0.r)
+    check_tol(tol)
+    sc = sincos_k(k)
 
     def rhs(r, phi, vr, vphi):
-        s = sin_k(k, r)
-        c = cos_k(k, r)
+        s, c = sc(r)
         inv_s2 = 1.0 / (s * s)
         g_val = g(phi)
         # dU/dr = F' - 2 G cos/sin^3 ; dU/dphi = G'/sin^2
@@ -741,19 +699,8 @@ def integrate_separable(
     def inv(r, phi, vr, vphi):
         state = PhaseState(r, phi, vr, vphi)
         i1, i2 = separable_integrals(k, state, f, g)
-        s = sin_k(k, r)
+        s = sc(r)[0]
         e = 0.5 * (vr * vr + s * s * vphi * vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 
-    y0 = (state0.r, state0.phi, state0.v_r, state0.v_phi)
-    r_max = radial_limit(k)
-    return _integrate_adaptive(
-        rhs,
-        y0,
-        t_end,
-        tol,
-        k,
-        invariants=inv,
-        dense=dense,
-        r_max=r_max if math.isfinite(r_max) else None,
-    )
+    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, dense)

@@ -19,13 +19,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    CurvedKeplerError,
-    DomainError,
-    InfeasibleError,
-    SingularityError,
-)
-from .ktrig import acot_k, atan_k, cos_k, curvature_value, radial_limit, sin_k
+from .dynamics import check_coupling
+from .errors import CurvedKeplerError, DomainError, InfeasibleError
+from .geometry import check_interior_radius
+from .ktrig import acot_k, atan_k, cos_k, curvature_value, sin_k
 
 #: relative half-width of the bands around landmark energies inside
 #: which classify_orbit reports the boundary class itself
@@ -93,22 +90,13 @@ class PotentialProfile:
     notes: str | None = None
 
 
-def _validate_coupling(k: float) -> float:
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"coupling k must be positive, got {k!r}")
-    return float(k)
-
-
 def w_eff(kappa, k: float, j: float, r: float) -> float:
     """Effective radial potential at radius r."""
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     if not math.isfinite(j):
         raise DomainError(f"angular momentum must be finite, got {j!r}")
-    if not math.isfinite(r) or r <= 0.0:
-        raise SingularityError(f"radius must be positive, got {r!r}")
-    if r >= radial_limit(kap):
-        raise DomainError(f"radius {r!r} outside the chart for kappa={kap!r}")
+    r = check_interior_radius(kap, r)
     u = cos_k(kap, r) / sin_k(kap, r)
     return -k * u + 0.5 * j * j * (u * u + kap)
 
@@ -122,7 +110,7 @@ def critical_point(kappa, k: float, j: float):
     barrier at all.  Both cases return None.
     """
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     if not math.isfinite(j):
         raise DomainError(f"angular momentum must be finite, got {j!r}")
     if j == 0.0:
@@ -139,7 +127,7 @@ def critical_point(kappa, k: float, j: float):
 def escape_energy(kappa, k: float) -> float:
     """Plateau value of W at infinity on the hyperbolic plane, -k*sqrt(-kappa)."""
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     if kap >= 0.0:
         raise DomainError("the escape plateau exists only for kappa < 0")
     return -k * math.sqrt(-kap)
@@ -148,7 +136,7 @@ def escape_energy(kappa, k: float) -> float:
 def escape_angular_momentum(kappa, k: float) -> float:
     """j above which W loses its minimum on the hyperbolic plane: j^2 = k/sqrt(-kappa)."""
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     if kap >= 0.0:
         raise DomainError("the escape angular momentum exists only for kappa < 0")
     return math.sqrt(k / math.sqrt(-kap))
@@ -184,7 +172,7 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     |W(r) - e| < 1e-11 * max(1, |e|); CurvedKeplerError reports a miss.
     """
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     if not (math.isfinite(j) and math.isfinite(e)):
         raise DomainError(f"need finite (j, e), got ({j!r}, {e!r})")
 
@@ -232,7 +220,7 @@ def classify_orbit(
     energies below the attainable range raise InfeasibleError.
     """
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     if not (math.isfinite(j) and math.isfinite(e)):
         raise DomainError(f"need finite (j, e), got ({j!r}, {e!r})")
 
@@ -292,7 +280,7 @@ def classify_orbit(
 def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
     """All landmarks of W for (kappa, k, j) in one record."""
     kap = curvature_value(kappa)
-    k = _validate_coupling(k)
+    k = check_coupling(k)
     crit = critical_point(kap, k, j)
     if crit is None:
         if j == 0.0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SingularityError
 from .ktrig import cos_k, curvature_value, radial_limit, sin_k
 
 TWO_PI = 2.0 * math.pi
@@ -63,6 +63,16 @@ def check_radius(kappa, r: float) -> float:
             f"radius {r!r} reaches the antipode bound pi/sqrt(kappa) "
             f"= {radial_limit(kappa)!r}"
         )
+    return r
+
+
+def check_interior_radius(kappa, r: float) -> float:
+    """Validate 0 < r < radial limit, the open chart where the polar
+    metric and the Kepler potential are regular."""
+    if not math.isfinite(r) or r <= 0.0:
+        raise SingularityError(f"radius must be positive, got {r!r}")
+    if r >= radial_limit(kappa):
+        raise DomainError(f"radius {r!r} outside the chart for kappa={kappa!r}")
     return r
 
 

@@ -110,6 +110,31 @@ def sin_k(kappa, x: float) -> float:
     return math.sinh(rk * x) / rk
 
 
+def sincos_k(kappa):
+    """Evaluator x -> (sin_k(x), cos_k(x)) for one curvature.
+
+    The sign branch is picked once, here, so each call costs one series
+    test and one pair of circular or hyperbolic functions.  The values
+    are bit-identical to :func:`sin_k` and :func:`cos_k`; the argument
+    is not validated, so callers pass finite floats.
+    """
+    k = curvature_value(kappa)
+    if k == 0.0:
+        return lambda x: (x, 1.0)
+    rk = math.sqrt(abs(k))
+    sin, cos = (math.sin, math.cos) if k > 0.0 else (math.sinh, math.cosh)
+    thr = SERIES_THRESHOLD
+
+    def sc(x):
+        kx2 = k * x * x
+        if -thr < kx2 < thr:
+            return (x * (1.0 - kx2 / 6.0 + kx2 * kx2 / 120.0), 1.0 - kx2 / 2.0 + kx2 * kx2 / 24.0)
+        a = rk * x
+        return (sin(a) / rk, cos(a))
+
+    return sc
+
+
 def tan_k(kappa, x: float) -> float:
     """Tagged tangent sin_k/cos_k.
 
@@ -187,4 +212,6 @@ def acot_k(kappa, u: float) -> float:
         w = 1.0 / u
         kw2 = k * w * w
         return w * (1.0 - kw2 / 3.0 + 0.2 * kw2 * kw2)
-    return math.atanh(rk / u) / rk
+    # atanh(rk/u) written so that u - rk, exact near the plateau, is
+    # what atanh's amplification acts on instead of the rounding of rk/u
+    return 0.5 * math.log1p(2.0 * rk / (u - rk)) / rk

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 
-from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory, momenta
+from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
 from .ktrig import acot_k, cos_k, curvature_value, sin_k
 
@@ -62,15 +62,14 @@ def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
     orientation; the eccentricity is their norm over k, which stays
     accurate down to exactly circular data.
     """
-    mom = momenta(params.kappa, state0)
-    if mom.j == 0.0:
+    c = ConservedSet.from_state(state0, params)
+    if c.j == 0.0:
         raise RadialOrbitError(
             "radial orbit: no conic constants; integrate it directly"
         )
-    c = ConservedSet.from_state(state0, params)
     k = params.k
-    d = mom.j * mom.j / k
-    z = 2.0 * c.e_p * mom.j * mom.j / (k * k)
+    d = c.j * c.j / k
+    z = 2.0 * c.e_p * c.j * c.j / (k * k)
     if 1.0 + z < -1e-10 * max(1.0, abs(z)):
         raise CurvedKeplerError(
             f"impossible orbit constants: 1 + z = {1.0 + z!r} < 0"

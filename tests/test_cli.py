@@ -374,6 +374,23 @@ def test_non_finite_float_flags_exit_2(capsys, line, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "classify --kappa 1 --k={} --J 1 --E -0.3",
+        "classify --kappa -1 --k={} --J 0.5 --E -2",
+        "simulate --kappa 1 --k={} --elements=-0.3,1,0 --t-end 1",
+        "potential-scan --kappa 1 --k={} --J 1",
+    ],
+)
+def test_nonpositive_coupling_exit_2(capsys, line, value):
+    code, out, err = run_cli(capsys, line.format(value).split())
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "config error" in err and "coupling k must be positive" in err
+
+
 def test_simulate_infeasible_elements_exit_3(capsys):
     # far below the flat circular energy -0.5: no turning point at all
     code, _, err = run_cli(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import SEED, random_states
+from mpmath import mp, mpf
 
 from curvedkepler import DomainError
 from curvedkepler.dynamics import (
@@ -162,6 +163,62 @@ def test_eom_radial_force_is_effective_gradient(rng):
 
             fd = -(w(state.r + h) - w(state.r - h)) / (2 * h)
             assert abs(eom_rhs(state, params)[2] - fd) < 1e-7
+
+
+def _kernel_oracle(kappa, k, r, state):
+    """The paper's flow and first integrals at 30 digits, with scales.
+
+    Each entry is (value, scale); the scale sums the magnitudes of the
+    terms, so a cancelling sum is judged against what it cancels.
+    """
+    kap, k = mpf(kappa), mpf(k)
+    phi, v_r, v_phi = (mpf(x) for x in (state.phi, state.v_r, state.v_phi))
+    if kappa > 0:
+        s, c = mp.sin(mp.sqrt(kap) * r) / mp.sqrt(kap), mp.cos(mp.sqrt(kap) * r)
+    elif kappa < 0:
+        s, c = mp.sinh(mp.sqrt(-kap) * r) / mp.sqrt(-kap), mp.cosh(mp.sqrt(-kap) * r)
+    else:
+        s, c = r, mpf(1)
+    cphi, sphi = mp.cos(phi), mp.sin(phi)
+    j = s * s * v_phi
+    t = (v_r**2 + s * s * v_phi**2) / 2
+    e = t - k * c / s
+    e_scale = t + abs(k * c / s)
+    p1 = cphi * v_r - c * s * sphi * v_phi
+    p2 = sphi * v_r + c * s * cphi * v_phi
+    p_scale = (abs(v_r) + abs(c * s * v_phi)) * abs(j)
+    rhs = [
+        (v_r, abs(v_r)),
+        (v_phi, abs(v_phi)),
+        (s * c * v_phi**2 - k / s**2, abs(s * c * v_phi**2) + k / s**2),
+        (-2 * (c / s) * v_r * v_phi, abs(2 * (c / s) * v_r * v_phi)),
+    ]
+    integrals = [
+        (e, e_scale),
+        (j, abs(j)),
+        (e - kap * j * j / 2, e_scale + abs(kap) * j * j / 2),
+        (p2 * j - k * cphi, p_scale + k),
+        (p1 * j + k * sphi, p_scale + k),
+    ]
+    return rhs, integrals
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, 1e-9, -1e-9, 4.0, -0.25])
+def test_rhs_and_first_integrals_match_30_digit_formulas(kappa, rng):
+    # Rounding sqrt(|kappa|) and sqrt(|kappa|)*r moves the trig argument
+    # by a few ulps, which near the equator is a large relative change
+    # of cos_k; the bound adds what a 4-ulp move of r does to the oracle.
+    params = KeplerParams(kappa, 1.7)
+    with mp.workdps(30):
+        for state in random_states(kappa, 200, rng):
+            r = mpf(state.r)
+            ref = sum(_kernel_oracle(kappa, params.k, r, state), [])
+            moved = sum(_kernel_oracle(kappa, params.k, r * (1 + mpf(2) ** -50), state), [])
+            c = ConservedSet.from_state(state, params)
+            got = eom_rhs(state, params) + (c.e, c.j, c.e_p, c.i3, c.i4)
+            for value, (exact, scale), (shifted, _) in zip(got, ref, moved):
+                bound = mpf("1e-13") * scale + abs(shifted - exact)
+                assert abs(mpf(value) - exact) <= bound, (state, value, exact)
 
 
 # ----------------------------------------------------------------------

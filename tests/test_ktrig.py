@@ -1,10 +1,12 @@
 """Tests for the curvature-tagged trigonometry kernel."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from curvedkepler import (
     Curvature,
@@ -18,6 +20,7 @@ from curvedkepler import (
     sin_k,
     tan_k,
 )
+from curvedkepler.ktrig import SERIES_THRESHOLD, sincos_k
 
 # Extended-precision oracle values (mpmath, 40 digits, rounded to double).
 COSH_1 = 1.5430806348152437
@@ -241,3 +244,31 @@ def test_radial_limit():
     assert radial_limit(4.0) == pytest.approx(math.pi / 2)
     assert radial_limit(0.0) == math.inf
     assert radial_limit(-1.0) == math.inf
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 1e-6, -1e-6, 1e-9, -1e-9, 0.0])
+def test_sincos_evaluator_is_bit_identical_to_sin_k_cos_k(kappa):
+    rng = random.Random(7)
+    sc = sincos_k(kappa)
+    top = 0.99 * radial_limit(kappa) if kappa > 0 else 30.0
+    # log-uniform radii reach deep into the series branch as well
+    xs = [top * 10.0 ** rng.uniform(-8, 0) for _ in range(2000)]
+    if kappa != 0.0:
+        edge = math.sqrt(SERIES_THRESHOLD / abs(kappa))
+        xs += [edge * (1 + d) for d in (-1e-15, -2e-16, 0.0, 2e-16, 1e-15)]
+    for x in xs:
+        assert sc(x) == (sin_k(kappa, x), cos_k(kappa, x)), x
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -4.0, -0.25])
+def test_acot_k_near_hyperbolic_plateau_within_one_ulp(kappa):
+    # sqrt(-kappa) is exact for these curvatures, so the 40-digit
+    # acoth(u / sqrt(-kappa)) / sqrt(-kappa) is the exact radius of u
+    rng = random.Random(11)
+    rk = math.sqrt(-kappa)
+    with mp.workdps(40):
+        for _ in range(500):
+            u = rk * (1.0 + 10.0 ** rng.uniform(-12, -1))
+            exact = mp.acoth(mpf(u) / rk) / rk
+            r = acot_k(kappa, u)
+            assert abs(mpf(r) - exact) <= math.ulp(float(exact)), u
