@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,6 +134,11 @@ def _momenta(s, c, cphi, sphi, v_r, v_phi):
     return (cphi * v_r - sphi * cs_vphi, sphi * v_r + cphi * cs_vphi, s * s * v_phi)
 
 
+def _kinetic(j, v_r, v_phi):
+    """T = (v_r**2 + J v_phi)/2, with J = sin_k(r)**2 v_phi."""
+    return 0.5 * (v_r * v_r + j * v_phi)
+
+
 def _kepler_rhs(sc, k, r, phi, v_r, v_phi):
     """(dr, dphi, dv_r, dv_phi) of the Kepler flow."""
     s, c = sc(r)
@@ -144,7 +150,7 @@ def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
     s, c = sc(r)
     cphi, sphi = math.cos(phi), math.sin(phi)
     p1, p2, j = _momenta(s, c, cphi, sphi, v_r, v_phi)
-    e = 0.5 * (v_r * v_r + j * v_phi) + _potential(k, s, c)
+    e = _kinetic(j, v_r, v_phi) + _potential(k, s, c)
     return (e, j, e - 0.5 * kappa * j * j, p2 * j - k * cphi, p1 * j + k * sphi)
 
 
@@ -196,9 +202,8 @@ def momenta(kappa, state: PhaseState) -> Momenta:
 
 def kinetic_energy(kappa, state: PhaseState) -> float:
     """T = (v_r**2 + sin_k(r)**2 v_phi**2) / 2."""
-    k = curvature_value(kappa)
-    s = sin_k(k, state.r)
-    return 0.5 * (state.v_r**2 + s * s * state.v_phi**2)
+    s = sincos_k(kappa)(state.r)[0]
+    return _kinetic(s * s * state.v_phi, state.v_r, state.v_phi)
 
 
 def energy(state: PhaseState, params: KeplerParams, potential=None) -> float:
@@ -347,9 +352,13 @@ class Trajectory:
 
     Stores the accepted step endpoints (``times``, ``states``) and, when
     dense output was requested, a quartic interpolant per step that
-    :meth:`state_at` and :meth:`first_crossing` evaluate.  Instances are
-    immutable by convention: nothing in the package mutates them after
-    construction, so they can be shared freely across threads.
+    :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
+    The interpolants are kept as two private arrays: step i starts at
+    ``times[i]``, ``states[i]``, has size ``h[i]`` and coefficients
+    ``d[:, i]``, where ``d`` has shape (4, n, 4), indexed (theta power,
+    step, component).  Instances are immutable by
+    convention: nothing in the package mutates them after construction,
+    so they can be shared freely across threads.
     """
 
     def __init__(self, kappa, times, states, dense=None, event=None, event_time=None):
@@ -358,6 +367,7 @@ class Trajectory:
         self.states = np.asarray(states, dtype=float)
         self.event = event
         self.event_time = event_time
+        # (h, d) arrays of the per-step interpolants, or None
         self._dense = dense
 
     @property
@@ -371,67 +381,125 @@ class Trajectory:
         r, phi, v_r, v_phi = self.states[-1]
         return PhaseState(r, phi, v_r, v_phi)
 
-    def state_at(self, t: float) -> PhaseState:
-        """Dense-output state at any time inside the integrated span."""
+    def _dense_steps(self):
         if self._dense is None:
             raise DomainError("trajectory was integrated without dense output")
+        return self._dense
+
+    def _span_error(self, t) -> DomainError:
+        return DomainError(
+            f"t={float(t)!r} is NaN or outside the integrated span "
+            f"[{float(self.times[0])!r}, {float(self.times[-1])!r}]"
+        )
+
+    def _step(self, i):
+        """Step i as plain floats (t0, h, y0, d), for scalar evaluation."""
+        h, d = self._dense
+        return float(self.times[i]), float(h[i]), self.states[i].tolist(), d[:, i].tolist()
+
+    def state_at(self, t: float) -> PhaseState:
+        """Dense-output state at any time inside the integrated span."""
+        h, _ = self._dense_steps()
         if not (self.times[0] <= t <= self.times[-1]):
-            raise DomainError(
-                f"t={t!r} outside the integrated span "
-                f"[{self.times[0]!r}, {self.times[-1]!r}]"
-            )
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self._dense) - 1)
-        t0, h, y0, d = self._dense[idx]
-        theta = (t - t0) / h
-        out = []
-        for i in range(4):
-            poly = theta * (d[0][i] + theta * (d[1][i] + theta * (d[2][i] + theta * d[3][i])))
-            out.append(y0[i] + h * poly)
-        return PhaseState(out[0], out[1], out[2], out[3])
+            raise self._span_error(t)
+        i = int(self.times.searchsorted(t, "right")) - 1
+        return _horner(self._step(min(max(i, 0), len(h) - 1)), t)
 
     def sample(self, t_grid: Sequence[float]) -> np.ndarray:
-        """Dense states at each time of t_grid, as an (n, 4) array."""
-        return np.array(
-            [
-                (s.r, s.phi, s.v_r, s.v_phi)
-                for s in (self.state_at(float(t)) for t in t_grid)
-            ]
-        )
+        """Dense states at each time of t_grid, as an (n, 4) array.
+
+        One Horner evaluation over all times, in the operation order of
+        :meth:`state_at`, so each row equals ``state_at`` bit for bit.
+        """
+        h, d = self._dense_steps()
+        ts = np.asarray(t_grid, dtype=float).reshape(-1)
+        inside = (ts >= self.times[0]) & (ts <= self.times[-1])
+        if not inside.all():
+            raise self._span_error(ts[~inside][0])
+        i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(h) - 1)
+        hi = h[i]
+        theta = ((ts - self.times[i]) / hi)[:, None]
+        di = d[:, i]
+        poly = theta * (di[0] + theta * (di[1] + theta * (di[2] + theta * di[3])))
+        return self.states[i] + hi[:, None] * poly
 
     def first_crossing(self, func, t_lo=None, t_hi=None) -> float | None:
         """First time in [t_lo, t_hi] where func(t, state) crosses zero.
 
-        Scans accepted steps for a sign change, then bisects on the dense
-        interpolant.  Returns None if no crossing is found.
+        Scans for a sign change over the window's two ends, evaluated on
+        the interpolant, and every accepted node between them; then
+        bisects on the interpolant of the step holding the sign change.
+        The window is clipped to the integrated span.  Returns None if no
+        crossing is found.
         """
-        if self._dense is None:
-            raise DomainError("event queries need dense output")
-        t_lo = self.times[0] if t_lo is None else t_lo
-        t_hi = self.times[-1] if t_hi is None else t_hi
-        prev_t = None
-        prev_g = None
-        for t, row in zip(self.times, self.states):
-            if t < t_lo or t > t_hi:
-                continue
-            g = func(t, PhaseState(*row))
+        h, _ = self._dense_steps()
+        t_first, t_last = float(self.times[0]), float(self.times[-1])
+        lo = t_first if t_lo is None else float(t_lo)
+        hi = t_last if t_hi is None else float(t_hi)
+        if math.isnan(lo) or math.isnan(hi):
+            raise DomainError(f"first_crossing window [{lo!r}, {hi!r}] contains NaN")
+        lo, hi = max(lo, t_first), min(hi, t_last)
+        if lo > hi:
+            return None
+        # nodes strictly inside (lo, hi); node i starts step i
+        i0 = int(self.times.searchsorted(lo, "right"))
+        i1 = int(self.times.searchsorted(hi, "left"))
+        nodes = zip(self.times[i0:i1].tolist(), self.states[i0:i1].tolist(), range(i0, i1))
+        points = chain(
+            [(lo, self.state_at(lo), min(i0, len(h)) - 1)],
+            ((t, PhaseState(*row), i) for t, row, i in nodes),
+            [(hi, self.state_at(hi), None)],
+        )
+        prev_t = prev_g = prev_i = None
+        for t, state, i in points:
+            g = func(t, state)
             if prev_g is not None and (g == 0.0 or (prev_g < 0.0) != (g < 0.0)):
-                a, b = prev_t, t
-                ga = prev_g
-                for _ in range(200):
-                    mid = 0.5 * (a + b)
-                    gm = func(mid, self.state_at(mid))
-                    if gm == 0.0:
-                        return mid
-                    if (ga < 0.0) != (gm < 0.0):
-                        b = mid
-                    else:
-                        a, ga = mid, gm
-                    if b - a <= 1e-14 * max(1.0, abs(a)):
-                        break
-                return 0.5 * (a + b)
-            prev_t, prev_g = t, g
+                return _bisect_step(func, self._step(prev_i), prev_t, t, prev_g)
+            prev_t, prev_g, prev_i = t, g, i
         return None
+
+
+def _horner(step, t) -> PhaseState:
+    """State at t on one step's quartic interpolant, in plain floats."""
+    t0, h, y0, (d0, d1, d2, d3) = step
+    theta = (t - t0) / h
+    return PhaseState(
+        *[
+            y0[c] + h * (theta * (d0[c] + theta * (d1[c] + theta * (d2[c] + theta * d3[c]))))
+            for c in range(4)
+        ]
+    )
+
+
+def _bisect_step(func, step, a, b, ga) -> float:
+    """Zero of func on [a, b], a bracket inside one step's interpolant."""
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        gm = func(mid, _horner(step, mid))
+        if gm == 0.0:
+            return mid
+        if (ga < 0.0) != (gm < 0.0):
+            b = mid
+        else:
+            a, ga = mid, gm
+        if b - a <= 1e-14 * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+def _dense_coefficients(stages) -> np.ndarray:
+    """Coefficients d[m, i, c] = sum_s _P[s][m] * stages[i][s][c].
+
+    Summed stage by stage from zero, the order of a scalar ``sum()`` over
+    the stages, so each coefficient is bit-identical to that per-step
+    formula (the tests hold it to this).
+    """
+    k = np.array(stages, dtype=float).reshape(-1, 7, 4)
+    d = np.zeros((4, len(k), 4))
+    for s in range(7):
+        for m in range(4):
+            d[m] += _P[s][m] * k[:, s]
+    return d
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
@@ -480,7 +548,8 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
 
     times = [0.0]
     states = [y]
-    dense_segs = [] if dense else None
+    steps_h = []
+    stages = []
     event = None
     event_time = None
 
@@ -588,14 +657,8 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
         times.append(t_new)
         states.append(y_new)
         if dense:
-            ks = (k1, k2, k3, k4, k5, k6, k7)
-            d = tuple(
-                tuple(
-                    sum(_P[s][m] * ks[s][i] for s in range(7)) for i in range(4)
-                )
-                for m in range(4)
-            )
-            dense_segs.append((t, h, y, d))
+            steps_h.append(h)
+            stages.append((k1, k2, k3, k4, k5, k6, k7))
 
         if y_new[0] <= COLLISION_RADIUS:
             event, event_time = "collision", t_new
@@ -611,7 +674,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
         kappa,
         times,
         states,
-        dense=dense_segs,
+        dense=(np.array(steps_h), _dense_coefficients(stages)) if dense else None,
         event=event,
         event_time=event_time,
     )
@@ -700,7 +763,7 @@ def integrate_separable(
         state = PhaseState(r, phi, vr, vphi)
         i1, i2 = separable_integrals(k, state, f, g)
         s = sc(r)[0]
-        e = 0.5 * (vr * vr + s * s * vphi * vphi) + f(r) + g(phi) / (s * s)
+        e = _kinetic(s * s * vphi, vr, vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 
     return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, dense)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError
 
 # Below this value of |kappa * x**2| the scaled trig functions are
@@ -108,6 +110,25 @@ def sin_k(kappa, x: float) -> float:
         return math.sin(rk * x) / rk
     rk = math.sqrt(-k)
     return math.sinh(rk * x) / rk
+
+
+def sin_k_array(kappa, x) -> np.ndarray:
+    """Tagged sine of every element of x, with the branches of :func:`sin_k`.
+
+    The series branch is taken where |kappa x**2| < ``SERIES_THRESHOLD``,
+    in the same operation order as :func:`sin_k`; elsewhere numpy's sin
+    or sinh, whose last bit can differ from the ``math`` module's.  The
+    argument is not validated, so callers pass finite values.
+    """
+    k = curvature_value(kappa)
+    x = np.asarray(x, dtype=float)
+    if k == 0.0:
+        return x.copy()
+    kx2 = k * x * x
+    series = x * (1.0 - kx2 / 6.0 + kx2 * kx2 / 120.0)
+    rk = math.sqrt(abs(k))
+    direct = (np.sin(rk * x) if k > 0.0 else np.sinh(rk * x)) / rk
+    return np.where(np.abs(kx2) < SERIES_THRESHOLD, series, direct)
 
 
 def sincos_k(kappa):

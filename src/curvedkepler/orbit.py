@@ -20,7 +20,7 @@ from scipy.integrate import cumulative_simpson, quad
 
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
-from .ktrig import acot_k, cos_k, curvature_value, sin_k
+from .ktrig import acot_k, curvature_value, sin_k_array
 
 #: eccentricities below this are treated as exactly circular
 CIRCULAR_ECC = 1e-13
@@ -229,8 +229,7 @@ def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
         out = np.full(ts.shape, phi_start)
         return out if np.ndim(t_grid) else float(out[0])
     fine = np.union1d(np.linspace(t0, upper, 4097), ts)
-    rs = np.array([trajectory.state_at(float(t)).r for t in fine])
-    s2 = np.array([sin_k(kap, r) for r in rs]) ** 2
+    s2 = sin_k_array(kap, trajectory.sample(fine)[:, 0]) ** 2
     sweep = j / s2
     cum = phi_start + cumulative_simpson(sweep, x=fine, initial=0.0)
     out = np.interp(ts, fine, cum)

@@ -556,7 +556,107 @@ def test_integrate_without_dense_blocks_queries():
     with pytest.raises(DomainError):
         traj.state_at(0.5)
     with pytest.raises(DomainError):
+        traj.sample([0.5])
+    with pytest.raises(DomainError):
         traj.first_crossing(lambda t, s: s.v_r)
+
+
+# ----------------------------------------------------------------------
+# dense output: array evaluation against the scalar reference
+# ----------------------------------------------------------------------
+
+
+def _scalar_state_at(traj, t):
+    """Reference: the per-time lookup and plain-float Horner evaluation
+    that ``Trajectory.state_at`` performed before ``sample`` was
+    vectorised."""
+    h_all, d_all = traj._dense
+    idx = int(np.searchsorted(traj.times, t, side="right")) - 1
+    idx = min(max(idx, 0), len(h_all) - 1)
+    t0, h = float(traj.times[idx]), float(h_all[idx])
+    y0, d = traj.states[idx].tolist(), d_all[:, idx].tolist()
+    theta = (t - t0) / h
+    out = []
+    for i in range(4):
+        poly = theta * (d[0][i] + theta * (d[1][i] + theta * (d[2][i] + theta * d[3][i])))
+        out.append(y0[i] + h * poly)
+    return out
+
+
+def test_dense_coefficients_match_the_scalar_stage_sum():
+    # the array build must reproduce sum(_P[s][m] * k_s) over the seven
+    # stages, in that order, bit for bit
+    from curvedkepler.dynamics import _P, _dense_coefficients
+
+    rng = np.random.default_rng(SEED)
+    stages = [
+        tuple(tuple(rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8)) for _ in range(7))
+        for _ in range(300)
+    ]
+    want = [
+        [[sum(_P[s][m] * ks[s][i] for s in range(7)) for i in range(4)] for ks in stages]
+        for m in range(4)
+    ]
+    got = _dense_coefficients(stages)
+    assert got.shape == (4, 300, 4)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 1e-6, -1e-6, 0.0])
+def test_sample_equals_scalar_state_at_bit_for_bit(kappa):
+    params = KeplerParams(kappa, 1.0)
+    state = PhaseState(0.9, 0.4, 0.2, 1.3)
+    traj = integrate(state, params, 12.0, tol=1e-9)
+    rng = np.random.default_rng(SEED)
+    t0, t1 = traj.times[0], traj.times[-1]
+    ts = np.concatenate([rng.uniform(t0, t1, 2000), traj.times, [t0, t1]])
+    rng.shuffle(ts)
+    want = np.array([_scalar_state_at(traj, float(t)) for t in ts])
+    got = traj.sample(ts)
+    assert got.shape == (len(ts), 4)
+    assert got.tobytes() == want.tobytes()
+    for t, row in zip(ts[::50], want[::50]):
+        s = traj.state_at(float(t))
+        assert [s.r, s.phi, s.v_r, s.v_phi] == row.tolist()
+
+
+def test_sample_and_state_at_input_contract():
+    params = KeplerParams(1.0, 1.0)
+    traj = integrate(PhaseState(0.9, 0.0, 0.1, 1.2), params, 2.0, tol=1e-9)
+    assert traj.sample([]).shape == (0, 4)
+    for bad in (math.nan, -0.25, 2.5):
+        with pytest.raises(DomainError, match=f"t={bad!r}"):
+            traj.sample([0.5, bad, 1.0])
+        with pytest.raises(DomainError, match=f"t={bad!r}"):
+            traj.state_at(bad)
+    with pytest.raises(DomainError, match="NaN"):
+        traj.first_crossing(lambda t, s: s.v_r, t_lo=math.nan)
+
+
+# the v_r = 0 passage at t = 0.99739 of this orbit falls inside one step
+# (0.99409, 1.00452) of the tol=1e-9 integration
+_WINDOW_CASE = (KeplerParams(1.0, 1.0), PhaseState(0.6, 0.0, 0.0, 2.3))
+_WINDOW_T1 = 0.997387267599234
+
+
+def _window_traj():
+    params, state = _WINDOW_CASE
+    traj = integrate(state, params, 5.0, tol=1e-9)
+    i = int(np.searchsorted(traj.times, _WINDOW_T1))
+    assert traj.times[i - 1] < 0.9957 < _WINDOW_T1 < 1.0010 < traj.times[i]
+    return traj
+
+
+def test_first_crossing_sees_a_crossing_after_t_lo_inside_its_step():
+    traj = _window_traj()
+    t = traj.first_crossing(lambda tt, s: s.v_r, t_lo=0.9957)
+    assert t is not None and abs(t - _WINDOW_T1) < 1e-12
+
+
+def test_first_crossing_sees_a_crossing_before_t_hi_inside_its_step():
+    traj = _window_traj()
+    t = traj.first_crossing(lambda tt, s: s.v_r, t_lo=0.5, t_hi=1.0010)
+    assert t is not None and abs(t - _WINDOW_T1) < 1e-12
 
 
 SEPARABLE_CASES = [

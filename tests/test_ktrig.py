@@ -20,7 +20,9 @@ from curvedkepler import (
     sin_k,
     tan_k,
 )
-from curvedkepler.ktrig import SERIES_THRESHOLD, sincos_k
+import numpy as np
+
+from curvedkepler.ktrig import SERIES_THRESHOLD, sin_k_array, sincos_k
 
 # Extended-precision oracle values (mpmath, 40 digits, rounded to double).
 COSH_1 = 1.5430806348152437
@@ -258,6 +260,26 @@ def test_sincos_evaluator_is_bit_identical_to_sin_k_cos_k(kappa):
         xs += [edge * (1 + d) for d in (-1e-15, -2e-16, 0.0, 2e-16, 1e-15)]
     for x in xs:
         assert sc(x) == (sin_k(kappa, x), cos_k(kappa, x)), x
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 1e-6, -1e-6, 1e-9, -1e-9, 0.0])
+def test_sin_k_array_within_two_ulp_of_sin_k(kappa):
+    rng = random.Random(13)
+    top = 0.99 * radial_limit(kappa) if kappa > 0 else 30.0
+    xs = [top * 10.0 ** rng.uniform(-8, 0) for _ in range(2000)]
+    if kappa != 0.0:
+        edge = math.sqrt(SERIES_THRESHOLD / abs(kappa))
+        xs += [edge * (1 + d) for d in (-1e-12, -1e-15, -2e-16, 0.0, 2e-16, 1e-15, 1e-12)]
+    got = sin_k_array(kappa, np.array(xs))
+    assert got.shape == (len(xs),)
+    for x, g in zip(xs, got.tolist()):
+        want = sin_k(kappa, x)
+        if abs(kappa * x * x) < SERIES_THRESHOLD:
+            # same series, same operation order
+            assert g == want, x
+        else:
+            # numpy's sin/sinh may round differently from math's
+            assert abs(g - want) <= 2 * math.ulp(want), x
 
 
 @pytest.mark.parametrize("kappa", [-1.0, -4.0, -0.25])

@@ -350,6 +350,25 @@ def test_sweep_matches_integrator_angles(rng):
     assert np.max(np.abs(phis - direct)) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "kappa,k", [(1.0, 1.0), (-1.0, 4.0), (0.0, 1.0), (1e-6, 1.0), (-1e-6, 1.0)]
+)
+def test_sweep_matches_scalar_loop_reference(kappa, k, rng):
+    from scipy.integrate import cumulative_simpson
+
+    state = periastron_state(kappa, k, 1.1, 0.5, phi_per=0.7)
+    params = KeplerParams(kappa, k)
+    oc = orbit_constants(state, params)
+    traj = integrate(state, params, t_end=8.0, tol=1e-9)
+    ts = np.sort(rng.uniform(0.0, 8.0, size=300))
+    # reference: the sweep with one scalar state_at and sin_k per node
+    fine = np.union1d(np.linspace(0.0, ts.max(), 4097), ts)
+    s2 = np.array([sin_k(kappa, traj.state_at(float(t)).r) for t in fine]) ** 2
+    cum = traj.state_at(0.0).phi + cumulative_simpson(oc.conserved.j / s2, x=fine, initial=0.0)
+    want = np.interp(ts, fine, cum)
+    assert np.max(np.abs(phi_from_time(oc, kappa, ts, traj) - want)) <= 1e-13
+
+
 def test_sweep_start_and_scalar_form():
     params = KeplerParams(0.0, 1.0)
     state = periastron_state(0.0, 1.0, 1.0, 0.3, phi_per=1.1)
