@@ -402,6 +402,9 @@ class Trajectory:
         h, _ = self._dense_steps()
         if not (self.times[0] <= t <= self.times[-1]):
             raise self._span_error(t)
+        if not len(h):
+            # no accepted step: the span is the single point times[0]
+            return PhaseState(*self.states[0].tolist())
         i = int(self.times.searchsorted(t, "right")) - 1
         return _horner(self._step(min(max(i, 0), len(h) - 1)), t)
 
@@ -416,6 +419,8 @@ class Trajectory:
         inside = (ts >= self.times[0]) & (ts <= self.times[-1])
         if not inside.all():
             raise self._span_error(ts[~inside][0])
+        if not len(h):
+            return self.states[np.zeros(len(ts), dtype=int)]
         i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(h) - 1)
         hi = h[i]
         theta = ((ts - self.times[i]) / hi)[:, None]
@@ -439,7 +444,7 @@ class Trajectory:
         if math.isnan(lo) or math.isnan(hi):
             raise DomainError(f"first_crossing window [{lo!r}, {hi!r}] contains NaN")
         lo, hi = max(lo, t_first), min(hi, t_last)
-        if lo > hi:
+        if lo > hi or not len(h):
             return None
         # nodes strictly inside (lo, hi); node i starts step i
         i0 = int(self.times.searchsorted(lo, "right"))

@@ -158,6 +158,12 @@ def _radial_roots(kap: float, k: float, j: float, e: float):
     return j2 / k, root / k, u_per, (kap - 2.0 * e / j2) / u_per
 
 
+def _near(value: float, landmark: float, rtol: float = LANDMARK_RTOL) -> bool:
+    """Whether value lies in the band where classify_orbit reports the
+    landmark's boundary class."""
+    return abs(value - landmark) <= rtol * max(1.0, abs(landmark))
+
+
 def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     """All radii with W(r) = e, sorted; a tangency is reported twice.
 
@@ -168,8 +174,11 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     on the sphere, u > 0 on the plane, u > sqrt(-kappa) on the
     hyperbolic plane); an apoastron within ``_TANGENCY_RTOL`` of the
     hyperbolic plateau is the plateau itself (the horoellipse, open at
-    infinity).  Each radius is verified to satisfy
-    |W(r) - e| < 1e-11 * max(1, |e|); CurvedKeplerError reports a miss.
+    infinity).  Off the sphere, an energy inside ``LANDMARK_RTOL`` of the
+    escape energy has no apoastron either, the rule by which
+    classify_orbit labels it a parabola or horoellipse.  Each radius is
+    verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|);
+    CurvedKeplerError reports a miss.
     """
     kap = curvature_value(kappa)
     k = check_coupling(k)
@@ -189,6 +198,11 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     else:
         _, _, u_per, u_apo = _radial_roots(kap, k, j, e)
         us = [u_per, u_apo]
+        if kap <= 0.0 and _near(e, -k * math.sqrt(-kap)) and not (crit and _near(e, crit[1])):
+            # inside classify_orbit's band around the escape energy the
+            # orbit is the boundary class (parabola, horoellipse): open,
+            # with no apoastron
+            us = [u_per]
     if kap <= 0.0:
         # off the sphere a radius needs u beyond the plateau sqrt(-kappa)
         us = [u for u in us if u > math.sqrt(-kap) * (1.0 + _TANGENCY_RTOL)]
@@ -228,13 +242,9 @@ def classify_orbit(
         return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False)
 
     crit = critical_point(kap, k, j)
-
-    def near(value, landmark):
-        return abs(value - landmark) <= landmark_rtol * max(1.0, abs(landmark))
-
     if crit is not None:
         w_m = crit[1]
-        if near(e, w_m):
+        if _near(e, w_m, landmark_rtol):
             label = OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE
             return OrbitClass(label, bounded=True)
         if e < w_m:
@@ -254,7 +264,7 @@ def classify_orbit(
         return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_SUPER, True)
 
     if kap == 0.0:
-        if near(e, 0.0) or e == 0.0:
+        if _near(e, 0.0, landmark_rtol) or e == 0.0:
             return OrbitClass(OrbitLabel.FLAT_PARABOLA, bounded=False)
         if e < 0.0:
             return OrbitClass(OrbitLabel.FLAT_ELLIPSE, bounded=True)
@@ -270,7 +280,7 @@ def classify_orbit(
                 f"(plateau {e_inf!r})"
             )
         return OrbitClass(OrbitLabel.HYP_OPEN, bounded=False)
-    if near(e, e_inf):
+    if _near(e, e_inf, landmark_rtol):
         return OrbitClass(OrbitLabel.HYP_HOROELLIPSE, bounded=False)
     if e < e_inf:
         return OrbitClass(OrbitLabel.HYP_ELLIPSE, bounded=True)

@@ -633,6 +633,23 @@ def test_sample_and_state_at_input_contract():
         traj.first_crossing(lambda t, s: s.v_r, t_lo=math.nan)
 
 
+def test_dense_queries_on_a_trajectory_without_steps():
+    # collision at t = 0: one row, no accepted step, the span is [0, 0]
+    state = PhaseState(2e-10, 0.0, -1.0, 0.0)
+    traj = integrate(state, KeplerParams(0.0, 1.0), 1.0)
+    assert len(traj) == 1 and traj.event_time == 0.0
+    assert traj.state_at(0.0) == state
+    assert traj.sample([0.0, 0.0]).tolist() == [[state.r, state.phi, state.v_r, state.v_phi]] * 2
+    assert traj.sample([]).shape == (0, 4)
+    assert traj.first_crossing(lambda t, s: s.v_r) is None
+    assert traj.first_crossing(lambda t, s: s.r, t_lo=-1.0, t_hi=1.0) is None
+    for bad in (1e-9, -1e-9, math.nan):
+        with pytest.raises(DomainError, match="outside the integrated span"):
+            traj.state_at(bad)
+        with pytest.raises(DomainError, match="outside the integrated span"):
+            traj.sample([0.0, bad])
+
+
 # the v_r = 0 passage at t = 0.99739 of this orbit falls inside one step
 # (0.99409, 1.00452) of the tol=1e-9 integration
 _WINDOW_CASE = (KeplerParams(1.0, 1.0), PhaseState(0.6, 0.0, 0.0, 2.3))

@@ -170,6 +170,22 @@ def test_turning_points_flat_parabola_inner_only():
     assert roots == [pytest.approx(0.5, abs=1e-12)]
 
 
+@pytest.mark.parametrize(
+    "kappa,k,j,e",
+    [
+        (0.0, 1.0, 1.0, -1e-10),  # FLAT_PARABOLA; the apoastron would sit at 1e10
+        (-1.0, 1.0, 0.5, -1.0 - 1e-10),  # HYP_HOROELLIPSE; it would sit at 11.7
+        (-1.0, 1.0, 0.5, -1.0 + 1e-10),
+        (0.0, 1.0, 1.0, -2e-9),  # just below the band: a bounded ellipse
+        (-1.0, 1.0, 0.5, -1.0 - 2e-9),
+    ],
+)
+def test_turning_points_agree_with_classify_in_landmark_band(kappa, k, j, e):
+    roots = turning_points(kappa, k, j, e)
+    bounded = classify_orbit(kappa, k, j, e).bounded
+    assert len(roots) == (2 if bounded else 1)
+
+
 def test_turning_points_verified_and_ordered(rng):
     for kappa in REGIMES:
         k = 1.0

@@ -1,0 +1,205 @@
+"""Closed-form time of flight against an independent 40-digit route.
+
+``time_from_u`` and ``radial_period`` evaluate the time law in closed
+form.  The oracle here never uses the package's own variables (the
+half-angle tangent, the pair of partial-fraction arguments): it maps
+each u endpoint to the true anomaly theta = acos((d u - 1)/ecc) at 40
+digits and integrates
+
+    dt = d**2 dtheta / (|j| ((1 + ecc cos theta)**2 + kappa d**2))
+
+with ``mp.quad``.  The bound is 1e-12 relative plus the oracle's own
+change when ecc, d or either u endpoint moves by 4 ulps: near a turning
+point, the asymptote or a landmark eccentricity no double-precision
+input pins the time down further, whatever route computes it.
+"""
+
+import math
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
+
+from curvedkepler.dynamics import KeplerParams, PhaseState
+from curvedkepler.effective_potential import turning_points
+from curvedkepler.ktrig import acot_k, sin_k
+from curvedkepler.orbit import orbit_constants, radial_period, time_from_u
+
+CURVATURES = [1.0, -1.0, 1e-6, -1e-6, 1e-10, -1e-10, 0.0]
+TIME_RTOL = 1e-12
+ULPS = 4
+KINDS = ("generic", "beyond", "parabola", "horoellipse", "horohyperbola")
+#: open legs stop this share of the way from the asymptote to periastron
+OPEN_REACH = 1e-7
+
+
+def _moved(x, n):
+    return x + n * math.ulp(x)
+
+
+def _oracle_bound(kappa, j, d, ecc, u_a, u_b):
+    """Oracle time between two u values of the orbit (j, d, ecc), and its tolerance.
+
+    The time is the 40-digit quadrature in theta.  The tolerance is
+    TIME_RTOL relative plus, for each of ecc, d, u_a and u_b, the larger
+    change of that time when the input moves ULPS ulps either way, to
+    first order: the integrand's derivative over the leg plus the rate
+    times the (exact) shift of each end's anomaly, which keeps the
+    square-root behaviour at an apsis.
+    """
+    with mp.workdps(40):
+        ecc_mp, d_mp = mpf(ecc), mpf(d)
+        shift, scale = mpf(kappa) * d_mp**2, d_mp**2 / abs(mpf(j))
+
+        def anomaly(u, ecc=ecc, d=d):
+            c = (mpf(d) * mpf(u) - 1) / mpf(ecc)
+            return mp.acos(min(mpf(1), max(mpf(-1), c)))
+
+        def rate(th):  # dt/dtheta
+            x = 1 + ecc_mp * mp.cos(th)
+            return scale / (x * x + shift)
+
+        def rate_slopes(th):  # d rate/d ecc + i d rate/d d
+            c = mp.cos(th)
+            x = 1 + ecc_mp * c
+            den = x * x + shift
+            f = scale / den
+            return mpc(-2 * f * x * c / den, 2 * f / d_mp - 2 * shift * f / (d_mp * den))
+
+        th_a, th_b = anomaly(u_a), anomaly(u_b)
+        sign = 1 if th_a >= th_b else -1
+        points = sorted((th_a, th_b))
+        if ecc > 1:
+            # on the sphere the integrand peaks where the orbit crosses
+            # the equator, 1 + ecc cos theta = 0: split the interval there
+            crossing = mp.acos(-1 / mpf(ecc))
+            if points[0] < crossing < points[1]:
+                points.insert(1, crossing)
+        t = mp.quad(rate, points)
+        with mp.workdps(15):
+            slopes = sign * mp.quad(rate_slopes, points)
+
+        def end_shift(u_a=u_a, u_b=u_b, ecc=ecc, d=d):
+            return sign * (
+                rate(th_a) * (anomaly(u_a, ecc, d) - th_a) - rate(th_b) * (anomaly(u_b, ecc, d) - th_b)
+            )
+
+        spread = (
+            max(abs(n * math.ulp(ecc) * slopes.real + end_shift(ecc=_moved(ecc, n))) for n in (-ULPS, ULPS))
+            + max(abs(n * math.ulp(d) * slopes.imag + end_shift(d=_moved(d, n))) for n in (-ULPS, ULPS))
+            + max(abs(end_shift(u_a=_moved(u_a, n))) for n in (-ULPS, ULPS))
+            + max(abs(end_shift(u_b=_moved(u_b, n))) for n in (-ULPS, ULPS))
+        )
+        return float(t), TIME_RTOL * float(t) + float(spread)
+
+
+def _orbit(kappa, k, j, ecc):
+    """OrbitConstants of the (j, ecc) orbit, built from its periastron state."""
+    d = j * j / k
+    u_per = (1.0 + ecc) / d
+    state = PhaseState(acot_k(kappa, u_per), 0.0, 0.0, j * (u_per * u_per + kappa))
+    return orbit_constants(state, KeplerParams(kappa, k))
+
+
+def _endpoint(oc, kappa, frac):
+    """u at share ``frac`` of the way from the far end of the leg to periastron.
+
+    frac = 1 is the periastron and, for a bounded orbit, frac = 0 the
+    apoastron, both exactly as ``OrbitConstants`` reports them.  An open
+    orbit's far end is OPEN_REACH of the way out from the asymptote.
+    """
+    u_per, u_apo = oc.u_periastron, oc.u_apoastron
+    asym = math.sqrt(-kappa) if kappa < 0.0 else 0.0
+    if frac == 1.0:
+        return u_per
+    if kappa > 0.0 or u_apo > asym:
+        return u_apo if frac == 0.0 else u_apo + frac * (u_per - u_apo)
+    far = asym + OPEN_REACH * (u_per - asym)
+    return far + frac * (u_per - far)
+
+
+fractions = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(-12.0, -2.0).map(lambda x: 10.0**x),  # next to the far end
+    st.floats(-12.0, -2.0).map(lambda x: 1.0 - 10.0**x),  # next to periastron
+)
+
+
+@st.composite
+def flight_cases(draw):
+    """(kappa, k, j, ecc, frac_a, frac_b) near a landmark eccentricity."""
+    kappa = draw(st.sampled_from(CURVATURES))
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.floats(0.5, 2.0))
+    j = draw(st.floats(0.3, 2.0))
+    c = math.sqrt(-kappa) if kappa < 0.0 else 0.0
+    if kappa < 0.0:
+        # keep the well: a = sqrt(-kappa) j^2/k <= 0.8
+        j = min(j, math.sqrt(0.8 * k / c))
+    a = c * j * j / k
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -3.0))
+    if kind == "generic":
+        # bounded: below the horoellipse, or sub-equatorial on the sphere
+        ecc = draw(st.floats(0.05, 0.95)) * (1.0 - a)
+    elif kind == "beyond":
+        # open past the horohyperbola, or super-equatorial on the sphere
+        ecc = 1.0 + a + draw(st.floats(0.05, 2.0))
+    elif kind == "parabola":
+        ecc = 1.0 + offset
+    elif kind == "horoellipse":
+        ecc = (1.0 - a) * (1.0 + offset)
+    else:
+        ecc = (1.0 + a) * (1.0 + offset)
+    frac_a = draw(fractions)
+    if draw(st.booleans()):
+        # a short leg: the second end a small share away from the first
+        step = 10.0 ** draw(st.floats(-13.0, -1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        frac_b = min(1.0, max(0.0, frac_a + step))
+    else:
+        frac_b = draw(fractions)
+    return kappa, k, j, ecc, frac_a, frac_b
+
+
+@given(flight_cases())
+@example((0.0, 1.0, 1.0, 1.0 - 1e-9, 0.0, 1.0))  # flat ellipse next to the parabola
+@example((0.0, 1.0, 1.0, 1.0 + 1e-9, 0.0, 1.0))  # flat hyperbola, out to the asymptote
+@example((-1.0, 1.0, 0.5, 0.75 * (1.0 - 1e-9), 0.0, 1.0))  # just inside the horoellipse
+@example((-1.0, 1.0, 0.5, 0.75 * (1.0 + 1e-9), 0.0, 1.0))  # just outside it
+@example((-1.0, 1.0, 0.5, 1.25 * (1.0 + 1e-9), 0.3, 1.0))  # next to the horohyperbola
+@example((1e-10, 1.0, 1.0, 1.5, 0.0, 1.0))  # super-equatorial, nearly flat sphere
+@example((1.0, 1.0, 1.0, 1.0 + 1e-9, 0.0, 1.0))  # equatorial orbit on the sphere
+@example((-1e-10, 1.3, 0.8, 0.4, 0.25, 0.75))  # interior leg at the flat limit
+@example((1e-6, 1.0, 1.2, 0.6, 1e-12, 1.0 - 1e-12))  # legs ending next to both apsides
+@example((1e-6, 1.0, 0.5, 3.0, 0.25, 0.01))  # both ends past the equator
+@example((1.0, 1.25, 2.0, 0.9999999, 0.01, 0.009955128609158502))  # short leg by the equator
+@example((-1e-12, 0.4086, 0.1089, 5.934, 1e-7, 0.5862))  # one end next to the asymptote
+@settings(max_examples=400, deadline=None)
+def test_time_of_flight_matches_mpmath_oracle(case):
+    kappa, k, j, ecc, frac_a, frac_b = case
+    oc = _orbit(kappa, k, j, ecc)
+    u_a, u_b = _endpoint(oc, kappa, frac_a), _endpoint(oc, kappa, frac_b)
+    got = time_from_u(oc, kappa, u_a, u_b)
+    want, tol = _oracle_bound(kappa, oc.conserved.j, oc.d, oc.ecc, u_a, u_b)
+    assert abs(got - want) <= tol, (got, want, tol)
+
+    asym = math.sqrt(-kappa) if kappa < 0.0 else 0.0
+    if kappa > 0.0 or oc.u_apoastron > asym:
+        half = time_from_u(oc, kappa, oc.u_apoastron, oc.u_periastron)
+        assert radial_period(oc, kappa) == 2.0 * half
+
+
+def test_near_escape_leg_matches_oracle_without_warnings():
+    # survey case just below the plateau (E is 1.1e-7 under -k): the
+    # quadrature this replaced emitted IntegrationWarning on this leg
+    kappa, k, j, e = -1.0, 1.306245733590143, 0.8363508017361087, -1.306245872849284
+    r_per = turning_points(kappa, k, j, e)[0]
+    s = sin_k(kappa, r_per)
+    oc = orbit_constants(PhaseState(r_per, 0.0, 0.0, j / (s * s)), KeplerParams(kappa, k))
+    u_a, u_b = 1.0000002295115942, 1.7216789466252267
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = time_from_u(oc, kappa, u_a, u_b)
+    want, tol = _oracle_bound(kappa, oc.conserved.j, oc.d, oc.ecc, u_a, u_b)
+    assert abs(got - want) <= tol, (got, want, tol)
