@@ -236,3 +236,28 @@ def acot_k(kappa, u: float) -> float:
     # atanh(rk/u) written so that u - rk, exact near the plateau, is
     # what atanh's amplification acts on instead of the rounding of rk/u
     return 0.5 * math.log1p(2.0 * rk / (u - rk)) / rk
+
+
+def acot_k_array(kappa, u) -> np.ndarray:
+    """Radius of every cotangent in u, with the branches of :func:`acot_k`.
+
+    The hyperbolic series branch is taken where kappa/u**2 is below
+    ``SERIES_THRESHOLD``, in the same operation order as :func:`acot_k`;
+    elsewhere numpy's arctan2 or log1p, whose last bit can differ from
+    the ``math`` module's.  The argument is not validated, so callers
+    pass values on the physical branch (u > 0 on the plane, u > sqrt(-kappa)
+    on the hyperbolic plane).
+    """
+    k = curvature_value(kappa)
+    u = np.asarray(u, dtype=float)
+    if k > 0.0:
+        rk = math.sqrt(k)
+        return np.arctan2(1.0, u / rk) / rk
+    if k == 0.0:
+        return 1.0 / u
+    rk = math.sqrt(-k)
+    w = 1.0 / u
+    kw2 = k * w * w
+    series = w * (1.0 - kw2 / 3.0 + 0.2 * kw2 * kw2)
+    direct = 0.5 * np.log1p(2.0 * rk / (u - rk)) / rk
+    return np.where(u * u * SERIES_THRESHOLD > -k, series, direct)

@@ -9,7 +9,8 @@ a harmonic oscillation around k/j**2 (the curved Binet equation is the
 flat one verbatim).  Time enters through the sweep law
 dphi/dt = j * (u**2 + kappa): in the anomaly phi - phi0 its integral is
 elementary, which gives the travel time between two u values in closed
-form, while ``phi_from_time`` integrates it along a trajectory.
+form, and ``propagate`` and ``phi_from_time`` invert it for the state
+at any time.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
-from .ktrig import acot_k, curvature_value, sin_k_array
+from .ktrig import acot_k, acot_k_array, curvature_value
 
 #: eccentricities below this are treated as exactly circular
 CIRCULAR_ECC = 1e-13
@@ -130,26 +132,46 @@ def _u_bounds(oc: OrbitConstants, kap: float):
     return u_per, u_apo, asym
 
 
-def _atan(z, v):
-    """atan(z) for complex z off the cuts, given v = 1 + z**2.
+# The time law is written once and evaluated through one of two math
+# namespaces: Python complex scalars for time_from_u and radial_period,
+# numpy complex arrays for propagate.  A choice between two formulas is
+# an ``if`` on scalars and a mask on arrays.
+_SCALARS = SimpleNamespace(sqrt=cmath.sqrt, log=cmath.log, tan=math.tan)
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, log=np.log, tan=np.tan)
 
-    Near z**2 = -1 it is i log(1 - iz) - (i/2) log(v) (or the mirror
+
+def _phi(xp, z, v):
+    """phi = atan(z)/z (1 at z = 0) for complex z off the cuts, given v = 1 + z**2.
+
+    Near z**2 = -1 atan(z) is i log(1 - iz) - (i/2) log(v) (or the mirror
     form for Im z < 0): the first logarithm's argument has modulus >= 1,
     so v carries all the cancellation and can be supplied exactly.
     """
-    if abs(v) > 0.5:
-        return cmath.atan(z)
-    if z.imag >= 0.0:
-        return 1j * cmath.log(1.0 - 1j * z) - 0.5j * cmath.log(v)
-    return 0.5j * cmath.log(v) - 1j * cmath.log(1.0 + 1j * z)
+    if xp is _SCALARS:
+        if abs(v) <= 0.5:
+            return _atan_near(xp, z, v) / z
+        return cmath.atan(z) / z if z else 1.0
+    flat = z == 0.0
+    safe = np.where(flat, 1.0, z)
+    out = np.where(flat, 1.0, np.arctan(safe) / safe)
+    near = np.abs(v) <= 0.5
+    if near.any():
+        out[near] = _atan_near(xp, z[near], v[near]) / z[near]
+    return out
 
 
-def _phi_pair(y1, v1, y2, v2):
+def _atan_near(xp, z, v):
+    sign = 2.0 * (z.imag >= 0.0) - 1.0
+    return sign * 1j * (xp.log(1.0 - sign * 1j * z) - 0.5 * xp.log(v))
+
+
+def _phi_pair(xp, y1, v1, y2, v2, gap):
     """Mean and divided difference of phi over the pair (y1, y2).
 
     phi(y) = atan(sqrt(y))/sqrt(y) = integral_0^1 dw / (1 + y w**2) is
     analytic off the cut (-inf, -1]; v = 1 + y is passed separately
-    because y -> -1 is where the orbit meets an asymptote.  The pair is
+    because y -> -1 is where the orbit meets an asymptote, and so is the
+    gap y1 - y2, which the caller has without cancellation.  The pair is
     real or complex conjugate, and both results come back as complex
     numbers whose real parts are wanted.  Three routes keep them free
     of cancellation:
@@ -160,87 +182,171 @@ def _phi_pair(y1, v1, y2, v2):
       atan((z1 - z2)/(1 + z1 z2)) with z = sqrt(y) taken on a common side;
     * otherwise the plain difference quotient, which loses at most a
       factor of about 1/_PHI_SERIES_Y to rounding.
+
+    On arrays each route runs on its own elements only.
     """
-    if abs(y1) <= _PHI_SERIES_Y and abs(y2) <= _PHI_SERIES_Y:
-        # (y1**n + y2**n)/2 and (y1**n - y2**n)/(y1 - y2) obey the same
-        # three-term recurrence in the pair's sum and product
-        total, prod = (y1 + y2).real, (y1 * y2).real
-        pow0, pow1, div0, div1 = 1.0, 0.5 * total, 0.0, 1.0
-        mean = _PHI_COEFFS[0] + _PHI_COEFFS[1] * pow1
-        diff = _PHI_COEFFS[1]
-        for c in _PHI_COEFFS[2:]:
-            pow0, pow1 = pow1, total * pow1 - prod * pow0
-            div0, div1 = div1, total * div1 - prod * div0
-            mean += c * pow1
-            diff += c * div1
-        return mean, diff
-    z1, z2 = cmath.sqrt(y1), cmath.sqrt(y2)
+    if xp is _SCALARS and abs(y1) <= _PHI_SERIES_Y and abs(y2) <= _PHI_SERIES_Y:
+        return _pair_series(y1, y2)
     mid = 0.5 * (y1 + y2).real
-    # near -1 the gap y1 - y2 is exact only from the v side
-    gap = y1 - y2 if mid > -0.5 else v1 - v2
-    if mid > -1.0 and abs(gap) <= 0.5 * min(abs(mid), 1.0 + mid):
-        if abs(z1 + z2) < abs(z1 - z2):
-            z2 = -z2  # phi is even in z
-        at1, at2 = _atan(z1, v1), _atan(z2, v2)
-        zz = z1 * z2
-        # 1 + z1 z2 = (1 - y1 y2)/(1 - z1 z2), exact from v when zz -> -1
-        w = 1.0 + zz if zz.real >= 0.0 else (v1 + v2 - v1 * v2) / (1.0 - zz)
-        delta = gap / ((z1 + z2) * w)
-        ratio = cmath.atan(delta) / delta if delta else 1.0
-        return 0.5 * (at1 / z1 + at2 / z2), (z2 * ratio / w - at2) / ((z1 + z2) * zz)
-    phi1, phi2 = _atan(z1, v1) / z1, _atan(z2, v2) / z2
+    reach = 2.0 * abs(gap)
+    close = (reach <= abs(mid)) & (reach < 1.0 + mid)
+    if xp is _SCALARS:
+        return (_pair_close if close else _pair_plain)(xp, y1, v1, y2, v2, gap)
+    series = (abs(y1) <= _PHI_SERIES_Y) & (abs(y2) <= _PHI_SERIES_Y)
+    mean, diff = np.empty_like(y1), np.empty_like(y1)
+    if series.any():
+        mean[series], diff[series] = _pair_series(y1[series], y2[series])
+    for take, route in ((~series & close, _pair_close), (~(series | close), _pair_plain)):
+        if take.any():
+            mean[take], diff[take] = route(xp, y1[take], v1[take], y2[take], v2[take], gap[take])
+    return mean, diff
+
+
+def _pair_series(y1, y2):
+    # (y1**n + y2**n)/2 and (y1**n - y2**n)/(y1 - y2) obey the same
+    # three-term recurrence in the pair's sum and product
+    total, prod = (y1 + y2).real, (y1 * y2).real
+    pow0, pow1, div0, div1 = 1.0, 0.5 * total, 0.0, 1.0
+    mean = _PHI_COEFFS[0] + _PHI_COEFFS[1] * pow1
+    diff = _PHI_COEFFS[1]
+    for c in _PHI_COEFFS[2:]:
+        pow0, pow1 = pow1, total * pow1 - prod * pow0
+        div0, div1 = div1, total * div1 - prod * div0
+        mean += c * pow1
+        diff += c * div1
+    return mean, diff
+
+
+def _pair_close(xp, y1, v1, y2, v2, gap):
+    # y2/y1 = 1 - gap/y1 is close to 1, so z2 = z1 sqrt(y2/y1) is on z1's side
+    z1 = xp.sqrt(y1)
+    root = xp.sqrt(1.0 - gap / y1)
+    z2 = z1 * root
+    # w = 1 + z1 z2 = v1 - gap/(1 + root), with no cancellation as z1 z2 -> -1
+    w = v1 - gap / (1.0 + root)
+    phi1, phi2 = _phi(xp, z1, v1), _phi(xp, z2, v2)
+    total = z1 + z2
+    # atan(z1) - atan(z2) = atan(delta) with delta = (z1 - z2)/w
+    delta = gap / (total * w)
+    ratio = _phi(xp, delta, 1.0 + delta * delta)
+    return 0.5 * (phi1 + phi2), (ratio / w - phi2) / (total * z1)
+
+
+def _pair_plain(xp, y1, v1, y2, v2, gap):
+    z1, z2 = xp.sqrt(y1), xp.sqrt(y2)
+    phi1, phi2 = _phi(xp, z1, v1), _phi(xp, z2, v2)
     return 0.5 * (phi1 + phi2), (phi1 - phi2) / gap
 
 
-def _sweep(ecc: float, d: float, kap: float, u_per: float, u_apo: float, us) -> list[float]:
-    """G(theta) = integral_0^theta dtheta' / ((1 + ecc cos theta')**2 + kappa d**2)
-    at the anomaly theta in [0, pi] of each u in ``us`` on u = (1 + ecc cos theta)/d.
+class _Frame(NamedTuple):
+    """Constants of the time law in the frame whose theta = 0 is the apsis
+    u = (1 + ecc)/d; a negative ecc counts from the apoastron.
 
-    theta is counted from u_per = (1 + ecc)/d towards u_apo = (1 - ecc)/d;
-    a negative ecc swaps the two, so theta runs from the apoastron.
+    p, q = 1 +/- ecc, root = sqrt(-kappa), a = d root, below, above =
+    p -/+ a, r = below above, c_sq = (q -/+ a)/(p -/+ a) and their
+    difference spread = c1_sq - c2_sq = -4 a ecc/r.
+    """
+
+    ecc: float
+    p: float
+    q: float
+    root: complex
+    a: complex
+    below: complex
+    above: complex
+    r: float
+    c1_sq: complex
+    c2_sq: complex
+    spread: complex
+
+
+def _frame(ecc: float, d: float, kap: float) -> _Frame:
+    p, q, root = 1.0 + ecc, 1.0 - ecc, cmath.sqrt(-kap)
+    a = d * root
+    below, above = p - a, p + a
+    r = (below * above).real
+    fields = (ecc, p, q, root, a, below, above, r, (q - a) / below, (q + a) / above, a * (-4.0 * ecc / r))
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    return tuple.__new__(_Frame, fields)
+
+
+def _g(xp, fr, tau, tau2, v1, v2):
+    """G(theta) = integral_0^theta dtheta' / ((1 + ecc cos theta')**2 + kappa d**2)
+    from tau = tan(theta/2), its square and the lifts v_A = 1 + y_A.
 
     With a = d sqrt(-kappa) (imaginary on the sphere) the integrand splits
     into 1/(X - a) and 1/(X + a), X = 1 + ecc cos theta', and
 
         integral_0^theta dtheta' / (A + ecc cos theta') = 2 tau phi(y_A) / (A + ecc)
 
-    for A = 1 -/+ a, with tau = tan(theta/2) and
-    y_A = tau**2 (A - ecc)/(A + ecc) (phi as in ``_phi_pair``).
-    Grouping the two phi terms by their mean and divided difference gives
+    for A = 1 -/+ a, with y_A = tau**2 (A - ecc)/(A + ecc) (phi as in
+    ``_phi_pair``).  Grouping the two phi terms by their mean and divided
+    difference gives
 
         G = (2 tau/R) (mean - (2 ecc p tau**2/R) diff),  R = (p - a)(p + a),
 
     with p = 1 + ecc: neither 1/a (the flat limit) nor 1/(1 - ecc) (the
-    parabola) is left to cancel.  tau**2 = (u_per - u)/(u - u_apo) and
-    1 + y_A = 2 ecc (u -/+ sqrt(-kappa)) / ((A + ecc)(u - u_apo)) come
-    from u without cancellation.  At the apoastron, with
-    c_A**2 = (A - ecc)/(A + ecc),
+    parabola) is left to cancel.  1 + y_A = (1 + tau**2)(X -/+ a)/(A + ecc)
+    is supplied by the caller, from u or from tau without cancellation.
+    """
+    r = fr.r
+    mean, diff = _phi_pair(xp, tau2 * fr.c1_sq, v1, tau2 * fr.c2_sq, v2, tau2 * fr.spread)
+    return 2.0 * tau / r * (mean - 2.0 * fr.ecc * fr.p * tau2 / r * diff).real
+
+
+def _g_apo(fr) -> float:
+    """G(pi), the time from the apsis to the opposite one.
+
+    With c_A**2 = (A - ecc)/(A + ecc),
     G(pi) = pi ((c1 + c2)**2 + 4 ecc p/R) / (2 R c1 c2 (c1 + c2)).
     """
-    p, q, root = 1.0 + ecc, 1.0 - ecc, cmath.sqrt(-kap)
-    a = d * root
-    below, above = p - a, p + a
-    r = (below * above).real
-    c1_sq, c2_sq = (q - a) / below, (q + a) / above
+    r = fr.r
+    c1, c2 = cmath.sqrt(fr.c1_sq), cmath.sqrt(fr.c2_sq)
+    c_sum, c_prod = (c1 + c2).real, (c1 * c2).real
+    return math.pi * (c_sum * c_sum + 4.0 * fr.ecc * fr.p / r) / (2.0 * r * c_prod * c_sum)
+
+
+def _sweep(fr, u_per: float, u_apo: float, us) -> list[float]:
+    """``_g`` at the anomaly theta in [0, pi] of each u in ``us`` on
+    u = (1 + ecc cos theta)/d.
+
+    theta is counted from u_per = (1 + ecc)/d towards u_apo = (1 - ecc)/d;
+    a negative ecc swaps the two, so theta runs from the apoastron.
+    tau**2 = (u_per - u)/(u - u_apo) and
+    1 + y_A = 2 ecc (u -/+ sqrt(-kappa)) / ((A + ecc)(u - u_apo)) come
+    from u without cancellation.
+    """
+    ecc, root, below, above = fr.ecc, fr.root, fr.below, fr.above
     out = []
     for u in us:
         if u == u_per:
             out.append(0.0)
         elif u == u_apo:
-            c1, c2 = cmath.sqrt(c1_sq), cmath.sqrt(c2_sq)
-            c_sum, c_prod = (c1 + c2).real, (c1 * c2).real
-            out.append(math.pi * (c_sum * c_sum + 4.0 * ecc * p / r) / (2.0 * r * c_prod * c_sum))
+            out.append(_g_apo(fr))
         else:
             tau2 = (u_per - u) / (u - u_apo)
             lift = 2.0 * ecc / (u - u_apo)
-            mean, diff = _phi_pair(
-                tau2 * c1_sq, lift * (u - root) / below, tau2 * c2_sq, lift * (u + root) / above
-            )
-            out.append(2.0 * math.sqrt(tau2) / r * (mean - 2.0 * ecc * p * tau2 / r * diff).real)
+            v1, v2 = lift * (u - root) / below, lift * (u + root) / above
+            out.append(_g(_SCALARS, fr, math.sqrt(tau2), tau2, v1, v2))
     return out
 
 
-def _leg(ecc: float, d: float, kap: float, u_per: float, u_apo: float, u_far: float, u_near: float) -> float:
+def _g_theta(xp, fr, theta):
+    """``_g`` at the anomaly theta, 0 <= theta <= pi, and short of the
+    asymptote on an open orbit (every element of an array theta).
+
+    1 + y_A = (2 ecc + (A - ecc)(1 + tau**2))/(A + ecc) needs no cos theta,
+    so it stays exact where 1 + ecc cos theta would cancel at theta = pi.
+    """
+    ecc, q, a = fr.ecc, fr.q, fr.a
+    tau = xp.tan(0.5 * theta)
+    tau2 = tau * tau
+    lift = 1.0 + tau2
+    v1, v2 = (2.0 * ecc + (q - a) * lift) / fr.below, (2.0 * ecc + (q + a) * lift) / fr.above
+    return _g(xp, fr, tau, tau2, v1, v2)
+
+
+def _leg(fr, u_per: float, u_apo: float, u_far: float, u_near: float) -> float:
     """G(theta_far) - G(theta_near) in one piece (``_sweep``'s notation).
 
     With t = tan(theta/2), the arctangent difference of each partial
@@ -250,19 +356,18 @@ def _leg(ecc: float, d: float, kap: float, u_per: float, u_apo: float, u_far: fl
         L_A = (A + ecc) + (A - ecc) t_far t_near,
         Y_A = (A**2 - ecc**2) dt**2 / L_A**2,
 
-    dt = t_far - t_near, and the grouping of ``_sweep`` becomes
+    dt = t_far - t_near, and the grouping of ``_g`` becomes
 
         (2 dt / (L1 L2)) (P mean - diff dt**2 K (L1 + L2) / (2 L1**2 L2**2)),
         K = ecc M (A1 L2 + A2 L1) + ecc**2 P (L1 + L2),
 
-    P, M = 1 +/- t_far t_near, which is ``_sweep``'s formula at t_near = 0.
+    P, M = 1 +/- t_far t_near, which is ``_g``'s formula at t_near = 0.
     dt comes from u_near - u_far, 1 + Y_A = (A + ecc)**2 (1 + y_far)(1 + y_near)/L_A**2
     from the exact lifts, and L_A, where its two terms cancel (next to an
     asymptote or the equator), from L_A**2 = (A + ecc)**2 (1 + y_far)(1 + y_near)
     - (A**2 - ecc**2) dt**2.
     """
-    p, q, root = 1.0 + ecc, 1.0 - ecc, cmath.sqrt(-kap)
-    a = d * root
+    ecc, p, q, root, a = fr.ecc, fr.p, fr.q, fr.root, fr.a
     t_far = math.sqrt((u_per - u_far) / (u_far - u_apo))
     t_near = math.sqrt((u_per - u_near) / (u_near - u_apo))
     dt = (u_near - u_far) * (u_per - u_apo) / ((u_far - u_apo) * (u_near - u_apo) * (t_far + t_near))
@@ -284,7 +389,10 @@ def _leg(ecc: float, d: float, kap: float, u_per: float, u_apo: float, u_far: fl
         vs.append(plus * plus * v_far * v_near / (ell * ell))
     l1, l2 = ls
     lsum = l1 + l2
-    mean, diff = _phi_pair(ys[0], vs[0], ys[1], vs[1])
+    (y1, y2), (v1, v2) = ys, vs
+    # near -1 the gap y1 - y2 is exact only from the v side
+    gap = y1 - y2 if (y1 + y2).real > -1.0 else v1 - v2
+    mean, diff = _phi_pair(_SCALARS, y1, v1, y2, v2, gap)
     big, small = 1.0 + prod, 1.0 - prod
     k = ecc * small * ((1.0 - a) * l2 + (1.0 + a) * l1) + ecc * ecc * big * lsum
     l12 = l1 * l2
@@ -296,7 +404,7 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
 
     With theta = phi - phi0 the orbit is u = (1 + ecc cos theta)/d, and
     the sweep law dphi/dt = j (u**2 + kappa) makes the time from
-    periastron (d**2/|j|) G(theta), with G in closed form (``_sweep``).
+    periastron (d**2/|j|) G(theta), with G in closed form (``_g``).
     A leg is the difference of G at its ends, counted from the apsis on
     its side, or one closed-form piece (``_leg``) when it is short
     against that.  Returns the positive elapsed time.
@@ -333,13 +441,13 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
     else:
         from_apo = u_apo > asym and a + b < u_per + u_apo
     if from_apo:
-        frame, far, near = (-oc.ecc, oc.d, kap, u_apo, u_per), b, a
+        fr, start, stop, far, near = _frame(-oc.ecc, oc.d, kap), u_apo, u_per, b, a
     else:
-        frame, far, near = (oc.ecc, oc.d, kap, u_per, u_apo), a, b
-    g_far, g_near = _sweep(*frame, (far, near))
+        fr, start, stop, far, near = _frame(oc.ecc, oc.d, kap), u_per, u_apo, a, b
+    g_far, g_near = _sweep(fr, start, stop, (far, near))
     # a leg short against its distance from the apsis would cancel in
     # the difference (here by at most a factor of 19): take it in one piece
-    g = g_far - g_near if g_near <= 0.9 * g_far else _leg(*frame, far, near)
+    g = g_far - g_near if g_near <= 0.9 * g_far else _leg(fr, start, stop, far, near)
     return oc.d * oc.d / j * g
 
 
@@ -348,37 +456,201 @@ def radial_period(oc: OrbitConstants, kappa) -> float:
     kap = curvature_value(kappa)
     if oc.ecc < CIRCULAR_ECC:
         raise DomainError("circular orbit: radius does not oscillate")
-    u_per, u_apo, asym = _u_bounds(oc, kap)
+    _, u_apo, asym = _u_bounds(oc, kap)
     if u_apo <= asym:
         raise DomainError("orbit is not radially bounded: no radial period")
     # the apo-to-per leg exactly as time_from_u takes it: from the apoastron
-    (half,) = _sweep(-oc.ecc, oc.d, kap, u_apo, u_per, (u_per,))
+    half = _g_apo(_frame(-oc.ecc, oc.d, kap))
     return 2.0 * (oc.d * oc.d / abs(oc.conserved.j) * half)
 
 
-def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
-    """Polar angles at the requested times by cumulative sweep quadrature.
+#: nodes of the table that seeds the inverse of G, at even steps of theta
+#: and again at even steps of G
+_TABLE_NODES = 129
 
-    Integrates dphi/dt = j (u**2 + kappa) = j / sin_k(r)**2 along the
-    dense output of ``trajectory``; every requested time must lie inside
-    the trajectory's span.
+#: an open orbit's table reaches theta_inf (1 - 2**-_OPEN_REACH); closer
+#: to the asymptote double precision no longer tells theta from theta_inf
+_OPEN_REACH = 45
+
+#: propagate refuses a radius whose cotangent u - sqrt(-kappa) would move
+#: by more than this share of itself under one rounding of theta
+_U_RTOL = 1e-8
+
+#: Newton or bisection steps after which the inverse of G gives up
+_MAX_STEPS = 100
+
+#: half an ulp of 1.0, the relative error the inverse of G stops at
+_HALF_ULP = 2.0**-53
+
+
+def _rise(ecc, theta):
+    """X - (1 - ecc) = 2 ecc cos(theta/2)**2 for X = 1 + ecc cos theta: added
+    to 1 - ecc - a, it gives X - a with no cancellation at theta = pi."""
+    half = np.cos(0.5 * theta)
+    return 2.0 * ecc * half * half
+
+
+def _hermite(nodes, table, slopes, target):
+    """Cubic Hermite interpolant of theta(G) through the table, at each
+    target, and the table interval holding it."""
+    i = np.clip(np.searchsorted(table, target, "right") - 1, 0, len(table) - 2)
+    lo, hi = nodes[i], nodes[i + 1]
+    width = table[i + 1] - table[i]
+    x = (target - table[i]) / width
+    x2 = x * x
+    seed = (
+        lo * (1.0 + x2 * (2.0 * x - 3.0))
+        + hi * x2 * (3.0 - 2.0 * x)
+        + width * x * (1.0 - x) * ((1.0 - x) / slopes[i] - x / slopes[i + 1])
+    )
+    return np.clip(seed, lo, hi), lo, hi
+
+
+def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
+    """Anomaly theta + 2 pi turns = phi - phi0 where G = s, for an array s.
+
+    s is the time since the periastron passage in units of d**2/j, so it
+    carries the sense of rotation and theta follows its sign.  On a
+    bounded orbit G grows by 2 G(pi) per turn, so s is first reduced to
+    [-G(pi), G(pi)] and theta lies in [-pi, pi]; an open orbit has
+    |theta| < theta_inf, where 1 + ecc cos theta_inf = d sqrt(-kappa).
+    Beyond theta_inf (1 - 2**-_OPEN_REACH), the table's last node, theta
+    is held there: it is then within rounding of its limit.
+
+    |s| is inverted on a table of exact G, at nodes evenly spaced in
+    theta and at nodes evenly spaced in G (placed by the first ones), so
+    that it resolves both the fast and the slow arcs of the orbit.  A
+    cubic Hermite interpolant with the exact slopes G' = 1/((1 + ecc
+    cos theta)**2 + kappa d**2) gives the seed, and the table interval
+    holding |s| the bracket.  Newton steps finish it, bisecting whenever
+    a step leaves the bracket.  A Newton step of size h leaves an error
+    of about |G''/(2 G')| h**2; a query is done when that is below half
+    an ulp.
+    """
+    d, ecc = oc.d, oc.ecc
+    if ecc == 0.0:
+        # circular: the sweep is uniform
+        return s * (1.0 + kap * d * d), np.zeros_like(s)
+    fr = _frame(ecc, d, kap)
+    if kap <= 0.0 and fr.c1_sq.real >= 0.0 and fr.c2_sq.real >= 0.0:
+        # both partial fractions real with y_A >= 0: the arrays stay real
+        fr = fr._make(c.real for c in fr)
+    _, u_apo, asym = _u_bounds(oc, kap)
+
+    def rate(theta):
+        # X = 1 + ecc cos theta and G' = 1/((X - a)(X + a))
+        rise = _rise(ecc, theta)
+        q, a = fr.q, fr.a
+        return q + rise, 1.0 / ((q - a + rise) * (q + a + rise)).real
+
+    if u_apo > asym:
+        half = _g_apo(fr)
+        turns = np.round(s / (2.0 * half))
+        s = s - 2.0 * half * turns
+        nodes = np.linspace(0.0, math.pi, _TABLE_NODES)
+    else:
+        turns = np.zeros_like(s)
+        top = math.acos((fr.a.real - 1.0) / ecc)
+        nodes = top * (1.0 - np.geomspace(1.0, 2.0**-_OPEN_REACH, 8 * _OPEN_REACH + 1))
+    table = _g_theta(_ARRAYS, fr, nodes)
+    target = np.minimum(np.abs(s), table[-1])
+    last = target.max() if target.size else 0.0
+    extra, _, _ = _hermite(nodes, table, rate(nodes)[1], np.linspace(0.0, last, _TABLE_NODES)[1:-1])
+    nodes = np.concatenate((nodes, extra))
+    order = np.argsort(nodes)
+    nodes, table = nodes[order], np.concatenate((table, _g_theta(_ARRAYS, fr, extra)))[order]
+    # a node placed on top of another would make an empty interval
+    keep = np.diff(table, prepend=-math.inf) > 0.0
+    nodes, table = nodes[keep], table[keep]
+
+    theta, lo, hi = _hermite(nodes, table, rate(nodes)[1], target)
+    todo = np.arange(target.size)
+    for _ in range(_MAX_STEPS):
+        if not todo.size:
+            break
+        th = theta[todo]
+        res = _g_theta(_ARRAYS, fr, th) - target[todo]
+        lo_k = np.where(res < 0.0, th, lo[todo])
+        hi_k = np.where(res > 0.0, th, hi[todo])
+        x, g1 = rate(th)
+        step = res / g1
+        new = th - step
+        bisect = ~((new >= lo_k) & (new <= hi_k))
+        new = np.where(bisect, 0.5 * (lo_k + hi_k), new)
+        left = np.abs(x * ecc * np.sin(th) * g1) * step * step
+        done = (res == 0.0) | (~bisect & (left <= _HALF_ULP * new)) | (hi_k - lo_k <= 4.0 * _HALF_ULP * hi_k)
+        theta[todo] = np.where(res == 0.0, th, new)
+        lo[todo], hi[todo] = lo_k, hi_k
+        todo = todo[~done]
+    if todo.size:
+        raise CurvedKeplerError(f"anomaly inverse did not converge for G = {target[todo[0]]!r}")
+    return np.copysign(theta, s), turns
+
+
+def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
+    """States (r, phi, v_r, v_phi) at the times t since the periastron
+    passage, as an (n, 4) array.
+
+    The time law t = (d**2/j) G(theta) is inverted for the anomaly theta =
+    phi - phi0 (``_anomaly``); then u = (1 + ecc cos theta)/d,
+    r = acot_k(u), v_r = j ecc sin(theta)/d and v_phi = j (u**2 + kappa).
+    On a circular orbit t counts from phi = phi0.  Radial orbits (j = 0)
+    have no OrbitConstants and stay on the integrator.
+
+    Far out on an open orbit u closes in on its asymptote sqrt(-kappa)
+    (0 on the plane), and the rounding of theta and of u moves
+    u - sqrt(-kappa) by about ulp(theta) |du/dtheta| + ulp(u).  Where that
+    exceeds ``_U_RTOL`` of it the radius would carry no trustworthy
+    digits, and DomainError is raised: integrate such an orbit instead.
+    """
+    kap = curvature_value(kappa)
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    if not np.isfinite(ts).all():
+        raise DomainError(f"propagate needs finite times, got {ts[~np.isfinite(ts)][0]!r}")
+    j, d, ecc = oc.conserved.j, oc.d, oc.ecc
+    theta, turns = _anomaly(oc, kap, (j / (d * d)) * ts)
+    sin = np.sin(theta)
+    u = ((1.0 - ecc) + _rise(ecc, theta)) / d
+    _, _, asym = _u_bounds(oc, kap)
+    # rounding of theta and of u itself
+    blur = 2.0 * _HALF_ULP * (np.abs(theta) * ecc * np.abs(sin) / d + u)
+    if not (u - asym > blur / _U_RTOL).all():
+        k = int(np.argmin((u - asym) * _U_RTOL - blur))
+        raise DomainError(
+            f"t={float(ts[k])!r} takes the open orbit so close to its asymptote that "
+            "its radius is not resolved in double precision; integrate it instead"
+        )
+    return np.column_stack(
+        (
+            acot_k_array(kap, u),
+            oc.phi0 + (theta + 2.0 * math.pi * turns),
+            (j * ecc / d) * sin,
+            j * (u * u + kap),
+        )
+    )
+
+
+def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
+    """Polar angles at the requested times, from the inverted time law.
+
+    The trajectory supplies only its start and its span: every requested
+    time must lie inside the span.  The start's anomaly theta0 = phi -
+    phi0 gives its time since periastron, and phi(t) = phi_start +
+    theta(t) - theta0 with theta(t) from ``propagate``'s inverse, exact
+    up to rounding however far t lies from the start.  Radial orbits
+    (j = 0) have no OrbitConstants: their states come from the
+    integrator (``Trajectory.sample``).
     """
     kap = curvature_value(kappa)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     t0, t1 = trajectory.times[0], trajectory.t_end
-    if ts.size and (ts.min() < t0 or ts.max() > t1):
+    if not ((ts >= t0) & (ts <= t1)).all():
         raise DomainError(
             f"requested times leave the integrated span [{t0!r}, {t1!r}]"
         )
-    j = oc.conserved.j
-    upper = ts.max() if ts.size else t0
-    phi_start = trajectory.state_at(float(t0)).phi
-    if upper == t0:
-        out = np.full(ts.shape, phi_start)
-        return out if np.ndim(t_grid) else float(out[0])
-    fine = np.union1d(np.linspace(t0, upper, 4097), ts)
-    s2 = sin_k_array(kap, trajectory.sample(fine)[:, 0]) ** 2
-    sweep = j / s2
-    cum = phi_start + cumulative_simpson(sweep, x=fine, initial=0.0)
-    out = np.interp(ts, fine, cum)
+    phi_start = float(trajectory.states[0, 1])
+    theta0 = math.remainder(phi_start - oc.phi0, 2.0 * math.pi)
+    g0 = math.copysign(_g_theta(_SCALARS, _frame(oc.ecc, oc.d, kap), abs(theta0)), theta0)
+    theta, turns = _anomaly(oc, kap, oc.conserved.j / (oc.d * oc.d) * (ts - t0) + g0)
+    out = phi_start + ((theta - theta0) + 2.0 * math.pi * turns)
     return out if np.ndim(t_grid) else float(out[0])

@@ -40,6 +40,7 @@ from curvedkepler.orbit import (
     orbit_constants,
     orbit_radius,
     phi_from_time,
+    propagate,
     radial_period,
     time_from_u,
     u_closed,
@@ -183,6 +184,9 @@ def test_criterion_02_flat_limit_continuity_at_kappa_1e8():
                 phi_from_time(oc0, 0.0, t_grid, traj0),
             ):
                 _agree(a, b, "phi_from_time")
+            # and the states of the inverted time law, from periastron
+            for a, b in zip(propagate(oc, kap, t_grid).ravel(), propagate(oc0, 0.0, t_grid).ravel()):
+                _agree(a, b, "propagate")
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from curvedkepler import (
 )
 import numpy as np
 
-from curvedkepler.ktrig import SERIES_THRESHOLD, sin_k_array, sincos_k
+from curvedkepler.ktrig import SERIES_THRESHOLD, acot_k_array, sin_k_array, sincos_k
 
 # Extended-precision oracle values (mpmath, 40 digits, rounded to double).
 COSH_1 = 1.5430806348152437
@@ -280,6 +280,30 @@ def test_sin_k_array_within_two_ulp_of_sin_k(kappa):
         else:
             # numpy's sin/sinh may round differently from math's
             assert abs(g - want) <= 2 * math.ulp(want), x
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 1e-6, -1e-6, 1e-9, -1e-9, 0.0])
+def test_acot_k_array_within_two_ulp_of_acot_k(kappa):
+    rng = random.Random(17)
+    rk = math.sqrt(-kappa) if kappa < 0.0 else 0.0
+    if kappa > 0.0:
+        us = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 8) for _ in range(2000)]
+    else:
+        # from 1e-8 of its scale above the plateau (the log1p form) to 1e8 of it
+        us = [rk + max(rk, 1e-8) * 10.0 ** rng.uniform(-8, 8) for _ in range(2000)]
+    if kappa < 0.0:
+        edge = math.sqrt(-kappa / SERIES_THRESHOLD)
+        us += [edge * (1 + d) for d in (-1e-12, -1e-15, -2e-16, 0.0, 2e-16, 1e-15, 1e-12)]
+    got = acot_k_array(kappa, np.array(us))
+    assert got.shape == (len(us),)
+    for u, g in zip(us, got.tolist()):
+        want = acot_k(kappa, u)
+        if kappa <= 0.0 and (kappa == 0.0 or u * u * SERIES_THRESHOLD > -kappa):
+            # same series (or the flat 1/u), same operation order
+            assert g == want, u
+        else:
+            # numpy's arctan2/log1p may round differently from math's
+            assert abs(g - want) <= 2 * math.ulp(want), u
 
 
 @pytest.mark.parametrize("kappa", [-1.0, -4.0, -0.25])

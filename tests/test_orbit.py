@@ -13,6 +13,7 @@ from curvedkepler.orbit import (
     orbit_constants,
     orbit_radius,
     phi_from_time,
+    propagate,
     radial_period,
     time_from_u,
     u_closed,
@@ -353,20 +354,27 @@ def test_sweep_matches_integrator_angles(rng):
 @pytest.mark.parametrize(
     "kappa,k", [(1.0, 1.0), (-1.0, 4.0), (0.0, 1.0), (1e-6, 1.0), (-1e-6, 1.0)]
 )
-def test_sweep_matches_scalar_loop_reference(kappa, k, rng):
-    from scipy.integrate import cumulative_simpson
-
+def test_sweep_matches_tight_integration(kappa, k, rng):
+    # up to 7.5 radial periods; the integrator's own phase error at
+    # tol 1e-12 stays below 7e-10 rad over this span
     state = periastron_state(kappa, k, 1.1, 0.5, phi_per=0.7)
     params = KeplerParams(kappa, k)
     oc = orbit_constants(state, params)
-    traj = integrate(state, params, t_end=8.0, tol=1e-9)
+    traj = integrate(state, params, t_end=8.0, tol=1e-12)
     ts = np.sort(rng.uniform(0.0, 8.0, size=300))
-    # reference: the sweep with one scalar state_at and sin_k per node
-    fine = np.union1d(np.linspace(0.0, ts.max(), 4097), ts)
-    s2 = np.array([sin_k(kappa, traj.state_at(float(t)).r) for t in fine]) ** 2
-    cum = traj.state_at(0.0).phi + cumulative_simpson(oc.conserved.j / s2, x=fine, initial=0.0)
-    want = np.interp(ts, fine, cum)
-    assert np.max(np.abs(phi_from_time(oc, kappa, ts, traj) - want)) <= 1e-13
+    want = traj.sample(ts)[:, 1]
+    assert np.max(np.abs(phi_from_time(oc, kappa, ts, traj) - want)) <= 1e-9
+
+
+def test_sweep_starts_anywhere_on_the_orbit():
+    # a trajectory that starts away from periastron, before it in time
+    kappa, k = -1.0, 4.0
+    params = KeplerParams(kappa, k)
+    start = integrate(periastron_state(kappa, k, -1.2, 0.4, phi_per=2.0), params, 0.37, tol=1e-12).final_state()
+    oc = orbit_constants(start, params)
+    traj = integrate(start, params, t_end=3.0, tol=1e-12)
+    ts = np.linspace(0.0, 3.0, 31)
+    assert np.max(np.abs(phi_from_time(oc, kappa, ts, traj) - traj.sample(ts)[:, 1])) <= 1e-10
 
 
 def test_sweep_start_and_scalar_form():
@@ -388,6 +396,93 @@ def test_sweep_rejects_times_outside_trajectory():
         phi_from_time(oc, 0.0, [0.5, 2.5], traj)
     with pytest.raises(DomainError):
         phi_from_time(oc, 0.0, [-0.1, 0.5], traj)
+
+
+# ----------------------------------------------------------------------
+# propagate
+# ----------------------------------------------------------------------
+
+# (kappa, k, j, ecc, t_end): a generic orbit both ways round (j < 0) on
+# every curvature, then a flat hyperbola, an orbit past the
+# horohyperbola and a super-equatorial sphere orbit; t_end None means two
+# radial periods
+DIFFERENTIAL_CASES = [
+    *[(kappa, 1.0, j, 0.4, None) for kappa in (1.0, -1.0, 1e-6, -1e-6, 0.0) for j in (0.6, -0.6)],
+    (0.0, 1.0, 1.0, 2.5, 6.0),
+    (-1.0, 1.0, 0.6, 1.6, 2.0),
+    (1.0, 1.0, 1.0, 1.8, None),
+]
+
+
+@pytest.mark.parametrize("kappa,k,j,ecc,t_end", DIFFERENTIAL_CASES)
+def test_propagate_matches_integrator(kappa, k, j, ecc, t_end):
+    # the integrator at tol 1e-12 agrees to about 2e-11 on these spans
+    state = periastron_state(kappa, k, j, ecc, phi_per=1.3)
+    params = KeplerParams(kappa, k)
+    oc = orbit_constants(state, params)
+    if t_end is None:
+        t_end = 2.0 * radial_period(oc, kappa)
+    traj = integrate(state, params, t_end, tol=1e-12)
+    got = propagate(oc, kappa, traj.times)
+    assert got.shape == traj.states.shape
+    scale = np.maximum(1.0, np.abs(traj.states))
+    assert np.max(np.abs(got - traj.states) / scale) <= 1e-9
+    # and each radius is the closed-form conic's at its own angle
+    for r, phi, _, _ in got[:: max(1, len(got) // 25)]:
+        assert orbit_radius(oc, kappa, phi) == pytest.approx(r, rel=1e-11)
+
+
+def test_propagate_starts_at_periastron_and_takes_scalars():
+    kappa, k = 1.0, 1.0
+    state = periastron_state(kappa, k, 0.8, 0.3, phi_per=2.5)
+    oc = orbit_constants(state, KeplerParams(kappa, k))
+    got = propagate(oc, kappa, 0.0)
+    assert got.shape == (1, 4)
+    assert got[0] == pytest.approx([state.r, state.phi, 0.0, state.v_phi], abs=1e-14)
+    assert propagate(oc, kappa, []).shape == (0, 4)
+
+
+@pytest.mark.parametrize("j", [1.0, -1.0])
+def test_propagate_circular_orbit_is_uniform(j):
+    kappa, k = -1.0, 2.0
+    params = KeplerParams(kappa, k)
+    state = circular_state(params, j)
+    oc = orbit_constants(state, params)
+    ts = np.linspace(0.0, 5.0, 11)
+    got = propagate(oc, kappa, ts)
+    assert got[:, 0] == pytest.approx(acot_k(kappa, 1.0 / oc.d), rel=1e-15)
+    assert got[:, 1] == pytest.approx(oc.phi0 + j / sin_k(kappa, state.r) ** 2 * ts, abs=1e-12)
+    assert np.all(got[:, 2] == 0.0)
+
+
+def test_propagate_rejects_bad_times_and_unresolved_radii():
+    kappa, k = -1.0, 1.0
+    oc = orbit_constants(periastron_state(kappa, k, 0.6, 1.6), KeplerParams(kappa, k))
+    with pytest.raises(DomainError):
+        propagate(oc, kappa, [0.5, math.nan])
+    with pytest.raises(DomainError):
+        propagate(oc, kappa, math.inf)
+    # far out u = coth(r) comes within rounding of its asymptote 1: the
+    # radius is lost from about r = 7.5 (t = 3) on, also where the anomaly
+    # itself has come within rounding of its limit (t = 40 and later)
+    assert propagate(oc, kappa, 3.0)[0, 0] > 7.0
+    for t in (5.0, 40.0, 1e6):
+        with pytest.raises(DomainError, match="radius is not resolved"):
+            propagate(oc, kappa, [1.0, t])
+
+
+def test_phi_from_time_follows_open_orbit_to_its_asymptote():
+    # on the hyperbolic plane G grows only like log(1/(theta_inf - theta)):
+    # by t = 40 the anomaly is within rounding of theta_inf, and phi still
+    # follows the integrator there and beyond
+    kappa, k = -1.0, 1.0
+    params = KeplerParams(kappa, k)
+    state = periastron_state(kappa, k, 0.6, 1.6)
+    oc = orbit_constants(state, params)
+    traj = integrate(state, params, t_end=60.0, tol=1e-12)
+    ts = np.linspace(0.0, 60.0, 241)
+    got = phi_from_time(oc, kappa, ts, traj)
+    assert np.max(np.abs(got - traj.sample(ts)[:, 1])) < 1e-11
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Closed-form time of flight against an independent 40-digit route.
+"""Closed-form time of flight and its inverse against an independent
+40-digit route.
 
 ``time_from_u`` and ``radial_period`` evaluate the time law in closed
-form.  The oracle here never uses the package's own variables (the
+form, and ``propagate`` inverts it.  The oracle here never uses the package's own variables (the
 half-angle tangent, the pair of partial-fraction arguments): it maps
 each u endpoint to the true anomaly theta = acos((d u - 1)/ecc) at 40
 digits and integrates
@@ -11,7 +12,9 @@ digits and integrates
 with ``mp.quad``.  The bound is 1e-12 relative plus the oracle's own
 change when ecc, d or either u endpoint moves by 4 ulps: near a turning
 point, the asymptote or a landmark eccentricity no double-precision
-input pins the time down further, whatever route computes it.
+input pins the time down further, whatever route computes it.  The
+inverse is held to ``mp.findroot`` on the same 40-digit time law, with
+the same kind of bound in the anomaly.
 """
 
 import math
@@ -21,10 +24,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from curvedkepler.dynamics import KeplerParams, PhaseState
+import numpy as np
+
+from curvedkepler.dynamics import KeplerParams, PhaseState, integrate
 from curvedkepler.effective_potential import turning_points
 from curvedkepler.ktrig import acot_k, sin_k
-from curvedkepler.orbit import orbit_constants, radial_period, time_from_u
+from curvedkepler.orbit import orbit_constants, phi_from_time, propagate, radial_period, time_from_u
 
 CURVATURES = [1.0, -1.0, 1e-6, -1e-6, 1e-10, -1e-10, 0.0]
 TIME_RTOL = 1e-12
@@ -38,6 +43,42 @@ def _moved(x, n):
     return x + n * math.ulp(x)
 
 
+def _time_law(kappa, j, d, ecc):
+    """dt/dtheta of the orbit (j, d, ecc) and its slopes in ecc and d.
+
+    ``rate_slopes`` returns d rate/d ecc + i d rate/d d.  Both evaluate
+    at the working precision of the caller.
+    """
+    ecc_mp, d_mp = mpf(ecc), mpf(d)
+    shift, scale = mpf(kappa) * d_mp**2, d_mp**2 / abs(mpf(j))
+
+    def rate(th):
+        x = 1 + ecc_mp * mp.cos(th)
+        return scale / (x * x + shift)
+
+    def rate_slopes(th):
+        c = mp.cos(th)
+        x = 1 + ecc_mp * c
+        den = x * x + shift
+        f = scale / den
+        return mpc(-2 * f * x * c / den, 2 * f / d_mp - 2 * shift * f / (d_mp * den))
+
+    return rate, rate_slopes
+
+
+def _breaks(ecc, a, b):
+    """a, b and the points between them where the time law's integrand
+    changes shape: the apsides (multiples of pi) and, for ecc > 1, the
+    equator crossings 1 + ecc cos theta = 0, where it peaks on the sphere."""
+    marks = [a, b]
+    for n in range(int(mp.floor(a / mp.pi)), int(mp.ceil(b / mp.pi)) + 1):
+        marks.append(n * mp.pi)
+        if ecc > 1 and n % 2 == 0:
+            crossing = mp.acos(-1 / mpf(ecc))
+            marks += [n * mp.pi - crossing, n * mp.pi + crossing]
+    return sorted(m for m in marks if a <= m <= b)
+
+
 def _oracle_bound(kappa, j, d, ecc, u_a, u_b):
     """Oracle time between two u values of the orbit (j, d, ecc), and its tolerance.
 
@@ -49,33 +90,15 @@ def _oracle_bound(kappa, j, d, ecc, u_a, u_b):
     square-root behaviour at an apsis.
     """
     with mp.workdps(40):
-        ecc_mp, d_mp = mpf(ecc), mpf(d)
-        shift, scale = mpf(kappa) * d_mp**2, d_mp**2 / abs(mpf(j))
+        rate, rate_slopes = _time_law(kappa, j, d, ecc)
 
         def anomaly(u, ecc=ecc, d=d):
             c = (mpf(d) * mpf(u) - 1) / mpf(ecc)
             return mp.acos(min(mpf(1), max(mpf(-1), c)))
 
-        def rate(th):  # dt/dtheta
-            x = 1 + ecc_mp * mp.cos(th)
-            return scale / (x * x + shift)
-
-        def rate_slopes(th):  # d rate/d ecc + i d rate/d d
-            c = mp.cos(th)
-            x = 1 + ecc_mp * c
-            den = x * x + shift
-            f = scale / den
-            return mpc(-2 * f * x * c / den, 2 * f / d_mp - 2 * shift * f / (d_mp * den))
-
         th_a, th_b = anomaly(u_a), anomaly(u_b)
         sign = 1 if th_a >= th_b else -1
-        points = sorted((th_a, th_b))
-        if ecc > 1:
-            # on the sphere the integrand peaks where the orbit crosses
-            # the equator, 1 + ecc cos theta = 0: split the interval there
-            crossing = mp.acos(-1 / mpf(ecc))
-            if points[0] < crossing < points[1]:
-                points.insert(1, crossing)
+        points = _breaks(ecc, *sorted((th_a, th_b)))
         t = mp.quad(rate, points)
         with mp.workdps(15):
             slopes = sign * mp.quad(rate_slopes, points)
@@ -128,10 +151,10 @@ fractions = st.one_of(
 
 
 @st.composite
-def flight_cases(draw):
+def flight_cases(draw, kinds=KINDS):
     """(kappa, k, j, ecc, frac_a, frac_b) near a landmark eccentricity."""
     kappa = draw(st.sampled_from(CURVATURES))
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(kinds))
     k = draw(st.floats(0.5, 2.0))
     j = draw(st.floats(0.3, 2.0))
     c = math.sqrt(-kappa) if kappa < 0.0 else 0.0
@@ -203,3 +226,108 @@ def test_near_escape_leg_matches_oracle_without_warnings():
         got = time_from_u(oc, kappa, u_a, u_b)
     want, tol = _oracle_bound(kappa, oc.conserved.j, oc.d, oc.ecc, u_a, u_b)
     assert abs(got - want) <= tol, (got, want, tol)
+
+
+def _inverse_oracle(kappa, j, d, ecc, t, theta_guess):
+    """Anomaly theta = phi - phi0 at time t since periastron, and its tolerance.
+
+    theta solves t(theta) = t on the 40-digit time law by ``mp.findroot``
+    (Newton's method from theta_guess), whole turns of a bounded orbit
+    counted off first by the period integral.  The tolerance is
+    TIME_RTOL relative plus, for each of ecc, d and t, the larger change
+    of theta when the input moves ULPS ulps either way, to first order:
+    the time's slope in that input over the rate dt/dtheta.
+    """
+    with mp.workdps(40):
+        rate, rate_slopes = _time_law(kappa, j, d, ecc)
+        bounded = kappa > 0 or 1 - ecc > d * mp.sqrt(max(-kappa, 0))
+        turns, rest = 0, abs(mpf(t))
+        if bounded:
+            period = 2 * mp.quad(rate, _breaks(ecc, 0, mp.pi))
+            turns = int(mp.nint(rest / period))
+            rest -= turns * period
+        guess = mpf(math.copysign(theta_guess, float(rest)))
+        # the time at the guess once in full, then only the short way from it
+        offset = math.copysign(1, guess) * mp.quad(rate, _breaks(ecc, 0, abs(guess))) - rest
+
+        def time_to(th):
+            return offset + mp.quad(rate, [guess, th])
+
+        theta = mp.findroot(time_to, guess, solver="newton", df=rate)
+        with mp.workdps(15):
+            slopes = mp.quad(rate_slopes, _breaks(ecc, 0, abs(theta)))
+            if turns:
+                slopes += 2 * turns * mp.quad(rate_slopes, _breaks(ecc, 0, mp.pi))
+        spread = (
+            ULPS * math.ulp(ecc) * abs(slopes.real)
+            + ULPS * math.ulp(d) * abs(slopes.imag)
+            + ULPS * math.ulp(t)
+        ) / rate(theta)
+        total = math.copysign(1, t) * (theta + 2 * mp.pi * turns)
+        # plus the oracle's own 40-digit solve
+        return float(total), TIME_RTOL * abs(float(total)) + float(spread) + 1e-30
+
+
+@given(
+    flight_cases(kinds=("generic", "beyond")),
+    st.sampled_from([0, 1, 7]),
+    st.sampled_from([-1.0, 1.0]),
+)
+@example((-1.0, 1.0, 0.8, 0.35821781083580917, 0.0, 0.0), 9, 1.0)  # the E = -1.001 orbit, apoastron
+@example((1e-10, 1.0, 1.0, 1.5, 1e-3, 0.0), 0, 1.0)  # just short of the equator, nearly flat sphere
+@example((0.0, 1.0, 1.0, 2.5, 1e-12, 0.0), 0, -1.0)  # flat hyperbola next to its asymptote
+@example((1.0, 1.0, 1.2, 0.6, 1.0, 0.0), 1, -1.0)  # a whole turn back to periastron
+@settings(max_examples=100, deadline=None)
+def test_propagate_anomaly_matches_mpmath_inverse(case, turns, sign):
+    kappa, k, j, ecc, frac, _ = case
+    oc = _orbit(kappa, k, j, ecc)
+    u = _endpoint(oc, kappa, frac)
+    asym = math.sqrt(-kappa) if kappa < 0.0 else 0.0
+    bounded = kappa > 0.0 or oc.u_apoastron > asym
+    t = time_from_u(oc, kappa, u, oc.u_periastron)
+    if bounded:
+        t += turns * radial_period(oc, kappa)
+    t *= sign
+    # the periastron state sits at phi = 0, so phi0 = -0.0 and phi is theta
+    assert oc.phi0 == 0.0
+    got = float(propagate(oc, kappa, t)[0, 1])
+    with mp.workdps(40):
+        guess = float(mp.acos(min(mpf(1), max(mpf(-1), (mpf(oc.d) * mpf(u) - 1) / mpf(oc.ecc)))))
+    want, tol = _inverse_oracle(kappa, oc.conserved.j, oc.d, oc.ecc, t, guess)
+    assert abs(got - want) <= tol, (got, want, tol)
+
+
+def test_phi_from_time_over_ten_periods_by_the_horoellipse():
+    # kappa = -1, k = 1, J = 0.8, E = -1.001: the apoastron lies 0.3% inside
+    # the horoellipse, so the orbit crawls there; the quadrature sweep this
+    # replaced was 3.6e-3 rad off after ten radial periods
+    kappa, k, j, e = -1.0, 1.0, 0.8, -1.001
+    r_per = turning_points(kappa, k, j, e)[0]
+    s = sin_k(kappa, r_per)
+    params = KeplerParams(kappa, k)
+    state = PhaseState(r_per, 0.3, 0.0, j / (s * s))
+    oc = orbit_constants(state, params)
+    span = 10.0 * radial_period(oc, kappa)
+    # phi_from_time reads only the start and the span of the trajectory
+    traj = integrate(state, params, span, tol=1e-9)
+    ts = np.linspace(0.0, span, 11)
+    for t, phi in zip(ts, phi_from_time(oc, kappa, ts, traj)):
+        guess = abs(math.remainder(phi - 0.3, 2.0 * math.pi))
+        want, _ = _inverse_oracle(kappa, oc.conserved.j, oc.d, oc.ecc, t, guess)
+        assert abs(phi - (0.3 + want)) <= 1e-9, (t, phi, want)
+
+
+def test_exact_horoellipse_leg_matches_oracle():
+    # kappa = -1, k = 1, J = 0.5, ecc = 0.75: 1 - ecc = sqrt(-kappa) d holds
+    # exactly in binary, so one partial fraction's y is identically 0,
+    # and the arctangent route must not divide atan(0) by 0
+    kappa = -1.0
+    oc = _orbit(kappa, 1.0, 0.5, 0.75)
+    assert oc.u_apoastron == 1.0
+    got = time_from_u(oc, kappa, 2.0, 5.0)
+    want, tol = _oracle_bound(kappa, oc.conserved.j, oc.d, oc.ecc, 2.0, 5.0)
+    assert abs(got - want) <= tol, (got, want, tol)
+    # and propagate inverts it there, both ways from periastron
+    leg = time_from_u(oc, kappa, 2.0, oc.u_periastron)
+    radii = propagate(oc, kappa, [-leg, leg])[:, 0]
+    assert np.all(np.abs(radii - acot_k(kappa, 2.0)) <= 1e-12 * radii)
