@@ -8,7 +8,8 @@ fixed-periastron landmark family) and ``trig-check`` (randomized
 self-test of the curvature-tagged trig kernel).
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible physics (includes
-a collision ending a simulated orbit), 4 numerical failure.
+a collision ending a simulated orbit), 4 numerical failure (includes an
+overflow or a division by zero on finite but extreme inputs).
 """
 
 from __future__ import annotations
@@ -26,16 +27,11 @@ from .conics import (
 )
 from .dynamics import ConservedSet, KeplerParams, PhaseState, check_coupling, check_tol, integrate
 from .effective_potential import (
-    _radial_roots, classify_orbit, potential_profile, turning_points, w_eff,
+    _radial_roots, _w, classify_orbit, potential_profile, turning_points,
 )
-from .errors import (
-    CurvedKeplerError,
-    DomainError,
-    InfeasibleError,
-    StiffnessError,
-)
+from .errors import CurvedKeplerError, DomainError, InfeasibleError
 from .geometry import PolarPoint, to_ambient, to_poincare_disk
-from .ktrig import atan_k, cos_k, curvature_value, radial_limit, sin_k, tan_k
+from .ktrig import _chart_limit, _sin, atan_k, cos_k, sin_k, tan_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,10 +69,9 @@ def _config_checked(check, value):
 
 def _finite(value, what: str) -> float:
     """``value`` as a float; ConfigError naming ``what`` unless a finite, non-bool number."""
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
-        f"{what} must be a finite number, got {value!r}",
-    )
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # unlike math.isfinite, the bound also refuses a JSON integer beyond float range
+    _require(number and abs(value) <= sys.float_info.max, f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -161,7 +156,7 @@ def _load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config file must hold a JSON object")
     schema = raw.get("schema", SCHEMA_VERSION)
@@ -221,12 +216,9 @@ def _merge_run_config(args) -> RunConfig:
 def _resolve_initial(config: RunConfig) -> PhaseState:
     """Initial phase state: as given, or at a turning point of (E, J)."""
     if config.state is not None:
-        try:
-            state = PhaseState(*config.state)
-        except DomainError as exc:
-            raise ConfigError(f"bad initial state: {exc}") from exc
+        state = PhaseState(*config.state)  # finite: _finite checked each number
         _require(
-            0.0 < state.r < radial_limit(config.kappa),
+            0.0 < state.r < _chart_limit(config.kappa),
             f"initial radius {state.r!r} outside the radial chart",
         )
         return state
@@ -241,7 +233,7 @@ def _resolve_initial(config: RunConfig) -> PhaseState:
         # radial drop from rest at the outermost zero of the potential
         return PhaseState(roots[-1], phi0, 0.0, 0.0)
     r_per = roots[0]
-    s = sin_k(config.kappa, r_per)
+    s = _sin(config.kappa, r_per)
     return PhaseState(r_per, phi0, 0.0, j / (s * s))
 
 
@@ -253,11 +245,7 @@ def _resolve_initial(config: RunConfig) -> PhaseState:
 def cmd_simulate(config: RunConfig, out) -> int:
     params = KeplerParams(config.kappa, config.k)
     state0 = _resolve_initial(config)
-    try:
-        traj = integrate(state0, params, config.t_end, tol=config.tol, dense=False)
-    except StiffnessError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    traj = integrate(state0, params, config.t_end, tol=config.tol, dense=False)
 
     c0 = ConservedSet.from_state(state0, params)
     base = {"E": c0.e, "J": c0.j, "I3": c0.i3, "I4": c0.i4}
@@ -265,14 +253,15 @@ def cmd_simulate(config: RunConfig, out) -> int:
     columns += list(_chart_names(config.chart))
     rows = []
     drift = dict.fromkeys(base, 0.0)
-    for t, raw in zip(traj.times, traj.states):
+    # plain floats: an overflow then gives inf instead of a numpy warning
+    for t, raw in zip(traj.times.tolist(), traj.states.tolist()):
         st = PhaseState(*raw)
         cs = ConservedSet.from_state(st, params)
         now = {"E": cs.e, "J": cs.j, "I3": cs.i3, "I4": cs.i4}
         for key, ref in base.items():
             drift[key] = max(drift[key], abs(now[key] - ref) / max(1.0, abs(ref)))
         rows.append(
-            (float(t), st.r, st.phi, st.v_r, st.v_phi, now["E"], now["J"], now["I3"], now["I4"])
+            (t, st.r, st.phi, st.v_r, st.v_phi, now["E"], now["J"], now["I3"], now["I4"])
             + _chart_values(config.chart, config.kappa, st.r, st.phi)
         )
     event = None
@@ -316,9 +305,9 @@ def cmd_simulate(config: RunConfig, out) -> int:
 
 def classify_record(kappa, k: float, j: float, e: float) -> dict:
     """Classification record for one (kappa, k, J, E) pair, JSON-ready."""
-    kap = curvature_value(kappa)
-    orbit_class = classify_orbit(kap, k, j, e)  # raises InfeasibleError
-    prof = potential_profile(kap, k, j)
+    orbit_class = classify_orbit(kappa, k, j, e)  # raises InfeasibleError
+    prof = potential_profile(kappa, k, j)
+    kap = prof.kappa
     record = {
         "schema": SCHEMA_VERSION,
         "kappa": float(kap),
@@ -365,10 +354,9 @@ def cmd_classify(kappa: float, k: float, j: float, e: float, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_potential_scan(kappa, k, j, r_lo, r_hi, steps, out) -> int:
-    kap = curvature_value(kappa)
+def cmd_potential_scan(kap, k, j, r_lo, r_hi, steps, out) -> int:
     k = _config_checked(check_coupling, k)
-    limit = radial_limit(kap)
+    limit = _chart_limit(kap)
     _require(
         0.0 < r_lo < r_hi < limit,
         f"need 0 < r_min < r_max < {limit!r}, got [{r_lo!r}, {r_hi!r}]",
@@ -393,7 +381,7 @@ def cmd_potential_scan(kappa, k, j, r_lo, r_hi, steps, out) -> int:
         )
     print("r,w", file=out)
     for r in np.linspace(r_lo, r_hi, steps):
-        print(f"{_fmt(r)},{_fmt(w_eff(kap, k, j, float(r)))}", file=out)
+        print(f"{_fmt(r)},{_fmt(_w(kap, k, j, float(r)))}", file=out)
     return EXIT_OK
 
 
@@ -425,14 +413,14 @@ def _family_specimens(fam) -> list[tuple[str, float]]:
 
 
 def cmd_conic(args, out) -> int:
-    kap = curvature_value(args.kappa)
+    kap = args.kappa
     _check_chart(args.chart, kap)
     _require(args.phi_steps >= 8, f"need at least 8 angles, got {args.phi_steps!r}")
     chart_names = _chart_names(args.chart)
 
     if args.periastron is not None:
         _require(
-            0.0 < args.periastron < radial_limit(kap),
+            0.0 < args.periastron < _chart_limit(kap),
             f"periastron must lie in the radial chart, got {args.periastron!r}",
         )
         fam = periastron_family(kap, args.periastron)  # kappa > 0 -> DomainError
@@ -634,10 +622,9 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(args.kappa, args.k, args.j, args.e, out)
         if args.command == "potential-scan":
-            kap = curvature_value(args.kappa)
             r_max = args.r_max
             if r_max is None:
-                r_max = 0.9 * radial_limit(kap) if kap > 0.0 else 5.0
+                r_max = 0.9 * _chart_limit(args.kappa) if args.kappa > 0.0 else 5.0
             return cmd_potential_scan(args.kappa, args.k, args.j, args.r_min, r_max, args.steps, out)
         if args.command == "conic":
             return cmd_conic(args, out)
@@ -645,24 +632,19 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleError as exc:
+    except (InfeasibleError, DomainError) as exc:
+        # DomainError: bad physics inputs that passed flag validation
+        # (infeasible periastron, spherical periastron family, chart limits...)
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DomainError as exc:
-        # bad physics inputs that passed flag validation (infeasible
-        # periastron, spherical periastron family, chart limits...)
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except StiffnessError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CurvedKeplerError as exc:
+    except (CurvedKeplerError, ArithmeticError) as exc:
+        # ArithmeticError: finite flags whose arithmetic overflows or
+        # divides by zero (say j**2 underflowing to 0)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
         if opened is not None:
             opened.close()
-    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

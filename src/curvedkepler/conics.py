@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateError, DomainError, InfeasibleError
-from .geometry import PolarPoint, geodesic_distance
-from .ktrig import acot_k, atan_k, cos_k, curvature_value, radial_limit, sin_k, tan_k
+from .geometry import PolarPoint, _distance
+from .ktrig import _acot, _atan, _chart_limit, _check_finite, _cos, _sin, _tan, curvature_value
 
 #: relative half-width of the measure-zero classification boundaries
 BOUNDARY_RTOL = 1e-10
@@ -65,24 +65,35 @@ class ConicSpec:
     p_tilde: float | None = None
 
     def __post_init__(self):
-        kap = curvature_value(self.kappa)
-        object.__setattr__(self, "kappa", kap)
+        object.__setattr__(self, "kappa", curvature_value(self.kappa))
+        self._check_lengths()
+
+    @classmethod
+    def _checked(cls, kap: float, ecc: float, family: ConicFamily, p=None, p_tilde=None):
+        """Spec of an already checked float kappa, built past the kappa check
+        of ``__post_init__``; the lengths are checked as usual."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(kappa=kap, ecc=ecc, family=family, p=p, p_tilde=p_tilde)
+        spec._check_lengths()
+        return spec
+
+    def _check_lengths(self):
         if not self.ecc >= 0.0:
             raise DomainError(f"eccentricity must be >= 0, got {self.ecc!r}")
         if self.family is ConicFamily.LATUS:
-            if self.p is None or not 0.0 < self.p < radial_limit(kap):
+            if self.p is None or not 0.0 < self.p < _chart_limit(self.kappa):
                 raise DomainError(f"latus family needs 0 < p in range, got {self.p!r}")
             if self.p_tilde is not None:
                 raise DomainError("latus family takes no p_tilde")
         elif self.family is ConicFamily.COLATUS:
-            if kap >= 0.0:
+            if self.kappa >= 0.0:
                 raise DomainError("colatus family exists only for kappa < 0")
-            if self.p_tilde is None or not self.p_tilde > 0.0:
+            if self.p_tilde is None or not 0.0 < self.p_tilde < math.inf:
                 raise DomainError(f"colatus family needs p_tilde > 0, got {self.p_tilde!r}")
             if self.p is not None:
                 raise DomainError("colatus family takes no p")
         else:
-            if kap >= 0.0:
+            if self.kappa >= 0.0:
                 raise DomainError("the separatrix exists only for kappa < 0")
             if self.p is not None or self.p_tilde is not None:
                 raise DomainError("the separatrix has no length parameter")
@@ -91,9 +102,9 @@ class ConicSpec:
     def d(self) -> float:
         """Size parameter D of Tan_k(r) = D/(1 + ecc cos(phi))."""
         if self.family is ConicFamily.LATUS:
-            return tan_k(self.kappa, self.p)
+            return _tan(self.kappa, self.p)
         if self.family is ConicFamily.COLATUS:
-            return 1.0 / ((-self.kappa) * tan_k(self.kappa, self.p_tilde))
+            return 1.0 / ((-self.kappa) * _tan(self.kappa, self.p_tilde))
         return 1.0 / math.sqrt(-self.kappa)
 
 
@@ -163,19 +174,18 @@ def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
         raise DomainError(f"conic size must be positive and finite, got {d!r}")
     if not ecc >= 0.0:
         raise DomainError(f"eccentricity must be >= 0, got {ecc!r}")
-    if kap >= 0.0:
-        return ConicSpec(kap, ecc, ConicFamily.LATUS, p=atan_k(kap, d))
-    sat = 1.0 / math.sqrt(-kap)
-    if d / (1.0 + ecc) >= sat:
-        raise DomainError(
-            f"no periastron: d/(1+ecc) = {d / (1.0 + ecc)!r} does not stay "
-            f"below the saturation length {sat!r}"
-        )
-    if d < sat:
-        return ConicSpec(kap, ecc, ConicFamily.LATUS, p=atan_k(kap, d))
-    if d == sat:
-        return ConicSpec(kap, ecc, ConicFamily.SEPARATRIX)
-    return ConicSpec(kap, ecc, ConicFamily.COLATUS, p_tilde=atan_k(kap, 1.0 / ((-kap) * d)))
+    if kap < 0.0:
+        sat = 1.0 / math.sqrt(-kap)
+        if d / (1.0 + ecc) >= sat:
+            raise DomainError(
+                f"no periastron: d/(1+ecc) = {d / (1.0 + ecc)!r} does not stay "
+                f"below the saturation length {sat!r}"
+            )
+        if d == sat:
+            return ConicSpec._checked(kap, ecc, ConicFamily.SEPARATRIX)
+        if d > sat:
+            return ConicSpec._checked(kap, ecc, ConicFamily.COLATUS, p_tilde=_atan(kap, 1.0 / ((-kap) * d)))
+    return ConicSpec._checked(kap, ecc, ConicFamily.LATUS, p=_atan(kap, d))
 
 
 def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
@@ -193,14 +203,14 @@ def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
         return {"ecc_parabola": 1.0}
     c = math.sqrt(-kap)
     if spec.family is ConicFamily.LATUS:
-        t = c * tan_k(kap, spec.p)  # = tanh(c p), in (0, 1)
+        t = c * _tan(kap, spec.p)  # = tanh(c p), in (0, 1)
         return {
             "ecc_horoellipse": 1.0 - t,
             "ecc_horohyperbola": 1.0 + t,
             "ecc_equiparabola": equiparabola_ecc(spec),
         }
     if spec.family is ConicFamily.COLATUS:
-        t = c * tan_k(kap, spec.p_tilde)
+        t = c * _tan(kap, spec.p_tilde)
         return {
             "ecc_horohyperbola": 1.0 + 1.0 / t,
             "ecc_equiparabola": equiparabola_ecc(spec),
@@ -264,9 +274,9 @@ def equiparabola_ecc(spec: ConicSpec) -> float:
     unique parabola) on the flat plane.
     """
     if spec.family is ConicFamily.LATUS:
-        return 1.0 / cos_k(spec.kappa, spec.p)
+        return 1.0 / _cos(spec.kappa, spec.p)
     if spec.family is ConicFamily.COLATUS:
-        return cos_k(spec.kappa, spec.p_tilde)
+        return _cos(spec.kappa, spec.p_tilde)
     raise DegenerateError("the separatrix chart carries no equiparabola value")
 
 
@@ -278,20 +288,21 @@ def ecc_from_focal(kappa, fe: FocalElements) -> float:
     """
     kap = curvature_value(kappa)
     if fe.kind is FocalKind.TWO_FOCI:
-        den = sin_k(kap, 2.0 * fe.half_axis)
+        # 2a or 2f can overflow: the argument check of sin_k and cos_k stays
+        den = _sin(kap, _check_finite(2.0 * fe.half_axis))
         # the exact zero (2a at the antipode on the sphere) lands on a
         # float residue ~1e-16, so degeneracy needs a snap window
         if abs(den) < 1e-14:
             raise DegenerateError(
                 f"degenerate axis: sin_k(2a) = 0 at a = {fe.half_axis!r}"
             )
-        return sin_k(kap, 2.0 * fe.half_separation) / den
-    den = cos_k(kap, 2.0 * fe.half_axis)
+        return _sin(kap, _check_finite(2.0 * fe.half_separation)) / den
+    den = _cos(kap, _check_finite(2.0 * fe.half_axis))
     if abs(den) < 1e-14:
         raise DegenerateError(
             f"degenerate axis: cos_k(2 alpha) = 0 at alpha = {fe.half_axis!r}"
         )
-    return cos_k(kap, 2.0 * fe.half_separation) / den
+    return _cos(kap, _check_finite(2.0 * fe.half_separation)) / den
 
 
 def focal_from_vertices(kappa, r_per: float, r_apo: float, axis: float = 0.0) -> FocalElements:
@@ -307,10 +318,9 @@ def focal_from_vertices(kappa, r_per: float, r_apo: float, axis: float = 0.0) ->
         raise InfeasibleError("unbounded orbit: no outer vertex, no focal elements")
     if not 0.0 < r_per <= r_apo:
         raise DomainError(f"need 0 < r_per <= r_apo, got {r_per!r}, {r_apo!r}")
-    if r_apo >= radial_limit(kap):
-        raise DomainError(
-            f"outer vertex {r_apo!r} reaches the antipode bound {radial_limit(kap)!r}"
-        )
+    limit = _chart_limit(kap)
+    if r_apo >= limit:
+        raise DomainError(f"outer vertex {r_apo!r} reaches the antipode bound {limit!r}")
     return FocalElements.two_foci(
         0.5 * (r_apo - r_per), 0.5 * (r_per + r_apo), axis=axis
     )
@@ -337,8 +347,8 @@ def verify_conic_definition(kappa, samples, fe: FocalElements, sign: str = "sum"
     other = PolarPoint(2.0 * fe.half_separation, other_angle)
     worst = 0.0
     for pt in samples:
-        d1 = geodesic_distance(kap, pt, origin)
-        d2 = geodesic_distance(kap, pt, other)
+        d1 = _distance(kap, pt, origin)
+        d2 = _distance(kap, pt, other)
         combined = d1 + d2 if sign == "sum" else abs(d1 - d2)
         worst = max(worst, abs(combined - 2.0 * fe.half_axis))
     return worst
@@ -402,7 +412,7 @@ def periastron_family(kappa, r_per: float) -> PeriastronFamily:
         )
     if not (math.isfinite(r_per) and r_per > 0.0):
         raise DomainError(f"periastron radius must be positive and finite, got {r_per!r}")
-    t = tan_k(kap, r_per)
+    t = _tan(kap, r_per)
     if kap == 0.0:
         return PeriastronFamily(kap, r_per, t, 2.0 * t, 2.0 * t, None)
     c = math.sqrt(-kap)
@@ -433,5 +443,6 @@ def sample_conic(spec: ConicSpec, phi_grid) -> list[PolarPoint]:
         u = (1.0 + spec.ecc * math.cos(phi)) / d
         if kap <= 0.0 and u <= asym:
             continue
-        out.append(PolarPoint(acot_k(kap, u), phi))
+        # u is unbounded for an infinite ecc or a non-finite angle
+        out.append(PolarPoint(_acot(kap, _check_finite(u)), phi))
     return out

@@ -29,7 +29,7 @@ from .errors import (
     StiffnessError,
 )
 from .geometry import PolarPoint, check_interior_radius
-from .ktrig import atan_k, cos_k, curvature_value, radial_limit, sin_k, sincos_k
+from .ktrig import _atan, _chart_limit, _check_finite, _cos, _sin, _sincos, curvature_value
 
 COLLISION_RADIUS = 1e-10
 # below this radius a step-size underflow is interpreted as reaching the
@@ -156,21 +156,19 @@ def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
 
 def _state_integrals(kappa: float, k: float, state: PhaseState):
     r = check_interior_radius(kappa, state.r)
-    return _first_integrals(sincos_k(kappa), kappa, k, r, state.phi, state.v_r, state.v_phi)
+    return _first_integrals(_sincos(kappa), kappa, k, r, state.phi, state.v_r, state.v_phi)
 
 
 def kepler_potential(params: KeplerParams, r: float) -> float:
     """Attractive Kepler potential -k cos_k(r)/sin_k(r), zero on the equator."""
     kappa = params.kappa
     r = check_interior_radius(kappa, r)
-    return _potential(params.k, *sincos_k(kappa)(r))
+    return _potential(params.k, *_sincos(kappa)(r))
 
 
 def kepler_potential_gradient(params: KeplerParams, r: float) -> float:
     """dU/dr = k / sin_k(r)**2 (always positive: the force pulls inward)."""
-    kappa = params.kappa
-    r = check_interior_radius(kappa, r)
-    s = sin_k(kappa, r)
+    s = _sin(params.kappa, check_interior_radius(params.kappa, r))
     return params.k / (s * s)
 
 
@@ -180,29 +178,31 @@ def gauss_law_flux(params: KeplerParams, r: float) -> float:
     Constant and equal to 4*pi*k for every admissible r: this is what
     singles out the cotangent potential as the curved point source.
     """
-    kappa = params.kappa
-    r = check_interior_radius(kappa, r)
-    s = sin_k(kappa, r)
-    return FOUR_PI * (s * s) * kepler_potential_gradient(params, r)
+    s = _sin(params.kappa, check_interior_radius(params.kappa, r))
+    return FOUR_PI * (s * s) * (params.k / (s * s))
 
 
 def eom_rhs(state: PhaseState, params: KeplerParams):
     """Right-hand side (dr, dphi, dv_r, dv_phi) of the Kepler equations."""
     kappa = params.kappa
     r = check_interior_radius(kappa, state.r)
-    return _kepler_rhs(sincos_k(kappa), params.k, r, state.phi, state.v_r, state.v_phi)
+    return _kepler_rhs(_sincos(kappa), params.k, r, state.phi, state.v_r, state.v_phi)
 
 
 def momenta(kappa, state: PhaseState) -> Momenta:
     """Noether momenta P1, P2 and the angular momentum J = sin_k(r)^2 v_phi."""
-    s, c = sincos_k(kappa)(state.r)
+    s, c = _sincos(curvature_value(kappa))(state.r)
     cphi, sphi = math.cos(state.phi), math.sin(state.phi)
     return Momenta(*_momenta(s, c, cphi, sphi, state.v_r, state.v_phi))
 
 
 def kinetic_energy(kappa, state: PhaseState) -> float:
     """T = (v_r**2 + sin_k(r)**2 v_phi**2) / 2."""
-    s = sincos_k(kappa)(state.r)[0]
+    return _state_kinetic(curvature_value(kappa), state)
+
+
+def _state_kinetic(kappa: float, state: PhaseState) -> float:
+    s = _sincos(kappa)(state.r)[0]
     return _kinetic(s * s * state.v_phi, state.v_r, state.v_phi)
 
 
@@ -210,7 +210,7 @@ def energy(state: PhaseState, params: KeplerParams, potential=None) -> float:
     """Total energy T + U.  ``potential`` overrides the Kepler default."""
     if potential is None:
         return _state_integrals(params.kappa, params.k, state)[0]
-    return kinetic_energy(params.kappa, state) + potential(state.r)
+    return _state_kinetic(params.kappa, state) + potential(state.r)
 
 
 def runge_lenz(kappa, state: PhaseState, params: KeplerParams):
@@ -227,7 +227,7 @@ def killing_fields(kappa, p: PolarPoint):
     k = curvature_value(kappa)
     if p.r == 0.0:
         raise SingularityError("Killing fields in polar components need r > 0")
-    cot = cos_k(k, p.r) / sin_k(k, p.r)
+    cot = _cos(k, p.r) / _sin(k, p.r)
     cphi, sphi = math.cos(p.phi), math.sin(p.phi)
     y1 = (cphi, -cot * sphi)
     y2 = (sphi, cot * cphi)
@@ -243,12 +243,14 @@ def separable_integrals(kappa, state: PhaseState, f: Callable, g: Callable):
     """
     k = curvature_value(kappa)
     r = check_interior_radius(k, state.r)
-    mom = momenta(k, state)
-    cot = cos_k(k, r) / sin_k(k, r)
-    g_val = g(state.phi)
-    i1 = mom.p1**2 + mom.p2**2 + 2.0 * f(r) + 2.0 * g_val * cot * cot
-    i2 = mom.j**2 + 2.0 * g_val
-    return (i1, i2)
+    return _separable_integrals(*_sincos(k)(r), f, g, r, state.phi, state.v_r, state.v_phi)
+
+
+def _separable_integrals(s, c, f, g, r, phi, v_r, v_phi):
+    p1, p2, j = _momenta(s, c, math.cos(phi), math.sin(phi), v_r, v_phi)
+    cot = c / s
+    g_val = g(phi)
+    return (p1**2 + p2**2 + 2.0 * f(r) + 2.0 * g_val * cot * cot, j**2 + 2.0 * g_val)
 
 
 def circular_state(params: KeplerParams, j: float, phi: float = 0.0) -> PhaseState:
@@ -260,8 +262,9 @@ def circular_state(params: KeplerParams, j: float, phi: float = 0.0) -> PhaseSta
     """
     if j == 0.0:
         raise InfeasibleError("circular orbits need nonzero angular momentum")
-    r = atan_k(params.kappa, j * j / params.k)
-    s = sin_k(params.kappa, r)
+    # j itself is unchecked: the finite check of j**2/k stands for it
+    r = _atan(params.kappa, _check_finite(j * j / params.k))
+    s = _sin(params.kappa, r)
     return PhaseState(r=r, phi=phi, v_r=0.0, v_phi=j / (s * s))
 
 
@@ -544,7 +547,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
     rtol = atol = _DRIFT_MARGIN * tol
     t = 0.0
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
-    r_max = radial_limit(kappa)  # inf off the sphere: no antipode to reach
+    r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -706,7 +709,11 @@ def integrate(
         Trajectory accuracy target, within [1e-13, 1e-6].  Local step
         errors are controlled an order of magnitude below it so drift
         over long runs stays near tol; 10x tol is the conserved-quantity
-        spike threshold.
+        spike threshold.  tol bounds the drift of the invariants, not
+        the phase: the error in phi grows linearly in time and in tol
+        (1.6e-6 rad after ten radial periods at tol 1e-12 on kappa = -1,
+        k = 1, J = 0.8, E = -1.001).  For an exact phase use
+        ``orbit.propagate`` or ``orbit.phi_from_time``.
     dense : bool
         Keep the per-step interpolant so the result supports
         :meth:`Trajectory.state_at` and event queries.  Costs memory on
@@ -720,7 +727,7 @@ def integrate(
     check_tol(tol)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
-    sc = sincos_k(kappa)
+    sc = _sincos(kappa)
     integrals = partial(_first_integrals, sc, kappa, params.k)
     return _integrate_adaptive(
         partial(_kepler_rhs, sc, params.k),
@@ -753,7 +760,7 @@ def integrate_separable(
     k = curvature_value(kappa)
     check_interior_radius(k, state0.r)
     check_tol(tol)
-    sc = sincos_k(k)
+    sc = _sincos(k)
 
     def rhs(r, phi, vr, vphi):
         s, c = sc(r)
@@ -765,9 +772,8 @@ def integrate_separable(
         return (vr, vphi, f_r, f_phi)
 
     def inv(r, phi, vr, vphi):
-        state = PhaseState(r, phi, vr, vphi)
-        i1, i2 = separable_integrals(k, state, f, g)
-        s = sc(r)[0]
+        s, c = sc(r)
+        i1, i2 = _separable_integrals(s, c, f, g, r, phi, vr, vphi)
         e = _kinetic(s * s * vphi, vr, vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 

@@ -22,7 +22,7 @@ from enum import Enum
 from .dynamics import check_coupling
 from .errors import CurvedKeplerError, DomainError, InfeasibleError
 from .geometry import check_interior_radius
-from .ktrig import acot_k, atan_k, cos_k, curvature_value, sin_k
+from .ktrig import _acot, _atan, _check_finite, _cos, _sin, curvature_value
 
 #: relative half-width of the bands around landmark energies inside
 #: which classify_orbit reports the boundary class itself
@@ -90,15 +90,38 @@ class PotentialProfile:
     notes: str | None = None
 
 
-def w_eff(kappa, k: float, j: float, r: float) -> float:
-    """Effective radial potential at radius r."""
+def _inputs(kappa, k: float, j: float = 0.0, e: float | None = None):
+    """Checked (kappa, k) of a public call, after j (and e) are checked finite."""
     kap = curvature_value(kappa)
     k = check_coupling(k)
-    if not math.isfinite(j):
-        raise DomainError(f"angular momentum must be finite, got {j!r}")
+    if e is None:
+        if not math.isfinite(j):
+            raise DomainError(f"angular momentum must be finite, got {j!r}")
+    elif not (math.isfinite(j) and math.isfinite(e)):
+        raise DomainError(f"need finite (j, e), got ({j!r}, {e!r})")
+    return kap, k
+
+
+def _w(kap: float, k: float, j: float, r: float) -> float:
     r = check_interior_radius(kap, r)
-    u = cos_k(kap, r) / sin_k(kap, r)
+    u = _cos(kap, r) / _sin(kap, r)
     return -k * u + 0.5 * j * j * (u * u + kap)
+
+
+def w_eff(kappa, k: float, j: float, r: float) -> float:
+    """Effective radial potential at radius r."""
+    return _w(*_inputs(kappa, k, j), j, r)
+
+
+def _critical(kap: float, k: float, j: float):
+    if j == 0.0:
+        return None
+    try:
+        r_min = _atan(kap, _check_finite(j * j / k))
+    except DomainError:
+        # hyperbolic saturation: tan_k never reaches j^2/k
+        return None
+    return (r_min, 0.5 * (kap * j * j - (k * k) / (j * j)))
 
 
 def critical_point(kappa, k: float, j: float):
@@ -109,37 +132,31 @@ def critical_point(kappa, k: float, j: float):
     sqrt(-kappa) j**2 / k >= 1 and the minimum disappears; j = 0 has no
     barrier at all.  Both cases return None.
     """
-    kap = curvature_value(kappa)
-    k = check_coupling(k)
-    if not math.isfinite(j):
-        raise DomainError(f"angular momentum must be finite, got {j!r}")
-    if j == 0.0:
-        return None
-    try:
-        r_min = atan_k(kap, j * j / k)
-    except DomainError:
-        # hyperbolic saturation: tan_k never reaches j^2/k
-        return None
-    w_min = 0.5 * (kap * j * j - (k * k) / (j * j))
-    return (r_min, w_min)
+    return _critical(*_inputs(kappa, k, j), j)
+
+
+def _escape_energy(kap: float, k: float) -> float:
+    return -k * math.sqrt(-kap)
+
+
+def _escape_angular_momentum(kap: float, k: float) -> float:
+    return math.sqrt(k / math.sqrt(-kap))
 
 
 def escape_energy(kappa, k: float) -> float:
     """Plateau value of W at infinity on the hyperbolic plane, -k*sqrt(-kappa)."""
-    kap = curvature_value(kappa)
-    k = check_coupling(k)
+    kap, k = _inputs(kappa, k)
     if kap >= 0.0:
         raise DomainError("the escape plateau exists only for kappa < 0")
-    return -k * math.sqrt(-kap)
+    return _escape_energy(kap, k)
 
 
 def escape_angular_momentum(kappa, k: float) -> float:
     """j above which W loses its minimum on the hyperbolic plane: j^2 = k/sqrt(-kappa)."""
-    kap = curvature_value(kappa)
-    k = check_coupling(k)
+    kap, k = _inputs(kappa, k)
     if kap >= 0.0:
         raise DomainError("the escape angular momentum exists only for kappa < 0")
-    return math.sqrt(k / math.sqrt(-kap))
+    return _escape_angular_momentum(kap, k)
 
 
 def _radial_roots(kap: float, k: float, j: float, e: float):
@@ -180,12 +197,11 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|);
     CurvedKeplerError reports a miss.
     """
-    kap = curvature_value(kappa)
-    k = check_coupling(k)
-    if not (math.isfinite(j) and math.isfinite(e)):
-        raise DomainError(f"need finite (j, e), got ({j!r}, {e!r})")
+    return _turning_points(*_inputs(kappa, k, j, e), j, e)
 
-    crit = critical_point(kap, k, j)
+
+def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
+    crit = _critical(kap, k, j)
     if crit is not None:
         r_m, w_m = crit
         if abs(e - w_m) <= _TANGENCY_RTOL * max(1.0, abs(e), abs(w_m)):
@@ -198,7 +214,7 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     else:
         _, _, u_per, u_apo = _radial_roots(kap, k, j, e)
         us = [u_per, u_apo]
-        if kap <= 0.0 and _near(e, -k * math.sqrt(-kap)) and not (crit and _near(e, crit[1])):
+        if kap <= 0.0 and _near(e, _escape_energy(kap, k)) and not (crit and _near(e, crit[1])):
             # inside classify_orbit's band around the escape energy the
             # orbit is the boundary class (parabola, horoellipse): open,
             # with no apoastron
@@ -206,11 +222,12 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     if kap <= 0.0:
         # off the sphere a radius needs u beyond the plateau sqrt(-kappa)
         us = [u for u in us if u > math.sqrt(-kap) * (1.0 + _TANGENCY_RTOL)]
-    pairs = sorted((acot_k(kap, u), u) for u in us)
+    # a root that overflowed reports the check acot_k makes of its argument
+    pairs = sorted((_acot(kap, _check_finite(u)), u) for u in us)
 
     tol = 1e-11 * max(1.0, abs(e))
     for r, u in pairs:
-        residual = w_eff(kap, k, j, r) - e
+        residual = _w(kap, k, j, r) - e
         if abs(residual) >= tol:
             # the roots are exact in u; near the antipode of a nearly flat
             # sphere one ulp of r can move W by more than tol
@@ -233,15 +250,11 @@ def classify_orbit(
     ``landmark_rtol`` (relative) of a landmark get the boundary class;
     energies below the attainable range raise InfeasibleError.
     """
-    kap = curvature_value(kappa)
-    k = check_coupling(k)
-    if not (math.isfinite(j) and math.isfinite(e)):
-        raise DomainError(f"need finite (j, e), got ({j!r}, {e!r})")
-
+    kap, k = _inputs(kappa, k, j, e)
     if j == 0.0:
         return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False)
 
-    crit = critical_point(kap, k, j)
+    crit = _critical(kap, k, j)
     if crit is not None:
         w_m = crit[1]
         if _near(e, w_m, landmark_rtol):
@@ -270,7 +283,7 @@ def classify_orbit(
             return OrbitClass(OrbitLabel.FLAT_ELLIPSE, bounded=True)
         return OrbitClass(OrbitLabel.FLAT_HYPERBOLA, bounded=False)
 
-    e_inf = escape_energy(kap, k)
+    e_inf = _escape_energy(kap, k)
     if crit is None:
         # no minimum: W decreases monotonically to the plateau, so only
         # energies above it occur
@@ -289,9 +302,8 @@ def classify_orbit(
 
 def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
     """All landmarks of W for (kappa, k, j) in one record."""
-    kap = curvature_value(kappa)
-    k = check_coupling(k)
-    crit = critical_point(kap, k, j)
+    kap, k = _inputs(kappa, k, j)
+    crit = _critical(kap, k, j)
     if crit is None:
         if j == 0.0:
             notes = "no centrifugal barrier: potential is monotone"
@@ -302,8 +314,8 @@ def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
         r_min, w_min = crit
         notes = None
     if kap < 0.0:
-        e_inf = escape_energy(kap, k)
-        j_inf = escape_angular_momentum(kap, k)
+        e_inf = _escape_energy(kap, k)
+        j_inf = _escape_angular_momentum(kap, k)
     else:
         e_inf = j_inf = None
     return PotentialProfile(
@@ -312,7 +324,7 @@ def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
         j=j,
         critical_radius=r_min,
         critical_value=w_min,
-        zero_crossings=tuple(turning_points(kap, k, j, 0.0)),
+        zero_crossings=tuple(_turning_points(kap, k, j, 0.0)),
         e_cir=w_min,
         e_infinity=e_inf,
         j_infinity=j_inf,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError
-from .ktrig import cos_k, curvature_value, radial_limit, sin_k
+from .ktrig import _chart_limit, _cos, _sin, curvature_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,25 +53,23 @@ class AmbientPoint:
     z: float
 
 
-def check_radius(kappa, r: float) -> float:
-    """Validate r against the radial chart of the given curvature."""
+def check_radius(kappa: float, r: float) -> float:
+    """Validate r against the radial chart of the checked curvature kappa."""
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise DomainError(f"radius out of range: {r!r}")
-    if r >= radial_limit(kappa):
-        raise DomainError(
-            f"radius {r!r} reaches the antipode bound pi/sqrt(kappa) "
-            f"= {radial_limit(kappa)!r}"
-        )
+    limit = _chart_limit(kappa)
+    if r >= limit:
+        raise DomainError(f"radius {r!r} reaches the antipode bound pi/sqrt(kappa) = {limit!r}")
     return r
 
 
-def check_interior_radius(kappa, r: float) -> float:
+def check_interior_radius(kappa: float, r: float) -> float:
     """Validate 0 < r < radial limit, the open chart where the polar
-    metric and the Kepler potential are regular."""
+    metric and the Kepler potential are regular (kappa already checked)."""
     if not math.isfinite(r) or r <= 0.0:
         raise SingularityError(f"radius must be positive, got {r!r}")
-    if r >= radial_limit(kappa):
+    if r >= _chart_limit(kappa):
         raise DomainError(f"radius {r!r} outside the chart for kappa={kappa!r}")
     return r
 
@@ -79,8 +77,7 @@ def check_interior_radius(kappa, r: float) -> float:
 def metric_coefficient(kappa, r: float) -> float:
     """Angular metric coefficient g_phiphi = sin_k(r)**2."""
     k = curvature_value(kappa)
-    r = check_radius(k, r)
-    s = sin_k(k, r)
+    s = _sin(k, check_radius(k, r))
     return s * s
 
 
@@ -93,7 +90,10 @@ def geodesic_distance(kappa, p1: PolarPoint, p2: PolarPoint) -> float:
     coincident points, where solving the law of cosines directly would
     lose half the digits.
     """
-    k = curvature_value(kappa)
+    return _distance(curvature_value(kappa), p1, p2)
+
+
+def _distance(k: float, p1: PolarPoint, p2: PolarPoint) -> float:
     r1 = check_radius(k, p1.r)
     r2 = check_radius(k, p2.r)
     dphi = p1.phi - p2.phi
@@ -115,12 +115,12 @@ def to_ambient(kappa, p: PolarPoint) -> AmbientPoint:
     """Embed a polar point into the ambient model of the surface."""
     k = curvature_value(kappa)
     r = check_radius(k, p.r)
-    s = sin_k(k, r)
+    s = _sin(k, r)
     x = s * math.cos(p.phi)
     y = s * math.sin(p.phi)
     if k == 0.0:
         return AmbientPoint(x, y, 0.0)
-    z = cos_k(k, r) / math.sqrt(abs(k))
+    z = _cos(k, r) / math.sqrt(abs(k))
     return AmbientPoint(x, y, z)
 
 

@@ -71,12 +71,13 @@ def curvature_value(kappa) -> float:
     return k
 
 
+def _chart_limit(k: float) -> float:
+    return math.pi / math.sqrt(k) if k > 0 else math.inf
+
+
 def radial_limit(kappa) -> float:
     """Upper end of the radial chart: pi/sqrt(kappa) on the sphere, inf below."""
-    k = curvature_value(kappa)
-    if k > 0:
-        return math.pi / math.sqrt(k)
-    return math.inf
+    return _chart_limit(curvature_value(kappa))
 
 
 def _check_finite(x: float) -> float:
@@ -86,10 +87,17 @@ def _check_finite(x: float) -> float:
     return x
 
 
-def cos_k(kappa, x: float) -> float:
-    """Tagged cosine: cos(sqrt(k)x), 1, or cosh(sqrt(-k)x) by sign of kappa."""
-    k = curvature_value(kappa)
-    x = _check_finite(x)
+# Each tagged function is written once below, as a private formula on a
+# float kappa and a finite float argument; the public name checks both
+# and calls it.  Package code calls the formulas directly.
+
+
+def _atan_series(y, ky2):
+    # atan / atanh series share coefficients once written in kappa
+    return y * (1.0 - ky2 / 3.0 + 0.2 * ky2 * ky2)
+
+
+def _cos(k: float, x: float) -> float:
     kx2 = k * x * x
     if abs(kx2) < SERIES_THRESHOLD:
         return 1.0 - kx2 / 2.0 + kx2 * kx2 / 24.0
@@ -98,10 +106,12 @@ def cos_k(kappa, x: float) -> float:
     return math.cosh(math.sqrt(-k) * x)
 
 
-def sin_k(kappa, x: float) -> float:
-    """Tagged sine: sin(sqrt(k)x)/sqrt(k), x, or sinh(sqrt(-k)x)/sqrt(-k)."""
-    k = curvature_value(kappa)
-    x = _check_finite(x)
+def cos_k(kappa, x: float) -> float:
+    """Tagged cosine: cos(sqrt(k)x), 1, or cosh(sqrt(-k)x) by sign of kappa."""
+    return _cos(curvature_value(kappa), _check_finite(x))
+
+
+def _sin(k: float, x: float) -> float:
     kx2 = k * x * x
     if abs(kx2) < SERIES_THRESHOLD:
         return x * (1.0 - kx2 / 6.0 + kx2 * kx2 / 120.0)
@@ -110,6 +120,11 @@ def sin_k(kappa, x: float) -> float:
         return math.sin(rk * x) / rk
     rk = math.sqrt(-k)
     return math.sinh(rk * x) / rk
+
+
+def sin_k(kappa, x: float) -> float:
+    """Tagged sine: sin(sqrt(k)x)/sqrt(k), x, or sinh(sqrt(-k)x)/sqrt(-k)."""
+    return _sin(curvature_value(kappa), _check_finite(x))
 
 
 def sin_k_array(kappa, x) -> np.ndarray:
@@ -131,15 +146,7 @@ def sin_k_array(kappa, x) -> np.ndarray:
     return np.where(np.abs(kx2) < SERIES_THRESHOLD, series, direct)
 
 
-def sincos_k(kappa):
-    """Evaluator x -> (sin_k(x), cos_k(x)) for one curvature.
-
-    The sign branch is picked once, here, so each call costs one series
-    test and one pair of circular or hyperbolic functions.  The values
-    are bit-identical to :func:`sin_k` and :func:`cos_k`; the argument
-    is not validated, so callers pass finite floats.
-    """
-    k = curvature_value(kappa)
+def _sincos(k: float):
     if k == 0.0:
         return lambda x: (x, 1.0)
     rk = math.sqrt(abs(k))
@@ -149,11 +156,35 @@ def sincos_k(kappa):
     def sc(x):
         kx2 = k * x * x
         if -thr < kx2 < thr:
-            return (x * (1.0 - kx2 / 6.0 + kx2 * kx2 / 120.0), 1.0 - kx2 / 2.0 + kx2 * kx2 / 24.0)
+            return (_sin(k, x), _cos(k, x))
         a = rk * x
         return (sin(a) / rk, cos(a))
 
     return sc
+
+
+def sincos_k(kappa):
+    """Evaluator x -> (sin_k(x), cos_k(x)) for one curvature.
+
+    The sign branch is picked once, here, so each call costs one series
+    test and one pair of circular or hyperbolic functions.  The values
+    are bit-identical to :func:`sin_k` and :func:`cos_k`; the argument
+    is not validated, so callers pass finite floats.
+    """
+    return _sincos(curvature_value(kappa))
+
+
+def _tan(k: float, x: float) -> float:
+    if k > 0:
+        ang = math.sqrt(k) * x
+        n = round(ang / math.pi - 0.5)  # nearest pole is at (n + 1/2)*pi
+        nearest_pole = (n + 0.5) * math.pi
+        if abs(ang - nearest_pole) < _POLE_SNAP:
+            # tan blows up to +inf on the lower side of every pole and
+            # to -inf on the upper side; report the caller's side.
+            sign = 1 if ang <= nearest_pole else -1
+            raise PoleError(f"tan_k pole at sqrt(kappa)*x = (n + 1/2)*pi (x = {x!r})", sign)
+    return _sin(k, x) / _cos(k, x)
 
 
 def tan_k(kappa, x: float) -> float:
@@ -163,34 +194,13 @@ def tan_k(kappa, x: float) -> float:
     :class:`PoleError` whose ``sign`` is the sign of the one-sided limit
     from below, so callers can branch rather than catch an IEEE inf.
     """
-    k = curvature_value(kappa)
-    x = _check_finite(x)
-    if k > 0:
-        ang = math.sqrt(k) * x
-        n = round(ang / math.pi - 0.5)  # nearest pole is at (n + 1/2)*pi
-        nearest_pole = (n + 0.5) * math.pi
-        if abs(ang - nearest_pole) < _POLE_SNAP:
-            # tan blows up to +inf on the lower side of every pole and
-            # to -inf on the upper side; report the caller's side.
-            sign = 1 if ang <= nearest_pole else -1
-            raise PoleError(
-                f"tan_k pole at sqrt(kappa)*x = (n + 1/2)*pi (x = {x!r})", sign
-            )
-    return sin_k(k, x) / cos_k(k, x)
+    return _tan(curvature_value(kappa), _check_finite(x))
 
 
-def atan_k(kappa, y: float) -> float:
-    """Principal inverse of tan_k.
-
-    For kappa < 0 the tangent saturates at 1/sqrt(-kappa); values at or
-    beyond the saturation bound raise :class:`DomainError`.
-    """
-    k = curvature_value(kappa)
-    y = _check_finite(y)
+def _atan(k: float, y: float) -> float:
     ky2 = k * y * y
     if abs(ky2) < SERIES_THRESHOLD:
-        # atan / atanh series share coefficients once written in kappa
-        return y * (1.0 - ky2 / 3.0 + 0.2 * ky2 * ky2)
+        return _atan_series(y, ky2)
     if k > 0:
         rk = math.sqrt(k)
         return math.atan(rk * y) / rk
@@ -202,17 +212,16 @@ def atan_k(kappa, y: float) -> float:
     return math.atanh(rk * y) / rk
 
 
-def acot_k(kappa, u: float) -> float:
-    """Radius r on the physical branch with cos_k(r)/sin_k(r) = u.
+def atan_k(kappa, y: float) -> float:
+    """Principal inverse of tan_k.
 
-    On the sphere the branch is (0, pi/sqrt(kappa)), continuous through
-    u = 0 (the equator).  On the plane u must be positive, and on the
-    hyperbolic plane u must exceed sqrt(-kappa) (the value at infinite
-    radius); otherwise no radius exists and :class:`DomainError` is
-    raised.
+    For kappa < 0 the tangent saturates at 1/sqrt(-kappa); values at or
+    beyond the saturation bound raise :class:`DomainError`.
     """
-    k = curvature_value(kappa)
-    u = _check_finite(u)
+    return _atan(curvature_value(kappa), _check_finite(y))
+
+
+def _acot(k: float, u: float) -> float:
     if k > 0:
         rk = math.sqrt(k)
         # atan2(1, u/rk) is the principal arccotangent on (0, pi); it is
@@ -229,13 +238,37 @@ def acot_k(kappa, u: float) -> float:
             "no finite hyperbolic radius"
         )
     if u * u * SERIES_THRESHOLD > -k:
-        # |kappa|/u^2 < threshold: same series as atan_k applied to 1/u
+        # |kappa|/u^2 < threshold: the atan_k series applied to 1/u
         w = 1.0 / u
-        kw2 = k * w * w
-        return w * (1.0 - kw2 / 3.0 + 0.2 * kw2 * kw2)
+        return _atan_series(w, k * w * w)
     # atanh(rk/u) written so that u - rk, exact near the plateau, is
     # what atanh's amplification acts on instead of the rounding of rk/u
     return 0.5 * math.log1p(2.0 * rk / (u - rk)) / rk
+
+
+def acot_k(kappa, u: float) -> float:
+    """Radius r on the physical branch with cos_k(r)/sin_k(r) = u.
+
+    On the sphere the branch is (0, pi/sqrt(kappa)), continuous through
+    u = 0 (the equator).  On the plane u must be positive, and on the
+    hyperbolic plane u must exceed sqrt(-kappa) (the value at infinite
+    radius); otherwise no radius exists and :class:`DomainError` is
+    raised.
+    """
+    return _acot(curvature_value(kappa), _check_finite(u))
+
+
+def _acot_array(k: float, u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if k > 0.0:
+        rk = math.sqrt(k)
+        return np.arctan2(1.0, u / rk) / rk
+    if k == 0.0:
+        return 1.0 / u
+    rk = math.sqrt(-k)
+    w = 1.0 / u
+    direct = 0.5 * np.log1p(2.0 * rk / (u - rk)) / rk
+    return np.where(u * u * SERIES_THRESHOLD > -k, _atan_series(w, k * w * w), direct)
 
 
 def acot_k_array(kappa, u) -> np.ndarray:
@@ -248,16 +281,4 @@ def acot_k_array(kappa, u) -> np.ndarray:
     pass values on the physical branch (u > 0 on the plane, u > sqrt(-kappa)
     on the hyperbolic plane).
     """
-    k = curvature_value(kappa)
-    u = np.asarray(u, dtype=float)
-    if k > 0.0:
-        rk = math.sqrt(k)
-        return np.arctan2(1.0, u / rk) / rk
-    if k == 0.0:
-        return 1.0 / u
-    rk = math.sqrt(-k)
-    w = 1.0 / u
-    kw2 = k * w * w
-    series = w * (1.0 - kw2 / 3.0 + 0.2 * kw2 * kw2)
-    direct = 0.5 * np.log1p(2.0 * rk / (u - rk)) / rk
-    return np.where(u * u * SERIES_THRESHOLD > -k, series, direct)
+    return _acot_array(curvature_value(kappa), u)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
-from .ktrig import acot_k, acot_k_array, curvature_value
+from .ktrig import _acot, _acot_array, _check_finite, curvature_value
 
 #: eccentricities below this are treated as exactly circular
 CIRCULAR_ECC = 1e-13
@@ -108,12 +108,9 @@ def orbit_radius(oc: OrbitConstants, kappa, phi: float) -> float | None:
     """
     kap = curvature_value(kappa)
     u = float(u_closed(oc, phi))
-    if kap > 0.0:
-        return acot_k(kap, u)
-    asym = math.sqrt(-kap) if kap < 0.0 else 0.0
-    if u <= asym:
+    if kap <= 0.0 and u <= (math.sqrt(-kap) if kap < 0.0 else 0.0):
         return None
-    return acot_k(kap, u)
+    return _acot(kap, _check_finite(u))
 
 
 def binet_residual(oc: OrbitConstants, kappa, phi: float) -> float:
@@ -622,7 +619,7 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
         )
     return np.column_stack(
         (
-            acot_k_array(kap, u),
+            _acot_array(kap, u),
             oc.phi0 + (theta + 2.0 * math.pi * turns),
             (j * ecc / d) * sin,
             j * (u * u + kap),

@@ -90,6 +90,13 @@ def test_spec_validation():
         conic_from_dynamics(0.0, -1.0, 0.5)
 
 
+def test_colatus_spec_refuses_an_infinite_p_tilde_when_built():
+    # the size formulas take the checked p_tilde as it is, so the
+    # constructor is where an infinite one has to stop
+    with pytest.raises(DomainError, match="p_tilde > 0, got inf"):
+        ConicSpec(-1.0, 0.5, ConicFamily.COLATUS, p_tilde=math.inf)
+
+
 # ----------------------------------------------------------------------
 # classify_conic
 # ----------------------------------------------------------------------

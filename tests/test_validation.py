@@ -1,0 +1,139 @@
+"""Each public function validates the curvature once, at its boundary.
+
+``curvature_value`` is wrapped with a counter in every module that
+imports it; a public call may then check kappa at most once (zero times
+where the kappa arrives inside an already checked object), because the
+private formulas beneath it take the checked float.
+"""
+
+from __future__ import annotations
+
+import importlib
+import math
+
+import pytest
+
+import curvedkepler as ck
+from curvedkepler import ktrig
+
+MODULES = ("ktrig", "geometry", "dynamics", "effective_potential", "conics", "orbit", "cli")
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counter of curvature_value calls made from any module of the package."""
+    seen = [0]
+    real = ktrig.curvature_value
+
+    def counted(kappa):
+        seen[0] += 1
+        return real(kappa)
+
+    for name in MODULES:
+        mod = importlib.import_module(f"curvedkepler.{name}")
+        if hasattr(mod, "curvature_value"):
+            monkeypatch.setattr(mod, "curvature_value", counted)
+
+    def count(fn, *args):
+        seen[0] = 0
+        fn(*args)
+        return seen[0]
+
+    return count
+
+
+PARAMS = {kap: ck.KeplerParams(kap, 1.0) for kap in (1.0, 0.0, -1.0)}
+STATE = ck.PhaseState(0.8, 0.3, 0.1, 1.2)
+ORBIT = {kap: ck.orbit_constants(STATE, p) for kap, p in PARAMS.items()}
+U_STATE = {kap: ck.cos_k(kap, STATE.r) / ck.sin_k(kap, STATE.r) for kap in PARAMS}
+
+
+def _bounded(kap):
+    oc = ck.orbit_constants(ck.PhaseState(0.8, 0.3, 0.1, 1.0), PARAMS[kap])
+    return oc, kap
+
+
+ONCE = {
+    # effective potential
+    "turning_points": lambda kap: (ck.turning_points, kap, 1.0, 0.8, -0.3),
+    "turning_points, radial": lambda kap: (ck.turning_points, kap, 1.0, 0.0, -1.5),
+    "potential_profile": lambda kap: (ck.potential_profile, kap, 1.0, 0.8),
+    "classify_orbit": lambda kap: (ck.classify_orbit, kap, 1.0, 0.8, -0.3),
+    "critical_point": lambda kap: (ck.critical_point, kap, 1.0, 0.8),
+    "w_eff": lambda kap: (ck.w_eff, kap, 1.0, 0.8, 0.5),
+    # conics
+    "conic_from_dynamics": lambda kap: (ck.conic_from_dynamics, kap, 0.64, 0.5),
+    "periastron_family": lambda kap: (ck.periastron_family, min(kap, 0.0), 0.5),
+    "ecc_from_focal": lambda kap: (ck.ecc_from_focal, kap, ck.FocalElements.two_foci(0.2, 0.6)),
+    "verify_conic_definition": lambda kap: (
+        ck.verify_conic_definition,
+        kap,
+        [ck.PolarPoint(0.5, 0.4 * i) for i in range(8)],
+        ck.FocalElements.two_foci(0.2, 0.6),
+    ),
+    # geometry
+    "to_ambient": lambda kap: (ck.to_ambient, kap, ck.PolarPoint(0.5, 0.3)),
+    "metric_coefficient": lambda kap: (ck.metric_coefficient, kap, 0.5),
+    "geodesic_distance": lambda kap: (
+        ck.geodesic_distance, kap, ck.PolarPoint(0.5, 0.3), ck.PolarPoint(0.7, 1.0),
+    ),
+    # trig kernel
+    "cos_k": lambda kap: (ck.cos_k, kap, 0.5),
+    "sin_k": lambda kap: (ck.sin_k, kap, 0.5),
+    "tan_k": lambda kap: (ck.tan_k, kap, 0.5),
+    "atan_k": lambda kap: (ck.atan_k, kap, 0.5),
+    "acot_k": lambda kap: (ck.acot_k, kap, 2.0),
+    "radial_limit": lambda kap: (ck.radial_limit, kap),
+    # dynamics taking a bare kappa
+    "killing_fields": lambda kap: (ck.killing_fields, kap, ck.PolarPoint(0.5, 0.3)),
+    "separable_integrals": lambda kap: (
+        ck.separable_integrals, kap, STATE, lambda r: 0.0, lambda phi: 0.0,
+    ),
+    "integrate_separable": lambda kap: (
+        ck.integrate_separable, kap, STATE,
+        lambda r: -1.0 / r, lambda r: 1.0 / (r * r), lambda phi: 0.0, lambda phi: 0.0, 0.5,
+    ),
+    "runge_lenz": lambda kap: (ck.runge_lenz, kap, STATE, PARAMS[kap]),
+    "momenta": lambda kap: (ck.momenta, kap, STATE),
+    # orbits
+    "orbit_radius": lambda kap: (ck.orbit_radius, ORBIT[kap], kap, 0.4),
+    "time_from_u": lambda kap: (ck.time_from_u, ORBIT[kap], kap, ORBIT[kap].u_periastron, U_STATE[kap]),
+    "radial_period": lambda kap: (ck.radial_period, *_bounded(kap)),
+    "propagate": lambda kap: (ck.propagate, ORBIT[kap], kap, [0.1, 0.2]),
+}
+
+# kappa arrives inside an object that checked it on construction
+NONE = {
+    "classify_conic": lambda kap: (ck.classify_conic, ck.conic_from_dynamics(kap, 0.64, 0.5)),
+    "ConicSpec.d": lambda kap: (lambda s: s.d, ck.conic_from_dynamics(kap, 0.64, 0.5)),
+    "sample_conic": lambda kap: (ck.sample_conic, ck.conic_from_dynamics(kap, 0.64, 0.5), [0.0, 1.0]),
+    "orbit_constants": lambda kap: (ck.orbit_constants, STATE, PARAMS[kap]),
+    "ConservedSet.from_state": lambda kap: (ck.ConservedSet.from_state, STATE, PARAMS[kap]),
+    "energy": lambda kap: (ck.energy, STATE, PARAMS[kap]),
+    "eom_rhs": lambda kap: (ck.eom_rhs, STATE, PARAMS[kap]),
+    "kepler_potential": lambda kap: (ck.kepler_potential, PARAMS[kap], 0.5),
+    "gauss_law_flux": lambda kap: (ck.gauss_law_flux, PARAMS[kap], 0.5),
+    "circular_state": lambda kap: (ck.circular_state, PARAMS[kap], 0.8),
+    "integrate": lambda kap: (ck.integrate, STATE, PARAMS[kap], 0.5),
+}
+
+
+@pytest.mark.parametrize("kap", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(ONCE))
+def test_public_function_checks_kappa_at_most_once(checks, name, kap):
+    assert checks(*ONCE[name](kap)) <= 1
+
+
+@pytest.mark.parametrize("kap", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(NONE))
+def test_checked_objects_are_trusted(checks, name, kap):
+    call = NONE[name](kap)  # building the object may check kappa; the call may not
+    assert checks(*call) == 0
+
+
+def test_bounded_turning_points_check_kappa_exactly_once(checks):
+    # a bounded orbit verifies both roots on the private W; the
+    # public w_eff it once called checked kappa again for each root
+    assert checks(ck.turning_points, -1.0, 1.0, 0.8, -1.05) == 1
+    r_per, r_apo = ck.turning_points(-1.0, 1.0, 0.8, -1.05)
+    assert 0.0 < r_per < r_apo < math.inf
