@@ -19,18 +19,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .conics import (
     classify_conic, conic_from_dynamics, conic_thresholds, periastron_family, sample_conic,
 )
-from .dynamics import ConservedSet, KeplerParams, PhaseState, check_coupling, check_tol, integrate
+from .dynamics import KeplerParams, PhaseState, check_coupling, check_tol, integrate
 from .effective_potential import (
     _radial_roots, _w, classify_orbit, potential_profile, turning_points,
 )
-from .errors import CurvedKeplerError, DomainError, InfeasibleError
-from .geometry import PolarPoint, to_ambient, to_poincare_disk
+from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
+from .geometry import _ambient, _poincare
 from .ktrig import _chart_limit, _sin, atan_k, cos_k, sin_k, tan_k
 
 EXIT_OK = 0
@@ -49,9 +50,30 @@ class ConfigError(Exception):
     """Anything wrong with flags or the config file (exit code 2)."""
 
 
-def _fmt(x) -> str:
-    """Serialize one numeric field: 17 significant digits round-trip."""
-    return format(float(x), ".17g")
+def _template(fields) -> str:
+    """Format string of one CSV line: text fields as they are, numbers
+    with 17 significant digits, which re-parse to the same floats."""
+    return ",".join("{}" if isinstance(f, str) else "{:.17g}" for f in fields)
+
+
+def _comment(fields) -> str:
+    return "# " + _template(fields).format(*fields) + "\n"
+
+
+def _write_csv(out, meta, columns, rows, footer=()) -> None:
+    """Write one CSV table: the schema line, a ``# `` line per metadata
+    tuple, the column names, the rows and a ``# `` line per footer tuple.
+
+    Callers compute every row before calling, so a command that fails
+    writes nothing.  The first row's field types set the template of
+    every row.
+    """
+    out.writelines(map(_comment, [("schema", SCHEMA_VERSION), *meta]))
+    out.write(",".join(columns) + "\n")
+    if rows:
+        line = _template(rows[0]) + "\n"
+        out.writelines(line.format(*row) for row in rows)
+    out.writelines(map(_comment, footer))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -95,12 +117,12 @@ def _chart_names(chart: str) -> tuple[str, ...]:
 
 
 def _chart_values(chart: str, kappa: float, r: float, phi: float) -> tuple[float, ...]:
+    """Chart columns of a radius inside the chart (kappa and chart checked)."""
     if chart == "polar":
         return (r * math.cos(phi), r * math.sin(phi))
     if chart == "ambient":
-        a = to_ambient(kappa, PolarPoint(r, phi))
-        return (a.x, a.y, a.z)
-    return to_poincare_disk(kappa, PolarPoint(r, phi))
+        return _ambient(kappa, r, phi)
+    return _poincare(kappa, r, phi)
 
 
 def _check_chart(chart: str, kappa: float) -> None:
@@ -244,43 +266,32 @@ def _resolve_initial(config: RunConfig) -> PhaseState:
 
 def cmd_simulate(config: RunConfig, out) -> int:
     params = KeplerParams(config.kappa, config.k)
-    state0 = _resolve_initial(config)
-    traj = integrate(state0, params, config.t_end, tol=config.tol, dense=False)
+    traj = integrate(_resolve_initial(config), params, config.t_end, tol=config.tol, dense=False)
 
-    c0 = ConservedSet.from_state(state0, params)
-    base = {"E": c0.e, "J": c0.j, "I3": c0.i3, "I4": c0.i4}
-    columns = ["t", "r", "phi", "v_r", "v_phi", "E", "J", "I3", "I4"]
-    columns += list(_chart_names(config.chart))
-    rows = []
-    drift = dict.fromkeys(base, 0.0)
-    # plain floats: an overflow then gives inf instead of a numpy warning
-    for t, raw in zip(traj.times.tolist(), traj.states.tolist()):
-        st = PhaseState(*raw)
-        cs = ConservedSet.from_state(st, params)
-        now = {"E": cs.e, "J": cs.j, "I3": cs.i3, "I4": cs.i4}
-        for key, ref in base.items():
-            drift[key] = max(drift[key], abs(now[key] - ref) / max(1.0, abs(ref)))
-        rows.append(
-            (t, st.r, st.phi, st.v_r, st.v_phi, now["E"], now["J"], now["I3"], now["I4"])
-            + _chart_values(config.chart, config.kappa, st.r, st.phi)
-        )
+    # E, J, I3, I4 as the integrator evaluated them at each accepted state
+    reported = traj.invariants[:, [0, 1, 3, 4]]
+    ref = reported[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # NaN propagates through max, so a non-finite invariant shows here
+        drift = (np.abs(reported - ref) / np.maximum(1.0, np.abs(ref))).max(axis=0)
+    if not np.isfinite(drift).all():
+        raise NumericalError(f"invariants or their drift not finite: {drift.tolist()!r}")
+    drift = dict(zip(("E", "J", "I3", "I4"), drift.tolist()))
+    columns = ["t", "r", "phi", "v_r", "v_phi", *drift, *_chart_names(config.chart)]
+    rows = [
+        [*row, *_chart_values(config.chart, config.kappa, row[1], row[2])]
+        for row in np.column_stack((traj.times, traj.states, reported)).tolist()
+    ]
     event = None
     if traj.event is not None:
         event = {"kind": traj.event, "t": float(traj.event_time)}
 
     if config.output == "csv":
-        print(f"# schema,{SCHEMA_VERSION}", file=out)
-        print(f"# kappa,{_fmt(config.kappa)},k,{_fmt(config.k)}", file=out)
-        print(f"# t_end,{_fmt(config.t_end)},tol,{_fmt(config.tol)}", file=out)
-        print(",".join(columns), file=out)
-        for row in rows:
-            print(",".join(_fmt(x) for x in row), file=out)
-        print(
-            "# drift," + ",".join(f"{key},{_fmt(val)}" for key, val in drift.items()),
-            file=out,
-        )
+        footer = [("drift", *chain.from_iterable(drift.items()))]
         if event is not None:
-            print(f"# event,{event['kind']},t,{_fmt(event['t'])}", file=out)
+            footer.append(("event", event["kind"], "t", event["t"]))
+        meta = [("kappa", config.kappa, "k", config.k), ("t_end", config.t_end, "tol", config.tol)]
+        _write_csv(out, meta, columns, rows, footer)
     else:
         doc = {
             "schema": SCHEMA_VERSION,
@@ -290,8 +301,8 @@ def cmd_simulate(config: RunConfig, out) -> int:
             "tol": float(config.tol),
             "chart": config.chart,
             "columns": columns,
-            "rows": [[float(x) for x in row] for row in rows],
-            "drift": {key: float(val) for key, val in drift.items()},
+            "rows": rows,
+            "drift": drift,
             "event": event,
         }
         print(json.dumps(doc, indent=2), file=out)
@@ -363,25 +374,16 @@ def cmd_potential_scan(kap, k, j, r_lo, r_hi, steps, out) -> int:
     )
     _require(steps >= 2, f"need at least 2 grid steps, got {steps!r}")
     prof = potential_profile(kap, k, j)
-    print(f"# schema,{SCHEMA_VERSION}", file=out)
-    print(f"# kappa,{_fmt(kap)},k,{_fmt(k)},J,{_fmt(j)}", file=out)
+    rows = [(r, _w(kap, k, j, r)) for r in np.linspace(r_lo, r_hi, steps).tolist()]
+    meta = [("kappa", kap, "k", k, "J", j)]
     if prof.critical_radius is not None:
-        print(
-            f"# critical_r,{_fmt(prof.critical_radius)},critical_w,{_fmt(prof.critical_value)}",
-            file=out,
-        )
+        meta.append(("critical_r", prof.critical_radius, "critical_w", prof.critical_value))
     else:
-        print(f"# critical,none,{prof.notes}", file=out)
-    for crossing in prof.zero_crossings:
-        print(f"# zero_crossing,{_fmt(crossing)}", file=out)
+        meta.append(("critical", "none", prof.notes))
+    meta += [("zero_crossing", crossing) for crossing in prof.zero_crossings]
     if kap < 0.0:
-        print(
-            f"# e_infinity,{_fmt(prof.e_infinity)},j_infinity,{_fmt(prof.j_infinity)}",
-            file=out,
-        )
-    print("r,w", file=out)
-    for r in np.linspace(r_lo, r_hi, steps):
-        print(f"{_fmt(r)},{_fmt(_w(kap, k, j, float(r)))}", file=out)
+        meta.append(("e_infinity", prof.e_infinity, "j_infinity", prof.j_infinity))
+    _write_csv(out, meta, ("r", "w"), rows)
     return EXIT_OK
 
 
@@ -392,10 +394,10 @@ def cmd_potential_scan(kap, k, j, r_lo, r_hi, steps, out) -> int:
 
 def _conic_rows(spec, chart: str, steps: int):
     phis = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
-    rows = []
-    for pt in sample_conic(spec, phis):
-        rows.append((pt.phi, pt.r) + _chart_values(chart, spec.kappa, pt.r, pt.phi))
-    return rows
+    return [
+        (pt.phi, pt.r) + _chart_values(chart, spec.kappa, pt.r, pt.phi)
+        for pt in sample_conic(spec, phis)
+    ]
 
 
 def _family_specimens(fam) -> list[tuple[str, float]]:
@@ -427,19 +429,15 @@ def cmd_conic(args, out) -> int:
         specimens = []
         for label, ecc in _family_specimens(fam):
             spec = conic_from_dynamics(kap, fam.d_circle * (1.0 + ecc), ecc)
-            specimens.append((label, ecc, spec))
+            specimens.append((label, ecc, _conic_rows(spec, args.chart, args.phi_steps)))
         if args.output == "csv":
-            print(f"# schema,{SCHEMA_VERSION}", file=out)
-            print(f"# kappa,{_fmt(kap)},r_per,{_fmt(args.periastron)}", file=out)
-            print(
-                f"# d_circle,{_fmt(fam.d_circle)},d_horoellipse,{_fmt(fam.d_horoellipse)}"
-                f",d_horohyperbola,{_fmt(fam.d_horohyperbola)}",
-                file=out,
-            )
-            print(",".join(("label", "ecc", "phi", "r") + chart_names), file=out)
-            for label, ecc, spec in specimens:
-                for row in _conic_rows(spec, args.chart, args.phi_steps):
-                    print(label + "," + ",".join(_fmt(x) for x in (ecc,) + row), file=out)
+            meta = [
+                ("kappa", kap, "r_per", args.periastron),
+                ("d_circle", fam.d_circle, "d_horoellipse", fam.d_horoellipse,
+                 "d_horohyperbola", fam.d_horohyperbola),
+            ]
+            rows = [(label, ecc, *row) for label, ecc, sampled in specimens for row in sampled]
+            _write_csv(out, meta, ("label", "ecc", "phi", "r") + chart_names, rows)
         else:
             doc = {
                 "schema": SCHEMA_VERSION,
@@ -455,15 +453,8 @@ def cmd_conic(args, out) -> int:
                 },
                 "columns": ["phi", "r", *chart_names],
                 "specimens": [
-                    {
-                        "label": label,
-                        "ecc": float(ecc),
-                        "rows": [
-                            [float(x) for x in row]
-                            for row in _conic_rows(spec, args.chart, args.phi_steps)
-                        ],
-                    }
-                    for label, ecc, spec in specimens
+                    {"label": label, "ecc": float(ecc), "rows": sampled}
+                    for label, ecc, sampled in specimens
                 ],
             }
             print(json.dumps(doc, indent=2), file=out)
@@ -476,13 +467,12 @@ def cmd_conic(args, out) -> int:
     conic_type = classify_conic(spec)
     rows = _conic_rows(spec, args.chart, args.phi_steps)
     if args.output == "csv":
-        print(f"# schema,{SCHEMA_VERSION}", file=out)
-        print(f"# kappa,{_fmt(kap)},d,{_fmt(args.d)},ecc,{_fmt(args.ecc)}", file=out)
         higgs = "" if conic_type.higgs is None else conic_type.higgs
-        print(f"# family,{spec.family.value},label,{conic_type.label.value},{higgs}", file=out)
-        print(",".join(("phi", "r") + chart_names), file=out)
-        for row in rows:
-            print(",".join(_fmt(x) for x in row), file=out)
+        meta = [
+            ("kappa", kap, "d", args.d, "ecc", args.ecc),
+            ("family", spec.family.value, "label", conic_type.label.value, higgs),
+        ]
+        _write_csv(out, meta, ("phi", "r") + chart_names, rows)
     else:
         doc = {
             "schema": SCHEMA_VERSION,
@@ -493,7 +483,7 @@ def cmd_conic(args, out) -> int:
             "label": conic_type.label.value,
             "higgs": conic_type.higgs,
             "columns": ["phi", "r", *chart_names],
-            "rows": [[float(x) for x in row] for row in rows],
+            "rows": rows,
         }
         print(json.dumps(doc, indent=2), file=out)
     return EXIT_OK

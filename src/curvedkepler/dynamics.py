@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InfeasibleError,
+    NumericalError,
     SingularityError,
     StiffnessError,
 )
@@ -345,6 +346,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SPIKE_FACTOR = 10.0
+_MAX_STEPS = 5_000_000
 # local errors are controlled this far below the requested tolerance so
 # that global drift over long runs lands near the tolerance itself
 _DRIFT_MARGIN = 0.1
@@ -353,7 +355,9 @@ _DRIFT_MARGIN = 0.1
 class Trajectory:
     """Result of an adaptive integration.
 
-    Stores the accepted step endpoints (``times``, ``states``) and, when
+    Stores the accepted step endpoints (``times``, ``states``), the first
+    integrals evaluated at each of them (``invariants``, one row per
+    state; see :func:`integrate`) and, when
     dense output was requested, a quartic interpolant per step that
     :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
     The interpolants are kept as two private arrays: step i starts at
@@ -364,10 +368,11 @@ class Trajectory:
     so they can be shared freely across threads.
     """
 
-    def __init__(self, kappa, times, states, dense=None, event=None, event_time=None):
+    def __init__(self, kappa, times, states, invariants, dense=None, event=None, event_time=None):
         self.kappa = kappa
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
+        self.invariants = np.asarray(invariants, dtype=float)
         self.event = event
         self.event_time = event_time
         # (h, d) arrays of the per-step interpolants, or None
@@ -511,27 +516,30 @@ def _dense_coefficients(stages) -> np.ndarray:
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    scale = [atol + rtol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((y / s) ** 2 for y, s in zip(y0, scale)) / 4.0)
-    d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, scale)) / 4.0)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
+    h0 = 1e-6
     try:
+        scale = [atol + rtol * abs(v) for v in y0]
+        d0 = math.sqrt(sum((y / s) ** 2 for y, s in zip(y0, scale)) / 4.0)
+        d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, scale)) / 4.0)
+        if not (d0 < 1e-5 or d1 < 1e-5):
+            h0 = 0.01 * d0 / d1
+        y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
         f1 = rhs(*y1)
+        d2 = (
+            math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, scale)) / 4.0)
+            / h0
+        )
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
     except (ValueError, OverflowError, ZeroDivisionError):
+        # an extreme state: fall back to a thousandth of the trial step
         return min(h0 * 1e-3, t_end)
-    d2 = (
-        math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, scale)) / 4.0)
-        / h0
-    )
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, t_end)
 
 
-def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_steps=5_000_000):
+def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense):
     """Generic DOPRI5(4) driver on 4-component float tuples.
 
     ``tol`` is a trajectory-accuracy target, not a per-step bound: the
@@ -539,10 +547,11 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
     that drift accumulated over thousands of steps stays near ``tol``
     instead of ``steps * tol``.
 
-    ``invariants`` maps a state tuple to conserved values; a step that
-    moves any of them by more than 10x the tolerance (relative) is
-    rejected and retried at half the step, which keeps isolated spikes
-    near close approaches out of the output.
+    ``invariants`` maps a state tuple to a tuple of conserved values,
+    recorded for every accepted state; a step that moves any of the first
+    ``watched`` of them by more than 10x the tolerance (relative), or
+    makes one non-finite, is rejected and retried at half the step, which
+    keeps isolated spikes near close approaches out of the output.
     """
     rtol = atol = _DRIFT_MARGIN * tol
     t = 0.0
@@ -553,9 +562,12 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SingularityError(f"right-hand side failed at the initial state: {exc}")
     inv0 = invariants(*y)
+    if not all(map(math.isfinite, inv0)):
+        raise NumericalError(f"first integrals {inv0!r} of the initial state {y!r} are not finite")
 
     times = [0.0]
     states = [y]
+    invs = [inv0]
     steps_h = []
     stages = []
     event = None
@@ -564,7 +576,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
     h = _initial_step(rhs, y, f, t_end, rtol, atol)
     steps = 0
     while t < t_end:
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted after {steps} steps")
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -652,9 +664,10 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
             continue
 
         inv1 = invariants(*y_new)
+        # "not <=" so that a NaN counts as a spike
         spike = any(
-            abs(a - b) > _SPIKE_FACTOR * tol * max(1.0, abs(a))
-            for a, b in zip(inv0, inv1)
+            not abs(a - b) <= _SPIKE_FACTOR * tol * max(1.0, abs(a))
+            for a, b in zip(inv0[:watched], inv1)
         )
         if spike:
             h *= 0.5
@@ -664,6 +677,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
         t_new = t + h
         times.append(t_new)
         states.append(y_new)
+        invs.append(inv1)
         if dense:
             steps_h.append(h)
             stages.append((k1, k2, k3, k4, k5, k6, k7))
@@ -682,6 +696,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, dense, max_s
         kappa,
         times,
         states,
+        invs,
         dense=(np.array(steps_h), _dense_coefficients(stages)) if dense else None,
         event=event,
         event_time=event_time,
@@ -719,6 +734,9 @@ def integrate(
         :meth:`Trajectory.state_at` and event queries.  Costs memory on
         long runs; endpoint data is always kept.
 
+    ``Trajectory.invariants`` keeps the (E, J, E_P, I3, I4) the spike guard
+    evaluated at each state (:func:`integrate_separable` keeps (E, i1,
+    i2)); non-finite ones at the start raise :class:`NumericalError`.
     A radial fall that reaches the collision radius truncates the
     trajectory and records the ``collision`` event instead of raising.
     """
@@ -728,14 +746,14 @@ def integrate(
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     sc = _sincos(kappa)
-    integrals = partial(_first_integrals, sc, kappa, params.k)
     return _integrate_adaptive(
         partial(_kepler_rhs, sc, params.k),
         state0,
         t_end,
         tol,
         kappa,
-        lambda *y: integrals(*y)[:2],  # the spike guard watches (E, J)
+        partial(_first_integrals, sc, kappa, params.k),
+        2,  # the spike guard watches (E, J)
         dense,
     )
 
@@ -777,4 +795,4 @@ def integrate_separable(
         e = _kinetic(s * s * vphi, vr, vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 
-    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, dense)
+    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, 3, dense)

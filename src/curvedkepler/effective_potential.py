@@ -175,10 +175,10 @@ def _radial_roots(kap: float, k: float, j: float, e: float):
     return j2 / k, root / k, u_per, (kap - 2.0 * e / j2) / u_per
 
 
-def _near(value: float, landmark: float, rtol: float = LANDMARK_RTOL) -> bool:
+def _near(value: float, landmark: float) -> bool:
     """Whether value lies in the band where classify_orbit reports the
     landmark's boundary class."""
-    return abs(value - landmark) <= rtol * max(1.0, abs(landmark))
+    return abs(value - landmark) <= LANDMARK_RTOL * max(1.0, abs(landmark))
 
 
 def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
@@ -241,13 +241,11 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
     return [r for r, _ in pairs]
 
 
-def classify_orbit(
-    kappa, k: float, j: float, e: float, landmark_rtol: float = LANDMARK_RTOL
-) -> OrbitClass:
+def classify_orbit(kappa, k: float, j: float, e: float) -> OrbitClass:
     """Qualitative orbit class of an (energy, angular momentum) pair.
 
     Classification is purely by landmark energies.  Energies within
-    ``landmark_rtol`` (relative) of a landmark get the boundary class;
+    ``LANDMARK_RTOL`` (relative) of a landmark get the boundary class;
     energies below the attainable range raise InfeasibleError.
     """
     kap, k = _inputs(kappa, k, j, e)
@@ -257,7 +255,7 @@ def classify_orbit(
     crit = _critical(kap, k, j)
     if crit is not None:
         w_m = crit[1]
-        if _near(e, w_m, landmark_rtol):
+        if _near(e, w_m):
             label = OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE
             return OrbitClass(label, bounded=True)
         if e < w_m:
@@ -270,14 +268,14 @@ def classify_orbit(
         # it sits relative to the equator, i.e. by the sign of the
         # partial energy e_p = e - kappa j^2 / 2
         e_p = e - 0.5 * kap * j * j
-        if abs(e_p) <= landmark_rtol * max(1.0, 0.5 * kap * j * j, abs(e)):
+        if abs(e_p) <= LANDMARK_RTOL * max(1.0, 0.5 * kap * j * j, abs(e)):
             return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_EQUATORIAL, True)
         if e_p < 0.0:
             return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_SUB, True)
         return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_SUPER, True)
 
     if kap == 0.0:
-        if _near(e, 0.0, landmark_rtol) or e == 0.0:
+        if _near(e, 0.0) or e == 0.0:
             return OrbitClass(OrbitLabel.FLAT_PARABOLA, bounded=False)
         if e < 0.0:
             return OrbitClass(OrbitLabel.FLAT_ELLIPSE, bounded=True)
@@ -293,7 +291,7 @@ def classify_orbit(
                 f"(plateau {e_inf!r})"
             )
         return OrbitClass(OrbitLabel.HYP_OPEN, bounded=False)
-    if _near(e, e_inf, landmark_rtol):
+    if _near(e, e_inf):
         return OrbitClass(OrbitLabel.HYP_HOROELLIPSE, bounded=False)
     if e < e_inf:
         return OrbitClass(OrbitLabel.HYP_ELLIPSE, bounded=True)

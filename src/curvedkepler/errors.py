@@ -40,3 +40,7 @@ class InfeasibleError(CurvedKeplerError):
 
 class StiffnessError(CurvedKeplerError):
     """The adaptive step size underflowed; integration cannot continue."""
+
+
+class NumericalError(CurvedKeplerError):
+    """A quantity computed from finite inputs overflowed to inf or NaN."""

@@ -114,14 +114,13 @@ def _distance(k: float, p1: PolarPoint, p2: PolarPoint) -> float:
 def to_ambient(kappa, p: PolarPoint) -> AmbientPoint:
     """Embed a polar point into the ambient model of the surface."""
     k = curvature_value(kappa)
-    r = check_radius(k, p.r)
+    return AmbientPoint(*_ambient(k, check_radius(k, p.r), p.phi))
+
+
+def _ambient(k: float, r: float, phi: float) -> tuple[float, float, float]:
     s = _sin(k, r)
-    x = s * math.cos(p.phi)
-    y = s * math.sin(p.phi)
-    if k == 0.0:
-        return AmbientPoint(x, y, 0.0)
-    z = _cos(k, r) / math.sqrt(abs(k))
-    return AmbientPoint(x, y, z)
+    z = 0.0 if k == 0.0 else _cos(k, r) / math.sqrt(abs(k))
+    return (s * math.cos(phi), s * math.sin(phi), z)
 
 
 def from_ambient(kappa, a: AmbientPoint) -> PolarPoint:
@@ -153,5 +152,9 @@ def to_poincare_disk(kappa, p: PolarPoint) -> tuple[float, float]:
     k = curvature_value(kappa)
     if k >= 0.0:
         raise DomainError("the Poincare disk chart needs kappa < 0")
-    rho = math.tanh(0.5 * math.sqrt(-k) * p.r)
-    return (rho * math.cos(p.phi), rho * math.sin(p.phi))
+    return _poincare(k, p.r, p.phi)
+
+
+def _poincare(k: float, r: float, phi: float) -> tuple[float, float]:
+    rho = math.tanh(0.5 * math.sqrt(-k) * r)
+    return (rho * math.cos(phi), rho * math.sin(phi))

@@ -406,6 +406,23 @@ def test_simulate_infeasible_elements_exit_3(capsys):
     assert "infeasible" in err
 
 
+def test_simulate_non_finite_invariants_exit_4_and_write_nothing(capsys):
+    # r starts near 2.5e244: sin_k(r)**2 overflows and v_phi underflows
+    # to 0, so J = sin_k(r)**2 v_phi is NaN; the drift footer used to
+    # read 0 and the run exited 0
+    code, out, err = run_cli(
+        capsys,
+        [
+            "simulate",
+            "--kappa=0", "--k=4.0166038089235546e-261",
+            "--elements=0,1e-8,0", "--t-end=1e-9", "--tol=1e-9",
+        ],
+    )
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "not finite" in err
+
+
 # ----------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------
@@ -554,6 +571,17 @@ def test_scan_out_of_range_grid_exit_2(capsys):
     assert code == EXIT_CONFIG
     code2, _, _ = scan(capsys, ["--kappa", "0", "--k", "1", "--J", "1", "--r-min", "0"])
     assert code2 == EXIT_CONFIG
+
+
+def test_scan_failing_midway_writes_nothing(capsys):
+    # the first grid row is W = inf; the second overflows
+    code, out, err = scan(
+        capsys,
+        ["--kappa=-1e300", "--k=3.14159", "--J=-1", "--r-min=1e-300", "--r-max=1e-8", "--steps=9"],
+    )
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "numerical failure" in err
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,13 @@ from curvedkepler.dynamics import (
     runge_lenz,
     separable_integrals,
 )
-from curvedkepler.errors import InfeasibleError, SingularityError
+from curvedkepler.errors import (
+    CurvedKeplerError,
+    InfeasibleError,
+    NumericalError,
+    SingularityError,
+    StiffnessError,
+)
 from curvedkepler.geometry import PolarPoint
 from curvedkepler.ktrig import cos_k, sin_k
 
@@ -507,6 +513,45 @@ def test_integrate_conserved_drift_ten_radial_periods(kappa, k, state):
         assert abs(b - a) < 1e-9 * max(1.0, abs(a)), name
 
 
+@pytest.mark.parametrize(
+    "kappa,k,state", DRIFT_CASES + [(1.0, 1.0, PhaseState(1.0, 0.0, 0.0, 0.0))]
+)
+def test_invariants_record_equals_conserved_set_bit_for_bit(kappa, k, state):
+    params = KeplerParams(kappa, k)
+    traj = integrate(state, params, 5.0, tol=1e-11, dense=False)
+    assert traj.invariants.shape == (len(traj), 5)
+    for row, inv in zip(traj.states.tolist(), traj.invariants.tolist()):
+        cs = ConservedSet.from_state(PhaseState(*row), params)
+        assert inv == [cs.e, cs.j, cs.e_p, cs.i3, cs.i4]
+
+
+def test_integrate_refuses_non_finite_initial_invariants():
+    # sin_k(r)**2 overflows and v_phi is 0, so J = sin_k(r)**2 v_phi is NaN
+    state = PhaseState(2.489665517366521e244, 0.0, 0.0, 0.0)
+    with pytest.raises(NumericalError):
+        integrate(state, KeplerParams(0.0, 4.0166038089235546e-261), 1e-9)
+
+
+def test_integrate_extreme_first_step_raises_a_package_error():
+    # the step-size estimate divides by a trial step that rounds to 0
+    with pytest.raises(CurvedKeplerError):
+        integrate(PhaseState(1e-150, 0.0, 0.0, 1e300), KeplerParams(-1.0, 1.0), 0.05)
+
+
+def test_spike_guard_rejects_a_nan_invariant():
+    # F is NaN inside r = 0.5 while dF/dr stays finite, so only the
+    # watched energy can stop the fall from stepping below r = 0.5
+    def f(r):
+        return -1.0 / r if r >= 0.5 else math.nan
+
+    def zero(phi):
+        return 0.0
+
+    state = PhaseState(1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(StiffnessError):
+        integrate_separable(0.0, state, f, lambda r: 1.0 / (r * r), zero, zero, 2.0)
+
+
 def test_integrate_dense_matches_nodes():
     params = KeplerParams(1.0, 1.0)
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
@@ -701,6 +746,9 @@ def test_integrate_separable_conserves_split_integrals(kappa, k, state):
 
     traj = integrate_separable(kappa, state, f, df, g, dg, 20.0, tol=1e-11)
     assert traj.event is None
+    assert traj.invariants.shape == (len(traj), 3)
+    for row, (_, i1, i2) in zip(traj.states.tolist(), traj.invariants.tolist()):
+        assert (i1, i2) == separable_integrals(kappa, PhaseState(*row), f, g)
     i1_0, i2_0 = separable_integrals(kappa, state, f, g)
     i1_1, i2_1 = separable_integrals(kappa, traj.final_state(), f, g)
     assert abs(i1_1 - i1_0) < 1e-9 * max(1.0, abs(i1_0))

@@ -14,7 +14,7 @@ import math
 import pytest
 
 import curvedkepler as ck
-from curvedkepler import ktrig
+from curvedkepler import cli, geometry, ktrig
 
 MODULES = ("ktrig", "geometry", "dynamics", "effective_potential", "conics", "orbit", "cli")
 
@@ -137,3 +137,54 @@ def test_bounded_turning_points_check_kappa_exactly_once(checks):
     assert checks(ck.turning_points, -1.0, 1.0, 0.8, -1.05) == 1
     r_per, r_apo = ck.turning_points(-1.0, 1.0, 0.8, -1.05)
     assert 0.0 < r_per < r_apo < math.inf
+
+
+# argv of one CLI run, then two values of its last flag: few and many rows
+CLI_RUNS = {
+    "simulate ambient": (
+        ["simulate", "--kappa", "-1", "--k", "4", "--state", "0.8,0,0,2.2",
+         "--chart", "ambient", "--t-end"],
+        "0.5", "5",
+    ),
+    "simulate poincare_disk": (
+        ["simulate", "--kappa", "-1", "--k", "4", "--state", "0.8,0,0,2.2",
+         "--chart", "poincare_disk", "--output", "json", "--t-end"],
+        "0.5", "5",
+    ),
+    "conic ambient": (
+        ["conic", "--kappa", "-1", "--d", "0.5", "--ecc", "3", "--chart", "ambient", "--phi-steps"],
+        "8", "64",
+    ),
+    "conic family": (
+        ["conic", "--kappa", "-1", "--periastron", "0.55", "--chart", "ambient", "--phi-steps"],
+        "8", "64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_checks_do_not_grow_with_rows(checks, monkeypatch, capsys, name):
+    # the chart columns and the invariants come from private formulas
+    # and the integrator's record, not from one validating call per row
+    radius = [0]
+    real = geometry.check_interior_radius
+
+    def counted(kappa, r):
+        radius[0] += 1
+        return real(kappa, r)
+
+    for mod_name in MODULES:
+        mod = importlib.import_module(f"curvedkepler.{mod_name}")
+        if hasattr(mod, "check_interior_radius"):
+            monkeypatch.setattr(mod, "check_interior_radius", counted)
+
+    argv, few, many = CLI_RUNS[name]
+
+    def run(last):
+        radius[0] = 0
+        kappa_checks = checks(cli.main, [*argv, last])
+        return kappa_checks, radius[0], len(capsys.readouterr().out)
+
+    small, large = run(few), run(many)
+    assert large[2] > 2 * small[2]
+    assert large[:2] == small[:2]
