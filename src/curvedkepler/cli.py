@@ -60,20 +60,22 @@ def _comment(fields) -> str:
     return "# " + _template(fields).format(*fields) + "\n"
 
 
-def _write_csv(out, meta, columns, rows, footer=()) -> None:
-    """Write one CSV table: the schema line, a ``# `` line per metadata
-    tuple, the column names, the rows and a ``# `` line per footer tuple.
+def _csv(meta, columns, rows, footer=()) -> str:
+    """One CSV table: the schema line, a ``# `` line per metadata tuple,
+    the column names, the rows and a ``# `` line per footer tuple.
 
-    Callers compute every row before calling, so a command that fails
-    writes nothing.  The first row's field types set the template of
-    every row.
+    The first row's field types set the template of every row.
     """
-    out.writelines(map(_comment, [("schema", SCHEMA_VERSION), *meta]))
-    out.write(",".join(columns) + "\n")
+    lines = [*map(_comment, [("schema", SCHEMA_VERSION), *meta]), ",".join(columns) + "\n"]
     if rows:
         line = _template(rows[0]) + "\n"
-        out.writelines(line.format(*row) for row in rows)
-    out.writelines(map(_comment, footer))
+        lines += (line.format(*row) for row in rows)
+    lines += map(_comment, footer)
+    return "".join(lines)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _require(cond: bool, message: str) -> None:
@@ -264,7 +266,8 @@ def _resolve_initial(config: RunConfig) -> PhaseState:
 # ----------------------------------------------------------------------
 
 
-def cmd_simulate(config: RunConfig, out) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
+    config = _merge_run_config(args)
     params = KeplerParams(config.kappa, config.k)
     traj = integrate(_resolve_initial(config), params, config.t_end, tol=config.tol, dense=False)
 
@@ -286,27 +289,26 @@ def cmd_simulate(config: RunConfig, out) -> int:
     if traj.event is not None:
         event = {"kind": traj.event, "t": float(traj.event_time)}
 
+    code = EXIT_INFEASIBLE if event is not None else EXIT_OK
     if config.output == "csv":
         footer = [("drift", *chain.from_iterable(drift.items()))]
         if event is not None:
             footer.append(("event", event["kind"], "t", event["t"]))
         meta = [("kappa", config.kappa, "k", config.k), ("t_end", config.t_end, "tol", config.tol)]
-        _write_csv(out, meta, columns, rows, footer)
-    else:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kappa": float(config.kappa),
-            "k": float(config.k),
-            "t_end": float(config.t_end),
-            "tol": float(config.tol),
-            "chart": config.chart,
-            "columns": columns,
-            "rows": rows,
-            "drift": drift,
-            "event": event,
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    return EXIT_INFEASIBLE if event is not None else EXIT_OK
+        return code, _csv(meta, columns, rows, footer)
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kappa": float(config.kappa),
+        "k": float(config.k),
+        "t_end": float(config.t_end),
+        "tol": float(config.tol),
+        "chart": config.chart,
+        "columns": columns,
+        "rows": rows,
+        "drift": drift,
+        "event": event,
+    }
+    return code, _json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -354,10 +356,9 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
     return record
 
 
-def cmd_classify(kappa: float, k: float, j: float, e: float, out) -> int:
-    record = classify_record(kappa, _config_checked(check_coupling, k), j, e)
-    print(json.dumps(record, indent=2), file=out)
-    return EXIT_OK
+def cmd_classify(args) -> tuple[int, str]:
+    k = _config_checked(check_coupling, args.k)
+    return EXIT_OK, _json(classify_record(args.kappa, k, args.j, args.e))
 
 
 # ----------------------------------------------------------------------
@@ -365,9 +366,12 @@ def cmd_classify(kappa: float, k: float, j: float, e: float, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_potential_scan(kap, k, j, r_lo, r_hi, steps, out) -> int:
-    k = _config_checked(check_coupling, k)
+def cmd_potential_scan(args) -> tuple[int, str]:
+    kap, j, r_lo, r_hi, steps = args.kappa, args.j, args.r_min, args.r_max, args.steps
+    k = _config_checked(check_coupling, args.k)
     limit = _chart_limit(kap)
+    if r_hi is None:
+        r_hi = 0.9 * limit if kap > 0.0 else 5.0
     _require(
         0.0 < r_lo < r_hi < limit,
         f"need 0 < r_min < r_max < {limit!r}, got [{r_lo!r}, {r_hi!r}]",
@@ -383,8 +387,7 @@ def cmd_potential_scan(kap, k, j, r_lo, r_hi, steps, out) -> int:
     meta += [("zero_crossing", crossing) for crossing in prof.zero_crossings]
     if kap < 0.0:
         meta.append(("e_infinity", prof.e_infinity, "j_infinity", prof.j_infinity))
-    _write_csv(out, meta, ("r", "w"), rows)
-    return EXIT_OK
+    return EXIT_OK, _csv(meta, ("r", "w"), rows)
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +417,7 @@ def _family_specimens(fam) -> list[tuple[str, float]]:
     ]
 
 
-def cmd_conic(args, out) -> int:
+def cmd_conic(args) -> tuple[int, str]:
     kap = args.kappa
     _check_chart(args.chart, kap)
     _require(args.phi_steps >= 8, f"need at least 8 angles, got {args.phi_steps!r}")
@@ -437,28 +440,26 @@ def cmd_conic(args, out) -> int:
                  "d_horohyperbola", fam.d_horohyperbola),
             ]
             rows = [(label, ecc, *row) for label, ecc, sampled in specimens for row in sampled]
-            _write_csv(out, meta, ("label", "ecc", "phi", "r") + chart_names, rows)
-        else:
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "kappa": float(kap),
-                "r_per": float(args.periastron),
-                "landmarks": {
-                    "d_circle": float(fam.d_circle),
-                    "d_horoellipse": float(fam.d_horoellipse),
-                    "d_horohyperbola": float(fam.d_horohyperbola),
-                    "ecc_horoellipse": float(fam.ecc_horoellipse),
-                    "ecc_horohyperbola": float(fam.ecc_horohyperbola),
-                    "ecc_equiparabola": float(fam.ecc_equiparabola),
-                },
-                "columns": ["phi", "r", *chart_names],
-                "specimens": [
-                    {"label": label, "ecc": float(ecc), "rows": sampled}
-                    for label, ecc, sampled in specimens
-                ],
-            }
-            print(json.dumps(doc, indent=2), file=out)
-        return EXIT_OK
+            return EXIT_OK, _csv(meta, ("label", "ecc", "phi", "r") + chart_names, rows)
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "kappa": float(kap),
+            "r_per": float(args.periastron),
+            "landmarks": {
+                "d_circle": float(fam.d_circle),
+                "d_horoellipse": float(fam.d_horoellipse),
+                "d_horohyperbola": float(fam.d_horohyperbola),
+                "ecc_horoellipse": float(fam.ecc_horoellipse),
+                "ecc_horohyperbola": float(fam.ecc_horohyperbola),
+                "ecc_equiparabola": float(fam.ecc_equiparabola),
+            },
+            "columns": ["phi", "r", *chart_names],
+            "specimens": [
+                {"label": label, "ecc": float(ecc), "rows": sampled}
+                for label, ecc, sampled in specimens
+            ],
+        }
+        return EXIT_OK, _json(doc)
 
     _require(args.d is not None and args.ecc is not None, "give --d and --ecc (or --periastron)")
     _require(args.d > 0.0, f"size d must be > 0, got {args.d!r}")
@@ -472,21 +473,19 @@ def cmd_conic(args, out) -> int:
             ("kappa", kap, "d", args.d, "ecc", args.ecc),
             ("family", spec.family.value, "label", conic_type.label.value, higgs),
         ]
-        _write_csv(out, meta, ("phi", "r") + chart_names, rows)
-    else:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kappa": float(kap),
-            "d": float(args.d),
-            "ecc": float(args.ecc),
-            "family": spec.family.value,
-            "label": conic_type.label.value,
-            "higgs": conic_type.higgs,
-            "columns": ["phi", "r", *chart_names],
-            "rows": rows,
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    return EXIT_OK
+        return EXIT_OK, _csv(meta, ("phi", "r") + chart_names, rows)
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kappa": float(kap),
+        "d": float(args.d),
+        "ecc": float(args.ecc),
+        "family": spec.family.value,
+        "label": conic_type.label.value,
+        "higgs": conic_type.higgs,
+        "columns": ["phi", "r", *chart_names],
+        "rows": rows,
+    }
+    return EXIT_OK, _json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +493,8 @@ def cmd_conic(args, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_trig_check(pairs: int, seed: int, out) -> int:
+def cmd_trig_check(args) -> tuple[int, str]:
+    pairs, seed = args.pairs, args.seed
     _require(pairs > 0, f"need a positive pair count, got {pairs!r}")
     rng = np.random.default_rng(seed)
     max_identity = 0.0
@@ -525,8 +525,7 @@ def cmd_trig_check(pairs: int, seed: int, out) -> int:
         "tolerance": TRIG_CHECK_TOL,
         "ok": ok,
     }
-    print(json.dumps(doc, indent=2), file=out)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return (EXIT_OK if ok else EXIT_NUMERICAL), _json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -553,6 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--output", choices=OUTPUT_FORMATS)
     sim.add_argument("--chart", choices=CHARTS)
     sim.add_argument("--out", help="output file (default stdout)")
+    sim.set_defaults(run=cmd_simulate)
 
     cls = sub.add_parser("classify", help="classify one (kappa, k, J, E) pair")
     cls.add_argument("--kappa", type=_finite_flag, required=True)
@@ -560,6 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--J", dest="j", type=_finite_flag, required=True)
     cls.add_argument("--E", dest="e", type=_finite_flag, required=True)
     cls.add_argument("--out")
+    cls.set_defaults(run=cmd_classify)
 
     scan = sub.add_parser("potential-scan", help="sample the effective potential")
     scan.add_argument("--kappa", type=_finite_flag, required=True)
@@ -569,6 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--r-max", dest="r_max", type=_finite_flag, default=None)
     scan.add_argument("--steps", type=int, default=200)
     scan.add_argument("--out")
+    scan.set_defaults(run=cmd_potential_scan)
 
     con = sub.add_parser("conic", help="sample a conic or a periastron family")
     con.add_argument("--kappa", type=_finite_flag, required=True)
@@ -583,42 +585,36 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--chart", choices=CHARTS, default="polar")
     con.add_argument("--output", choices=OUTPUT_FORMATS, default="csv")
     con.add_argument("--out")
+    con.set_defaults(run=cmd_conic)
 
     trig = sub.add_parser("trig-check", help="randomized trig-kernel self-test")
     trig.add_argument("--pairs", type=int, default=100_000)
     trig.add_argument("--out")
+    trig.set_defaults(run=cmd_trig_check)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; write its output only once it has returned, so
+    a failed run prints nothing and leaves an existing ``--out`` file as it was."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy takes only non-negative seeds
+            parser.error(f"argument --seed: seed must be >= 0, got {args.seed}")
     except SystemExit as exc:  # argparse exits on bad flags (and on --help)
         return EXIT_OK if not exc.code else EXIT_CONFIG
-    out = sys.stdout
-    opened = None
-    if getattr(args, "out", None):
-        try:
-            opened = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        out = opened
     try:
-        if args.command == "simulate":
-            config = _merge_run_config(args)
-            return cmd_simulate(config, out)
-        if args.command == "classify":
-            return cmd_classify(args.kappa, args.k, args.j, args.e, out)
-        if args.command == "potential-scan":
-            r_max = args.r_max
-            if r_max is None:
-                r_max = 0.9 * _chart_limit(args.kappa) if args.kappa > 0.0 else 5.0
-            return cmd_potential_scan(args.kappa, args.k, args.j, args.r_min, r_max, args.steps, out)
-        if args.command == "conic":
-            return cmd_conic(args, out)
-        return cmd_trig_check(args.pairs, args.seed, out)
+        code, text = args.run(args)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(str(exc)) from None
+        else:
+            sys.stdout.write(text)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -632,9 +628,6 @@ def main(argv=None) -> int:
         # divides by zero (say j**2 underflowing to 0)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

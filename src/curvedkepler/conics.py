@@ -439,10 +439,10 @@ def sample_conic(spec: ConicSpec, phi_grid) -> list[PolarPoint]:
     asym = math.sqrt(-kap) if kap < 0.0 else 0.0
     out = []
     for phi in phi_grid:
-        phi = float(phi)
+        phi = _check_finite(phi)
         u = (1.0 + spec.ecc * math.cos(phi)) / d
         if kap <= 0.0 and u <= asym:
             continue
-        # u is unbounded for an infinite ecc or a non-finite angle
+        # u overflows for a huge ecc or a tiny d
         out.append(PolarPoint(_acot(kap, _check_finite(u)), phi))
     return out

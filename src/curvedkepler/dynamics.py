@@ -29,7 +29,7 @@ from .errors import (
     SingularityError,
     StiffnessError,
 )
-from .geometry import PolarPoint, check_interior_radius
+from .geometry import PolarPoint, check_interior_radius, check_radius
 from .ktrig import _atan, _chart_limit, _check_finite, _cos, _sin, _sincos, curvature_value
 
 COLLISION_RADIUS = 1e-10
@@ -192,7 +192,9 @@ def eom_rhs(state: PhaseState, params: KeplerParams):
 
 def momenta(kappa, state: PhaseState) -> Momenta:
     """Noether momenta P1, P2 and the angular momentum J = sin_k(r)^2 v_phi."""
-    s, c = _sincos(curvature_value(kappa))(state.r)
+    kappa = curvature_value(kappa)
+    # check_radius admits r = 0, where the momenta are regular
+    s, c = _sincos(kappa)(check_radius(kappa, state.r))
     cphi, sphi = math.cos(state.phi), math.sin(state.phi)
     return Momenta(*_momenta(s, c, cphi, sphi, state.v_r, state.v_phi))
 
@@ -203,7 +205,7 @@ def kinetic_energy(kappa, state: PhaseState) -> float:
 
 
 def _state_kinetic(kappa: float, state: PhaseState) -> float:
-    s = _sincos(kappa)(state.r)[0]
+    s = _sin(kappa, check_radius(kappa, state.r))
     return _kinetic(s * s * state.v_phi, state.v_r, state.v_phi)
 
 

@@ -227,6 +227,8 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
 
     tol = 1e-11 * max(1.0, abs(e))
     for r, u in pairs:
+        if not math.isfinite(r):  # on the plane r = 1/u is inf for u < 1/max_float
+            raise DomainError(f"turning point at u={u!r} has no finite radius, got r={r!r}")
         residual = _w(kap, k, j, r) - e
         if abs(residual) >= tol:
             # the roots are exact in u; near the antipode of a nearly flat

@@ -580,7 +580,7 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
         lo[todo], hi[todo] = lo_k, hi_k
         todo = todo[~done]
     if todo.size:
-        raise CurvedKeplerError(f"anomaly inverse did not converge for G = {target[todo[0]]!r}")
+        raise CurvedKeplerError(f"anomaly inverse did not converge for G = {float(target[todo[0]])!r}")
     return np.copysign(theta, s), turns
 
 
@@ -603,7 +603,7 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
     kap = curvature_value(kappa)
     ts = np.asarray(t, dtype=float).reshape(-1)
     if not np.isfinite(ts).all():
-        raise DomainError(f"propagate needs finite times, got {ts[~np.isfinite(ts)][0]!r}")
+        raise DomainError(f"propagate needs finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
     j, d, ecc = oc.conserved.j, oc.d, oc.ecc
     theta, turns = _anomaly(oc, kap, (j / (d * d)) * ts)
     sin = np.sin(theta)
@@ -640,7 +640,7 @@ def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
     """
     kap = curvature_value(kappa)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    t0, t1 = trajectory.times[0], trajectory.t_end
+    t0, t1 = float(trajectory.times[0]), float(trajectory.t_end)
     if not ((ts >= t0) & (ts <= t1)).all():
         raise DomainError(
             f"requested times leave the integrated span [{t0!r}, {t1!r}]"

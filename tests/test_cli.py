@@ -270,6 +270,39 @@ def test_simulate_out_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, expected_code, writes",
+    [
+        # fails midway through the rows
+        (["potential-scan", "--kappa=-1e300", "--k=3.14159", "--J=-1", "--r-min=1e-300",
+          "--r-max=1e-8", "--steps=9"], EXIT_NUMERICAL, False),
+        # a configuration error found after the flags parsed
+        (["simulate", "--kappa", "1", "--k", "0", "--elements=-0.3,0.8,0", "--t-end", "2"],
+         EXIT_CONFIG, False),
+        # a radial drop ends in a collision, and its table is still written
+        (["simulate", "--kappa", "1", "--k", "1", "--elements=-0.5,0,0", "--t-end", "5"],
+         EXIT_INFEASIBLE, True),
+        (["classify", "--kappa", "0", "--k", "1", "--J", "1", "--E", "-0.3"], EXIT_OK, True),
+    ],
+)
+def test_out_file_is_replaced_only_by_output(capsys, tmp_path, argv, expected_code, writes):
+    code, printed, _ = run_cli(capsys, argv)
+    assert (code, bool(printed)) == (expected_code, writes)
+    target = tmp_path / "f"
+    target.write_bytes(b"old content\n")
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (printed.encode() if writes else b"old content\n")
+
+
+def test_unwritable_out_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "no" / "such" / "dir" / "f"
+    argv = ["classify", "--kappa", "0", "--k", "1", "--J", "1", "--E", "-0.3", "--out", str(missing)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # missing k
@@ -765,3 +798,10 @@ def test_trig_check_is_seed_deterministic(capsys):
 def test_trig_check_rejects_bad_pair_count(capsys):
     code, _, err = run_cli(capsys, ["trig-check", "--pairs", "0"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [["--seed=-1"], ["--seed", "-1"], ["--seed", "x"]])
+def test_trig_check_refuses_a_negative_or_malformed_seed(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "trig-check", "--pairs", "10"])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "argument --seed: " in err and "Traceback" not in err

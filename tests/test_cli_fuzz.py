@@ -1,7 +1,10 @@
 """Fuzz of the command line: any argv or config file ends in an exit code.
 
 ``main`` must map every input, however extreme, to one of the exit
-codes 0, 2, 3 or 4 and print no traceback.  Floats are drawn from the
+codes 0, 2, 3 or 4 and print no traceback.  Each argv runs a second time
+with ``--out`` naming a file that already holds a sentinel: a run that
+printed its output must replace the sentinel with exactly those bytes,
+and a failed run must leave it untouched.  Floats are drawn from the
 finite extremes (1e+-300, 0, -0) as well as ordinary values; counts and
 ``t_end`` stay small so that each example runs in milliseconds.
 """
@@ -32,11 +35,24 @@ FUZZ = settings(
 )
 
 
+SENTINEL = b"old content\n"
+
+
 def assert_exits_cleanly(capsys, argv):
     code = main(argv)
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with open(path, "wb") as fh:
+            fh.write(SENTINEL)
+        assert main([*argv, f"--out={path}"]) == code, argv
+        assert capsys.readouterr().out == ""
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == (printed.encode() if code == 0 or printed else SENTINEL), argv
 
 
 def flags(**values):
@@ -87,7 +103,8 @@ def test_conic(capsys, kappa, size, phi_steps, chart, output):
 
 
 @FUZZ
-@given(pairs=st.integers(-2, 20), seed=st.integers(0, 2**32))
+@given(pairs=st.integers(-2, 20), seed=st.integers(-(2**32), 2**32))
+@example(pairs=10, seed=-1)
 def test_trig_check(capsys, pairs, seed):
     assert_exits_cleanly(capsys, [f"--seed={seed}", "trig-check", f"--pairs={pairs}"])
 

@@ -9,6 +9,7 @@ bounded or open from the landmark energies alone.
 
 import math
 import random
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from curvedkepler.effective_potential import (
     turning_points,
     w_eff,
 )
-from curvedkepler.errors import CurvedKeplerError
+from curvedkepler.errors import CurvedKeplerError, DomainError
 
 CURVATURES = [1.0, -1.0, 1e-6, -1e-6, 0.0]
 ROOT_RTOL = 1e-12
@@ -49,6 +50,24 @@ def _cot_k_mp(kap, r):
 def _w_mp(kappa, k, j, r):
     kap, u = mpf(kappa), _cot_k_mp(mpf(kappa), r)
     return -mpf(k) * u + mpf(j) ** 2 / 2 * (u * u + kap)
+
+
+def _acot_k_mp(kap, u):
+    if kap > 0:
+        c = mp.sqrt(kap)
+        return mp.acot(u / c) / c
+    if kap < 0:
+        c = mp.sqrt(-kap)
+        return mp.acoth(u / c) / c
+    return 1 / u
+
+
+def _radial_stop_beyond_float_range(kappa, k, j, e):
+    """Whether the exact radial stop radius, cot_k(r) = -e/k, is not a float."""
+    if j != 0.0 or -e / k <= 0.0:
+        return False
+    with mp.workdps(40):
+        return _acot_k_mp(mpf(kappa), -mpf(e) / mpf(k)) > sys.float_info.max
 
 
 def _oracle_root(kappa, k, j, e, guess):
@@ -125,11 +144,16 @@ def radial_cases(draw):
 @example((0.0, 1.0, 0.0, -0.5))
 @example((-1.0, 1.0, 0.0, -2.0))
 @example((-1.0, 1.0, 0.0, -1.0))  # radial on the plateau: never stops
+@example((0.0, 1.0, 0.0, -5e-324))  # radial stop at k/|E|, beyond float range
 @settings(max_examples=400, deadline=None)
 def test_turning_points_match_mpmath_oracle(case):
     kappa, k, j, e = case
     try:
         roots = turning_points(kappa, k, j, e)
+    except DomainError:
+        # a root that exists but has no double-precision radius
+        assert _radial_stop_beyond_float_range(kappa, k, j, e)
+        return
     except CurvedKeplerError:
         # the known limit (see the residual-failure test below): only a
         # super-equatorial apoastron near the antipode of a nearly flat

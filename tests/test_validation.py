@@ -15,6 +15,7 @@ import pytest
 
 import curvedkepler as ck
 from curvedkepler import cli, geometry, ktrig
+from curvedkepler.errors import DomainError
 
 MODULES = ("ktrig", "geometry", "dynamics", "effective_potential", "conics", "orbit", "cli")
 
@@ -188,3 +189,43 @@ def test_cli_checks_do_not_grow_with_rows(checks, monkeypatch, capsys, name):
     small, large = run(few), run(many)
     assert large[2] > 2 * small[2]
     assert large[:2] == small[:2]
+
+
+# a radius past the antipode, or below zero, is refused by every public
+# function that takes a state, as eom_rhs and runge_lenz already did;
+# the origin stays allowed where the quantity is regular there
+RADIUS_OUT_OF_RANGE = {
+    "momenta past the antipode": lambda: ck.momenta(1.0, ck.PhaseState(4.0, 0, 0, 0)),
+    "kinetic_energy below zero": lambda: ck.kinetic_energy(1.0, ck.PhaseState(-4.0, 0, 0, 1.0)),
+    "energy with a potential": lambda: ck.energy(
+        ck.PhaseState(4.0, 0, 0, 1), ck.KeplerParams(1, 1), potential=lambda r: 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_OUT_OF_RANGE))
+def test_state_radius_is_checked(name):
+    with pytest.raises(DomainError, match="radius"):
+        RADIUS_OUT_OF_RANGE[name]()
+
+
+def test_momenta_and_kinetic_energy_allow_the_origin():
+    state = ck.PhaseState(0.0, 0.3, 1.0, 2.0)
+    assert ck.momenta(1.0, state) == ck.Momenta(math.cos(0.3), math.sin(0.3), 0.0)
+    assert ck.kinetic_energy(-1.0, state) == 0.5
+
+
+def test_sample_conic_refuses_a_non_finite_angle():
+    spec = ck.conic_from_dynamics(-1.0, 0.5, 0.3)
+    for phi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            ck.sample_conic(spec, [phi])
+
+
+def test_orbit_errors_print_plain_floats():
+    oc = ORBIT[-1.0]
+    traj = ck.integrate(STATE, PARAMS[-1.0], 3.0)
+    with pytest.raises(DomainError, match=r"span \[0\.0, 3\.0\]$"):
+        ck.phi_from_time(oc, -1.0, [0.0, 5.0], traj)
+    with pytest.raises(DomainError, match=r"got nan$"):
+        ck.propagate(oc, -1.0, [0.0, math.nan])
