@@ -19,7 +19,7 @@ from enum import Enum
 
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .geometry import PolarPoint, _distance
-from .ktrig import _acot, _atan, _chart_limit, _check_finite, _cos, _sin, _tan, curvature_value
+from .ktrig import _acot, _atan, _chart_limit, _check_finite, _cos, _cot_floor, _sin, _tan, curvature_value
 
 #: relative half-width of the measure-zero classification boundaries
 BOUNDARY_RTOL = 1e-10
@@ -436,13 +436,12 @@ def sample_conic(spec: ConicSpec, phi_grid) -> list[PolarPoint]:
     """
     kap = spec.kappa
     d = spec.d
-    asym = math.sqrt(-kap) if kap < 0.0 else 0.0
+    floor = _cot_floor(kap)
     out = []
     for phi in phi_grid:
         phi = _check_finite(phi)
-        u = (1.0 + spec.ecc * math.cos(phi)) / d
-        if kap <= 0.0 and u <= asym:
-            continue
         # u overflows for a huge ecc or a tiny d
-        out.append(PolarPoint(_acot(kap, _check_finite(u)), phi))
+        u = _check_finite((1.0 + spec.ecc * math.cos(phi)) / d)
+        if u > floor:
+            out.append(PolarPoint(_acot(kap, u), phi))
     return out

@@ -228,9 +228,8 @@ def killing_fields(kappa, p: PolarPoint):
     angular components blow up.
     """
     k = curvature_value(kappa)
-    if p.r == 0.0:
-        raise SingularityError("Killing fields in polar components need r > 0")
-    cot = _cos(k, p.r) / _sin(k, p.r)
+    r = check_interior_radius(k, p.r)
+    cot = _cos(k, r) / _sin(k, r)
     cphi, sphi = math.cos(p.phi), math.sin(p.phi)
     y1 = (cphi, -cot * sphi)
     y2 = (sphi, cot * cphi)
@@ -275,7 +274,6 @@ def circular_state(params: KeplerParams, j: float, phi: float = 0.0) -> PhaseSta
 # Dormand-Prince 5(4) with dense output
 # ----------------------------------------------------------------------
 
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 _A21 = 1.0 / 5.0
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -580,15 +578,17 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     while t < t_end:
         if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted after {steps} steps")
-        h = min(h, t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h >= t_end - t:
+            # the last step, clipped to the span: it still advances t,
+            # so it is no underflow however small the span is
+            h = t_end - t
+        elif h < 1e-14 * max(1.0, abs(t)):
             if y[0] < _COLLISION_SOFT and y[2] < 0.0:
                 event, event_time = "collision", t
                 break
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
         steps += 1
 
-        bad_stage = False
         try:
             k1 = f
             y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(4))
@@ -626,19 +626,13 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
                 for i in range(4)
             )
             k7 = rhs(*y_new)
+            # the step stands if it is finite and every stage stays inside the chart
+            inside = all(map(math.isfinite, y_new)) and all(
+                0.0 < stage[0] < r_max for stage in (y2, y3, y4, y5, y6, y_new)
+            )
         except (ValueError, OverflowError, ZeroDivisionError):
-            bad_stage = True
-
-        if not bad_stage:
-            stage_rs = (y2[0], y3[0], y4[0], y5[0], y6[0], y_new[0])
-            if any(not math.isfinite(v) for v in y_new) or any(
-                rr <= 0.0 for rr in stage_rs
-            ):
-                bad_stage = True
-            elif r_max < math.inf and any(rr >= r_max for rr in stage_rs):
-                bad_stage = True
-
-        if bad_stage:
+            inside = False
+        if not inside:
             h *= 0.5
             continue
 

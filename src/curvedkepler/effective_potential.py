@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import check_coupling
-from .errors import CurvedKeplerError, DomainError, InfeasibleError
+from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
 from .geometry import check_interior_radius
-from .ktrig import _acot, _atan, _check_finite, _cos, _sin, curvature_value
+from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, curvature_value
 
 #: relative half-width of the bands around landmark energies inside
 #: which classify_orbit reports the boundary class itself
@@ -121,7 +121,11 @@ def _critical(kap: float, k: float, j: float):
     except DomainError:
         # hyperbolic saturation: tan_k never reaches j^2/k
         return None
-    return (r_min, 0.5 * (kap * j * j - (k * k) / (j * j)))
+    w_min = 0.5 * (kap * j * j - (k * k) / (j * j))
+    if not math.isfinite(w_min):
+        # an infinite minimum would pass every band test around it
+        raise NumericalError(f"minimum of W overflows at j={j!r}: w_min = {w_min!r}")
+    return (r_min, w_min)
 
 
 def critical_point(kappa, k: float, j: float):
@@ -187,13 +191,12 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     In u = cot_k(r) the potential is the quadratic
     W(u) = -k u + (j**2/2)(u**2 + kappa), so the roots are closed-form:
     ``_radial_roots`` for j != 0, the linear root u = -e/k for j = 0.
-    A root counts when it lies on the physical branch of acot_k (any u
-    on the sphere, u > 0 on the plane, u > sqrt(-kappa) on the
-    hyperbolic plane); an apoastron within ``_TANGENCY_RTOL`` of the
-    hyperbolic plateau is the plateau itself (the horoellipse, open at
-    infinity).  Off the sphere, an energy inside ``LANDMARK_RTOL`` of the
-    escape energy has no apoastron either, the rule by which
-    classify_orbit labels it a parabola or horoellipse.  Each radius is
+    A root counts when it lies on the physical branch of acot_k; an
+    apoastron within ``_TANGENCY_RTOL`` of the hyperbolic plateau is the
+    plateau itself (the horoellipse, open at infinity).  Off the sphere,
+    an energy inside ``LANDMARK_RTOL`` of the escape energy has no
+    apoastron either, the rule by which classify_orbit labels it a
+    parabola or horoellipse.  Each radius is
     verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|);
     CurvedKeplerError reports a miss.
     """
@@ -220,8 +223,9 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
             # with no apoastron
             us = [u_per]
     if kap <= 0.0:
-        # off the sphere a radius needs u beyond the plateau sqrt(-kappa)
-        us = [u for u in us if u > math.sqrt(-kap) * (1.0 + _TANGENCY_RTOL)]
+        # off the sphere a radius needs u beyond the plateau
+        floor = _cot_floor(kap) * (1.0 + _TANGENCY_RTOL)
+        us = [u for u in us if u > floor]
     # a root that overflowed reports the check acot_k makes of its argument
     pairs = sorted((_acot(kap, _check_finite(u)), u) for u in us)
 

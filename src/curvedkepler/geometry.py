@@ -21,6 +21,8 @@ TWO_PI = 2.0 * math.pi
 def reduce_angle(phi: float) -> float:
     """Reduce an angle to [0, 2*pi).  Trajectories keep phi unreduced so
     winding survives; call this only at comparison boundaries."""
+    if not math.isfinite(phi):
+        raise DomainError(f"angle must be finite, got {phi!r}")
     out = math.fmod(phi, TWO_PI)
     if out < 0.0:
         out += TWO_PI
@@ -51,6 +53,10 @@ class AmbientPoint:
     x: float
     y: float
     z: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise DomainError(f"ambient point must be finite, got {self!r}")
 
 
 def check_radius(kappa: float, r: float) -> float:

@@ -75,6 +75,13 @@ def _chart_limit(k: float) -> float:
     return math.pi / math.sqrt(k) if k > 0 else math.inf
 
 
+def _cot_floor(k: float) -> float:
+    """Infimum of cot_k over the radial chart, its value at the far end:
+    sqrt(-kappa) on the hyperbolic plane, 0 on the plane, -inf on the
+    sphere.  A cotangent u has a radius exactly when u > _cot_floor(k)."""
+    return math.sqrt(-k) if k < 0.0 else 0.0 if k == 0.0 else -math.inf
+
+
 def radial_limit(kappa) -> float:
     """Upper end of the radial chart: pi/sqrt(kappa) on the sphere, inf below."""
     return _chart_limit(curvature_value(kappa))
@@ -203,21 +210,17 @@ def atan_k(kappa, y: float) -> float:
 
 
 def _acot(k: float, u: float) -> float:
+    floor = _cot_floor(k)
+    if u <= floor:
+        raise DomainError(f"acot_k: no radius has cotangent {u!r} <= {floor!r}, the chart's far end")
     if k > 0:
         rk = math.sqrt(k)
         # atan2(1, u/rk) is the principal arccotangent on (0, pi); it is
         # exact for large |u| where pi/2 - atan would cancel.
         return math.atan2(1.0, u / rk) / rk
     if k == 0:
-        if u <= 0.0:
-            raise DomainError(f"acot_k: no flat radius with cotangent {u!r} <= 0")
         return 1.0 / u
-    rk = math.sqrt(-k)
-    if u <= rk:
-        raise DomainError(
-            f"acot_k: cotangent {u!r} does not exceed sqrt(-kappa) = {rk!r}; "
-            "no finite hyperbolic radius"
-        )
+    rk = floor
     if u * u * SERIES_THRESHOLD > -k:
         # |kappa|/u^2 < threshold: the atan_k series applied to 1/u
         w = 1.0 / u
@@ -231,10 +234,9 @@ def acot_k(kappa, u: float) -> float:
     """Radius r on the physical branch with cos_k(r)/sin_k(r) = u.
 
     On the sphere the branch is (0, pi/sqrt(kappa)), continuous through
-    u = 0 (the equator).  On the plane u must be positive, and on the
-    hyperbolic plane u must exceed sqrt(-kappa) (the value at infinite
-    radius); otherwise no radius exists and :class:`DomainError` is
-    raised.
+    u = 0 (the equator).  u must exceed the cotangent at the far end of
+    the chart, sqrt(-kappa) on the hyperbolic plane and 0 on the plane;
+    otherwise no radius exists and :class:`DomainError` is raised.
     """
     return _acot(curvature_value(kappa), _check_finite(u))
 
@@ -259,7 +261,6 @@ def acot_k_array(kappa, u) -> np.ndarray:
     ``SERIES_THRESHOLD``, in the same operation order as :func:`acot_k`;
     elsewhere numpy's arctan2 or log1p, whose last bit can differ from
     the ``math`` module's.  The argument is not validated, so callers
-    pass values on the physical branch (u > 0 on the plane, u > sqrt(-kappa)
-    on the hyperbolic plane).
+    pass values on the physical branch, above ``_cot_floor``.
     """
     return _acot_array(curvature_value(kappa), u)

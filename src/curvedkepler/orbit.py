@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
-from .ktrig import _acot, _acot_array, _check_finite, curvature_value
+from .ktrig import _acot, _acot_array, _check_finite, _cot_floor, curvature_value
 
 #: eccentricities below this are treated as exactly circular
 CIRCULAR_ECC = 1e-13
@@ -93,7 +93,10 @@ def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
 
 def u_closed(oc: OrbitConstants, phi) -> float | np.ndarray:
     """Closed-form cotangent profile u(phi) of the orbit."""
-    out = (1.0 + oc.ecc * np.cos(np.asarray(phi) - oc.phi0)) / oc.d
+    phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
+        raise DomainError(f"polar angle must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
+    out = (1.0 + oc.ecc * np.cos(phi - oc.phi0)) / oc.d
     return float(out) if np.ndim(phi) == 0 else out
 
 
@@ -107,26 +110,18 @@ def orbit_radius(oc: OrbitConstants, kappa, phi: float) -> float | None:
     run off to (or past) infinity yield None.
     """
     kap = curvature_value(kappa)
-    u = float(u_closed(oc, phi))
-    if kap <= 0.0 and u <= (math.sqrt(-kap) if kap < 0.0 else 0.0):
-        return None
-    return _acot(kap, _check_finite(u))
+    # an overflowed u reports the check acot_k makes of its argument
+    u = _check_finite(u_closed(oc, phi))
+    return _acot(kap, u) if u > _cot_floor(kap) else None
 
 
 def binet_residual(oc: OrbitConstants, kappa, phi: float) -> float:
     """d2u/dphi2 + u - k/j**2 for the closed form, by exact differentiation."""
-    dphi = phi - oc.phi0
+    curvature_value(kappa)  # checked although the residual does not use it
+    dphi = _check_finite(phi) - oc.phi0
     d2u = -(oc.ecc / oc.d) * math.cos(dphi)
     u = (1.0 + oc.ecc * math.cos(dphi)) / oc.d
     return d2u + u - 1.0 / oc.d
-
-
-def _u_bounds(oc: OrbitConstants, kap: float):
-    """Physical u-interval of radial motion and the turning anchors."""
-    u_per = oc.u_periastron
-    u_apo = oc.u_apoastron
-    asym = math.sqrt(-kap) if kap < 0.0 else 0.0 if kap == 0.0 else -math.inf
-    return u_per, u_apo, asym
 
 
 # The time law is written once and evaluated through one of two math
@@ -412,7 +407,7 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
     if u_start == u_end:
         return 0.0
     j = abs(oc.conserved.j)
-    u_per, u_apo, asym = _u_bounds(oc, kap)
+    u_per, u_apo, asym = oc.u_periastron, oc.u_apoastron, _cot_floor(kap)
     if oc.ecc < CIRCULAR_ECC:
         raise DomainError("circular orbit: u does not move")
 
@@ -453,8 +448,7 @@ def radial_period(oc: OrbitConstants, kappa) -> float:
     kap = curvature_value(kappa)
     if oc.ecc < CIRCULAR_ECC:
         raise DomainError("circular orbit: radius does not oscillate")
-    _, u_apo, asym = _u_bounds(oc, kap)
-    if u_apo <= asym:
+    if oc.u_apoastron <= _cot_floor(kap):
         raise DomainError("orbit is not radially bounded: no radial period")
     # the apo-to-per leg exactly as time_from_u takes it: from the apoastron
     half = _g_apo(_frame(-oc.ecc, oc.d, kap))
@@ -532,7 +526,6 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     if kap <= 0.0 and fr.c1_sq.real >= 0.0 and fr.c2_sq.real >= 0.0:
         # both partial fractions real with y_A >= 0: the arrays stay real
         fr = fr._make(c.real for c in fr)
-    _, u_apo, asym = _u_bounds(oc, kap)
 
     def rate(theta):
         # X = 1 + ecc cos theta and G' = 1/((X - a)(X + a))
@@ -540,7 +533,7 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
         q, a = fr.q, fr.a
         return q + rise, 1.0 / ((q - a + rise) * (q + a + rise)).real
 
-    if u_apo > asym:
+    if oc.u_apoastron > _cot_floor(kap):
         half = _g_apo(fr)
         turns = np.round(s / (2.0 * half))
         s = s - 2.0 * half * turns
@@ -608,7 +601,7 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
     theta, turns = _anomaly(oc, kap, (j / (d * d)) * ts)
     sin = np.sin(theta)
     u = ((1.0 - ecc) + _rise(ecc, theta)) / d
-    _, _, asym = _u_bounds(oc, kap)
+    asym = _cot_floor(kap)
     # rounding of theta and of u itself
     blur = 2.0 * _HALF_ULP * (np.abs(theta) * ecc * np.abs(sin) / d + u)
     if not (u - asym > blur / _U_RTOL).all():

@@ -456,6 +456,29 @@ def test_simulate_non_finite_invariants_exit_4_and_write_nothing(capsys):
     assert "not finite" in err
 
 
+def test_simulate_span_below_the_underflow_bound(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--kappa", "0", "--k", "1", "--state", "1,0,0,1", "--t-end", "1e-15"],
+    )
+    assert (code, err) == (EXIT_OK, "")
+    _, header, rows = parse_csv(out)
+    assert [float(row[0]) for row in rows] == [0.0, 1e-15]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--kappa", "1", "--k", "1", "--J", "1e-160", "--E", "1e30"],
+        ["potential-scan", "--kappa", "0", "--k", "1", "--J", "1e-160", "--steps", "3"],
+    ],
+)
+def test_overflowing_minimum_of_w_exits_4(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "w_min = -inf" in err
+
+
 # ----------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------

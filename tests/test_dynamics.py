@@ -552,6 +552,16 @@ def test_spike_guard_rejects_a_nan_invariant():
         integrate_separable(0.0, state, f, lambda r: 1.0 / (r * r), zero, zero, 2.0)
 
 
+@pytest.mark.parametrize("t_end", [1e-16, 1e-300])
+def test_integrate_a_span_below_the_underflow_bound(t_end):
+    # the first step is clipped to the span; that is no step-size underflow
+    state = PhaseState(0.8, 0.3, 0.1, 1.2)
+    traj = integrate(state, KeplerParams(1.0, 1.0), t_end)
+    assert traj.times.tolist() == [0.0, t_end]
+    assert traj.states[1].tolist() == pytest.approx(traj.states[0].tolist(), rel=1e-15)
+    assert traj.state_at(0.5 * t_end).r == pytest.approx(0.8, rel=1e-15)
+
+
 def test_integrate_dense_matches_nodes():
     params = KeplerParams(1.0, 1.0)
     state = PhaseState(0.9, 0.0, 0.1, 1.2)

@@ -19,7 +19,7 @@ from curvedkepler.effective_potential import (
     turning_points,
     w_eff,
 )
-from curvedkepler.errors import InfeasibleError, SingularityError
+from curvedkepler.errors import InfeasibleError, NumericalError, SingularityError
 from curvedkepler.ktrig import cos_k, sin_k
 
 REGIMES = [1.0, 0.0, -1.0]
@@ -92,6 +92,22 @@ def test_critical_point_hyperbolic_barrier_absent():
 
 def test_critical_point_no_angular_momentum():
     assert critical_point(1.0, 1.0, 0.0) is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: critical_point(0.0, 1.0, 1e-160),
+        lambda: classify_orbit(1.0, 1.0, 1e-160, 1e30),
+        lambda: turning_points(0.0, 1.0, 1e-160, -5.0),
+        lambda: potential_profile(0.0, 1.0, 1e-160),
+    ],
+)
+def test_overflowing_minimum_of_w_raises(call):
+    # k**2/j**2 overflows, so w_min = -inf; every band test read inf <= inf
+    # as true and labelled any energy a circle or a tangency
+    with pytest.raises(NumericalError, match=r"j=1e-160: w_min = -inf"):
+        call()
 
 
 def test_critical_point_is_a_minimum(rng):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from curvedkepler import (
 )
 import numpy as np
 
-from curvedkepler.ktrig import SERIES_THRESHOLD, acot_k_array, sincos_k
+from curvedkepler.ktrig import SERIES_THRESHOLD, _cot_floor, acot_k_array, sincos_k
 
 # Extended-precision oracle values (mpmath, 40 digits, rounded to double).
 COSH_1 = 1.5430806348152437
@@ -298,3 +299,21 @@ def test_acot_k_near_hyperbolic_plateau_within_one_ulp(kappa):
             exact = mp.acoth(mpf(u) / rk) / rk
             r = acot_k(kappa, u)
             assert abs(mpf(r) - exact) <= math.ulp(float(exact)), u
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e-9, 0.0, -1e-9, -1.0, -4.0])
+def test_acot_k_domain_ends_at_the_cotangent_floor(kappa):
+    floor = _cot_floor(kappa)
+    assert floor == (math.sqrt(-kappa) if kappa <= 0.0 else -math.inf)
+    if math.isfinite(floor):
+        with pytest.raises(DomainError, match="no radius"):
+            acot_k(kappa, floor)
+    above = math.nextafter(floor, math.inf)
+    r = acot_k(kappa, above)
+    if kappa == 0.0:
+        # the radius 1/u of the least subnormal u rounds to inf; a u
+        # whose reciprocal is finite has a finite radius
+        assert r == math.inf
+        above = 2.0 / sys.float_info.max
+        r = acot_k(kappa, above)
+    assert 0.0 < r < math.inf, above

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import math
 
+import numpy as np
 import pytest
 
 import curvedkepler as ck
@@ -101,6 +102,7 @@ ONCE = {
     "time_from_u": lambda kap: (ck.time_from_u, ORBIT[kap], kap, ORBIT[kap].u_periastron, U_STATE[kap]),
     "radial_period": lambda kap: (ck.radial_period, *_bounded(kap)),
     "propagate": lambda kap: (ck.propagate, ORBIT[kap], kap, [0.1, 0.2]),
+    "binet_residual": lambda kap: (ck.binet_residual, ORBIT[kap], kap, 0.4),
 }
 
 # kappa arrives inside an object that checked it on construction
@@ -229,3 +231,39 @@ def test_orbit_errors_print_plain_floats():
         ck.phi_from_time(oc, -1.0, [0.0, 5.0], traj)
     with pytest.raises(DomainError, match=r"got nan$"):
         ck.propagate(oc, -1.0, [0.0, math.nan])
+
+
+# inputs that once gave a silent answer, a bare ValueError or a numpy
+# warning: each is refused with DomainError
+REFUSED = {
+    "from_ambient of a NaN point": lambda: ck.from_ambient(-1.0, ck.AmbientPoint(0, 0, math.nan)),
+    "from_ambient of an infinite point": lambda: ck.from_ambient(1.0, ck.AmbientPoint(math.inf, 0, 0)),
+    "killing_fields past the antipode": lambda: ck.killing_fields(1.0, ck.PolarPoint(4.0, 0)),
+    "reduce_angle of inf": lambda: ck.reduce_angle(math.inf),
+    "reduce_angle of nan": lambda: ck.reduce_angle(math.nan),
+    "u_closed at an infinite angle": lambda: ck.u_closed(ORBIT[1.0], math.inf),
+    "u_closed at a NaN angle in an array": lambda: ck.u_closed(ORBIT[1.0], np.array([0.0, math.nan])),
+    "orbit_radius at an infinite angle": lambda: ck.orbit_radius(ORBIT[1.0], 1.0, math.inf),
+    "binet_residual at an infinite angle": lambda: ck.binet_residual(ORBIT[1.0], 1.0, math.inf),
+    "binet_residual with a NaN kappa": lambda: ck.binet_residual(ORBIT[1.0], math.nan, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_non_finite_or_out_of_chart_input_is_refused(name):
+    with pytest.raises(DomainError):
+        REFUSED[name]()
+
+
+def test_an_overflowed_cotangent_on_the_sphere_reaches_the_finite_check():
+    # the sphere's cotangent floor is -inf, so the floor test alone would
+    # drop a u that overflowed to -inf as "no radius"; it must raise instead
+    with pytest.raises(DomainError, match="finite, got -inf"):
+        ck.turning_points(1.0, 1.0, 1e-150, 1e10)
+    spec = ck.conic_from_dynamics(1.0, 1e-300, 1e300)
+    with pytest.raises(DomainError, match="finite, got -inf"):
+        ck.sample_conic(spec, [math.pi])
+    oc = ck.OrbitConstants(ORBIT[1.0].conserved, d=1e-300, ecc=1e300, phi0=0.0, z=0.0)
+    # numpy warns of the overflow in u itself; the answer is what matters here
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite, got -inf"):
+        ck.orbit_radius(oc, 1.0, math.pi)
