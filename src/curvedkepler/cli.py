@@ -26,13 +26,14 @@ import numpy as np
 from .conics import (
     classify_conic, conic_from_dynamics, conic_thresholds, periastron_family, sample_conic,
 )
-from .dynamics import KeplerParams, PhaseState, check_coupling, check_tol, integrate
+from .dynamics import KeplerParams, PhaseState, check_tol, integrate
 from .effective_potential import (
-    _radial_roots, _w, classify_orbit, potential_profile, turning_points,
+    _critical, _escape_angular_momentum, _landmark, _radial_roots, _w, check_coupling,
+    classify_orbit, potential_profile, turning_points,
 )
 from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
 from .geometry import _ambient, _poincare
-from .ktrig import _chart_limit, _sin, atan_k, cos_k, sin_k, tan_k
+from .ktrig import _chart_limit, _sin, atan_k, cos_k, curvature_value, sin_k, tan_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -319,8 +320,8 @@ def cmd_simulate(args) -> tuple[int, str]:
 def classify_record(kappa, k: float, j: float, e: float) -> dict:
     """Classification record for one (kappa, k, J, E) pair, JSON-ready."""
     orbit_class = classify_orbit(kappa, k, j, e)  # raises InfeasibleError
-    prof = potential_profile(kappa, k, j)
-    kap = prof.kappa
+    kap = curvature_value(kappa)
+    crit = _critical(kap, k, j)
     record = {
         "schema": SCHEMA_VERSION,
         "kappa": float(kap),
@@ -348,10 +349,11 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
         record["thresholds"] = {
             key: float(val) for key, val in conic_thresholds(spec).items()
         }
+    hyperbolic = kap < 0.0
     record["landmarks"] = {
-        "e_circular": None if prof.e_cir is None else float(prof.e_cir),
-        "e_infinity": None if prof.e_infinity is None else float(prof.e_infinity),
-        "j_infinity": None if prof.j_infinity is None else float(prof.j_infinity),
+        "e_circular": None if crit is None else float(crit[1]),
+        "e_infinity": float(_landmark(kap, k, j)) if hyperbolic else None,
+        "j_infinity": float(_escape_angular_momentum(kap, k)) if hyperbolic else None,
     }
     return record
 
@@ -624,8 +626,7 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (CurvedKeplerError, ArithmeticError) as exc:
-        # ArithmeticError: finite flags whose arithmetic overflows or
-        # divides by zero (say j**2 underflowing to 0)
+        # ArithmeticError: finite flags whose arithmetic overflows or divides by zero
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

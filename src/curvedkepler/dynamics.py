@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .effective_potential import _critical, check_coupling
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -30,7 +31,7 @@ from .errors import (
     StiffnessError,
 )
 from .geometry import PolarPoint, check_interior_radius, check_radius
-from .ktrig import _atan, _chart_limit, _check_finite, _cos, _sin, _sincos, curvature_value
+from .ktrig import _chart_limit, _check_finite, _cos, _sin, _sincos, curvature_value
 
 COLLISION_RADIUS = 1e-10
 # below this radius a step-size underflow is interpreted as reaching the
@@ -41,13 +42,6 @@ FOUR_PI = 4.0 * math.pi
 
 #: admissible range of the trajectory accuracy target ``tol``
 TOL_RANGE = (1e-13, 1e-6)
-
-
-def check_coupling(k: float) -> float:
-    """The Kepler coupling as a float; DomainError unless finite and positive."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"coupling k must be positive, got {k!r}")
-    return float(k)
 
 
 def check_tol(tol: float) -> float:
@@ -258,16 +252,17 @@ def _separable_integrals(s, c, f, g, r, phi, v_r, v_phi):
 def circular_state(params: KeplerParams, j: float, phi: float = 0.0) -> PhaseState:
     """State of the circular orbit with angular momentum j.
 
-    The circular radius solves tan_k(r) = j**2/k; on the hyperbolic plane
-    it exists only below the escape angular momentum, otherwise the
-    underlying inverse raises :class:`DomainError`.
+    The circular radius is the minimum of the effective potential, at
+    tan_k(r) = j**2/k; on the hyperbolic plane it exists only below the
+    escape angular momentum, otherwise :class:`DomainError` is raised.
     """
-    if j == 0.0:
+    if _check_finite(j) == 0.0:
         raise InfeasibleError("circular orbits need nonzero angular momentum")
-    # j itself is unchecked: the finite check of j**2/k stands for it
-    r = _atan(params.kappa, _check_finite(j * j / params.k))
-    s = _sin(params.kappa, r)
-    return PhaseState(r=r, phi=phi, v_r=0.0, v_phi=j / (s * s))
+    crit = _critical(params.kappa, params.k, j)
+    if crit is None:
+        raise DomainError(f"no circular orbit at j={j!r}: W has no minimum on kappa={params.kappa!r}")
+    s = _sin(params.kappa, crit[0])
+    return PhaseState(r=crit[0], phi=phi, v_r=0.0, v_phi=j / (s * s))
 
 
 # ----------------------------------------------------------------------
@@ -503,9 +498,9 @@ def _bisect_step(func, step, a, b, ga) -> float:
 def _dense_coefficients(stages) -> np.ndarray:
     """Coefficients d[m, i, c] = sum_s _P[s][m] * stages[i][s][c].
 
-    Summed stage by stage from zero, the order of a scalar ``sum()`` over
-    the stages, so each coefficient is bit-identical to that per-step
-    formula (the tests hold it to this).
+    Summed stage by stage from zero, left to right as a scalar loop over
+    the stages adds them, so each coefficient is bit-identical to that
+    per-step formula (the tests hold it to this).
     """
     k = np.array(stages, dtype=float).reshape(-1, 7, 4)
     d = np.zeros((4, len(k), 4))
@@ -515,20 +510,24 @@ def _dense_coefficients(stages) -> np.ndarray:
     return d
 
 
+def _rms(values) -> float:
+    """Root mean square of four values, added left to right: the bits do
+    not depend on the Python version (from 3.12 on, sum() compensates)."""
+    a, b, c, d = values
+    return math.sqrt((a**2 + b**2 + c**2 + d**2) / 4.0)
+
+
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     h0 = 1e-6
     try:
         scale = [atol + rtol * abs(v) for v in y0]
-        d0 = math.sqrt(sum((y / s) ** 2 for y, s in zip(y0, scale)) / 4.0)
-        d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, scale)) / 4.0)
+        d0 = _rms(y / s for y, s in zip(y0, scale))
+        d1 = _rms(f / s for f, s in zip(f0, scale))
         if not (d0 < 1e-5 or d1 < 1e-5):
             h0 = 0.01 * d0 / d1
         y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
         f1 = rhs(*y1)
-        d2 = (
-            math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, scale)) / 4.0)
-            / h0
-        )
+        d2 = _rms((a - b) / s for a, b, s in zip(f1, f0, scale)) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -648,12 +647,8 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             )
             for i in range(4)
         )
-        err = math.sqrt(
-            sum(
-                (err_terms[i] / (atol + rtol * max(abs(y[i]), abs(y_new[i])))) ** 2
-                for i in range(4)
-            )
-            / 4.0
+        err = _rms(
+            err_terms[i] / (atol + rtol * max(abs(y[i]), abs(y_new[i]))) for i in range(4)
         )
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)

@@ -6,11 +6,12 @@ potential
     W(r) = -k cot_k(r) + j**2 / (2 sin_k(r)**2)
          = -k u + (j**2/2) (u**2 + kappa),      u = cos_k(r)/sin_k(r),
 
-whose landmark energies (circular minimum, and on the hyperbolic plane
-the escape plateau -k*sqrt(-kappa)) split the (j, E) plane into the
-orbit classes below.  In u the potential is a quadratic, the same for
-every curvature, so the turning points are its closed-form roots mapped
-back to radii by acot_k.
+a quadratic in u, the same for every curvature.  The turning points
+are its closed-form roots mapped back to radii by acot_k, and the
+landmark energies that split the (j, E) plane into the orbit classes
+below are W at two cotangents: the vertex u = k/j**2 (the circle) and
+u* = max(_cot_floor(kappa), 0), the equator on the sphere and infinity
+elsewhere (bounded orbits lie below it, sub-equatorial ones on S^2).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import check_coupling
 from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
 from .geometry import check_interior_radius
 from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, curvature_value
@@ -29,6 +29,13 @@ from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, curvatur
 LANDMARK_RTOL = 1e-9
 
 _TANGENCY_RTOL = 1e-12
+
+
+def check_coupling(k: float) -> float:
+    """The Kepler coupling as a float; DomainError unless finite and positive."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"coupling k must be positive, got {k!r}")
+    return float(k)
 
 
 class OrbitLabel(Enum):
@@ -102,10 +109,14 @@ def _inputs(kappa, k: float, j: float = 0.0, e: float | None = None):
     return kap, k
 
 
+def _w_u(kap: float, k: float, j: float, u: float) -> float:
+    """W at the cotangent u = cot_k(r)."""
+    return -k * u + 0.5 * j * j * (u * u + kap)
+
+
 def _w(kap: float, k: float, j: float, r: float) -> float:
     r = check_interior_radius(kap, r)
-    u = _cos(kap, r) / _sin(kap, r)
-    return -k * u + 0.5 * j * j * (u * u + kap)
+    return _w_u(kap, k, j, _cos(kap, r) / _sin(kap, r))
 
 
 def w_eff(kappa, k: float, j: float, r: float) -> float:
@@ -114,18 +125,22 @@ def w_eff(kappa, k: float, j: float, r: float) -> float:
 
 
 def _critical(kap: float, k: float, j: float):
+    """(r_min, w_min) at the vertex u = k/j**2 of W, or None without one;
+    NumericalError unless j**2 and d = j**2/k are positive finite floats."""
     if j == 0.0:
         return None
-    try:
-        r_min = _atan(kap, _check_finite(j * j / k))
-    except DomainError:
-        # hyperbolic saturation: tan_k never reaches j^2/k
+    j2 = j * j
+    d = j2 / k
+    if not 0.0 < d < math.inf:
+        raise NumericalError(f"j={j!r} gives j**2 = {j2!r} and j**2/k = {d!r}, not positive finite")
+    if kap < 0.0 and d * math.sqrt(-kap) >= 1.0:
+        # hyperbolic saturation: tan_k never reaches d, the test _atan makes
         return None
-    w_min = 0.5 * (kap * j * j - (k * k) / (j * j))
+    w_min = 0.5 * (kap * j * j - (k * k) / j2)
     if not math.isfinite(w_min):
         # an infinite minimum would pass every band test around it
         raise NumericalError(f"minimum of W overflows at j={j!r}: w_min = {w_min!r}")
-    return (r_min, w_min)
+    return (_atan(kap, d), w_min)
 
 
 def critical_point(kappa, k: float, j: float):
@@ -134,13 +149,18 @@ def critical_point(kappa, k: float, j: float):
     The sphere and the plane always have one for j != 0.  On the
     hyperbolic plane the centrifugal barrier flattens out once
     sqrt(-kappa) j**2 / k >= 1 and the minimum disappears; j = 0 has no
-    barrier at all.  Both cases return None.
+    barrier at all.  Both cases return None.  A j whose square or j**2/k
+    leaves the float range raises NumericalError.
     """
     return _critical(*_inputs(kappa, k, j), j)
 
 
-def _escape_energy(kap: float, k: float) -> float:
-    return -k * math.sqrt(-kap)
+def _landmark(kap: float, k: float, j: float) -> float:
+    """W at u* = max(_cot_floor(kappa), 0): the energy that splits bounded
+    from open orbits (sub- from super-equatorial ones on the sphere).  At u*
+    the factor u*^2 + kappa is max(kappa, 0) exactly; rounded, sqrt(-kappa)**2
+    + kappa times j**2/2 would move the plateau -k sqrt(-kappa) at a large j."""
+    return -k * max(_cot_floor(kap), 0.0) + 0.5 * max(kap, 0.0) * j * j
 
 
 def _escape_angular_momentum(kap: float, k: float) -> float:
@@ -152,7 +172,7 @@ def escape_energy(kappa, k: float) -> float:
     kap, k = _inputs(kappa, k)
     if kap >= 0.0:
         raise DomainError("the escape plateau exists only for kappa < 0")
-    return _escape_energy(kap, k)
+    return _landmark(kap, k, 0.0)
 
 
 def escape_angular_momentum(kappa, k: float) -> float:
@@ -196,9 +216,9 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     plateau itself (the horoellipse, open at infinity).  Off the sphere,
     an energy inside ``LANDMARK_RTOL`` of the escape energy has no
     apoastron either, the rule by which classify_orbit labels it a
-    parabola or horoellipse.  Each radius is
-    verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|);
-    CurvedKeplerError reports a miss.
+    parabola or horoellipse.  Each radius is verified to satisfy
+    |W(r) - e| < 1e-11 * max(1, |e|) + 4 |dW/dr| ulp(r), the second term
+    what one rounding of r moves W by; CurvedKeplerError reports a miss.
     """
     return _turning_points(*_inputs(kappa, k, j, e), j, e)
 
@@ -217,7 +237,7 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
     else:
         _, _, u_per, u_apo = _radial_roots(kap, k, j, e)
         us = [u_per, u_apo]
-        if kap <= 0.0 and _near(e, _escape_energy(kap, k)) and not (crit and _near(e, crit[1])):
+        if kap <= 0.0 and _near(e, _landmark(kap, k, j)) and not (crit and _near(e, crit[1])):
             # inside classify_orbit's band around the escape energy the
             # orbit is the boundary class (parabola, horoellipse): open,
             # with no apoastron
@@ -229,22 +249,35 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
     # a root that overflowed reports the check acot_k makes of its argument
     pairs = sorted((_acot(kap, _check_finite(u)), u) for u in us)
 
-    tol = 1e-11 * max(1.0, abs(e))
+    base_tol = 1e-11 * max(1.0, abs(e))
     for r, u in pairs:
         if not math.isfinite(r):  # on the plane r = 1/u is inf for u < 1/max_float
             raise DomainError(f"turning point at u={u!r} has no finite radius, got r={r!r}")
         residual = _w(kap, k, j, r) - e
-        if abs(residual) >= tol:
-            # the roots are exact in u; near the antipode of a nearly flat
-            # sphere one ulp of r can move W by more than tol
-            u_residual = -k * u + 0.5 * j * j * (u * u + kap) - e
-            shift = abs((j * j * u - k) * (u * u + kap)) * math.ulp(r)
+        # the roots are exact in u, but where W is steep in r (near the
+        # antipode of a nearly flat sphere, or close in for a small j) one
+        # ulp of r can move W by more than base_tol
+        shift = abs((j * j * u - k) * (u * u + kap)) * math.ulp(r)
+        tol = base_tol + 4.0 * shift
+        if not abs(residual) < tol:
             raise CurvedKeplerError(
                 f"turning point verification failed at r={r!r}: W(r) - e = "
                 f"{residual!r}, tol {tol!r}; at u={u!r} the residual W(u) - e = "
-                f"{u_residual!r}, and one ulp(r) = {math.ulp(r)!r} moves W(r) by {shift!r}"
+                f"{_w_u(kap, k, j, u) - e!r}, and one ulp(r) = {math.ulp(r)!r} moves W(r) by {shift!r}"
             )
     return [r for r, _ in pairs]
+
+
+#: orbit classes below, at and above _landmark, for kappa < 0, = 0 and > 0
+_CLASS_ROWS = tuple(
+    tuple(OrbitClass(label, label in BOUNDED_LABELS) for label in row)
+    for row in (
+        (OrbitLabel.HYP_ELLIPSE, OrbitLabel.HYP_HOROELLIPSE, OrbitLabel.HYP_OPEN),
+        (OrbitLabel.FLAT_ELLIPSE, OrbitLabel.FLAT_PARABOLA, OrbitLabel.FLAT_HYPERBOLA),
+        (OrbitLabel.SPHERICAL_ELLIPSE_SUB, OrbitLabel.SPHERICAL_ELLIPSE_EQUATORIAL,
+         OrbitLabel.SPHERICAL_ELLIPSE_SUPER),
+    )
+)
 
 
 def classify_orbit(kappa, k: float, j: float, e: float) -> OrbitClass:
@@ -259,69 +292,35 @@ def classify_orbit(kappa, k: float, j: float, e: float) -> OrbitClass:
         return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False)
 
     crit = _critical(kap, k, j)
-    if crit is not None:
-        w_m = crit[1]
-        if _near(e, w_m):
-            label = OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE
-            return OrbitClass(label, bounded=True)
-        if e < w_m:
-            raise InfeasibleError(
-                f"energy {e!r} below the potential minimum {w_m!r}"
-            )
-
-    if kap > 0.0:
-        # every spherical orbit is a closed curve; the split is by how
-        # it sits relative to the equator, i.e. by the sign of the
-        # partial energy e_p = e - kappa j^2 / 2
-        e_p = e - 0.5 * kap * j * j
-        if abs(e_p) <= LANDMARK_RTOL * max(1.0, 0.5 * kap * j * j, abs(e)):
-            return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_EQUATORIAL, True)
-        if e_p < 0.0:
-            return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_SUB, True)
-        return OrbitClass(OrbitLabel.SPHERICAL_ELLIPSE_SUPER, True)
-
-    if kap == 0.0:
-        if _near(e, 0.0) or e == 0.0:
-            return OrbitClass(OrbitLabel.FLAT_PARABOLA, bounded=False)
-        if e < 0.0:
-            return OrbitClass(OrbitLabel.FLAT_ELLIPSE, bounded=True)
-        return OrbitClass(OrbitLabel.FLAT_HYPERBOLA, bounded=False)
-
-    e_inf = _escape_energy(kap, k)
+    landmark = _landmark(kap, k, j)
     if crit is None:
-        # no minimum: W decreases monotonically to the plateau, so only
-        # energies above it occur
-        if e <= e_inf:
+        # saturated: W falls monotonically to the plateau, never reaching it
+        if e <= landmark:
             raise InfeasibleError(
                 f"energy {e!r} not attainable without a potential well "
-                f"(plateau {e_inf!r})"
+                f"(plateau {landmark!r})"
             )
         return OrbitClass(OrbitLabel.HYP_OPEN, bounded=False)
-    if _near(e, e_inf):
-        return OrbitClass(OrbitLabel.HYP_HOROELLIPSE, bounded=False)
-    if e < e_inf:
-        return OrbitClass(OrbitLabel.HYP_ELLIPSE, bounded=True)
-    return OrbitClass(OrbitLabel.HYP_OPEN, bounded=False)
+    w_m = crit[1]
+    if _near(e, w_m):
+        label = OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE
+        return OrbitClass(label, bounded=True)
+    if e < w_m:
+        raise InfeasibleError(f"energy {e!r} below the potential minimum {w_m!r}")
+
+    below, at, above = _CLASS_ROWS[(kap >= 0.0) + (kap > 0.0)]
+    return at if _near(e, landmark) else below if e < landmark else above
 
 
 def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
     """All landmarks of W for (kappa, k, j) in one record."""
     kap, k = _inputs(kappa, k, j)
     crit = _critical(kap, k, j)
-    if crit is None:
-        if j == 0.0:
-            notes = "no centrifugal barrier: potential is monotone"
-        else:
-            notes = "centrifugal term saturates: no minimum"
-        r_min = w_min = None
-    else:
-        r_min, w_min = crit
-        notes = None
-    if kap < 0.0:
-        e_inf = _escape_energy(kap, k)
-        j_inf = _escape_angular_momentum(kap, k)
-    else:
-        e_inf = j_inf = None
+    r_min, w_min = crit or (None, None)
+    notes = None if crit else (
+        "no centrifugal barrier: potential is monotone" if j == 0.0 else "centrifugal term saturates: no minimum"
+    )
+    hyperbolic = kap < 0.0
     return PotentialProfile(
         kappa=kap,
         k=k,
@@ -330,7 +329,7 @@ def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
         critical_value=w_min,
         zero_crossings=tuple(_turning_points(kap, k, j, 0.0)),
         e_cir=w_min,
-        e_infinity=e_inf,
-        j_infinity=j_inf,
+        e_infinity=_landmark(kap, k, j) if hyperbolic else None,
+        j_infinity=_escape_angular_momentum(kap, k) if hyperbolic else None,
         notes=notes,
     )

@@ -110,8 +110,9 @@ def orbit_radius(oc: OrbitConstants, kappa, phi: float) -> float | None:
     run off to (or past) infinity yield None.
     """
     kap = curvature_value(kappa)
-    # an overflowed u reports the check acot_k makes of its argument
-    u = _check_finite(u_closed(oc, phi))
+    # u_closed on plain floats, as in sample_conic: an overflowed u
+    # reports the check acot_k makes of its argument, with no numpy warning
+    u = _check_finite((1.0 + oc.ecc * math.cos(_check_finite(phi) - oc.phi0)) / oc.d)
     return _acot(kap, u) if u > _cot_floor(kap) else None
 
 

@@ -479,6 +479,30 @@ def test_overflowing_minimum_of_w_exits_4(capsys, argv):
     assert "w_min = -inf" in err
 
 
+def test_a_j_whose_square_overflows_exits_4_naming_j(capsys):
+    code, out, err = run_cli(
+        capsys, ["potential-scan", "--kappa", "1", "--k", "1", "--J", "1e200", "--steps", "3"]
+    )
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "j=1e+200 gives j**2 = inf" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kappa", "0", "--k", "1", "--elements=-1,0.001,0", "--t-end", "0.001"],
+        ["classify", "--kappa", "-1", "--k", "1", "--J", "0.001", "--E", "-0.5"],
+        ["potential-scan", "--kappa", "-1", "--k", "1", "--J", "0.001", "--steps", "3"],
+    ],
+)
+def test_a_small_j_turning_point_passes_verification(capsys, argv):
+    # one ulp of the periastron radius moves W by 4e-10 here: the root is
+    # exact in u and must not be refused by the 1e-11 residual check
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out
+
+
 # ----------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from conftest import SEED, random_states
 from mpmath import mp, mpf
 
-from curvedkepler import DomainError
+from curvedkepler import DomainError, dynamics
 from curvedkepler.dynamics import (
     ConservedSet,
     KeplerParams,
@@ -639,8 +639,8 @@ def _scalar_state_at(traj, t):
 
 
 def test_dense_coefficients_match_the_scalar_stage_sum():
-    # the array build must reproduce sum(_P[s][m] * k_s) over the seven
-    # stages, in that order, bit for bit
+    # the array build must reproduce the sum of _P[s][m] * k_s over the
+    # seven stages, added left to right, bit for bit
     from curvedkepler.dynamics import _P, _dense_coefficients
 
     rng = np.random.default_rng(SEED)
@@ -648,13 +648,40 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
         tuple(tuple(rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8)) for _ in range(7))
         for _ in range(300)
     ]
-    want = [
-        [[sum(_P[s][m] * ks[s][i] for s in range(7)) for i in range(4)] for ks in stages]
-        for m in range(4)
-    ]
+    def stage_sum(ks, m, i):
+        # an explicit loop: from Python 3.12 on, sum() of floats compensates
+        total = 0.0
+        for s in range(7):
+            total += _P[s][m] * ks[s][i]
+        return total
+
+    want = [[[stage_sum(ks, m, i) for i in range(4)] for ks in stages] for m in range(4)]
     got = _dense_coefficients(stages)
     assert got.shape == (4, 300, 4)
     assert got.tolist() == want
+
+
+def _neumaier_sum(values, start=0):
+    """The compensated sum() of Python 3.12 and later."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+def test_integrate_bits_do_not_depend_on_the_sum_builtin(kappa, monkeypatch):
+    # the step-size norms add their terms left to right themselves, so a
+    # compensated sum() (Python 3.12) leaves every state bit-identical
+    params = KeplerParams(kappa, 1.0)
+    state = PhaseState(0.8, 0.0, 0.1, 1.1)
+    plain = integrate(state, params, 5.0, tol=1e-10)
+    monkeypatch.setattr(dynamics, "sum", _neumaier_sum, raising=False)
+    compensated = integrate(state, params, 5.0, tol=1e-10)
+    assert compensated.times.tolist() == plain.times.tolist()
+    assert compensated.states.tolist() == plain.states.tolist()
 
 
 @pytest.mark.parametrize("kappa", [1.0, -1.0, 1e-6, -1e-6, 0.0])

@@ -110,6 +110,36 @@ def test_overflowing_minimum_of_w_raises(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: critical_point(1.0, 1.0, 1e-170),
+        lambda: turning_points(0.0, 1.0, 1e-170, -1.0),
+        lambda: classify_orbit(1.0, 1.0, 1e-170, 0.5),
+        lambda: potential_profile(0.0, 1.0, 1e-170),
+        lambda: circular_state(KeplerParams(1, 1), 1e-170),
+        lambda: turning_points(0.0, 1.0, 1e200, 1e300),
+        # once None and [] although the sphere always has a minimum and
+        # an open orbit always has a periastron
+        lambda: critical_point(1.0, 1.0, 1e200),
+        lambda: turning_points(-1.0, 1.0, 1e155, 1e300),
+    ],
+)
+def test_a_j_whose_square_leaves_the_float_range_raises(call):
+    # j**2 (or j**2/k) underflowed to 0 or overflowed to inf: one check
+    # ahead of every division names j instead of a bare ZeroDivisionError
+    with pytest.raises(NumericalError, match=r"j=1e[-+]\d+ gives j\*\*2 = (0\.0|inf)"):
+        call()
+
+
+def test_classify_beyond_the_escape_j_keeps_the_exact_plateau():
+    # sqrt(2)**2 - 2 rounds to 4e-16; times j**2/2 = 5e15 that would lift
+    # the plateau -sqrt(2) above zero and refuse an attainable energy
+    assert classify_orbit(-2.0, 1.0, 1e8, 0.0).label is OrbitLabel.HYP_OPEN
+    with pytest.raises(InfeasibleError):
+        classify_orbit(-2.0, 1.0, 1e8, -1.5)
+
+
 def test_critical_point_is_a_minimum(rng):
     # j is kept away from 0 so the minimum sits at an O(1) radius where
     # the finite-difference probe resolves a flat slope

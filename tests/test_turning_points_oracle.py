@@ -11,10 +11,12 @@ import math
 import random
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from curvedkepler import effective_potential
 from curvedkepler.effective_potential import (
     classify_orbit,
     critical_point,
@@ -145,6 +147,8 @@ def radial_cases(draw):
 @example((-1.0, 1.0, 0.0, -2.0))
 @example((-1.0, 1.0, 0.0, -1.0))  # radial on the plateau: never stops
 @example((0.0, 1.0, 0.0, -5e-324))  # radial stop at k/|E|, beyond float range
+@example((0.0, 1.0, 1e-3, -1.0))  # small j: one ulp of r moves W by 4e-10
+@example((-1.0, 1.0, 1e-3, 0.0))
 @settings(max_examples=400, deadline=None)
 def test_turning_points_match_mpmath_oracle(case):
     kappa, k, j, e = case
@@ -153,12 +157,6 @@ def test_turning_points_match_mpmath_oracle(case):
     except DomainError:
         # a root that exists but has no double-precision radius
         assert _radial_stop_beyond_float_range(kappa, k, j, e)
-        return
-    except CurvedKeplerError:
-        # the known limit (see the residual-failure test below): only a
-        # super-equatorial apoastron near the antipode of a nearly flat
-        # sphere can miss the 1e-11 check
-        assert 0.0 < kappa < 1.0 and e > 0.5 * kappa * j * j
         return
     assert roots == sorted(roots)
 
@@ -180,6 +178,24 @@ def test_turning_points_match_mpmath_oracle(case):
         assert abs(r - r_mp) <= tol, (r, r_mp, tol)
 
 
+def test_small_j_roots_match_the_oracle():
+    # a small j puts the periastron where W is steep in r: one ulp of r
+    # moves W by more than 1e-11, and the correctly rounded root must pass
+    rng = random.Random(3)
+    for _ in range(150):
+        kappa, j = rng.choice([1.0, 0.0, -1.0]), 10.0 ** rng.uniform(-4.0, -1.0)
+        w_m = critical_point(kappa, 1.0, j)[1]
+        land = 0.5 * kappa * j * j if kappa > 0.0 else -math.sqrt(-kappa)
+        # log-spaced up from the well bottom or down from the landmark
+        step = (land - w_m) * 10.0 ** rng.uniform(-8.0, -0.01)
+        e = w_m + step if rng.random() < 0.5 else land - step
+        roots = turning_points(kappa, 1.0, j, e)
+        assert len(roots) == 2
+        for r in roots:
+            r_mp, tol = _oracle_root(kappa, 1.0, j, e, r)
+            assert abs(r - r_mp) <= tol, (kappa, j, e, r, r_mp)
+
+
 def _super_equatorial_cases(kappa, n=300, seed=2):
     rng = random.Random(seed)
     for _ in range(n):
@@ -195,17 +211,30 @@ def test_super_equatorial_roots_verified_at_kappa_1e6():
             assert abs(w_eff(1e-6, k, j, r) - e) < 1e-11 * max(1.0, abs(e))
 
 
-def test_super_equatorial_residual_failure_names_its_values():
-    # near the antipode r ~ pi/sqrt(kappa) a single ulp of r can move W
-    # by more than the 1e-11 check: the roots are exact in u, and the
-    # error must say so rather than return an unverified radius
+def test_super_equatorial_roots_near_the_antipode_match_the_oracle():
+    # near the antipode r ~ pi/sqrt(kappa) of a nearly flat sphere a single
+    # ulp of r moves W by more than 1e-11: the verification allows that
+    # rounding, and the radii it passes sit on the 40-digit roots
     for k, j, e in _super_equatorial_cases(1e-8):
-        try:
-            roots = turning_points(1e-8, k, j, e)
-        except CurvedKeplerError as exc:
-            for part in ("at r=", "W(r) - e =", "tol", "W(u) - e =", "ulp(r) =", "moves W(r)"):
-                assert part in str(exc), str(exc)
-            continue
+        roots = turning_points(1e-8, k, j, e)
         assert len(roots) == 2
         for r in roots:
-            assert abs(w_eff(1e-8, k, j, r) - e) < 1e-11 * max(1.0, abs(e))
+            r_mp, _ = _oracle_root(1e-8, k, j, e, r)
+            assert abs(r - r_mp) <= ROOT_RTOL * r_mp, (k, j, e, r, r_mp)
+
+
+def test_a_corrupted_root_fails_verification_and_names_its_values(monkeypatch):
+    # the rounding allowance must not pass a periastron that is off by a
+    # relative 1e-9; the error names every value of the check
+    real = effective_potential._radial_roots
+
+    def corrupted(kap, k, j, e):
+        d, ecc, u_per, u_apo = real(kap, k, j, e)
+        return d, ecc, u_per * (1.0 + 1e-9), u_apo
+
+    monkeypatch.setattr(effective_potential, "_radial_roots", corrupted)
+    for k, j, e in _super_equatorial_cases(1e-8):
+        with pytest.raises(CurvedKeplerError) as info:
+            turning_points(1e-8, k, j, e)
+        for part in ("at r=", "W(r) - e =", "tol", "W(u) - e =", "ulp(r) =", "moves W(r)"):
+            assert part in str(info.value), str(info.value)

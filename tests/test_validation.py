@@ -264,6 +264,5 @@ def test_an_overflowed_cotangent_on_the_sphere_reaches_the_finite_check():
     with pytest.raises(DomainError, match="finite, got -inf"):
         ck.sample_conic(spec, [math.pi])
     oc = ck.OrbitConstants(ORBIT[1.0].conserved, d=1e-300, ecc=1e300, phi0=0.0, z=0.0)
-    # numpy warns of the overflow in u itself; the answer is what matters here
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite, got -inf"):
+    with pytest.raises(DomainError, match="finite, got -inf"):
         ck.orbit_radius(oc, 1.0, math.pi)
