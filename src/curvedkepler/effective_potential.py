@@ -216,7 +216,9 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     plateau itself (the horoellipse, open at infinity).  Off the sphere,
     an energy inside ``LANDMARK_RTOL`` of the escape energy has no
     apoastron either, the rule by which classify_orbit labels it a
-    parabola or horoellipse.  Each radius is verified to satisfy
+    parabola or horoellipse.  Beyond the escape j (no minimum on the
+    hyperbolic plane) an energy at or below the plateau has no root, as
+    classify_orbit calls it infeasible.  Each radius is verified to satisfy
     |W(r) - e| < 1e-11 * max(1, |e|) + 4 |dW/dr| ulp(r), the second term
     what one rounding of r moves W by; CurvedKeplerError reports a miss.
     """
@@ -231,6 +233,11 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
             return [r_m, r_m]
         if e < w_m:
             return []
+    elif j != 0.0 and e <= _landmark(kap, k, j):
+        # saturated (kappa < 0, j beyond escape): W falls monotonically to
+        # the plateau and never reaches it, so no energy up to it has a
+        # root; classify_orbit calls these energies infeasible
+        return []
 
     if j == 0.0:
         us = [-e / k]

@@ -439,6 +439,21 @@ def test_simulate_infeasible_elements_exit_3(capsys):
     assert "infeasible" in err
 
 
+def test_simulate_beyond_escape_at_the_plateau_exits_3(capsys):
+    # j beyond the escape value and E a hair below the plateau -k: the
+    # energy classify calls infeasible, not a failed turning-point check
+    argv = [
+        "--kappa", "-1", "--k", "4.200741856093109",
+        "--elements=-4.2007418681388025,-2.0495711395541045,0",
+    ]
+    code, out, err = run_cli(capsys, ["simulate", *argv, "--t-end", "1"])
+    assert code == EXIT_INFEASIBLE
+    assert out == "" and "infeasible" in err
+    code, _, err = run_cli(capsys, ["classify", "--kappa", "-1", "--k", "4.200741856093109",
+                                    "--J", "-2.0495711395541045", "--E", "-4.2007418681388025"])
+    assert code == EXIT_INFEASIBLE
+
+
 def test_simulate_non_finite_invariants_exit_4_and_write_nothing(capsys):
     # r starts near 2.5e244: sin_k(r)**2 overflows and v_phi underflows
     # to 0, so J = sin_k(r)**2 v_phi is NaN; the drift footer used to

@@ -1,5 +1,8 @@
 """Tests for the dynamics module: forces, first integrals, integrator."""
 
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -552,6 +555,65 @@ def test_spike_guard_rejects_a_nan_invariant():
         integrate_separable(0.0, state, f, lambda r: 1.0 / (r * r), zero, zero, 2.0)
 
 
+def _attempts(stats):
+    return stats.accepted + stats.rejected_error + stats.rejected_spike + stats.rejected_stage
+
+
+@pytest.mark.parametrize("kappa,k,state", DRIFT_CASES)
+def test_stats_count_steps_and_rhs_evaluations(kappa, k, state):
+    params = KeplerParams(kappa, k)
+    plain = integrate(state, params, 20.0, tol=1e-11, dense=False)
+    stats = plain.stats
+    assert stats.accepted == len(plain) - 1
+    assert stats.rejected_spike == stats.rejected_stage == 0
+    # the initial state and the trial step, then twelve stages per attempt
+    assert stats.rhs_evaluations == 2 + 12 * _attempts(stats)
+    # dense output adds three stages per accepted step and changes nothing else
+    dense = integrate(state, params, 20.0, tol=1e-11, dense=True)
+    assert dense.states.tolist() == plain.states.tolist()
+    assert dense.stats == dataclasses.replace(
+        stats, rhs_evaluations=stats.rhs_evaluations + 3 * stats.accepted
+    )
+
+
+def test_stats_count_a_spike_rejection():
+    # the invariants of the third state offered are NaN once: that step is
+    # rejected by the spike guard, retried at half the size and accepted
+    offered = itertools.count()
+
+    def invariants(r, phi, v_r, v_phi):
+        return (math.nan,) if next(offered) == 3 else (0.0,)
+
+    state = PhaseState(0.9, 0.0, 0.1, 1.2)
+    rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
+    traj = dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, 1, False)
+    assert traj.stats.rejected_spike == 1
+    assert traj.stats.accepted == len(traj) - 1
+    assert traj.stats.rhs_evaluations == 2 + 12 * _attempts(traj.stats)
+
+
+@pytest.mark.parametrize("failure", ["raises", "leaves the chart"])
+def test_stats_count_a_stage_rejection(failure):
+    # call 7 of the right-hand side is stage 5 of the first attempt (call 1
+    # is the initial state, call 2 the trial step); it raises, or returns a
+    # rate that takes stage 6 out of the chart before its call is made
+    calls = itertools.count(1)
+    kepler = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
+
+    def rhs(*y):
+        if next(calls) != 7:
+            return kepler(*y)
+        if failure == "raises":
+            raise ZeroDivisionError("float division by zero")
+        return (-1e9, 0.0, 0.0, 0.0)
+
+    state = PhaseState(0.9, 0.0, 0.1, 1.2)
+    traj = dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False)
+    stats = traj.stats
+    assert stats.rejected_stage == 1
+    assert stats.rhs_evaluations == 2 + 5 + 12 * (_attempts(stats) - 1)
+
+
 @pytest.mark.parametrize("t_end", [1e-16, 1e-300])
 def test_integrate_a_span_below_the_underflow_bound(t_end):
     # the first step is clipped to the span; that is no step-size underflow
@@ -624,7 +686,7 @@ def test_integrate_without_dense_blocks_queries():
 def _scalar_state_at(traj, t):
     """Reference: the per-time lookup and plain-float Horner evaluation
     that ``Trajectory.state_at`` performed before ``sample`` was
-    vectorised."""
+    vectorised, over as many theta powers as ``d`` holds."""
     h_all, d_all = traj._dense
     idx = int(np.searchsorted(traj.times, t, side="right")) - 1
     idx = min(max(idx, 0), len(h_all) - 1)
@@ -633,32 +695,119 @@ def _scalar_state_at(traj, t):
     theta = (t - t0) / h
     out = []
     for i in range(4):
-        poly = theta * (d[0][i] + theta * (d[1][i] + theta * (d[2][i] + theta * d[3][i])))
-        out.append(y0[i] + h * poly)
+        poly = d[-1][i]
+        for m in range(len(d) - 2, -1, -1):
+            poly = d[m][i] + theta * poly
+        out.append(y0[i] + h * (theta * poly))
     return out
 
 
 def test_dense_coefficients_match_the_scalar_stage_sum():
-    # the array build must reproduce the sum of _P[s][m] * k_s over the
-    # seven stages, added left to right, bit for bit
-    from curvedkepler.dynamics import _P, _dense_coefficients
+    # the array build must reproduce, bit for bit, one step's DOP853 rows
+    # F_j and their theta powers, each sum added left to right over the
+    # nonzero weights
+    from curvedkepler.dynamics import _A, _D, _THETA_POWERS, _dense_coefficients
 
     rng = np.random.default_rng(SEED)
     stages = [
-        tuple(tuple(rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8)) for _ in range(7))
+        [list(rng.standard_normal(16) * 10.0 ** rng.uniform(-8, 8)) for _ in range(4)]
         for _ in range(300)
     ]
-    def stage_sum(ks, m, i):
+
+    def weighted(weights, values):
         # an explicit loop: from Python 3.12 on, sum() of floats compensates
         total = 0.0
-        for s in range(7):
-            total += _P[s][m] * ks[s][i]
+        for w, v in zip(weights, values):
+            if w:
+                total += w * v
         return total
 
-    want = [[[stage_sum(ks, m, i) for i in range(4)] for ks in stages] for m in range(4)]
+    def coefficients(ks):
+        f0 = weighted(_A[12], ks)
+        rows = [f0, ks[0] - f0, 2.0 * f0 - (ks[12] + ks[0])] + [weighted(w, ks) for w in _D]
+        return [weighted(m, rows) for m in _THETA_POWERS]
+
+    per_step = [[coefficients(ks) for ks in step] for step in stages]
+    want = [[[per_step[n][i][m] for i in range(4)] for n in range(300)] for m in range(7)]
     got = _dense_coefficients(stages)
-    assert got.shape == (4, 300, 4)
+    assert got.shape == (7, 300, 4)
     assert got.tolist() == want
+
+
+def test_dop853_weights_integrate_polynomials_to_degree_7():
+    from curvedkepler.dynamics import _A, _D, _E3, _E5, _THETA_POWERS
+
+    nodes = [math.fsum(row) for row in _A]
+    assert [nodes[i] for i in (5, 6, 12, 13, 14, 15)] == pytest.approx(
+        [1.0 / 3.0, 0.25, 1.0, 0.1, 0.2, 7.0 / 9.0], abs=1e-15
+    )
+    for q in range(8):
+        got = math.fsum(w * c**q for w, c in zip(_A[12], nodes))
+        assert got == pytest.approx(1.0 / (q + 1), abs=1e-14)
+    # each error row is a difference of two weight sets that sum to 1
+    assert abs(math.fsum(_E5)) < 1e-15 and abs(math.fsum(_E3)) < 1e-15
+    # at theta = 1 only F_0 is left: the interpolant ends on the solution
+    assert [sum(column) for column in zip(*_THETA_POWERS)] == [1, 0, 0, 0, 0, 0, 0]
+    # the interpolant's weights b_s(theta) integrate c**q to theta**(q+1)/(q+1)
+    # up to degree 6; F_0..F_2 are B, e_0 - B and 2 B - e_0 - e_12 in stages
+    b = list(_A[12]) + [0.0] * 4
+    unit = [[float(s == i) for s in range(16)] for i in (0, 12)]
+    f_rows = [b, [u - w for u, w in zip(unit[0], b)]]
+    f_rows += [[2.0 * w - u - v for w, u, v in zip(b, *unit)], *_D]
+    for theta in (0.3, 0.5, 0.8):
+        # the weight of F_j in the interpolant at theta, then of each stage
+        f_weights = [
+            math.fsum(theta ** (m + 1) * row[j] for m, row in enumerate(_THETA_POWERS))
+            for j in range(7)
+        ]
+        weights = [math.fsum(w * f[s] for w, f in zip(f_weights, f_rows)) for s in range(16)]
+        for q in range(7):
+            got = math.fsum(w * c**q for w, c in zip(weights, nodes))
+            assert got == pytest.approx(theta ** (q + 1) / (q + 1), abs=1e-12)
+
+
+def test_dop853_tableau_equals_scipys_copy_bit_for_bit():
+    # scipy is no dependency of the package; where it is installed, its
+    # table of the same published coefficients pins every last digit
+    theirs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    from curvedkepler.dynamics import _A, _D, _E3, _E5
+
+    assert [list(row) for row in _A] == [theirs.A[i, :i].tolist() for i in range(16)]
+    assert list(_E5) + [0.0] == theirs.E5.tolist()
+    assert list(_E3) + [0.0] == theirs.E3.tolist()
+    assert [list(row) for row in _D] == theirs.D.tolist()
+
+
+def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
+    # one step's error falls like h**9 and the interpolant's at theta = 1/2
+    # like h**8, against 64 steps of the same method
+    rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
+    y0 = (0.9, 0.0, 0.1, 1.2)
+
+    def step(y, h, rows=dynamics._STEP_ROWS):
+        cols = tuple([v] for v in rhs(*y))
+        y1, _ = dynamics._stages(rhs, y, h, rows, cols, math.inf)
+        return y1, cols
+
+    def fine(h):
+        y = y0
+        for _ in range(64):
+            y, _ = step(y, h / 64)
+        return np.array(y)
+
+    errors = []
+    for h in (0.4, 0.2, 0.1):
+        y1, cols = step(y0, h)
+        dynamics._stages(rhs, y0, h, dynamics._DENSE_ROWS, cols, math.inf)
+        d = dynamics._dense_coefficients([cols])[:, 0]
+        poly = d[-1]
+        for dm in d[-2::-1]:
+            poly = dm + 0.5 * poly
+        mid = np.array(y0) + h * (0.5 * poly)
+        errors.append((np.abs(y1 - fine(h)).max(), np.abs(mid - fine(h / 2)).max()))
+    for (step_a, mid_a), (step_b, mid_b) in zip(errors, errors[1:]):
+        assert 2**8 < step_a / step_b < 2**10
+        assert 2**7 < mid_a / mid_b < 2**9
 
 
 def _neumaier_sum(values, start=0):
@@ -733,9 +882,10 @@ def test_dense_queries_on_a_trajectory_without_steps():
 
 
 # the v_r = 0 passage at t = 0.99739 of this orbit falls inside one step
-# (0.99409, 1.00452) of the tol=1e-9 integration
+# (0.95909, 1.01907) of the tol=1e-9 integration; _WINDOW_T1 is where its
+# interpolant crosses, 2.3e-11 before the apsis of the closed form
 _WINDOW_CASE = (KeplerParams(1.0, 1.0), PhaseState(0.6, 0.0, 0.0, 2.3))
-_WINDOW_T1 = 0.997387267599234
+_WINDOW_T1 = 0.9973872677892217
 
 
 def _window_traj():

@@ -251,6 +251,38 @@ def test_turning_points_empty_below_minimum():
     assert turning_points(0.0, 1.0, 1.0, w_m - 0.1) == []
 
 
+# (kappa, k, j, e): j beyond the escape value, e at or just below the
+# plateau -k sqrt(-kappa), which classify_orbit calls infeasible; the
+# clamped double root of the first failed its verification, and the next
+# two returned a radius
+_SATURATED_AT_PLATEAU = [
+    (-1.0, 4.200741856093109, -2.0495711395541045, -4.2007418681388025),
+    (-1.4708955471478873, 0.654867319546378, -0.7348203933512087, -0.7942262458538375),
+    (-0.14537768623371236, 9.474068609168315, 4.984755087891756, -3.6123132302630467),
+    (-1.0, 1.0, 1.0, -1.0),
+    (-0.5, 2.0, -1.7, math.nextafter(-2.0 * math.sqrt(0.5), -math.inf)),
+]
+
+
+@pytest.mark.parametrize("kappa,k,j,e", _SATURATED_AT_PLATEAU)
+def test_turning_points_beyond_escape_at_or_below_the_plateau_are_empty(kappa, k, j, e):
+    assert critical_point(kappa, k, j) is None
+    assert e <= escape_energy(kappa, k)
+    assert turning_points(kappa, k, j, e) == []
+    with pytest.raises(InfeasibleError):
+        classify_orbit(kappa, k, j, e)
+
+
+def test_turning_points_beyond_escape_above_the_plateau_keep_the_periastron():
+    # one relative 1e-6 above the plateau the open orbit has its periastron
+    kappa, k, j = -1.0, 4.200741856093109, -2.0495711395541045
+    e = -k * (1.0 - 1e-6)
+    roots = turning_points(kappa, k, j, e)
+    assert len(roots) == 1
+    assert abs(w_eff(kappa, k, j, roots[0]) - e) < 1e-11 * abs(e)
+    assert classify_orbit(kappa, k, j, e).label is OrbitLabel.HYP_OPEN
+
+
 def test_turning_points_radial_orbit():
     # j=0: single stopping radius where U = E
     roots = turning_points(0.0, 1.0, 0.0, -0.5)

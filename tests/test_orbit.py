@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curvedkepler.dynamics import KeplerParams, PhaseState, circular_state, integrate
+from curvedkepler.effective_potential import turning_points
 from curvedkepler.errors import DomainError, RadialOrbitError
 from curvedkepler.ktrig import acot_k, cos_k, sin_k
 from curvedkepler.orbit import (
@@ -430,6 +431,21 @@ def test_propagate_matches_integrator(kappa, k, j, ecc, t_end):
     # and each radius is the closed-form conic's at its own angle
     for r, phi, _, _ in got[:: max(1, len(got) // 25)]:
         assert orbit_radius(oc, kappa, phi) == pytest.approx(r, rel=1e-11)
+
+
+@pytest.mark.parametrize("kappa,e", [(1.0, -0.3), (0.0, -0.3), (-1.0, -1.05)])
+def test_integrated_phase_stays_on_propagate_for_ten_periods(kappa, e):
+    # the baseline cases (k = 1, J = 0.8, from periastron): tol bounds the
+    # drift of the invariants, not the phase, whose error grows with time;
+    # at tol 1e-11 it reaches 9e-9 rad after ten radial periods on the plane
+    k, j = 1.0, 0.8
+    r_per = turning_points(kappa, k, j, e)[0]
+    state = PhaseState(r_per, 0.0, 0.0, j / sin_k(kappa, r_per) ** 2)
+    params = KeplerParams(kappa, k)
+    oc = orbit_constants(state, params)
+    traj = integrate(state, params, 10.0 * radial_period(oc, kappa), tol=1e-11, dense=False)
+    exact = propagate(oc, kappa, traj.times)
+    assert np.max(np.abs(traj.states[:, 1] - exact[:, 1])) < 5e-8
 
 
 def test_propagate_starts_at_periastron_and_takes_scalars():
