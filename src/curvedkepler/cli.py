@@ -15,6 +15,7 @@ overflow or a division by zero on finite but extreme inputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -535,7 +536,10 @@ def cmd_trig_check(args) -> tuple[int, str]:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    never changes it, and no flag has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="curvedkepler",
         description="Kepler orbits and conics on constant-curvature surfaces.",

@@ -8,19 +8,19 @@ in the plane.
 
 The integrator is the adaptive embedded Runge-Kutta pair DOP853 of
 Dormand and Prince (order 8, with 5th- and 3rd-order error estimates),
-one loop over its tableau rows, with a dense-output interpolant of
-degree 7, step rejection on conserved-quantity spikes, and collision
-termination for radial orbits.
+with a dense-output interpolant of degree 7, step rejection on
+conserved-quantity spikes, and collision termination for radial orbits.
+Its stages and error norm run as straight-line kernels that
+:func:`_kernels` compiles from the tableau once per process, on the
+first integration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
-from math import fsum
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -585,15 +585,15 @@ def _weighted(weights, k) -> np.ndarray:
 def _dense_coefficients(stages) -> np.ndarray:
     """Coefficients d[m, i, c] of theta**(m + 1) for every step at once.
 
-    ``stages[i][c]`` lists the 16 stage derivatives of step i's component
-    c.  The rows F_j of the dense output are formed as in DOP853, F_0 from
-    the weights B, F_1 = k_0 - F_0, F_2 = 2 F_0 - (k_12 + k_0) and F_3..F_6
+    ``stages[i][s]`` is stage s of step i, a 4-tuple of derivatives.  The
+    rows F_j of the dense output are formed as in DOP853, F_0 from the
+    weights B, F_1 = k_0 - F_0, F_2 = 2 F_0 - (k_12 + k_0) and F_3..F_6
     from _D, and then converted to theta powers by _THETA_POWERS.  Each
     sum runs left to right and skips zero weights, as a scalar loop over
     the stages of one step would add them (the tests hold it to that bit
     for bit).
     """
-    k = np.array(stages, dtype=float).reshape(-1, 4, 16).transpose(2, 0, 1)
+    k = np.array(stages, dtype=float).reshape(-1, 16, 4).transpose(1, 0, 2)
     f0 = _weighted(_A[12], k)
     rows = np.array([f0, k[0] - f0, 2.0 * f0 - (k[12] + k[0])] + [_weighted(w, k) for w in _D])
     return np.array([_weighted(m, rows) for m in _THETA_POWERS])
@@ -630,52 +630,70 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end), calls
 
 
-def _stages(rhs, y, h, rows, cols, r_max):
-    """Append to ``cols`` the stage derivatives that ``rows`` build.
+def _dot(row, c) -> str:
+    """Source of sum_s row[s] * k{s}_{c}, added left to right over the
+    nonzero weights."""
+    return " + ".join(f"{w!r}*k{s}_{c}" for s, w in enumerate(row) if w)
 
-    ``cols[c]`` lists component c of the stage derivatives so far; row s
-    forms the stage state y + h * sum(row * cols) (math.fsum, so the bits
-    depend on no summation order) and appends rhs of it.  Returns the
-    last stage state, or None once a stage leaves the chart 0 < r < r_max
-    or its arithmetic fails, together with the number of rhs calls.
+
+def _unpack(rows, first):
+    """Source lines unpacking the stages before ``first`` that ``rows`` read."""
+    used = sorted({s for row in rows for s, w in enumerate(row[:first]) if w})
+    return [f"    k{s}_0, k{s}_1, k{s}_2, k{s}_3 = k[{s}]" for s in used]
+
+
+def _kernel(rows, first, name) -> str:
+    """Source of ``name(rhs, y, h, k, r_max)``, which extends the stage
+    list ``k`` by the stages first, first + 1, ... that ``rows`` build.
+
+    Each stage state y + h * (row . k) is written out per component, and
+    its right-hand side is taken once r passes the in-chart test
+    0 < r < r_max.  Returns the last stage state, or None once a stage
+    leaves the chart or the right-hand side fails, together with the
+    number of right-hand-side calls.
     """
-    y0, y1, y2, y3 = y
-    c0, c1, c2, c3 = cols
-    calls = 0
-    try:
-        for a in rows:
-            r = y0 + h * fsum(map(mul, a, c0))
-            if not 0.0 < r < r_max:
-                return None, calls
-            phi = y1 + h * fsum(map(mul, a, c1))
-            v_r = y2 + h * fsum(map(mul, a, c2))
-            v_phi = y3 + h * fsum(map(mul, a, c3))
-            calls += 1
-            k0, k1, k2, k3 = rhs(r, phi, v_r, v_phi)
-            c0.append(k0)
-            c1.append(k1)
-            c2.append(k2)
-            c3.append(k3)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return None, calls
-    return (r, phi, v_r, v_phi), calls
+    lines = [f"def {name}(rhs, y, h, k, r_max):", "    y0, y1, y2, y3 = y", *_unpack(rows, first)]
+    lines += ["    n = 0", "    try:"]
+    for n, row in enumerate(rows):
+        s = first + n
+        r, phi, v_r, v_phi = (f"y{c} + h * ({_dot(row, c)})" for c in range(4))
+        lines += [
+            f"        r = {r}",
+            f"        if not 0.0 < r < r_max: return None, {n}",
+            f"        phi, v_r, v_phi, n = {phi}, {v_r}, {v_phi}, {n + 1}",
+            f"        k{s} = k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)",
+        ]
+    lines += ["    except (ValueError, OverflowError, ZeroDivisionError):", "        return None, n"]
+    stages = ", ".join(f"k{first + n}" for n in range(len(rows)))
+    return "\n".join(lines + [f"    k += ({stages},)", f"    return (r, phi, v_r, v_phi), {len(rows)}"])
 
 
-def _error_norm(h, y, y_new, cols, rtol, atol) -> float:
-    """DOP853's error estimate in units of the tolerance: the RMS of the
-    5th-order estimate e5 = h E5.k, scaled by |e5|/sqrt(|e5|**2 + 0.01
-    |e3|**2) with the 3rd-order one e3 = h E3.k.  The squares are added
-    left to right, so the bits depend on no summation builtin."""
-    e5 = e3 = 0.0
-    for a, b, c in zip(y, y_new, cols):
-        scale = atol + rtol * max(abs(a), abs(b))
-        x5 = fsum(map(mul, _E5, c)) / scale
-        x3 = fsum(map(mul, _E3, c)) / scale
-        e5 += x5 * x5
-        e3 += x3 * x3
-    if e5 == 0.0:
-        return 0.0
-    return h * e5 / math.sqrt(4.0 * (e5 + 0.01 * e3))
+def _norm_kernel() -> str:
+    """Source of ``norm(h, y, y_new, k, rtol, atol)``, DOP853's error
+    estimate in units of the tolerance: the RMS of the 5th-order estimate
+    e5 = h E5.k, scaled by |e5|/sqrt(|e5|**2 + 0.01 |e3|**2) with the
+    3rd-order one e3 = h E3.k.  Every sum runs left to right."""
+    lines = ["def norm(h, y, y_new, k, rtol, atol):", *_unpack((_E5, _E3), len(_E5))]
+    for c in range(4):
+        lines += [
+            f"    scale = atol + rtol * max(abs(y[{c}]), abs(y_new[{c}]))",
+            f"    x5_{c}, x3_{c} = ({_dot(_E5, c)}) / scale, ({_dot(_E3, c)}) / scale",
+        ]
+    for e in ("e5", "e3"):
+        lines.append(f"    {e} = " + " + ".join(f"x{e[1]}_{c} * x{e[1]}_{c}" for c in range(4)))
+    lines += ["    if e5 == 0.0: return 0.0", "    return h * e5 / sqrt(4.0 * (e5 + 0.01 * e3))"]
+    return "\n".join(lines)
+
+
+@cache
+def _kernels():
+    """The (step, dense, norm) kernels: the 12 stages of a step, the 3
+    stages of its dense output and the error norm.  Compiled on the first
+    integration, not at import, which they would slow by milliseconds."""
+    src = "\n".join([_kernel(_STEP_ROWS, 1, "step"), _kernel(_DENSE_ROWS, 13, "dense"), _norm_kernel()])
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(src, "<dop853 kernel>", "exec"), namespace)
+    return namespace["step"], namespace["dense"], namespace["norm"]
 
 
 def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense):
@@ -696,6 +714,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     t = 0.0
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
+    step_stages, dense_stages, error_norm = _kernels()
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -729,8 +748,8 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
                 break
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
 
-        cols = ([f[0]], [f[1]], [f[2]], [f[3]])
-        y_new, calls = _stages(rhs, y, h, _STEP_ROWS, cols, r_max)
+        k = [f]
+        y_new, calls = step_stages(rhs, y, h, k, r_max)
         rhs_calls += calls
         # the step stands if every stage stays inside the chart and the
         # solution is finite
@@ -739,7 +758,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             h *= 0.5
             continue
 
-        err = _error_norm(h, y, y_new, cols, rtol, atol)
+        err = error_norm(h, y, y_new, k, rtol, atol)
         if err > 1.0:
             rejected_error += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
@@ -757,14 +776,14 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             continue
 
         if dense:
-            last, calls = _stages(rhs, y, h, _DENSE_ROWS, cols, r_max)
+            last, calls = dense_stages(rhs, y, h, k, r_max)
             rhs_calls += calls
             if last is None:
                 rejected_stage += 1
                 h *= 0.5
                 continue
             steps_h.append(h)
-            stages.append(cols)
+            stages.append(k)
 
         accepted += 1
         inv0 = inv1
@@ -778,7 +797,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             break
 
         # the solution's stage is the next step's first (FSAL)
-        y, f, t = y_new, [c[12] for c in cols], t_new
+        y, f, t = y_new, k[12], t_new
         if err == 0.0:
             h *= _MAX_FACTOR
         else:

@@ -219,8 +219,10 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     parabola or horoellipse.  Beyond the escape j (no minimum on the
     hyperbolic plane) an energy at or below the plateau has no root, as
     classify_orbit calls it infeasible.  Each radius is verified to satisfy
-    |W(r) - e| < 1e-11 * max(1, |e|) + 4 |dW/dr| ulp(r), the second term
-    what one rounding of r moves W by; CurvedKeplerError reports a miss.
+    |W(r) - e| < 1e-11 * max(1, |e|) + 4 |dW/dr| ulp(r) + eps (k |u| +
+    (j**2/2)(u**2 + |kappa|)): one rounding of r moves W by |dW/dr| ulp(r),
+    and evaluating W rounds by eps times its terms; CurvedKeplerError
+    reports a miss.
     """
     return _turning_points(*_inputs(kappa, k, j, e), j, e)
 
@@ -265,7 +267,9 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
         # antipode of a nearly flat sphere, or close in for a small j) one
         # ulp of r can move W by more than base_tol
         shift = abs((j * j * u - k) * (u * u + kap)) * math.ulp(r)
-        tol = base_tol + 4.0 * shift
+        # and where W's terms cancel (k u >> |e|), W's own rounding does
+        rounding = math.ulp(1.0) * (k * abs(u) + 0.5 * j * j * (u * u + abs(kap)))
+        tol = base_tol + 4.0 * shift + rounding
         if not abs(residual) < tol:
             raise CurvedKeplerError(
                 f"turning point verification failed at r={r!r}: W(r) - e = "

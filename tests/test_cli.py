@@ -16,6 +16,7 @@ from curvedkepler.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _build_parser,
     classify_record,
     main,
 )
@@ -208,6 +209,22 @@ def test_simulate_chart_columns(capsys):
     for row in rows[:10]:
         x, y, z = (float(v) for v in row[-3:])
         assert x * x + y * y + z * z == pytest.approx(1.0, rel=1e-12)
+
+
+def test_the_shared_parser_carries_no_flag_into_the_next_call(capsys):
+    # main builds its parser once per process: each call's outputs equal
+    # those of a freshly built parser, whatever the call before it set
+    sim = ["simulate", "--kappa", "1", "--k", "1", "--elements", "1.2,1,0", "--t-end", "1"]
+    trig = ["trig-check", "--pairs", "20"]
+    runs = [sim + ["--chart", "ambient"], sim, ["--seed", "3", *trig], trig]
+    shared = [run_cli(capsys, argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    assert shared == fresh
+    assert "chart_z" in shared[0][1] and "chart_z" not in shared[1][1]
+    assert shared[2][1] != shared[3][1]
 
 
 def test_simulate_poincare_chart_stays_in_unit_disk(capsys):

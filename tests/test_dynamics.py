@@ -709,10 +709,12 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
     from curvedkepler.dynamics import _A, _D, _THETA_POWERS, _dense_coefficients
 
     rng = np.random.default_rng(SEED)
-    stages = [
+    columns = [
         [list(rng.standard_normal(16) * 10.0 ** rng.uniform(-8, 8)) for _ in range(4)]
         for _ in range(300)
     ]
+    # stage-major, as the integrator keeps them: stages[n][s] is a 4-tuple
+    stages = [list(zip(*step)) for step in columns]
 
     def weighted(weights, values):
         # an explicit loop: from Python 3.12 on, sum() of floats compensates
@@ -727,7 +729,7 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
         rows = [f0, ks[0] - f0, 2.0 * f0 - (ks[12] + ks[0])] + [weighted(w, ks) for w in _D]
         return [weighted(m, rows) for m in _THETA_POWERS]
 
-    per_step = [[coefficients(ks) for ks in step] for step in stages]
+    per_step = [[coefficients(ks) for ks in step] for step in columns]
     want = [[[per_step[n][i][m] for i in range(4)] for n in range(300)] for m in range(7)]
     got = _dense_coefficients(stages)
     assert got.shape == (7, 300, 4)
@@ -783,11 +785,12 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     # like h**8, against 64 steps of the same method
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
     y0 = (0.9, 0.0, 0.1, 1.2)
+    step_stages, dense_stages, _ = dynamics._kernels()
 
-    def step(y, h, rows=dynamics._STEP_ROWS):
-        cols = tuple([v] for v in rhs(*y))
-        y1, _ = dynamics._stages(rhs, y, h, rows, cols, math.inf)
-        return y1, cols
+    def step(y, h):
+        k = [rhs(*y)]
+        y1, _ = step_stages(rhs, y, h, k, math.inf)
+        return y1, k
 
     def fine(h):
         y = y0
@@ -797,9 +800,9 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
 
     errors = []
     for h in (0.4, 0.2, 0.1):
-        y1, cols = step(y0, h)
-        dynamics._stages(rhs, y0, h, dynamics._DENSE_ROWS, cols, math.inf)
-        d = dynamics._dense_coefficients([cols])[:, 0]
+        y1, k = step(y0, h)
+        dense_stages(rhs, y0, h, k, math.inf)
+        d = dynamics._dense_coefficients([k])[:, 0]
         poly = d[-1]
         for dm in d[-2::-1]:
             poly = dm + 0.5 * poly
@@ -808,6 +811,67 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     for (step_a, mid_a), (step_b, mid_b) in zip(errors, errors[1:]):
         assert 2**8 < step_a / step_b < 2**10
         assert 2**7 < mid_a / mid_b < 2**9
+
+
+def _left_to_right(row, values):
+    """sum_s row[s] * values[s] over the nonzero weights, added left to right."""
+    terms = [w * v for w, v in zip(row, values) if w]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _reference_stages(rhs, y, h, rows, k):
+    """The stage states that ``rows`` build, one component at a time in a
+    plain loop; extends ``k`` by their right-hand sides."""
+    states = []
+    for row in rows:
+        state = tuple(y[c] + h * _left_to_right(row, [ks[c] for ks in k]) for c in range(4))
+        states.append(state)
+        k.append(rhs(*state))
+    return states
+
+
+def _reference_norm(h, y, y_new, k, rtol, atol):
+    e5 = e3 = 0.0
+    for c in range(4):
+        scale = atol + rtol * max(abs(y[c]), abs(y_new[c]))
+        x5 = _left_to_right(dynamics._E5, [ks[c] for ks in k]) / scale
+        x3 = _left_to_right(dynamics._E3, [ks[c] for ks in k]) / scale
+        e5 += x5 * x5
+        e3 += x3 * x3
+    return 0.0 if e5 == 0.0 else h * e5 / math.sqrt(4.0 * (e5 + 0.01 * e3))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
+    # every stage state, stage derivative, the step's solution and its
+    # error norm, against a plain loop over the rows of _A, _E5 and _E3
+    kepler = functools.partial(dynamics._kepler_rhs, dynamics._sincos(kappa), 1.3)
+    step_stages, dense_stages, error_norm = dynamics._kernels()
+    for state in random_states(kappa, 20, rng, r_lo=0.5, v_max=1.0):
+        y = (state.r, state.phi, state.v_r, state.v_phi)
+        h = 10.0 ** rng.uniform(-4, -1)
+        seen = []
+
+        def rhs(*x):
+            seen.append(x)
+            return kepler(*x)
+
+        k = [kepler(*y)]
+        y_new, calls = step_stages(rhs, y, h, k, math.inf)
+        assert calls == 12
+        dense_last, calls = dense_stages(rhs, y, h, k, math.inf)
+        assert calls == 3
+        want_k = [kepler(*y)]
+        want = _reference_stages(kepler, y, h, dynamics._A[1:], want_k)
+        assert seen == want
+        assert k == want_k
+        assert (y_new, dense_last) == (want[11], want[14])
+        for tol in (1e-6, 1e-9, 1e-13):
+            want_err = _reference_norm(h, y, y_new, want_k[:12], tol, tol)
+            assert error_norm(h, y, y_new, k, tol, tol) == want_err
 
 
 def _neumaier_sum(values, start=0):

@@ -8,11 +8,29 @@ from pathlib import Path
 import curvedkepler
 
 
+def _run(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(curvedkepler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
 def test_import_loads_no_scipy():
     # scipy.integrate alone takes most of a cold start and about 50 MiB;
     # nothing in the package needs it
-    src = str(Path(curvedkepler.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, curvedkepler; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _run(code)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_import_compiles_no_kernel_and_integrating_compiles_them_once():
+    # compiling the DOP853 kernels costs milliseconds: it waits for the
+    # first integration, and a second one reuses them
+    code = (
+        "import curvedkepler as ck; from curvedkepler.dynamics import _kernels\n"
+        "print(_kernels.cache_info().currsize)\n"
+        "for _ in range(2): ck.integrate(ck.PhaseState(1, 0, 0, 1), ck.KeplerParams(0, 1), 1.0)\n"
+        "print(_kernels.cache_info().currsize, _kernels.cache_info().misses)"
+    )
+    out = _run(code)
+    assert out.stdout.split("\n")[:2] == ["0", "1 1"], out.stdout

@@ -238,3 +238,19 @@ def test_a_corrupted_root_fails_verification_and_names_its_values(monkeypatch):
             turning_points(1e-8, k, j, e)
         for part in ("at r=", "W(r) - e =", "tol", "W(u) - e =", "ulp(r) =", "moves W(r)"):
             assert part in str(info.value), str(info.value)
+
+
+def test_a_periastron_where_the_terms_of_w_cancel_is_verified():
+    # at u ~ 4.5e6 the two terms of W, about 2.4e7 each, cancel to E ~ -7.6:
+    # evaluating W rounds by more than what 4 ulps of r move it by, and the
+    # bound allows that rounding; the radius sits on the 50-digit root
+    kappa, k, j, e = -2.0, 5.380607987716266, 0.0015393546350689594, -7.609329238485911
+    r_per, r_apo = turning_points(kappa, k, j, e)
+    with mp.workdps(50):
+        f = lambda r: _w_mp(kappa, k, j, r) - mpf(e)  # noqa: E731
+        bracket = (mpf(r_per) * (1 - mpf("1e-6")), mpf(r_per) * (1 + mpf("1e-6")))
+        root = mp.findroot(f, bracket, tol=mpf("1e-60"), verify=False)
+        assert abs(f(root)) < mpf("1e-40")
+        assert abs(r_per - root) <= 4 * math.ulp(r_per), (r_per, root)
+    r_mp, tol = _oracle_root(kappa, k, j, e, r_apo)
+    assert abs(r_apo - r_mp) <= tol
