@@ -12,7 +12,8 @@ with a dense-output interpolant of degree 7, step rejection on
 conserved-quantity spikes, and collision termination for radial orbits.
 Its stages and error norm run as straight-line kernels that
 :func:`_kernels` compiles from the tableau once per process, on the
-first integration.
+first integration.  A step accepted right after a rejection may not grow
+(Hairer, Norsett & Wanner, sec. II.4), nor past the spike guard's margin.
 """
 
 from __future__ import annotations
@@ -394,6 +395,8 @@ _MAX_STEPS = 5_000_000
 # local errors are controlled this far below the requested tolerance so
 # that global drift over long runs lands near the tolerance itself
 _DRIFT_MARGIN = 0.1
+# dense output reduces the 16 stages per step to coefficients this many steps at a time
+_DENSE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -405,7 +408,9 @@ class StepStats:
     first integral jumped or became non-finite) and ``rejected_stage``
     (a stage left the chart, the solution was not finite or the
     arithmetic failed); ``rhs_evaluations`` counts every call of the
-    right-hand side, the initial-step trial included.
+    right-hand side, the initial-step trial included; ``h_min`` and ``h_max``
+    the shortest and longest accepted step, the last one clipped to the span
+    included (0.0 if none was taken).
     """
 
     accepted: int
@@ -413,6 +418,8 @@ class StepStats:
     rejected_spike: int
     rejected_stage: int
     rhs_evaluations: int
+    h_min: float
+    h_max: float
 
 
 class Trajectory:
@@ -708,7 +715,9 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     recorded for every accepted state; a step that moves any of the first
     ``watched`` of them by more than 10x the tolerance (relative), or
     makes one non-finite, is rejected and retried at half the step, which
-    keeps isolated spikes near close approaches out of the output.
+    keeps isolated spikes near close approaches out of the output.  The next
+    step grows by at most 5x, not at all right after a rejection, nor past
+    0.9 q**(-1/9), q the largest watched change over that threshold (h**9).
     """
     rtol = atol = _DRIFT_MARGIN * tol
     t = 0.0
@@ -728,12 +737,14 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     invs = [inv0]
     steps_h = []
     stages = []
+    coeffs = []
     event = None
     event_time = None
 
     h, rhs_calls = _initial_step(rhs, y, f, t_end, rtol, atol)
     rhs_calls += 1
     accepted = rejected_error = rejected_spike = rejected_stage = 0
+    rejected = False
     while t < t_end:
         steps = accepted + rejected_error + rejected_spike + rejected_stage
         if steps > _MAX_STEPS:
@@ -756,23 +767,29 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
         if y_new is None or not all(map(math.isfinite, y_new)):
             rejected_stage += 1
             h *= 0.5
+            rejected = True
             continue
 
         err = error_norm(h, y, y_new, k, rtol, atol)
         if err > 1.0:
             rejected_error += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
+            rejected = True
             continue
 
         inv1 = invariants(*y_new)
-        # "not <=" so that a NaN counts as a spike
-        spike = any(
-            not abs(a - b) <= _SPIKE_FACTOR * tol * max(1.0, abs(a))
-            for a, b in zip(inv0[:watched], inv1)
-        )
-        if spike:
+        # the largest watched change over the spike threshold; "not <=" keeps a NaN
+        q_max = 0.0
+        for a, b in zip(inv0[:watched], inv1):
+            q = abs(a - b) / (_SPIKE_FACTOR * tol * max(1.0, abs(a)))
+            if not q <= q_max:
+                q_max = q
+                if not q <= 1.0:
+                    break
+        if not q_max <= 1.0:
             rejected_spike += 1
             h *= 0.5
+            rejected = True
             continue
 
         if dense:
@@ -781,9 +798,13 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             if last is None:
                 rejected_stage += 1
                 h *= 0.5
+                rejected = True
                 continue
             steps_h.append(h)
             stages.append(k)
+            if len(stages) == _DENSE_CHUNK:
+                coeffs.append(_dense_coefficients(stages))
+                stages = []
 
         accepted += 1
         inv0 = inv1
@@ -798,20 +819,24 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
 
         # the solution's stage is the next step's first (FSAL)
         y, f, t = y_new, k[12], t_new
-        if err == 0.0:
-            h *= _MAX_FACTOR
-        else:
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**_EXPONENT))
+        fac = 1.0 if rejected else _MAX_FACTOR
+        if err != 0.0:
+            fac = min(fac, max(_MIN_FACTOR, _SAFETY * err**_EXPONENT))
+        if q_max > 0.0:
+            fac = min(fac, max(_MIN_FACTOR, _SAFETY * q_max ** (-1.0 / 9.0)))
+        h *= fac
+        rejected = False
 
+    hs = np.diff(times).tolist() or [0.0]
     return Trajectory(
         kappa,
         times,
         states,
         invs,
-        dense=(np.array(steps_h), _dense_coefficients(stages)) if dense else None,
+        dense=(np.array(steps_h), np.concatenate([*coeffs, _dense_coefficients(stages)], 1)) if dense else None,
         event=event,
         event_time=event_time,
-        stats=StepStats(accepted, rejected_error, rejected_spike, rejected_stage, rhs_calls),
+        stats=StepStats(accepted, rejected_error, rejected_spike, rejected_stage, rhs_calls, min(hs), max(hs)),
     )
 
 
@@ -840,7 +865,7 @@ def integrate(
         the phase: the error in phi grows linearly in time and with tol
         (after ten radial periods at k = 1, J = 0.8: 1.9e-7 rad at tol
         1e-12 on kappa = -1, E = -1.001, near the horoellipse; at most
-        9e-9 rad at tol 1e-11 on kappa = 1, 0 at E = -0.3 and on
+        8.2e-9 rad at tol 1e-11 on kappa = 1, 0 at E = -0.3 and on
         kappa = -1 at E = -1.05).  For an exact phase use
         ``orbit.propagate`` or ``orbit.phi_from_time``.
     dense : bool

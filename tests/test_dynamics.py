@@ -39,6 +39,7 @@ from curvedkepler.errors import (
 )
 from curvedkepler.geometry import PolarPoint
 from curvedkepler.ktrig import cos_k, sin_k
+from curvedkepler.orbit import orbit_constants, radial_period
 
 FOUR_PI = 12.566370614359172  # 4*pi
 EIGHT_PI = 25.132741228718345
@@ -469,6 +470,33 @@ def test_integrate_flat_radial_drop_collides():
     assert np.all(np.diff(traj.states[:, 0]) < 0.0)
 
 
+# radial falls from rest (params, r0, tol) and the right-hand-side
+# evaluations they cost while every accepted step could grow 5x toward a
+# centre where the admissible step shrinks like r**1.5
+RADIAL_FALLS = [
+    (KeplerParams(-1.0, 4.0), 1.0, 1e-9, 13_322),
+    (KeplerParams(0.0, 1.0), 0.5, 1e-11, 9_338),
+    (KeplerParams(1.0, 1.0), 1.0, 1e-11, 7_826),
+]
+
+
+@pytest.mark.parametrize("params,r0,tol,rhs_evaluations_before", RADIAL_FALLS)
+def test_radial_fall_rejects_fewer_steps_than_it_accepts(params, r0, tol, rhs_evaluations_before):
+    state = PhaseState(r0, 0.0, 0.0, 0.0)
+    plain = integrate(state, params, 10.0, tol=tol, dense=False)
+    stats = plain.stats
+    assert plain.event == "collision"
+    assert stats.rejected_error + stats.rejected_spike + stats.rejected_stage < stats.accepted
+    # 0.41, 0.53 and 0.62 of it with growth barred after a rejection
+    assert stats.rhs_evaluations <= 0.65 * rhs_evaluations_before
+    # the step range spans the fall down to the collision radius
+    steps = np.diff(plain.times)
+    assert (stats.h_min, stats.h_max) == (steps.min(), steps.max())
+    assert stats.h_min < 1e-3
+    dense = integrate(state, params, 10.0, tol=tol, dense=True)
+    assert (dense.stats.h_min, dense.stats.h_max) == (stats.h_min, stats.h_max)
+
+
 def test_integrate_spherical_orbit_closes():
     # kappa=1, k=1, j=1, bound eccentricity: one angular turn must land
     # back on the initial state
@@ -576,20 +604,35 @@ def test_stats_count_steps_and_rhs_evaluations(kappa, k, state):
     )
 
 
-def test_stats_count_a_spike_rejection():
-    # the invariants of the third state offered are NaN once: that step is
-    # rejected by the spike guard, retried at half the size and accepted
+def _spike_once_traj(spiked=(math.nan,)):
+    # the watched invariants of the third state offered are ``spiked`` once:
+    # that step is rejected by the spike guard, retried at half the size
+    # and accepted
     offered = itertools.count()
 
     def invariants(r, phi, v_r, v_phi):
-        return (math.nan,) if next(offered) == 3 else (0.0,)
+        return spiked if next(offered) == 3 else (0.0,) * len(spiked)
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
-    traj = dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, 1, False)
+    return dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, len(spiked), False)
+
+
+# a NaN in the first or a later watched integral
+@pytest.mark.parametrize("spiked", [(math.nan,), (0.0, math.nan)], ids=["first", "later"])
+def test_stats_count_a_spike_rejection(spiked):
+    traj = _spike_once_traj(spiked)
     assert traj.stats.rejected_spike == 1
     assert traj.stats.accepted == len(traj) - 1
     assert traj.stats.rhs_evaluations == 2 + 12 * _attempts(traj.stats)
+
+
+def test_no_growth_right_after_a_rejection():
+    traj = _spike_once_traj()
+    steps = np.diff(traj.times)
+    # steps[2] is the retry at half size; the step after it may not grow
+    # (beyond the rounding of t + h in the recorded times)
+    assert steps[3] <= steps[2] + 2.0 * math.ulp(traj.times[4])
 
 
 @pytest.mark.parametrize("failure", ["raises", "leaves the chart"])
@@ -928,11 +971,24 @@ def test_sample_and_state_at_input_contract():
         traj.first_crossing(lambda t, s: s.v_r, t_lo=math.nan)
 
 
+def test_dense_output_reduced_in_chunks_samples_as_one_block(monkeypatch):
+    # more than two chunks of steps, reduced to coefficients as the loop
+    # goes, against one reduction of all stages after the loop
+    params, state = KeplerParams(-1.0, 4.0), PhaseState(0.8, 0.3, 0.4, 1.9)
+    chunked = integrate(state, params, 100.0, tol=1e-11)
+    assert chunked.stats.accepted > 2 * dynamics._DENSE_CHUNK
+    monkeypatch.setattr(dynamics, "_DENSE_CHUNK", len(chunked))
+    whole = integrate(state, params, 100.0, tol=1e-11)
+    grid = np.linspace(0.0, 100.0, 4001)
+    assert chunked.sample(grid).tolist() == whole.sample(grid).tolist()
+
+
 def test_dense_queries_on_a_trajectory_without_steps():
     # collision at t = 0: one row, no accepted step, the span is [0, 0]
     state = PhaseState(2e-10, 0.0, -1.0, 0.0)
     traj = integrate(state, KeplerParams(0.0, 1.0), 1.0)
     assert len(traj) == 1 and traj.event_time == 0.0
+    assert (traj.stats.h_min, traj.stats.h_max) == (0.0, 0.0)
     assert traj.state_at(0.0) == state
     assert traj.sample([0.0, 0.0]).tolist() == [[state.r, state.phi, state.v_r, state.v_phi]] * 2
     assert traj.sample([]).shape == (0, 4)
@@ -946,10 +1002,18 @@ def test_dense_queries_on_a_trajectory_without_steps():
 
 
 # the v_r = 0 passage at t = 0.99739 of this orbit falls inside one step
-# (0.95909, 1.01907) of the tol=1e-9 integration; _WINDOW_T1 is where its
-# interpolant crosses, 2.3e-11 before the apsis of the closed form
+# (0.95893, 1.01845) of the tol=1e-9 integration; _WINDOW_T1 is where its
+# interpolant crosses, 2.6e-11 before the apsis of the closed form.  It
+# pins one step layout: a change to the step-size rule moves it
 _WINDOW_CASE = (KeplerParams(1.0, 1.0), PhaseState(0.6, 0.0, 0.0, 2.3))
-_WINDOW_T1 = 0.9973872677892217
+_WINDOW_T1 = 0.9973872677863921
+
+
+def test_window_crossing_sits_on_the_closed_form_apsis():
+    # the start is an apsis, so the next one comes half a radial period on
+    params, state = _WINDOW_CASE
+    apsis = 0.5 * radial_period(orbit_constants(state, params), params.kappa)
+    assert abs(_WINDOW_T1 - apsis) < 3e-11
 
 
 def _window_traj():

@@ -437,7 +437,7 @@ def test_propagate_matches_integrator(kappa, k, j, ecc, t_end):
 def test_integrated_phase_stays_on_propagate_for_ten_periods(kappa, e):
     # the baseline cases (k = 1, J = 0.8, from periastron): tol bounds the
     # drift of the invariants, not the phase, whose error grows with time;
-    # at tol 1e-11 it reaches 9e-9 rad after ten radial periods on the plane
+    # at tol 1e-11 it reaches 8.2e-9 rad after ten radial periods on the plane
     k, j = 1.0, 0.8
     r_per = turning_points(kappa, k, j, e)[0]
     state = PhaseState(r_per, 0.0, 0.0, j / sin_k(kappa, r_per) ** 2)
