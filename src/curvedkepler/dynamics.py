@@ -12,8 +12,10 @@ with a dense-output interpolant of degree 7, step rejection on
 conserved-quantity spikes, and collision termination for radial orbits.
 Its stages and error norm run as straight-line kernels that
 :func:`_kernels` compiles from the tableau once per process, on the
-first integration.  A step accepted right after a rejection may not grow
-(Hairer, Norsett & Wanner, sec. II.4), nor past the spike guard's margin.
+first integration; the Kepler flow's kernels write its right-hand side
+out and form phi, which it never reads, only for the solution.  A step
+accepted right after a rejection may not grow (Hairer, Norsett & Wanner,
+sec. II.4), nor past the spike guard's margin.
 """
 
 from __future__ import annotations
@@ -138,10 +140,17 @@ def _kinetic(j, v_r, v_phi):
     return 0.5 * (v_r * v_r + j * v_phi)
 
 
-def _kepler_rhs(sc, k, r, phi, v_r, v_phi):
-    """(dr, dphi, dv_r, dv_phi) of the Kepler flow."""
-    s, c = sc(r)
-    return (v_r, v_phi, s * c * v_phi * v_phi - k / (s * s), -2.0 * (c / s) * v_r * v_phi)
+def _source(src: str, filename: str, **namespace) -> dict:
+    """The names that the source ``src`` defines, compiled as ``filename``."""
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace
+
+
+# (dr, dphi, dv_r, dv_phi) of the Kepler flow over s, c = sc(r): _kepler_rhs and its kernels compile it
+_KEPLER_FLOW = "v_r, v_phi, s * c * v_phi * v_phi - k / (s * s), -2.0 * (c / s) * v_r * v_phi"
+_kepler_rhs = _source(
+    f"def _kepler_rhs(sc, k, r, phi, v_r, v_phi):\n    s, c = sc(r)\n    return {_KEPLER_FLOW}", "<kepler flow>"
+)["_kepler_rhs"]
 
 
 def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
@@ -433,8 +442,8 @@ class Trajectory:
     :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
     The interpolants are kept as two private arrays: step i starts at
     ``times[i]``, ``states[i]``, has size ``h[i]`` and coefficients
-    ``d[:, i]``, where ``d`` has shape (7, n, 4), indexed (theta power,
-    step, component); the evaluators read the degree from ``d``.
+    ``d[i]``, where ``d`` has shape (n, 7, 4), indexed (step, theta power,
+    component); the evaluators read the degree from ``d``.
     Instances are immutable by
     convention: nothing in the package mutates them after construction,
     so they can be shared freely across threads.
@@ -479,7 +488,7 @@ class Trajectory:
         """Step i as plain floats (t0, h, y0, d), for scalar evaluation;
         d[c] lists component c's coefficients, lowest theta power first."""
         h, d = self._dense
-        return float(self.times[i]), float(h[i]), self.states[i].tolist(), d[:, i].T.tolist()
+        return float(self.times[i]), float(h[i]), self.states[i].tolist(), d[i].T.tolist()
 
     def state_at(self, t: float) -> PhaseState:
         """Dense-output state at any time inside the integrated span."""
@@ -508,7 +517,7 @@ class Trajectory:
         i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(h) - 1)
         hi = h[i]
         theta = ((ts - self.times[i]) / hi)[:, None]
-        di = d[:, i]
+        di = d[i].transpose(1, 0, 2)
         poly = di[-1]
         for dm in di[-2::-1]:
             poly = dm + theta * poly
@@ -519,7 +528,8 @@ class Trajectory:
 
         Scans for a sign change over the window's two ends, evaluated on
         the interpolant, and every accepted node between them; then
-        bisects on the interpolant of the step holding the sign change.
+        polishes the root on the interpolant of the step holding the sign
+        change by Illinois false position.
         The window is clipped to the integrated span.  Returns None if no
         crossing is found.
         """
@@ -545,7 +555,7 @@ class Trajectory:
         for t, state, i in points:
             g = func(t, state)
             if prev_g is not None and (g == 0.0 or (prev_g < 0.0) != (g < 0.0)):
-                return _bisect_step(func, self._step(prev_i), prev_t, t, prev_g)
+                return _false_position(func, self._step(prev_i), prev_t, t, prev_g, g)
             prev_t, prev_g, prev_i = t, g, i
         return None
 
@@ -563,19 +573,24 @@ def _horner(step, t) -> PhaseState:
     return PhaseState(*out)
 
 
-def _bisect_step(func, step, a, b, ga) -> float:
-    """Zero of func on [a, b], a bracket inside one step's interpolant."""
+def _false_position(func, step, a, b, ga, gb) -> float:
+    """Zero of func on [a, b] in one step's interpolant, ga, gb its values at a, b: Illinois
+    false position (an end kept twice in a row has its value halved), bisecting where the secant misses."""
+    side = 0
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = func(mid, _horner(step, mid))
-        if gm == 0.0:
-            return mid
-        if (ga < 0.0) != (gm < 0.0):
-            b = mid
-        else:
-            a, ga = mid, gm
-        if b - a <= 1e-14 * max(1.0, abs(a)):
+        eps = 0.5e-14 * max(1.0, abs(a))
+        if b - a <= 2.0 * eps:
             break
+        x = b - gb * (b - a) / (gb - ga) if gb != ga else 0.5 * (a + b)
+        # a secant point within eps of an end moves eps inside, so a root at that end closes the bracket
+        x = min(max(x, a + eps), b - eps) if a <= x <= b else 0.5 * (a + b)
+        gx = func(x, _horner(step, x))
+        if gx == 0.0:
+            return x
+        if (ga < 0.0) != (gx < 0.0):
+            b, gb, ga, side = x, gx, 0.5 * ga if side < 0 else ga, -1
+        else:
+            a, ga, gb, side = x, gx, 0.5 * gb if side > 0 else gb, 1
     return 0.5 * (a + b)
 
 
@@ -590,7 +605,7 @@ def _weighted(weights, k) -> np.ndarray:
 
 
 def _dense_coefficients(stages) -> np.ndarray:
-    """Coefficients d[m, i, c] of theta**(m + 1) for every step at once.
+    """Coefficients d[i, m, c] of theta**(m + 1) for every step at once.
 
     ``stages[i][s]`` is stage s of step i, a 4-tuple of derivatives.  The
     rows F_j of the dense output are formed as in DOP853, F_0 from the
@@ -600,10 +615,11 @@ def _dense_coefficients(stages) -> np.ndarray:
     the stages of one step would add them (the tests hold it to that bit
     for bit).
     """
-    k = np.array(stages, dtype=float).reshape(-1, 16, 4).transpose(1, 0, 2)
+    flat = chain.from_iterable(chain.from_iterable(stages))
+    k = np.fromiter(flat, float, 64 * len(stages)).reshape(-1, 16, 4).transpose(1, 0, 2)
     f0 = _weighted(_A[12], k)
     rows = np.array([f0, k[0] - f0, 2.0 * f0 - (k[12] + k[0])] + [_weighted(w, k) for w in _D])
-    return np.array([_weighted(m, rows) for m in _THETA_POWERS])
+    return np.stack([_weighted(m, rows) for m in _THETA_POWERS], 1)
 
 
 def _rms(values) -> float:
@@ -646,41 +662,53 @@ def _dot(row, c) -> str:
 def _unpack(rows, first):
     """Source lines unpacking the stages before ``first`` that ``rows`` read."""
     used = sorted({s for row in rows for s, w in enumerate(row[:first]) if w})
-    return [f"    k{s}_0, k{s}_1, k{s}_2, k{s}_3 = k[{s}]" for s in used]
+    return [f"    k{s}_0, k{s}_1, k{s}_2, k{s}_3 = ks[{s}]" for s in used]
 
 
-def _kernel(rows, first, name) -> str:
-    """Source of ``name(rhs, y, h, k, r_max)``, which extends the stage
-    list ``k`` by the stages first, first + 1, ... that ``rows`` build.
+# How a kernel stage takes the right-hand side: the kernel's leading parameters,
+# the state read besides r, and the statement setting k{s}_0..k{s}_3.
+_FLOWS = {
+    "kepler": ("sc, k", ("v_r", "v_phi"), "s, c = sc(r); k{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW),
+    "call": ("rhs", ("phi", "v_r", "v_phi"), "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)"),
+}
+_STATE = ("r", "phi", "v_r", "v_phi")
 
-    Each stage state y + h * (row . k) is written out per component, and
-    its right-hand side is taken once r passes the in-chart test
-    0 < r < r_max.  Returns the last stage state, or None once a stage
-    leaves the chart or the right-hand side fails, together with the
-    number of right-hand-side calls.
+
+def _kernel(rows, first, name, flow) -> str:
+    """Source of ``name(<flow parameters>, y, h, ks, r_max)``, which extends
+    the stage list ``ks`` by the stages first, first + 1, ... that ``rows`` build.
+
+    A component of the stage state y + h * (row . ks) is written out where
+    it is read: by the flow, whose right-hand side is taken once r passes
+    the in-chart test 0 < r < r_max, or in stage 12, the step's solution.
+    Returns that solution (True from the dense stages), or None once a stage
+    leaves the chart or the right-hand side fails, and the evaluation count.
     """
-    lines = [f"def {name}(rhs, y, h, k, r_max):", "    y0, y1, y2, y3 = y", *_unpack(rows, first)]
+    params, reads, evaluate = _FLOWS[flow]
+    lines = [f"def {name}({params}, y, h, ks, r_max):", "    y0, y1, y2, y3 = y", *_unpack(rows, first)]
     lines += ["    n = 0", "    try:"]
     for n, row in enumerate(rows):
         s = first + n
-        r, phi, v_r, v_phi = (f"y{c} + h * ({_dot(row, c)})" for c in range(4))
+        read = [c for c in range(4) if c == 0 or s == 12 or _STATE[c] in reads]
+        r, *rest = (f"y{c} + h * ({_dot(row, c)})" for c in read)
         lines += [
             f"        r = {r}",
             f"        if not 0.0 < r < r_max: return None, {n}",
-            f"        phi, v_r, v_phi, n = {phi}, {v_r}, {v_phi}, {n + 1}",
-            f"        k{s} = k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)",
+            f"        {', '.join(_STATE[c] for c in read[1:])}, n = {', '.join(rest)}, {n + 1}",
+            "        " + evaluate.format(s=s),
         ]
     lines += ["    except (ValueError, OverflowError, ZeroDivisionError):", "        return None, n"]
-    stages = ", ".join(f"k{first + n}" for n in range(len(rows)))
-    return "\n".join(lines + [f"    k += ({stages},)", f"    return (r, phi, v_r, v_phi), {len(rows)}"])
+    stages = "".join(f"(k{s}_0, k{s}_1, k{s}_2, k{s}_3), " for s in range(first, first + len(rows)))
+    solution = "(r, phi, v_r, v_phi)" if first + len(rows) == 13 else "True"
+    return "\n".join(lines + [f"    ks += ({stages})", f"    return {solution}, {len(rows)}"])
 
 
 def _norm_kernel() -> str:
-    """Source of ``norm(h, y, y_new, k, rtol, atol)``, DOP853's error
+    """Source of ``norm(h, y, y_new, ks, rtol, atol)``, DOP853's error
     estimate in units of the tolerance: the RMS of the 5th-order estimate
     e5 = h E5.k, scaled by |e5|/sqrt(|e5|**2 + 0.01 |e3|**2) with the
     3rd-order one e3 = h E3.k.  Every sum runs left to right."""
-    lines = ["def norm(h, y, y_new, k, rtol, atol):", *_unpack((_E5, _E3), len(_E5))]
+    lines = ["def norm(h, y, y_new, ks, rtol, atol):", *_unpack((_E5, _E3), len(_E5))]
     for c in range(4):
         lines += [
             f"    scale = atol + rtol * max(abs(y[{c}]), abs(y_new[{c}]))",
@@ -693,18 +721,18 @@ def _norm_kernel() -> str:
 
 
 @cache
-def _kernels():
-    """The (step, dense, norm) kernels: the 12 stages of a step, the 3
-    stages of its dense output and the error norm.  Compiled on the first
-    integration, not at import, which they would slow by milliseconds."""
-    src = "\n".join([_kernel(_STEP_ROWS, 1, "step"), _kernel(_DENSE_ROWS, 13, "dense"), _norm_kernel()])
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(src, "<dop853 kernel>", "exec"), namespace)
+def _kernels(flow):
+    """The (step, dense, norm) kernels of ``flow``, a key of ``_FLOWS``: the
+    12 stages of a step, the 3 of its dense output and the error norm.
+    Compiled on the flow's first integration, not at import (milliseconds)."""
+    src = [_kernel(_STEP_ROWS, 1, "step", flow), _kernel(_DENSE_ROWS, 13, "dense", flow), _norm_kernel()]
+    namespace = _source("\n".join(src), "<dop853 kernel>", sqrt=math.sqrt)
     return namespace["step"], namespace["dense"], namespace["norm"]
 
 
-def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense):
-    """Generic DOP853 driver on 4-component float tuples.
+def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense, kepler=None):
+    """Generic DOP853 driver on 4-component float tuples.  Its kernels call
+    ``rhs``, or write it out if it is the Kepler flow of ``kepler`` = (sc, k).
 
     ``tol`` is a trajectory-accuracy target, not a per-step bound: the
     controller holds each local error an order of magnitude below it so
@@ -723,7 +751,8 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     t = 0.0
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
-    step_stages, dense_stages, error_norm = _kernels()
+    flow, args = ("kepler", kepler) if kepler else ("call", (rhs,))
+    step_stages, dense_stages, error_norm = _kernels(flow)
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -760,7 +789,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
 
         k = [f]
-        y_new, calls = step_stages(rhs, y, h, k, r_max)
+        y_new, calls = step_stages(*args, y, h, k, r_max)
         rhs_calls += calls
         # the step stands if every stage stays inside the chart and the
         # solution is finite
@@ -793,9 +822,9 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             continue
 
         if dense:
-            last, calls = dense_stages(rhs, y, h, k, r_max)
+            ok, calls = dense_stages(*args, y, h, k, r_max)
             rhs_calls += calls
-            if last is None:
+            if ok is None:
                 rejected_stage += 1
                 h *= 0.5
                 rejected = True
@@ -833,7 +862,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
         times,
         states,
         invs,
-        dense=(np.array(steps_h), np.concatenate([*coeffs, _dense_coefficients(stages)], 1)) if dense else None,
+        dense=(np.array(steps_h), np.concatenate([*coeffs, _dense_coefficients(stages)])) if dense else None,
         event=event,
         event_time=event_time,
         stats=StepStats(accepted, rejected_error, rejected_spike, rejected_stage, rhs_calls, min(hs), max(hs)),
@@ -897,6 +926,7 @@ def integrate(
         partial(_first_integrals, sc, kappa, params.k),
         2,  # the spike guard watches (E, J)
         dense,
+        (sc, params.k),
     )
 
 

@@ -734,7 +734,7 @@ def _scalar_state_at(traj, t):
     idx = int(np.searchsorted(traj.times, t, side="right")) - 1
     idx = min(max(idx, 0), len(h_all) - 1)
     t0, h = float(traj.times[idx]), float(h_all[idx])
-    y0, d = traj.states[idx].tolist(), d_all[:, idx].tolist()
+    y0, d = traj.states[idx].tolist(), d_all[idx].tolist()
     theta = (t - t0) / h
     out = []
     for i in range(4):
@@ -773,9 +773,9 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
         return [weighted(m, rows) for m in _THETA_POWERS]
 
     per_step = [[coefficients(ks) for ks in step] for step in columns]
-    want = [[[per_step[n][i][m] for i in range(4)] for n in range(300)] for m in range(7)]
+    want = [[[per_step[n][i][m] for i in range(4)] for m in range(7)] for n in range(300)]
     got = _dense_coefficients(stages)
-    assert got.shape == (7, 300, 4)
+    assert got.shape == (300, 7, 4)
     assert got.tolist() == want
 
 
@@ -828,7 +828,7 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     # like h**8, against 64 steps of the same method
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
     y0 = (0.9, 0.0, 0.1, 1.2)
-    step_stages, dense_stages, _ = dynamics._kernels()
+    step_stages, dense_stages, _ = dynamics._kernels("call")
 
     def step(y, h):
         k = [rhs(*y)]
@@ -845,7 +845,7 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     for h in (0.4, 0.2, 0.1):
         y1, k = step(y0, h)
         dense_stages(rhs, y0, h, k, math.inf)
-        d = dynamics._dense_coefficients([k])[:, 0]
+        d = dynamics._dense_coefficients([k])[0]
         poly = d[-1]
         for dm in d[-2::-1]:
             poly = dm + 0.5 * poly
@@ -865,12 +865,15 @@ def _left_to_right(row, values):
     return total
 
 
-def _reference_stages(rhs, y, h, rows, k):
+def _reference_stages(rhs, y, h, rows, k, r_max=math.inf):
     """The stage states that ``rows`` build, one component at a time in a
-    plain loop; extends ``k`` by their right-hand sides."""
+    plain loop, up to the first that leaves the chart 0 < r < r_max;
+    extends ``k`` by their right-hand sides."""
     states = []
     for row in rows:
         state = tuple(y[c] + h * _left_to_right(row, [ks[c] for ks in k]) for c in range(4))
+        if not 0.0 < state[0] < r_max:
+            break
         states.append(state)
         k.append(rhs(*state))
     return states
@@ -887,31 +890,82 @@ def _reference_norm(h, y, y_new, k, rtol, atol):
     return 0.0 if e5 == 0.0 else h * e5 / math.sqrt(4.0 * (e5 + 0.01 * e3))
 
 
-@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+def _kernel_cases(kappa, rng, series=5):
+    """(state, step size) pairs: 20 random states, and ``series`` more in
+    the series branch |kappa r**2| < 1e-8 of sincos_k with steps short
+    enough to stay there."""
+    cases = [(s, 10.0 ** rng.uniform(-4, -1)) for s in random_states(kappa, 20, rng, r_lo=0.5, v_max=1.0)]
+    r_series = 0.5 * math.sqrt(1e-8 / abs(kappa)) if kappa else 1e-3
+    cases += [(s, 1e-3 * s.r) for s in random_states(kappa, series, rng, r_lo=0.2 * r_series, v_max=1.0, r_hi=r_series)]
+    assert all(abs(kappa) * s.r**2 < 1e-8 for s, _ in cases[20:])
+    return [((s.r, s.phi, s.v_r, s.v_phi), h) for s, h in cases]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e-6, 0.0, -1e-6, -1.0])
 def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
+    # the Kepler kernels write the right-hand side out and form phi only
+    # for the solution: all 16 stage derivatives, the step's solution and
+    # its error norm, against a plain loop over the rows of _A, _E5 and
+    # _E3 calling _kepler_rhs
+    sc = dynamics._sincos(kappa)
+    kepler = functools.partial(dynamics._kepler_rhs, sc, 1.3)
+    step_stages, dense_stages, error_norm = dynamics._kernels("kepler")
+    for y, h in _kernel_cases(kappa, rng):
+        k = [kepler(*y)]
+        y_new, calls = step_stages(sc, 1.3, y, h, k, math.inf)
+        assert calls == 12
+        assert dense_stages(sc, 1.3, y, h, k, math.inf) == (True, 3)
+        want_k = [kepler(*y)]
+        want = _reference_stages(kepler, y, h, dynamics._A[1:], want_k)
+        assert k == want_k
+        assert y_new == want[11]
+        for tol in (1e-6, 1e-9, 1e-13):
+            want_err = _reference_norm(h, y, y_new, want_k[:12], tol, tol)
+            assert error_norm(h, y, y_new, k, tol, tol) == want_err
+    # a fall toward the centre whose stages leave the chart: None, and one
+    # right-hand-side evaluation per stage inside it
+    y, r_max = (0.3, 0.0, -2.0, 0.3), dynamics._chart_limit(kappa)
+    inside = len(_reference_stages(kepler, y, 0.2, dynamics._A[1:13], [kepler(*y)], r_max))
+    assert 0 < inside < 12
+    assert step_stages(sc, 1.3, y, 0.2, [kepler(*y)], r_max) == (None, inside)
+
+
+def _separable_rhs(kappa):
+    """A right-hand side that reads phi: the Kepler flow plus the force of
+    G(phi)/sin_k(r)**2 with G = 0.1 cos(phi)**2."""
+    sc = dynamics._sincos(kappa)
+
+    def rhs(r, phi, v_r, v_phi):
+        s, c = sc(r)
+        g = 0.1 * math.cos(phi) ** 2
+        f_r = s * c * v_phi * v_phi - 1.3 / (s * s) + 2.0 * g * c / (s * s * s)
+        return (v_r, v_phi, f_r, -2.0 * (c / s) * v_r * v_phi + 0.1 * math.sin(2.0 * phi) / s**4)
+
+    return rhs
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+def test_call_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     # every stage state, stage derivative, the step's solution and its
-    # error norm, against a plain loop over the rows of _A, _E5 and _E3
-    kepler = functools.partial(dynamics._kepler_rhs, dynamics._sincos(kappa), 1.3)
-    step_stages, dense_stages, error_norm = dynamics._kernels()
-    for state in random_states(kappa, 20, rng, r_lo=0.5, v_max=1.0):
-        y = (state.r, state.phi, state.v_r, state.v_phi)
-        h = 10.0 ** rng.uniform(-4, -1)
+    # error norm of the kernels that call a separable right-hand side
+    separable = _separable_rhs(kappa)
+    step_stages, dense_stages, error_norm = dynamics._kernels("call")
+    for y, h in _kernel_cases(kappa, rng, series=0):
         seen = []
 
         def rhs(*x):
             seen.append(x)
-            return kepler(*x)
+            return separable(*x)
 
-        k = [kepler(*y)]
+        k = [separable(*y)]
         y_new, calls = step_stages(rhs, y, h, k, math.inf)
         assert calls == 12
-        dense_last, calls = dense_stages(rhs, y, h, k, math.inf)
-        assert calls == 3
-        want_k = [kepler(*y)]
-        want = _reference_stages(kepler, y, h, dynamics._A[1:], want_k)
+        assert dense_stages(rhs, y, h, k, math.inf) == (True, 3)
+        want_k = [separable(*y)]
+        want = _reference_stages(separable, y, h, dynamics._A[1:], want_k)
         assert seen == want
         assert k == want_k
-        assert (y_new, dense_last) == (want[11], want[14])
+        assert y_new == want[11]
         for tol in (1e-6, 1e-9, 1e-13):
             want_err = _reference_norm(h, y, y_new, want_k[:12], tol, tol)
             assert error_norm(h, y, y_new, k, tol, tol) == want_err
@@ -1034,6 +1088,37 @@ def test_first_crossing_sees_a_crossing_before_t_hi_inside_its_step():
     traj = _window_traj()
     t = traj.first_crossing(lambda tt, s: s.v_r, t_lo=0.5, t_hi=1.0010)
     assert t is not None and abs(t - _WINDOW_T1) < 1e-12
+
+
+def test_false_position_matches_bisection_in_few_evaluations():
+    # the v_r = 0 passage of _WINDOW_CASE is a simple root of one step's
+    # interpolant; 60 bisections pin it to the last bits
+    traj = _window_traj()
+    i = int(np.searchsorted(traj.times, _WINDOW_T1)) - 1
+    step = traj._step(i)
+
+    def v_r(t):
+        return dynamics._horner(step, t).v_r
+
+    a, b = float(traj.times[i]), float(traj.times[i + 1])
+    lo, hi = a, b
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (v_r(lo) < 0.0) != (v_r(mid) < 0.0):
+            hi = mid
+        else:
+            lo = mid
+    calls = []
+
+    def func(t, state):
+        calls.append(t)
+        return state.v_r
+
+    t = dynamics._false_position(func, step, a, b, v_r(a), v_r(b))
+    assert abs(t - 0.5 * (lo + hi)) <= 1e-14 * abs(t)
+    assert len(calls) <= 20
+    # zero at both ends: no secant, the bisection's midpoint is a root
+    assert dynamics._false_position(lambda tt, s: 0.0, step, a, b, 0.0, 0.0) == 0.5 * (a + b)
 
 
 SEPARABLE_CASES = [
