@@ -404,6 +404,9 @@ def periastron_family(kappa, r_per: float) -> PeriastronFamily:
     become D landmarks: D < 2T/(1 + cT) are ellipses, the parabola band
     runs up to 2T/(1 - cT) (c = sqrt(-kappa)), and everything above is a
     hyperbola.  On the flat plane both landmarks collapse to 2 r_per.
+    cT = tanh(c r_per) rounds to 1 once c r_per exceeds about 18.7; from
+    there on the chain has no landmark in double precision, and
+    :class:`DomainError` is raised.
     """
     kap = curvature_value(kappa)
     if kap > 0.0:
@@ -416,7 +419,9 @@ def periastron_family(kappa, r_per: float) -> PeriastronFamily:
     if kap == 0.0:
         return PeriastronFamily(kap, r_per, t, 2.0 * t, 2.0 * t, None)
     c = math.sqrt(-kap)
-    ct = c * t  # = tanh(c r_per) < 1, so the guard below cannot trip
+    # ct = tanh(c r_per) < 1, but it rounds to 1 (or a hair above) once
+    # c r_per > 18.7, where 1 - ct would divide by zero
+    ct = c * t
     if ct >= 1.0:
         raise DomainError(f"periastron tangent {t!r} reaches saturation {1.0 / c!r}")
     d_he = 2.0 * t / (1.0 + ct)

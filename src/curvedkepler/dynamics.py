@@ -10,12 +10,13 @@ The integrator is the adaptive embedded Runge-Kutta pair DOP853 of
 Dormand and Prince (order 8, with 5th- and 3rd-order error estimates),
 with a dense-output interpolant of degree 7, step rejection on
 conserved-quantity spikes, and collision termination for radial orbits.
-Its stages and error norm run as straight-line kernels that
-:func:`_kernels` compiles from the tableau once per process, on the
-first integration; the Kepler flow's kernels write its right-hand side
-out and form phi, which it never reads, only for the solution.  A step
-accepted right after a rejection may not grow (Hairer, Norsett & Wanner,
-sec. II.4), nor past the spike guard's margin.
+Each attempted step is one straight-line kernel that :func:`_kernels`
+compiles from the tableau once per process, on the first integration:
+stages, error norm, first integrals, spike test and dense stages.  The
+Kepler flow's kernel writes out its right-hand side and ktrig's sin_k,
+cos_k text of the regime, and forms phi, which it never reads, only for
+the solution.  A step accepted right after a rejection may not grow
+(Hairer, Norsett & Wanner, sec. II.4), nor past the spike guard's margin.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     StiffnessError,
 )
 from .geometry import PolarPoint, check_interior_radius, check_radius
-from .ktrig import _chart_limit, _check_finite, _cos, _sin, _sincos, curvature_value
+from .ktrig import _SINCOS, _SINCOS_NAMES, _chart_limit, _check_finite, _cos, _sin, _sincos, _source, curvature_value
 
 COLLISION_RADIUS = 1e-10
 # below this radius a step-size underflow is interpreted as reaching the
@@ -140,12 +141,6 @@ def _kinetic(j, v_r, v_phi):
     return 0.5 * (v_r * v_r + j * v_phi)
 
 
-def _source(src: str, filename: str, **namespace) -> dict:
-    """The names that the source ``src`` defines, compiled as ``filename``."""
-    exec(compile(src, filename, "exec"), namespace)
-    return namespace
-
-
 # (dr, dphi, dv_r, dv_phi) of the Kepler flow over s, c = sc(r): _kepler_rhs and its kernels compile it
 _KEPLER_FLOW = "v_r, v_phi, s * c * v_phi * v_phi - k / (s * s), -2.0 * (c / s) * v_r * v_phi"
 _kepler_rhs = _source(
@@ -153,13 +148,17 @@ _kepler_rhs = _source(
 )["_kepler_rhs"]
 
 
-def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
-    """(E, J, E_P, I3, I4) of a Kepler state."""
-    s, c = sc(r)
+def _integrals(kappa, k, s, c, phi, v_r, v_phi):
+    """(E, J, E_P, I3, I4) of a Kepler state, from s, c = sin_k(r), cos_k(r)."""
     cphi, sphi = math.cos(phi), math.sin(phi)
     p1, p2, j = _momenta(s, c, cphi, sphi, v_r, v_phi)
     e = _kinetic(j, v_r, v_phi) + _potential(k, s, c)
     return (e, j, e - 0.5 * kappa * j * j, p2 * j - k * cphi, p1 * j + k * sphi)
+
+
+def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
+    """(E, J, E_P, I3, I4) of a Kepler state."""
+    return _integrals(kappa, k, *sc(r), phi, v_r, v_phi)
 
 
 def _state_integrals(kappa: float, k: float, state: PhaseState):
@@ -393,6 +392,9 @@ _THETA_POWERS = (
     (0, 0, 0, 0, 0, -1, 3),
     (0, 0, 0, 0, 0, 0, -1),
 )
+# the stage weights of F_0 and F_3..F_6, and the stages they read
+_F_ROWS = (_A[12] + (0.0,) * 4, *_D)
+_F_STAGES = [s for s in range(16) if any(row[s] for row in _F_ROWS)]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -594,32 +596,28 @@ def _false_position(func, step, a, b, ga, gb) -> float:
     return 0.5 * (a + b)
 
 
-def _weighted(weights, k) -> np.ndarray:
-    """sum_s weights[s] * k[s] over the stages, added left to right and
-    skipping zero weights."""
-    total = np.zeros(k.shape[1:])
-    for w, ks in zip(weights, k):
-        if w:
-            total += w * ks
-    return total
-
-
 def _dense_coefficients(stages) -> np.ndarray:
     """Coefficients d[i, m, c] of theta**(m + 1) for every step at once.
 
-    ``stages[i][s]`` is stage s of step i, a 4-tuple of derivatives.  The
-    rows F_j of the dense output are formed as in DOP853, F_0 from the
-    weights B, F_1 = k_0 - F_0, F_2 = 2 F_0 - (k_12 + k_0) and F_3..F_6
-    from _D, and then converted to theta powers by _THETA_POWERS.  Each
-    sum runs left to right and skips zero weights, as a scalar loop over
-    the stages of one step would add them (the tests hold it to that bit
-    for bit).
-    """
-    flat = chain.from_iterable(chain.from_iterable(stages))
-    k = np.fromiter(flat, float, 64 * len(stages)).reshape(-1, 16, 4).transpose(1, 0, 2)
-    f0 = _weighted(_A[12], k)
-    rows = np.array([f0, k[0] - f0, 2.0 * f0 - (k[12] + k[0])] + [_weighted(w, k) for w in _D])
-    return np.stack([_weighted(m, rows) for m in _THETA_POWERS], 1)
+    ``stages[i]`` holds step i's 16 stage derivatives, stage-major (a flat
+    64-tuple or 16 4-tuples).  The rows F_j of the dense output are formed as
+    in DOP853, F_0 from the weights B, F_1 = k_0 - F_0, F_2 = 2 F_0 -
+    (k_12 + k_0) and F_3..F_6 from _D, then converted to theta powers by
+    _THETA_POWERS.  F_0 with F_3..F_6, and the theta rows, are each summed as
+    one stack, left to right over the terms any row weighs: a zero weight adds
+    +-0.0, which leaves a finite sum as it is, so each sum has the bits of a
+    loop over its nonzero weights (the tests hold it to that)."""
+    k = np.array(stages, dtype=float).reshape(-1, 16, 4).transpose(1, 0, 2)
+    # weights shaped (row, column, 1, 1) to broadcast over (step, component)
+    weights, theta = (np.array(w, dtype=float)[:, :, None, None] for w in (_F_ROWS, _THETA_POWERS))
+    f = np.zeros((len(_F_ROWS),) + k.shape[1:])
+    for s in _F_STAGES:
+        f += weights[:, s] * k[s]
+    rows = np.stack((f[0], k[0] - f[0], 2.0 * f[0] - (k[12] + k[0]), *f[1:]))
+    d = np.zeros(rows.shape)
+    for j, row in enumerate(rows):
+        d += theta[:, j] * row
+    return d.transpose(1, 0, 2)
 
 
 def _rms(values) -> float:
@@ -659,80 +657,104 @@ def _dot(row, c) -> str:
     return " + ".join(f"{w!r}*k{s}_{c}" for s, w in enumerate(row) if w)
 
 
-def _unpack(rows, first):
-    """Source lines unpacking the stages before ``first`` that ``rows`` read."""
-    used = sorted({s for row in rows for s, w in enumerate(row[:first]) if w})
-    return [f"    k{s}_0, k{s}_1, k{s}_2, k{s}_3 = ks[{s}]" for s in used]
-
-
-# How a kernel stage takes the right-hand side: the kernel's leading parameters,
-# the state read besides r, and the statement setting k{s}_0..k{s}_3.
+# An attempt's outcome, the first value its kernel returns, in StepStats' order
+_ACCEPTED, _ERROR, _SPIKE, _STAGE = range(4)
+# How an attempt takes the flow: the kernel's leading parameters, the state read
+# besides r, the setup run once per integration, the statements setting k{s}_0..
+# k{s}_3 (the Kepler flows write out ktrig's sin_k, cos_k) and the integrals.
 _FLOWS = {
-    "kepler": ("sc, k", ("v_r", "v_phi"), "s, c = sc(r); k{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW),
-    "call": ("rhs", ("phi", "v_r", "v_phi"), "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)"),
+    "call": ("rhs, invariants", ("phi", "v_r", "v_phi"), "",
+             "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)", "invariants(r, phi, v_r, v_phi)"),
+    **{regime: ("kappa, k", ("v_r", "v_phi"), setup, text + "\nk{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW,
+                "_integrals(kappa, k, s, c, phi, v_r, v_phi)") for regime, (setup, text) in _SINCOS.items()},
 }
 _STATE = ("r", "phi", "v_r", "v_phi")
 
 
-def _kernel(rows, first, name, flow) -> str:
-    """Source of ``name(<flow parameters>, y, h, ks, r_max)``, which extends
-    the stage list ``ks`` by the stages first, first + 1, ... that ``rows`` build.
+def _rejection(cause, calls="n", err="None") -> str:
+    return f"return {cause}, {calls}, {err}, None, None, None, None, None"
 
-    A component of the stage state y + h * (row . ks) is written out where
-    it is read: by the flow, whose right-hand side is taken once r passes
-    the in-chart test 0 < r < r_max, or in stage 12, the step's solution.
-    Returns that solution (True from the dense stages), or None once a stage
-    leaves the chart or the right-hand side fails, and the evaluation count.
-    """
-    params, reads, evaluate = _FLOWS[flow]
-    lines = [f"def {name}({params}, y, h, ks, r_max):", "    y0, y1, y2, y3 = y", *_unpack(rows, first)]
-    lines += ["    n = 0", "    try:"]
-    for n, row in enumerate(rows):
-        s = first + n
-        read = [c for c in range(4) if c == 0 or s == 12 or _STATE[c] in reads]
+
+def _stages(rows, first, reads, evaluate) -> list[str]:
+    """Source of a try block taking the stages first, first + 1, ... that
+    ``rows`` build.  A component of the stage state y + h * (row . k) is
+    written out where it is read: by the flow, whose right-hand side is taken
+    once r passes the in-chart test 0 < r < r_max, or in stage 12, the step's
+    solution.  A stage off the chart or a failed right-hand side rejects."""
+    lines = ["        try:"]
+    for n, row in enumerate(rows, first - 1):
+        read = [c for c in range(4) if c == 0 or n == 11 or _STATE[c] in reads]
         r, *rest = (f"y{c} + h * ({_dot(row, c)})" for c in read)
         lines += [
-            f"        r = {r}",
-            f"        if not 0.0 < r < r_max: return None, {n}",
-            f"        {', '.join(_STATE[c] for c in read[1:])}, n = {', '.join(rest)}, {n + 1}",
-            "        " + evaluate.format(s=s),
+            f"            r = {r}",
+            f"            if not 0.0 < r < r_max: {_rejection(_STAGE, n)}",
+            f"            {', '.join(_STATE[c] for c in read[1:])}, n = {', '.join(rest)}, {n + 1}",
+            *("            " + line for line in evaluate.format(s=n + 1).split("\n")),
         ]
-    lines += ["    except (ValueError, OverflowError, ZeroDivisionError):", "        return None, n"]
-    stages = "".join(f"(k{s}_0, k{s}_1, k{s}_2, k{s}_3), " for s in range(first, first + len(rows)))
-    solution = "(r, phi, v_r, v_phi)" if first + len(rows) == 13 else "True"
-    return "\n".join(lines + [f"    ks += ({stages})", f"    return {solution}, {len(rows)}"])
+    lines.append("        except (ValueError, OverflowError, ZeroDivisionError):")
+    return lines + [f"            {_rejection(_STAGE)}"]
 
 
-def _norm_kernel() -> str:
-    """Source of ``norm(h, y, y_new, ks, rtol, atol)``, DOP853's error
-    estimate in units of the tolerance: the RMS of the 5th-order estimate
-    e5 = h E5.k, scaled by |e5|/sqrt(|e5|**2 + 0.01 |e3|**2) with the
-    3rd-order one e3 = h E3.k.  Every sum runs left to right."""
-    lines = ["def norm(h, y, y_new, ks, rtol, atol):", *_unpack((_E5, _E3), len(_E5))]
-    for c in range(4):
+def _kernel(flow, dense) -> str:
+    """Source of ``make(<flow parameters>, r_max, tol, spike, watched)``, which
+    returns ``attempt(y, f, h, inv0)``: one DOP853 step of size h from y, with
+    derivative f and first integrals inv0.  It rejects a stage off the chart
+    or a non-finite solution (_STAGE); an error estimate over 1 (_ERROR), the
+    RMS of e5 = h E5.k in units of the local tolerance ``tol``, scaled by
+    |e5|/sqrt(|e5|**2 + 0.01 |e3|**2), e3 = h E3.k; and a move of one of the
+    first ``watched`` integrals by over ``spike`` max(1, |value|), or to NaN
+    (_SPIKE).  With ``dense`` it takes the 3 dense stages (_STAGE if one fails).
+    Returns (outcome, evaluations, err, q_max, solution, integrals, FSAL stage,
+    the 16 stage derivatives as a flat 64-tuple or None), q_max the largest
+    watched move over its bound; a rejection sets the first three only."""
+    params, reads, setup, evaluate, integrals = _FLOWS[flow]
+    lines = [
+        f"def make({params}, r_max, tol, spike, watched):",
+        f"    {setup}",
+        "    def attempt(y, f, h, inv0):",
+        "        y0, y1, y2, y3 = y",
+        "        k0_0, k0_1, k0_2, k0_3 = f",
+        *_stages(_STEP_ROWS, 1, reads, evaluate),
+        f"        if not (isfinite(phi) and isfinite(v_r) and isfinite(v_phi)): {_rejection(_STAGE, 12)}",
+    ]
+    for c, x in enumerate(_STATE):
         lines += [
-            f"    scale = atol + rtol * max(abs(y[{c}]), abs(y_new[{c}]))",
-            f"    x5_{c}, x3_{c} = ({_dot(_E5, c)}) / scale, ({_dot(_E3, c)}) / scale",
+            f"        scale = tol + tol * max(abs(y{c}), abs({x}))",
+            f"        x5_{c}, x3_{c} = ({_dot(_E5, c)}) / scale, ({_dot(_E3, c)}) / scale",
         ]
-    for e in ("e5", "e3"):
-        lines.append(f"    {e} = " + " + ".join(f"x{e[1]}_{c} * x{e[1]}_{c}" for c in range(4)))
-    lines += ["    if e5 == 0.0: return 0.0", "    return h * e5 / sqrt(4.0 * (e5 + 0.01 * e3))"]
-    return "\n".join(lines)
+    lines += [f"        e{e} = " + " + ".join(f"x{e}_{c} * x{e}_{c}" for c in range(4)) for e in "53"]
+    lines += [
+        "        err = 0.0 if e5 == 0.0 else h * e5 / sqrt(4.0 * (e5 + 0.01 * e3))",
+        f"        if err > 1.0: {_rejection(_ERROR, 12, 'err')}",
+        f"        inv1 = {integrals}",
+        # the largest watched change; "not <=" keeps a NaN
+        "        q_max = 0.0",
+        "        for was, now in zip(inv0[:watched], inv1):",
+        "            q = abs(was - now) / (spike * max(1.0, abs(was)))",
+        "            if not q <= q_max:",
+        "                q_max = q",
+        f"                if not q <= 1.0: {_rejection(_SPIKE, 12)}",
+        "        y_new, k12 = (r, phi, v_r, v_phi), (k12_0, k12_1, k12_2, k12_3)",
+        *(_stages(_DENSE_ROWS, 13, reads, evaluate) if dense else ()),
+    ]
+    ks = "(" + "".join(f"k{s}_0, k{s}_1, k{s}_2, k{s}_3, " for s in range(16)) + ")" if dense else "None"
+    lines += [f"        return {_ACCEPTED}, {15 if dense else 12}, err, q_max, y_new, inv1, k12, {ks}"]
+    return "\n".join(lines + ["    return attempt"])
 
 
 @cache
-def _kernels(flow):
-    """The (step, dense, norm) kernels of ``flow``, a key of ``_FLOWS``: the
-    12 stages of a step, the 3 of its dense output and the error norm.
-    Compiled on the flow's first integration, not at import (milliseconds)."""
-    src = [_kernel(_STEP_ROWS, 1, "step", flow), _kernel(_DENSE_ROWS, 13, "dense", flow), _norm_kernel()]
-    namespace = _source("\n".join(src), "<dop853 kernel>", sqrt=math.sqrt)
-    return namespace["step"], namespace["dense"], namespace["norm"]
+def _kernels(flow, dense):
+    """The attempt kernel factory ``make`` of ``flow``, a key of ``_FLOWS``,
+    with or without the dense stages (see :func:`_kernel`).  Compiled on the
+    flow's first integration, not at import (milliseconds)."""
+    names = dict(_SINCOS_NAMES, _integrals=_integrals, isfinite=math.isfinite)
+    return _source(_kernel(flow, dense), "<dop853 kernel>", **names)["make"]
 
 
-def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense, kepler=None):
-    """Generic DOP853 driver on 4-component float tuples.  Its kernels call
-    ``rhs``, or write it out if it is the Kepler flow of ``kepler`` = (sc, k).
+def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense, k=None):
+    """Generic DOP853 driver on 4-component float tuples.  Each attempt is one
+    call of a :func:`_kernels` kernel, which calls ``rhs`` and ``invariants``
+    or writes out the Kepler flow of coupling ``k``; the driver books it.
 
     ``tol`` is a trajectory-accuracy target, not a per-step bound: the
     controller holds each local error an order of magnitude below it so
@@ -747,12 +769,12 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     step grows by at most 5x, not at all right after a rejection, nor past
     0.9 q**(-1/9), q the largest watched change over that threshold (h**9).
     """
-    rtol = atol = _DRIFT_MARGIN * tol
+    rtol = _DRIFT_MARGIN * tol
     t = 0.0
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
-    flow, args = ("kepler", kepler) if kepler else ("call", (rhs,))
-    step_stages, dense_stages, error_norm = _kernels(flow)
+    flow, args = ("call", (rhs, invariants)) if k is None else ("flat" if kappa == 0.0 else "curved", (kappa, k))
+    attempt = _kernels(flow, dense)(*args, r_max, rtol, _SPIKE_FACTOR * tol, watched)
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -770,14 +792,15 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     event = None
     event_time = None
 
-    h, rhs_calls = _initial_step(rhs, y, f, t_end, rtol, atol)
+    h, rhs_calls = _initial_step(rhs, y, f, t_end, rtol, rtol)
     rhs_calls += 1
-    accepted = rejected_error = rejected_spike = rejected_stage = 0
+    counts = [0, 0, 0, 0]  # by outcome: accepted, rejected_error, rejected_spike, rejected_stage
+    steps = 0
     rejected = False
     while t < t_end:
-        steps = accepted + rejected_error + rejected_spike + rejected_stage
         if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted after {steps} steps")
+        steps += 1
         if h >= t_end - t:
             # the last step, clipped to the span: it still advances t,
             # so it is no underflow however small the span is
@@ -788,54 +811,21 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
                 break
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
 
-        k = [f]
-        y_new, calls = step_stages(*args, y, h, k, r_max)
+        outcome, calls, err, q_max, y_new, inv1, f_new, ks = attempt(y, f, h, inv0)
         rhs_calls += calls
-        # the step stands if every stage stays inside the chart and the
-        # solution is finite
-        if y_new is None or not all(map(math.isfinite, y_new)):
-            rejected_stage += 1
-            h *= 0.5
+        counts[outcome] += 1
+        if outcome != _ACCEPTED:
+            # the error estimate sets the retry's size; a spike or a bad stage halves it
+            h *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT) if outcome == _ERROR else 0.5
             rejected = True
             continue
-
-        err = error_norm(h, y, y_new, k, rtol, atol)
-        if err > 1.0:
-            rejected_error += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
-            rejected = True
-            continue
-
-        inv1 = invariants(*y_new)
-        # the largest watched change over the spike threshold; "not <=" keeps a NaN
-        q_max = 0.0
-        for a, b in zip(inv0[:watched], inv1):
-            q = abs(a - b) / (_SPIKE_FACTOR * tol * max(1.0, abs(a)))
-            if not q <= q_max:
-                q_max = q
-                if not q <= 1.0:
-                    break
-        if not q_max <= 1.0:
-            rejected_spike += 1
-            h *= 0.5
-            rejected = True
-            continue
-
         if dense:
-            ok, calls = dense_stages(*args, y, h, k, r_max)
-            rhs_calls += calls
-            if ok is None:
-                rejected_stage += 1
-                h *= 0.5
-                rejected = True
-                continue
             steps_h.append(h)
-            stages.append(k)
+            stages.append(ks)
             if len(stages) == _DENSE_CHUNK:
                 coeffs.append(_dense_coefficients(stages))
                 stages = []
 
-        accepted += 1
         inv0 = inv1
         t_new = t + h
         times.append(t_new)
@@ -847,7 +837,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             break
 
         # the solution's stage is the next step's first (FSAL)
-        y, f, t = y_new, k[12], t_new
+        y, f, t = y_new, f_new, t_new
         fac = 1.0 if rejected else _MAX_FACTOR
         if err != 0.0:
             fac = min(fac, max(_MIN_FACTOR, _SAFETY * err**_EXPONENT))
@@ -865,7 +855,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
         dense=(np.array(steps_h), np.concatenate([*coeffs, _dense_coefficients(stages)])) if dense else None,
         event=event,
         event_time=event_time,
-        stats=StepStats(accepted, rejected_error, rejected_spike, rejected_stage, rhs_calls, min(hs), max(hs)),
+        stats=StepStats(*counts, rhs_calls, min(hs), max(hs)),
     )
 
 
@@ -926,7 +916,7 @@ def integrate(
         partial(_first_integrals, sc, kappa, params.k),
         2,  # the spike guard watches (E, J)
         dense,
-        (sc, params.k),
+        params.k,
     )
 
 

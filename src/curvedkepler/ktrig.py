@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from textwrap import indent
 
 import numpy as np
 
@@ -134,21 +135,42 @@ def sin_k(kappa, x: float) -> float:
     return _sin(curvature_value(kappa), _check_finite(x))
 
 
-def _sincos(k: float):
-    if k == 0.0:
-        return lambda x: (x, 1.0)
-    rk = math.sqrt(abs(k))
-    sin, cos = (math.sin, math.cos) if k > 0.0 else (math.sinh, math.cosh)
-    thr = SERIES_THRESHOLD
+def _source(src: str, filename: str, **namespace) -> dict:
+    """The names that the source ``src`` defines, compiled as ``filename``."""
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace
 
-    def sc(x):
-        kx2 = k * x * x
-        if -thr < kx2 < thr:
-            return (_sin(k, x), _cos(k, x))
-        a = rk * x
-        return (sin(a) / rk, cos(a))
 
+# s, c = sin_k(r), cos_k(r) as source: per regime, a setup run once per curvature
+# and a text run per radius.  _sincos is compiled from them, and the integrator
+# writes them into its stage kernels (dynamics._kernels): the formula has one copy.
+_SINCOS = {
+    "flat": ("", "s, c = r, 1.0"),
+    "curved": (
+        "rk = sqrt(abs(kappa)); sin, cos = (msin, mcos) if kappa > 0.0 else (msinh, mcosh)",
+        "kr2 = kappa * r * r\n"
+        f"if {-SERIES_THRESHOLD!r} < kr2 < {SERIES_THRESHOLD!r}: s, c = _sin(kappa, r), _cos(kappa, r)\n"
+        "else: a = rk * r; s, c = sin(a) / rk, cos(a)",
+    ),
+}
+_SINCOS_NAMES = dict(
+    _sin=_sin, _cos=_cos, sqrt=math.sqrt, msin=math.sin, mcos=math.cos, msinh=math.sinh, mcosh=math.cosh
+)
+_sincos = _source(
+    f"""def _sincos(kappa):
+    if kappa == 0.0:
+        return flat
+    {_SINCOS["curved"][0]}
+    def sc(r):
+{indent(_SINCOS["curved"][1], " " * 8)}
+        return s, c
     return sc
+def flat(r):
+    {_SINCOS["flat"][1]}
+    return s, c""",
+    "<sincos_k>",
+    **_SINCOS_NAMES,
+)["_sincos"]
 
 
 def sincos_k(kappa):

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from curvedkepler import cli
 from curvedkepler.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -173,6 +174,36 @@ def test_simulate_json_output_shape(capsys):
     assert set(doc["drift"]) == {"E", "J", "I3", "I4"}
     assert doc["rows"][0][0] == 0.0
     assert doc["rows"][-1][0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kappa=1", "--k=1", "--elements=-0.3,0.8,0", "--t-end=3", "--chart=polar"],
+        ["simulate", "--kappa=0", "--k=1", "--elements=-0.3,0.8,1", "--t-end=3", "--chart=ambient"],
+        ["simulate", "--kappa=-1", "--k=1", "--elements=-1.05,0.8,0", "--t-end=3", "--chart=poincare_disk"],
+        # a radial drop: the collision event is set
+        ["simulate", "--kappa=1", "--k=1", "--state=0.8,0,0,0", "--t-end=5", "--chart=ambient"],
+        ["conic", "--kappa=-1", "--d=0.8", "--ecc=0.5"],
+        ["conic", "--kappa=-1", "--periastron=0.5", "--phi-steps=16"],
+    ],
+    ids=["polar", "ambient", "poincare_disk", "radial", "conic", "conic-periastron"],
+)
+def test_json_output_equals_json_dumps_byte_for_byte(capsys, monkeypatch, argv):
+    # the row template writes what json.dumps(doc, indent=2) writes
+    docs = []
+    template = cli._json
+
+    def spy(doc):
+        docs.append(doc)
+        return template(doc)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    code, out, _ = run_cli(capsys, argv + ["--output=json"])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE)
+    (doc,) = docs
+    assert (doc.get("event") is not None) == (argv[3] == "--state=0.8,0,0,0")
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_simulate_state_flag_form(capsys):
@@ -837,6 +868,14 @@ def test_conic_family_rejected_on_sphere(capsys):
     code, _, err = run_cli(capsys, ["conic", "--kappa", "1", "--periastron", "0.5"])
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in err
+
+
+def test_conic_family_beyond_the_saturation_of_tanh_exits_3(capsys):
+    # tanh(20) rounds to 1: the family has no landmark in double precision
+    code, out, err = run_cli(capsys, ["conic", "--kappa", "-1", "--periastron", "20"])
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert "saturation" in err
 
 
 def test_conic_family_csv_rows_are_label_tagged(capsys):

@@ -368,6 +368,16 @@ def test_flat_family_has_a_zero_width_parabola_point():
     assert fam.ecc_horoellipse == 1.0 == fam.ecc_horohyperbola
 
 
+def test_family_beyond_the_saturation_of_tanh_is_rejected():
+    # tanh(c r_per) rounds to 1 from c r_per = 18.7 on: the landmarks would
+    # divide by 1 - tanh(c r_per) = 0
+    periastron_family(-1.0, 18.7)
+    with pytest.raises(DomainError, match="saturation"):
+        periastron_family(-1.0, 20.0)
+    with pytest.raises(DomainError, match="saturation"):
+        periastron_family(-4.0, 10.0)
+
+
 def test_hyperbolic_family_landmarks():
     r_per = math.atanh(0.5)
     fam = periastron_family(-1.0, r_per)

@@ -657,6 +657,85 @@ def test_stats_count_a_stage_rejection(failure):
     assert stats.rhs_evaluations == 2 + 5 + 12 * (_attempts(stats) - 1)
 
 
+def _kepler_calls_with(replace):
+    """The Kepler right-hand side at kappa = k = 1, except that call n
+    returns replace(n, state) where that is not None."""
+    calls = itertools.count(1)
+    kepler = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
+
+    def rhs(*y):
+        out = replace(next(calls), y)
+        return kepler(*y) if out is None else out
+
+    return rhs
+
+
+def _raise_at(n):
+    def replace(call, y):
+        if call == n:
+            raise ZeroDivisionError("float division by zero")
+
+    return replace
+
+
+def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
+    # call 16 is stage 14 of the first attempt (call 1 is the initial state,
+    # call 2 the trial step, calls 3-14 stages 1-12): a dense stage, taken
+    # after the step passed its error and spike tests; it raises
+    rhs = _kepler_calls_with(_raise_at(16))
+    state = PhaseState(0.9, 0.0, 0.1, 1.2)
+    traj = dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True)
+    hs = np.diff(traj.times)
+    assert traj.stats == dynamics.StepStats(
+        accepted=35,
+        rejected_error=11,
+        rejected_spike=0,
+        rejected_stage=1,
+        # 14 calls in the first attempt, 15 in each accepted one and 12 in
+        # each error rejection
+        rhs_evaluations=2 + 14 + 15 * 35 + 12 * 11,
+        h_min=hs.min(),
+        h_max=hs.max(),
+    )
+    assert len(traj) == 36
+    # without the failure that attempt stands, and its retry takes half the step
+    clean = dynamics._integrate_adaptive(
+        _kepler_calls_with(lambda call, y: None), state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True
+    )
+    assert traj.times[1] == 0.5 * clean.times[1]
+
+
+def test_stats_count_a_non_finite_solution():
+    # call 7, stage 5 of the first attempt, returns an infinite dphi/dt:
+    # every stage stays in the chart, but the solution's phi is not finite
+    def replace(call, y):
+        if call == 7:
+            return (y[2], math.inf, 0.0, 0.0)
+
+    state = PhaseState(0.9, 0.0, 0.1, 1.2)
+    traj = dynamics._integrate_adaptive(
+        _kepler_calls_with(replace), state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False
+    )
+    stats = traj.stats
+    assert (stats.rejected_stage, stats.rejected_spike) == (1, 0)
+    assert stats.accepted == len(traj) - 1
+    assert stats.rhs_evaluations == 2 + 12 * _attempts(stats)
+    assert np.isfinite(traj.states).all()
+
+
+def test_a_right_hand_side_failing_at_the_initial_state_raises_singularity_error():
+    # dF/dr = 1/(r - 1) divides by zero at the initial radius
+    def zero(phi):
+        return 0.0
+
+    def df(r):
+        return 1.0 / (r - 1.0)
+
+    state = PhaseState(1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(SingularityError, match="initial state"):
+        integrate_separable(0.0, state, lambda r: 0.0, df, zero, zero, 1.0)
+
+
 @pytest.mark.parametrize("t_end", [1e-16, 1e-300])
 def test_integrate_a_span_below_the_underflow_bound(t_end):
     # the first step is clipped to the span; that is no step-size underflow
@@ -828,12 +907,13 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     # like h**8, against 64 steps of the same method
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
     y0 = (0.9, 0.0, 0.1, 1.2)
-    step_stages, dense_stages, _ = dynamics._kernels("call")
+    # a local tolerance of 1 and no watched integral: every attempt is accepted
+    attempt = dynamics._kernels("call", True)(rhs, lambda *y: (), math.inf, 1.0, math.inf, 0)
 
     def step(y, h):
-        k = [rhs(*y)]
-        y1, _ = step_stages(rhs, y, h, k, math.inf)
-        return y1, k
+        outcome, _, _, _, y1, _, _, ks = attempt(y, rhs(*y), h, ())
+        assert outcome == dynamics._ACCEPTED
+        return y1, ks
 
     def fine(h):
         y = y0
@@ -843,9 +923,8 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
 
     errors = []
     for h in (0.4, 0.2, 0.1):
-        y1, k = step(y0, h)
-        dense_stages(rhs, y0, h, k, math.inf)
-        d = dynamics._dense_coefficients([k])[0]
+        y1, ks = step(y0, h)
+        d = dynamics._dense_coefficients([ks])[0]
         poly = d[-1]
         for dm in d[-2::-1]:
             poly = dm + 0.5 * poly
@@ -890,6 +969,48 @@ def _reference_norm(h, y, y_new, k, rtol, atol):
     return 0.0 if e5 == 0.0 else h * e5 / math.sqrt(4.0 * (e5 + 0.01 * e3))
 
 
+def _reference_attempt(rhs, integrals, y, h, tol, spike, inv0, r_max=math.inf, seen=None):
+    """What an attempt kernel returns, by a plain loop over the stages, the
+    error norm, the integrals ``integrals`` and the spike rule; the stage
+    states it evaluates ``rhs`` at go to ``seen``."""
+    seen = [] if seen is None else seen
+
+    def counted(*x):
+        seen.append(x)
+        return rhs(*x)
+
+    def stages(rows):
+        # the stages up to the first that leaves the chart or whose
+        # right-hand side fails, or None after a failure
+        try:
+            return _reference_stages(counted, y, h, rows, k, r_max)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            return None
+
+    k = [rhs(*y)]
+    rejected = (None, None, None, None, None, None)
+    states = stages(dynamics._A[1:13])
+    if states is None or len(states) < 12 or not all(map(math.isfinite, states[-1])):
+        return (dynamics._STAGE, len(seen), *rejected)
+    y_new = states[-1]
+    err = _reference_norm(h, y, y_new, k[:12], tol, tol)
+    if err > 1.0:
+        return (dynamics._ERROR, 12, err, *rejected[1:])
+    inv1 = integrals(*y_new)
+    q_max = 0.0
+    for was, now in zip(inv0[:2], inv1):
+        q = abs(was - now) / (spike * max(1.0, abs(was)))
+        if not q <= q_max:
+            q_max = q
+            if not q <= 1.0:
+                return (dynamics._SPIKE, 12, *rejected)
+    dense = stages(dynamics._A[13:])
+    if dense is None or len(dense) < 3:
+        return (dynamics._STAGE, len(seen), *rejected)
+    flat = tuple(itertools.chain.from_iterable(k))
+    return (dynamics._ACCEPTED, 15, err, q_max, y_new, inv1, k[12], flat)
+
+
 def _kernel_cases(kappa, rng, series=5):
     """(state, step size) pairs: 20 random states, and ``series`` more in
     the series branch |kappa r**2| < 1e-8 of sincos_k with steps short
@@ -901,33 +1022,54 @@ def _kernel_cases(kappa, rng, series=5):
     return [((s.r, s.phi, s.v_r, s.v_phi), h) for s, h in cases]
 
 
+def _attempts_of_cases(cases, inv):
+    """(state, step, local tolerance, inv0), five per case: the state's
+    integrals inv(state) at three tolerances; with an energy off by 1, which
+    the spike guard rejects wherever the error estimate passes; and a step of
+    0.3 at 1e-13, which the error estimate rejects unless a stage leaves the
+    chart."""
+    out = []
+    for y, h in cases:
+        inv0 = inv(*y)
+        out += [(y, h, tol, inv0) for tol in (1e-6, 1e-9, 1e-13)]
+        out += [(y, h, 1e-6, (inv0[0] + 1.0, *inv0[1:])), (y, 0.3, 1e-13, inv0)]
+    return out
+
+
 @pytest.mark.parametrize("kappa", [1.0, 1e-6, 0.0, -1e-6, -1.0])
 def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
-    # the Kepler kernels write the right-hand side out and form phi only
-    # for the solution: all 16 stage derivatives, the step's solution and
-    # its error norm, against a plain loop over the rows of _A, _E5 and
-    # _E3 calling _kepler_rhs
+    # the Kepler attempt writes the right-hand side and sin_k, cos_k out and
+    # forms phi only for the solution: its outcome, evaluation count, err,
+    # q_max, solution, first integrals and all 16 stage derivatives, against
+    # a plain loop over the rows of _A, _E5 and _E3 calling _kepler_rhs and
+    # _first_integrals
     sc = dynamics._sincos(kappa)
     kepler = functools.partial(dynamics._kepler_rhs, sc, 1.3)
-    step_stages, dense_stages, error_norm = dynamics._kernels("kepler")
-    for y, h in _kernel_cases(kappa, rng):
-        k = [kepler(*y)]
-        y_new, calls = step_stages(sc, 1.3, y, h, k, math.inf)
-        assert calls == 12
-        assert dense_stages(sc, 1.3, y, h, k, math.inf) == (True, 3)
-        want_k = [kepler(*y)]
-        want = _reference_stages(kepler, y, h, dynamics._A[1:], want_k)
-        assert k == want_k
-        assert y_new == want[11]
-        for tol in (1e-6, 1e-9, 1e-13):
-            want_err = _reference_norm(h, y, y_new, want_k[:12], tol, tol)
-            assert error_norm(h, y, y_new, k, tol, tol) == want_err
-    # a fall toward the centre whose stages leave the chart: None, and one
-    # right-hand-side evaluation per stage inside it
+    integrals = functools.partial(dynamics._first_integrals, sc, kappa, 1.3)
+    make, make_plain = (dynamics._kernels("flat" if kappa == 0.0 else "curved", dense) for dense in (True, False))
+    outcomes = []
+    for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng), integrals):
+        # the spike bound of integrate: 10 x its tol, 10 x the local tolerance
+        attempt = make(kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
+        want = _reference_attempt(kepler, integrals, y, h, tol, 100.0 * tol, inv0)
+        assert attempt(y, kepler(*y), h, inv0) == want
+        # without dense output: the 12 step stages only
+        plain = make_plain(kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
+        accepted = want[0] == dynamics._ACCEPTED
+        assert plain(y, kepler(*y), h, inv0) == ((want[0], 12, *want[2:7], None) if accepted else want)
+        outcomes.append(want[0])
+    assert {dynamics._ACCEPTED, dynamics._ERROR, dynamics._SPIKE} <= set(outcomes)
+    # steps that stay in the series branch of sincos_k are among the accepted
+    assert dynamics._ACCEPTED in outcomes[-25:]
+    # a fall toward the centre whose stages leave the chart: a stage
+    # rejection, and one right-hand-side evaluation per stage inside it
     y, r_max = (0.3, 0.0, -2.0, 0.3), dynamics._chart_limit(kappa)
     inside = len(_reference_stages(kepler, y, 0.2, dynamics._A[1:13], [kepler(*y)], r_max))
     assert 0 < inside < 12
-    assert step_stages(sc, 1.3, y, 0.2, [kepler(*y)], r_max) == (None, inside)
+    attempt = make(kappa, 1.3, r_max, 1e-9, 1e-8, 2)
+    want = _reference_attempt(kepler, integrals, y, 0.2, 1e-9, 1e-8, integrals(*y), r_max)
+    assert want[:2] == (dynamics._STAGE, inside)
+    assert attempt(y, kepler(*y), 0.2, integrals(*y)) == want
 
 
 def _separable_rhs(kappa):
@@ -946,29 +1088,26 @@ def _separable_rhs(kappa):
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
 def test_call_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
-    # every stage state, stage derivative, the step's solution and its
-    # error norm of the kernels that call a separable right-hand side
+    # every stage state, and the outcome, evaluation count, err, q_max,
+    # solution, integrals and stage derivatives, of the attempt that calls
+    # a separable right-hand side and its integrals
     separable = _separable_rhs(kappa)
-    step_stages, dense_stages, error_norm = dynamics._kernels("call")
-    for y, h in _kernel_cases(kappa, rng, series=0):
-        seen = []
+    integrals = functools.partial(dynamics._first_integrals, dynamics._sincos(kappa), kappa, 1.3)
+    make = dynamics._kernels("call", True)
+    outcomes = set()
+    for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng, series=0), integrals):
+        seen, want_seen = [], []
 
         def rhs(*x):
             seen.append(x)
             return separable(*x)
 
-        k = [separable(*y)]
-        y_new, calls = step_stages(rhs, y, h, k, math.inf)
-        assert calls == 12
-        assert dense_stages(rhs, y, h, k, math.inf) == (True, 3)
-        want_k = [separable(*y)]
-        want = _reference_stages(separable, y, h, dynamics._A[1:], want_k)
-        assert seen == want
-        assert k == want_k
-        assert y_new == want[11]
-        for tol in (1e-6, 1e-9, 1e-13):
-            want_err = _reference_norm(h, y, y_new, want_k[:12], tol, tol)
-            assert error_norm(h, y, y_new, k, tol, tol) == want_err
+        attempt = make(rhs, integrals, math.inf, tol, 100.0 * tol, 2)
+        want = _reference_attempt(separable, integrals, y, h, tol, 100.0 * tol, inv0, seen=want_seen)
+        assert attempt(y, separable(*y), h, inv0) == want
+        assert seen == want_seen
+        outcomes.add(want[0])
+    assert {dynamics._ACCEPTED, dynamics._ERROR, dynamics._SPIKE} <= outcomes
 
 
 def _neumaier_sum(values, start=0):
