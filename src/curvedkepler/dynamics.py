@@ -73,9 +73,6 @@ class PhaseState:
         if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"phase state must be finite, got {vals!r}")
 
-    def point(self) -> PolarPoint:
-        return PolarPoint(self.r, self.phi)
-
 
 @dataclass(frozen=True)
 class KeplerParams:
@@ -148,22 +145,23 @@ _kepler_rhs = _source(
 )["_kepler_rhs"]
 
 
-def _integrals(kappa, k, s, c, phi, v_r, v_phi):
-    """(E, J, E_P, I3, I4) of a Kepler state, from s, c = sin_k(r), cos_k(r)."""
+def _integrals(k, s, c, phi, v_r, v_phi):
+    """(E, J, E_P, I3, I4) of a Kepler state, from s, c = sin_k(r), cos_k(r); E_P is
+    (P1**2 + P2**2)/2 + U, as E - kappa J**2/2 cancels where E ~ kappa J**2/2."""
     cphi, sphi = math.cos(phi), math.sin(phi)
     p1, p2, j = _momenta(s, c, cphi, sphi, v_r, v_phi)
-    e = _kinetic(j, v_r, v_phi) + _potential(k, s, c)
-    return (e, j, e - 0.5 * kappa * j * j, p2 * j - k * cphi, p1 * j + k * sphi)
+    pot = _potential(k, s, c)
+    return (_kinetic(j, v_r, v_phi) + pot, j, 0.5 * (p1 * p1 + p2 * p2) + pot, p2 * j - k * cphi, p1 * j + k * sphi)
 
 
-def _first_integrals(sc, kappa, k, r, phi, v_r, v_phi):
+def _first_integrals(sc, k, r, phi, v_r, v_phi):
     """(E, J, E_P, I3, I4) of a Kepler state."""
-    return _integrals(kappa, k, *sc(r), phi, v_r, v_phi)
+    return _integrals(k, *sc(r), phi, v_r, v_phi)
 
 
 def _state_integrals(kappa: float, k: float, state: PhaseState):
     r = check_interior_radius(kappa, state.r)
-    return _first_integrals(_sincos(kappa), kappa, k, r, state.phi, state.v_r, state.v_phi)
+    return _first_integrals(_sincos(kappa), k, r, state.phi, state.v_r, state.v_phi)
 
 
 def kepler_potential(params: KeplerParams, r: float) -> float:
@@ -666,7 +664,7 @@ _FLOWS = {
     "call": ("rhs, invariants", ("phi", "v_r", "v_phi"), "",
              "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)", "invariants(r, phi, v_r, v_phi)"),
     **{regime: ("kappa, k", ("v_r", "v_phi"), setup, text + "\nk{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW,
-                "_integrals(kappa, k, s, c, phi, v_r, v_phi)") for regime, (setup, text) in _SINCOS.items()},
+                "_integrals(k, s, c, phi, v_r, v_phi)") for regime, (setup, text) in _SINCOS.items()},
 }
 _STATE = ("r", "phi", "v_r", "v_phi")
 
@@ -806,7 +804,9 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             # so it is no underflow however small the span is
             h = t_end - t
         elif h < 1e-14 * max(1.0, abs(t)):
-            if y[0] < _COLLISION_SOFT and y[2] < 0.0:
+            # the center is reached: a fall below _COLLISION_SOFT, or a Kepler state
+            # on a radial line (v_phi == 0.0 along J = 0) not rising, which leads only there
+            if (y[0] < _COLLISION_SOFT and y[2] < 0.0) or (k is not None and y[3] == 0.0 and y[2] <= 0.0):
                 event, event_time = "collision", t
                 break
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
@@ -898,8 +898,10 @@ def integrate(
     i2)); non-finite ones at the start raise :class:`NumericalError`.
     ``Trajectory.stats`` counts the accepted and rejected steps and the
     right-hand-side evaluations.
-    A radial fall that reaches the collision radius truncates the
-    trajectory and records the ``collision`` event instead of raising.
+    A fall that reaches the collision radius, or whose steps underflow on
+    the way there (a fall below ``_COLLISION_SOFT``, or a radial state
+    that is not rising), truncates the trajectory and records the
+    ``collision`` event instead of raising.
     """
     kappa = params.kappa
     check_interior_radius(kappa, state0.r)
@@ -913,7 +915,7 @@ def integrate(
         t_end,
         tol,
         kappa,
-        partial(_first_integrals, sc, kappa, params.k),
+        partial(_first_integrals, sc, params.k),
         2,  # the spike guard watches (E, J)
         dense,
         params.k,

@@ -42,9 +42,6 @@ class PolarPoint:
         if self.r < 0.0:
             raise DomainError(f"geodesic radius must be >= 0, got {self.r!r}")
 
-    def reduced(self) -> "PolarPoint":
-        return PolarPoint(self.r, reduce_angle(self.phi))
-
 
 @dataclass(frozen=True)
 class AmbientPoint:

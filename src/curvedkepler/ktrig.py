@@ -58,9 +58,6 @@ class Curvature:
         """sqrt(|kappa|), the inverse length scale of the surface."""
         return math.sqrt(abs(self.kappa))
 
-    def __float__(self) -> float:
-        return float(self.kappa)
-
 
 def curvature_value(kappa) -> float:
     """Accept a ``Curvature`` or a bare number, return the float value."""

@@ -80,10 +80,6 @@ def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
     k = params.k
     d = c.j * c.j / k
     z = 2.0 * c.e_p * c.j * c.j / (k * k)
-    if 1.0 + z < -1e-10 * max(1.0, abs(z)):
-        raise CurvedKeplerError(
-            f"impossible orbit constants: 1 + z = {1.0 + z!r} < 0"
-        )
     ecc = math.hypot(c.i3, c.i4) / k
     if ecc < CIRCULAR_ECC:
         return OrbitConstants(conserved=c, d=d, ecc=0.0, phi0=0.0, z=z)

@@ -117,6 +117,25 @@ def test_simulate_radial_drop_truncates_with_collision_row(capsys):
     assert float(rows[0][header.index("v_r")]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # steps underflow at r ~ 1.2e-4 as E's rounding outgrows the spike bound
+        ["--kappa", "0", "--k", "1", "--state", "1,0,0,0", "--t-end", "10", "--tol", "1e-13"],
+        ["--kappa", "1", "--k", "1", "--elements=-1,0,0", "--t-end", "10", "--tol", "1e-13"],
+        # at rest next to the centre the first trial step is below the bound
+        ["--kappa", "-1", "--k", "20", "--state", "5e-5,0,0,0", "--t-end", "1", "--tol", "1e-9"],
+    ],
+    ids=["flat", "sphere", "at rest"],
+)
+def test_simulate_radial_drop_with_underflowing_steps_collides(capsys, argv):
+    code, out, err = run_cli(capsys, ["simulate", *argv, "--output", "json"])
+    assert (code, err) == (EXIT_INFEASIBLE, "")
+    doc = json.loads(out)
+    assert doc["event"]["kind"] == "collision"
+    assert doc["event"]["t"] == doc["rows"][-1][0]
+
+
 def test_simulate_elements_start_at_periastron(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -380,6 +399,8 @@ def test_unwritable_out_file_exits_2(capsys, tmp_path):
         ],
         # k must be positive
         ["simulate", "--kappa", "1", "--k", "-2", "--elements", "1.2,1,0", "--t-end", "1"],
+        # a state that is not numbers
+        ["simulate", "--kappa", "1", "--k", "1", "--state", "a,b,c,d", "--t-end", "1"],
     ],
 )
 def test_simulate_config_errors_exit_2(capsys, argv):
@@ -394,6 +415,12 @@ def test_simulate_rejects_unknown_config_schema(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "schema" in err
+
+
+def test_simulate_rejects_an_unreadable_config_file(capsys, tmp_path):
+    code, _, err = run_cli(capsys, ["simulate", "--config", str(tmp_path / "missing.json")])
+    assert code == EXIT_CONFIG
+    assert "cannot read config file" in err
 
 
 def test_simulate_rejects_malformed_config_json(capsys, tmp_path):
@@ -517,6 +544,23 @@ def test_simulate_non_finite_invariants_exit_4_and_write_nothing(capsys):
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert "not finite" in err
+
+
+def test_simulate_invariant_overflowing_after_the_start_exits_4(capsys):
+    # r ~ 355 on the hyperbolic plane, where sinh(r)**2 nears the largest
+    # double: I3 starts within a few ulps of it and overflows at the first
+    # step, which the spike guard (watching E and J) lets pass
+    code, out, err = run_cli(
+        capsys,
+        [
+            "simulate", "--kappa", "-1", "--k", "1",
+            "--state", "354.71857694721126,0,0.46915430281842907,4.214796180251422e-154",
+            "--t-end", "0.02", "--tol", "1e-9",
+        ],
+    )
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "drift not finite" in err and "inf" in err
 
 
 def test_simulate_span_below_the_underflow_bound(capsys):

@@ -1,8 +1,12 @@
-"""Every private module-level name of the package is read somewhere in it.
+"""Every private module-level name of the package is read somewhere in
+it, and every method of its classes somewhere in the project.
 
 A constant or helper that no code reads is dead weight: it has to be
 kept correct, yet nothing would notice if it were wrong.  The check is
 by AST over the package sources, so tests reading a name do not count.
+A method or property is public API, so there tests and the benchmark
+count as readers too; one that nothing in ``src/``, ``tests/`` or
+``bench/`` reads is dead all the same.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from pathlib import Path
 import curvedkepler
 
 SOURCES = sorted(Path(curvedkepler.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+READERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -52,6 +58,30 @@ def test_every_private_module_level_name_is_read():
         f"{module}:{name}"
         for module, tree in trees.items()
         for name in _defined(tree)
+        if name not in read
+    )
+    assert dead == []
+
+
+def _methods(tree: ast.Module):
+    """(class, name) of each non-dunder method or property of a class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield node.name, item.name
+
+
+def test_every_method_is_read():
+    read = {
+        name for path in READERS for name in _read(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    dead = sorted(
+        f"{path.name}:{cls}.{name}"
+        for path in SOURCES
+        for cls, name in _methods(ast.parse(path.read_text(encoding="utf-8")))
         if name not in read
     )
     assert dead == []

@@ -470,6 +470,69 @@ def test_integrate_flat_radial_drop_collides():
     assert np.all(np.diff(traj.states[:, 0]) < 0.0)
 
 
+def test_a_fall_with_a_small_coupling_reaches_the_collision_radius():
+    # k = 1e-6 falls slowly enough that the steps never underflow: the
+    # last accepted state lies inside COLLISION_RADIUS itself
+    traj = integrate(PhaseState(1e-3, 0.0, 0.0, 0.0), KeplerParams(0.0, 1e-6), 1e6)
+    assert traj.event == "collision"
+    assert traj.event_time == traj.t_end < 1e6
+    assert 0.0 < traj.states[-1, 0] <= dynamics.COLLISION_RADIUS
+
+
+# radial falls whose steps underflow above _COLLISION_SOFT: at a tight tol
+# the rounding of E's terms, about k eps/r, outgrows the spike bound
+# 10 tol max(1, |E|) near r ~ k eps/(10 tol); from rest next to the centre
+# the first trial step is already below the underflow bound
+UNDERFLOWING_FALLS = [
+    (PhaseState(1.0, 0.0, 0.0, 0.0), KeplerParams(0.0, 1.0), 10.0, 1e-13),
+    (PhaseState(5e-5, 0.0, 0.0, 0.0), KeplerParams(-1.0, 20.0), 1.0, 1e-9),
+]
+
+
+@pytest.mark.parametrize("state,params,t_end,tol", UNDERFLOWING_FALLS, ids=["tight tol", "at rest"])
+def test_a_radial_fall_whose_steps_underflow_collides(state, params, t_end, tol):
+    traj = integrate(state, params, t_end, tol=tol, dense=False)
+    assert traj.event == "collision"
+    assert traj.event_time == traj.t_end < t_end
+    assert np.all(traj.states[:, 3] == 0.0) and np.all(traj.states[1:, 2] < 0.0)
+
+
+def test_a_separable_fall_keeps_the_soft_collision_rule():
+    # the same fall from rest as a separable potential F = -k coth(r): the
+    # radial-line rule is the Kepler flow's, so the underflow still raises
+    k = 20.0
+
+    def zero(x):
+        return 0.0
+
+    state = PhaseState(5e-5, 0.0, 0.0, 0.0)
+    f, df = (lambda r: -k / math.tanh(r)), (lambda r: k / math.sinh(r) ** 2)
+    with pytest.raises(StiffnessError, match="underflow at t=0.0"):
+        integrate_separable(-1.0, state, f, df, zero, zero, 1.0, tol=1e-9)
+
+
+def test_the_step_budget_raises_stiffness_error(monkeypatch):
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
+    with pytest.raises(StiffnessError, match="budget exhausted after 4 steps"):
+        integrate(PhaseState(0.8, 0.3, 0.1, 1.2), KeplerParams(1.0, 1.0), 10.0)
+
+
+def test_a_state_at_rest_in_no_field_takes_the_smallest_trial_step():
+    # F = G = 0 at rest: the derivative is zero at the start and at the
+    # trial point, so the first step is 1e-6 and each next one 5 times longer
+    def zero(x):
+        return 0.0
+
+    state = PhaseState(1.0, 0.0, 0.0, 0.0)
+    traj = integrate_separable(1.0, state, zero, zero, zero, zero, 1.0)
+    steps = [1e-6 * 5**n for n in range(9)]
+    assert np.diff(traj.times).tolist() == pytest.approx([*steps, 1.0 - sum(steps)], rel=1e-9)
+    stats = traj.stats
+    assert dataclasses.astuple(stats)[:6] == (10, 0, 0, 0, 2 + 12 * 10, 1e-6)
+    assert stats.h_max == pytest.approx(0.511719, rel=1e-9)
+    assert np.all(traj.states == [1.0, 0.0, 0.0, 0.0])
+
+
 # radial falls from rest (params, r0, tol) and the right-hand-side
 # evaluations they cost while every accepted step could grow 5x toward a
 # centre where the admissible step shrinks like r**1.5
@@ -1045,7 +1108,7 @@ def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     # _first_integrals
     sc = dynamics._sincos(kappa)
     kepler = functools.partial(dynamics._kepler_rhs, sc, 1.3)
-    integrals = functools.partial(dynamics._first_integrals, sc, kappa, 1.3)
+    integrals = functools.partial(dynamics._first_integrals, sc, 1.3)
     make, make_plain = (dynamics._kernels("flat" if kappa == 0.0 else "curved", dense) for dense in (True, False))
     outcomes = []
     for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng), integrals):
@@ -1092,7 +1155,7 @@ def test_call_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     # solution, integrals and stage derivatives, of the attempt that calls
     # a separable right-hand side and its integrals
     separable = _separable_rhs(kappa)
-    integrals = functools.partial(dynamics._first_integrals, dynamics._sincos(kappa), kappa, 1.3)
+    integrals = functools.partial(dynamics._first_integrals, dynamics._sincos(kappa), 1.3)
     make = dynamics._kernels("call", True)
     outcomes = set()
     for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng, series=0), integrals):
@@ -1227,6 +1290,12 @@ def test_first_crossing_sees_a_crossing_before_t_hi_inside_its_step():
     traj = _window_traj()
     t = traj.first_crossing(lambda tt, s: s.v_r, t_lo=0.5, t_hi=1.0010)
     assert t is not None and abs(t - _WINDOW_T1) < 1e-12
+
+
+def test_first_crossing_without_a_sign_change_over_many_steps_is_none():
+    traj = _window_traj()
+    assert len(traj) > 10
+    assert traj.first_crossing(lambda tt, s: s.r + 1.0) is None
 
 
 def test_false_position_matches_bisection_in_few_evaluations():

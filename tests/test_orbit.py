@@ -1,13 +1,15 @@
 """Closed-form orbit tests: conic constants, radii, Binet, time laws."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from curvedkepler import orbit
 from curvedkepler.dynamics import KeplerParams, PhaseState, circular_state, integrate
 from curvedkepler.effective_potential import turning_points
-from curvedkepler.errors import DomainError, RadialOrbitError
+from curvedkepler.errors import CurvedKeplerError, DomainError, RadialOrbitError
 from curvedkepler.ktrig import acot_k, cos_k, sin_k
 from curvedkepler.orbit import (
     binet_residual,
@@ -88,6 +90,19 @@ def test_ecc_squared_is_one_plus_z(kappa, rng):
         # the reconstruction rounds at the e_p scale, not the energy scale
         scale = max(1.0, abs(oc.conserved.e_p))
         assert oc.conserved.e == pytest.approx(energy, abs=1e-10 * scale)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 4.0])
+def test_near_equatorial_circular_orbits_on_the_sphere_have_conic_constants(kappa):
+    # there E ~ kappa J**2/2, and E_P = E - kappa J**2/2 cancelled to a
+    # 1 + z < 0 that no state has: on kappa = k = 1 the circular orbit of
+    # j = 100 raised "impossible orbit constants"
+    params = KeplerParams(kappa, 1.0)
+    for j in (10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0):
+        circ = circular_state(params, j)
+        for dr, v_r in itertools.product((-1e-9, 0.0, 1e-9), repeat=2):
+            oc = orbit_constants(PhaseState(circ.r * (1.0 + dr), 0.3, v_r, circ.v_phi), params)
+            assert abs(oc.ecc**2 - (1.0 + oc.z)) <= 2e-15 * max(1.0, abs(oc.z))
 
 
 @pytest.mark.parametrize("kappa", REGIMES)
@@ -485,6 +500,17 @@ def test_propagate_rejects_bad_times_and_unresolved_radii():
     for t in (5.0, 40.0, 1e6):
         with pytest.raises(DomainError, match="radius is not resolved"):
             propagate(oc, kappa, [1.0, t])
+
+
+def test_the_anomaly_inverse_gives_up_after_its_step_budget(monkeypatch):
+    # on this open orbit some of the times need a second Newton step
+    kappa, k = -1.0, 1.0
+    oc = orbit_constants(periastron_state(kappa, k, 0.6, 1.6), KeplerParams(kappa, k))
+    ts = np.linspace(-3.0, 3.0, 61)
+    propagate(oc, kappa, ts)
+    monkeypatch.setattr(orbit, "_MAX_STEPS", 1)
+    with pytest.raises(CurvedKeplerError, match="did not converge for G = "):
+        propagate(oc, kappa, ts)
 
 
 def test_phi_from_time_follows_open_orbit_to_its_asymptote():

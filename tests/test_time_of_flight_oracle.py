@@ -198,6 +198,9 @@ def flight_cases(draw, kinds=KINDS):
 @example((1e-6, 1.0, 0.5, 3.0, 0.25, 0.01))  # both ends past the equator
 @example((1.0, 1.25, 2.0, 0.9999999, 0.01, 0.009955128609158502))  # short leg by the equator
 @example((-1e-12, 0.4086, 0.1089, 5.934, 1e-7, 0.5862))  # one end next to the asymptote
+# a short leg past the equator of a nearly flat sphere: _leg's L_A comes
+# from its square, and the root on the wrong side of the direct sum is flipped
+@example((1e-06, 1.9374507555918936, 1.691487399634507, 2.1496442537939418, 0.15677544918609887, 0.1567760330473608))
 @settings(max_examples=400, deadline=None)
 def test_time_of_flight_matches_mpmath_oracle(case):
     kappa, k, j, ecc, frac_a, frac_b = case

@@ -234,7 +234,8 @@ def test_orbit_errors_print_plain_floats():
 
 
 # inputs that once gave a silent answer, a bare ValueError or a numpy
-# warning: each is refused with DomainError
+# warning, and documented refusals no other test reaches: each is
+# refused with DomainError
 REFUSED = {
     "from_ambient of a NaN point": lambda: ck.from_ambient(-1.0, ck.AmbientPoint(0, 0, math.nan)),
     "from_ambient of an infinite point": lambda: ck.from_ambient(1.0, ck.AmbientPoint(math.inf, 0, 0)),
@@ -246,6 +247,17 @@ REFUSED = {
     "orbit_radius at an infinite angle": lambda: ck.orbit_radius(ORBIT[1.0], 1.0, math.inf),
     "binet_residual at an infinite angle": lambda: ck.binet_residual(ORBIT[1.0], 1.0, math.inf),
     "binet_residual with a NaN kappa": lambda: ck.binet_residual(ORBIT[1.0], math.nan, 0.1),
+    "time_from_u at a NaN u": lambda: ck.time_from_u(ORBIT[1.0], 1.0, math.nan, U_STATE[1.0]),
+    "classify_orbit at a NaN energy": lambda: ck.classify_orbit(-1.0, 1.0, 0.5, math.nan),
+    "turning_points at an infinite j": lambda: ck.turning_points(1.0, 1.0, math.inf, -0.3),
+    "conic_from_dynamics with a NaN eccentricity": lambda: ck.conic_from_dynamics(1.0, 0.5, math.nan),
+    "conic_from_dynamics with a negative eccentricity": lambda: ck.conic_from_dynamics(-1.0, 0.5, -0.1),
+    "a colatus ConicSpec with p": lambda: ck.ConicSpec(-1.0, 0.5, ck.ConicFamily.COLATUS, p=0.3, p_tilde=0.5),
+    "a separatrix ConicSpec with p": lambda: ck.ConicSpec(-1.0, 0.5, ck.ConicFamily.SEPARATRIX, p=0.3),
+    "FocalElements with a negative half separation": lambda: ck.FocalElements.two_foci(-0.1, 1.0),
+    "FocalElements with a NaN half separation": lambda: ck.FocalElements.focus_line(math.nan, 1.0),
+    "FocalElements with a zero half axis": lambda: ck.FocalElements.two_foci(0.1, 0.0),
+    "FocalElements with an infinite half axis": lambda: ck.FocalElements.focus_line(0.1, math.inf),
 }
 
 
