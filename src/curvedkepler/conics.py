@@ -188,6 +188,23 @@ def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
     return ConicSpec._checked(kap, ecc, ConicFamily.LATUS, p=_atan(kap, d))
 
 
+def _ladder(spec: ConicSpec) -> tuple[float | None, float | None, float]:
+    """(lo, equi, hi): the eccentricities where the far apsis u = (1 - ecc)/D
+    meets u* (the horoellipse, lo) and -u* (the horohyperbola, hi), with u* =
+    max(_cot_floor(kappa), 0) as in ``effective_potential._landmark``, and the
+    equiparabola.  On the plane and the sphere u* = 0 puts both fences at
+    ecc = 1, the parabola and the equator.  ``lo`` exists in the latus
+    chart only; ``equi`` is :func:`equiparabola_ecc`, off the separatrix on
+    the hyperbolic plane only."""
+    kap, family = spec.kappa, spec.family
+    ustar = max(_cot_floor(kap), 0.0)
+    # u* = 0 on the plane and the sphere, where D u* = 0 needs no tangent for D
+    du = spec.d * ustar if ustar else 0.0
+    lo = 1.0 - du if family is ConicFamily.LATUS else None
+    equi = equiparabola_ecc(spec) if kap < 0.0 and family is not ConicFamily.SEPARATRIX else None
+    return lo, equi, 1.0 + du
+
+
 def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
     """Eccentricity thresholds of the conic's size chart, by name.
 
@@ -196,27 +213,24 @@ def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
     ``ecc_equiparabola`` in the latus and colatus charts and
     ``ecc_horoellipse`` in the latus chart only.
     """
-    kap = spec.kappa
-    if kap > 0.0:
-        return {"ecc_equatorial": 1.0}
-    if kap == 0.0:
-        return {"ecc_parabola": 1.0}
-    c = math.sqrt(-kap)
-    if spec.family is ConicFamily.LATUS:
-        t = c * _tan(kap, spec.p)  # = tanh(c p), in (0, 1)
-        return {
-            "ecc_horoellipse": 1.0 - t,
-            "ecc_horohyperbola": 1.0 + t,
-            "ecc_equiparabola": equiparabola_ecc(spec),
-        }
-    if spec.family is ConicFamily.COLATUS:
-        t = c * _tan(kap, spec.p_tilde)
-        return {
-            "ecc_horohyperbola": 1.0 + 1.0 / t,
-            "ecc_equiparabola": equiparabola_ecc(spec),
-        }
-    # separatrix: the common p -> inf limit, parabolas up to ecc = 2
-    return {"ecc_horohyperbola": 2.0}
+    lo, equi, hi = _ladder(spec)
+    if spec.kappa >= 0.0:  # lo = hi = 1
+        return {"ecc_equatorial" if spec.kappa > 0.0 else "ecc_parabola": hi}
+    named = {"ecc_horoellipse": lo, "ecc_horohyperbola": hi, "ecc_equiparabola": equi}
+    return {name: ecc for name, ecc in named.items() if ecc is not None}
+
+
+# (below lo, at lo, between, at hi, above hi) of the ladder, per regime:
+# hyperbolic, flat, spherical (index (kappa >= 0) + (kappa > 0)); on the plane
+# and the sphere lo = hi, so "between" and "at hi" are never reached
+_CONIC_ROWS = (
+    tuple(map(ConicType, (ConicLabel.ELLIPSE, ConicLabel.HOROELLIPSE, ConicLabel.PARABOLA,
+                          ConicLabel.HOROHYPERBOLA, ConicLabel.HYPERBOLA))),
+    tuple(map(ConicType, (ConicLabel.ELLIPSE, ConicLabel.PARABOLA, ConicLabel.PARABOLA,
+                          ConicLabel.PARABOLA, ConicLabel.HYPERBOLA))),
+    tuple(ConicType(ConicLabel.ELLIPSE, higgs)
+          for higgs in ("sub", "equatorial", "equatorial", "equatorial", "super")),
+)
 
 
 def classify_conic(spec: ConicSpec) -> ConicType:
@@ -226,44 +240,29 @@ def classify_conic(spec: ConicSpec) -> ConicType:
     boundary classes (horoellipse, horohyperbola, flat parabola,
     equiparabola, spherical equatorial) are detected inside a relative
     band of ``BOUNDARY_RTOL`` because floating-point orbits never sit
-    exactly on them.
+    exactly on them.  The checks run lo, hi, equi: in the colatus chart
+    the equiparabola can lie above the horohyperbola, and is then a
+    hyperbola.
     """
     ecc = spec.ecc
     if math.isinf(ecc):
         return ConicType(ConicLabel.LINE_PAIR)
-    th = conic_thresholds(spec)
-    if spec.kappa > 0.0:
-        if ecc == 0.0:
-            return ConicType(ConicLabel.CIRCLE)
-        if _near(ecc, th["ecc_equatorial"]):
-            return ConicType(ConicLabel.ELLIPSE, higgs="equatorial")
-        return ConicType(ConicLabel.ELLIPSE, higgs="sub" if ecc < th["ecc_equatorial"] else "super")
-    if spec.kappa == 0.0:
-        if ecc == 0.0:
-            return ConicType(ConicLabel.CIRCLE)
-        if _near(ecc, th["ecc_parabola"]):
-            return ConicType(ConicLabel.PARABOLA)
-        if ecc < th["ecc_parabola"]:
-            return ConicType(ConicLabel.ELLIPSE)
-        return ConicType(ConicLabel.HYPERBOLA)
-
-    lo = th.get("ecc_horoellipse")
+    lo, equi, hi = _ladder(spec)
+    below, at_lo, between, at_hi, above = _CONIC_ROWS[(spec.kappa >= 0.0) + (spec.kappa > 0.0)]
     if lo is not None:
         if ecc == 0.0:
             return ConicType(ConicLabel.CIRCLE)
         if _near(ecc, lo):
-            return ConicType(ConicLabel.HOROELLIPSE)
+            return at_lo
         if ecc < lo:
-            return ConicType(ConicLabel.ELLIPSE)
-    hi = th["ecc_horohyperbola"]
+            return below
     if _near(ecc, hi):
-        return ConicType(ConicLabel.HOROHYPERBOLA)
+        return at_hi
     if ecc > hi:
-        return ConicType(ConicLabel.HYPERBOLA)
-    equi = th.get("ecc_equiparabola")
+        return above
     if equi is not None and _near(ecc, equi):
         return ConicType(ConicLabel.EQUIPARABOLA)
-    return ConicType(ConicLabel.PARABOLA)
+    return between
 
 
 def equiparabola_ecc(spec: ConicSpec) -> float:
@@ -287,22 +286,15 @@ def ecc_from_focal(kappa, fe: FocalElements) -> float:
     for focus-line conics (identically 1 on the flat plane).
     """
     kap = curvature_value(kappa)
-    if fe.kind is FocalKind.TWO_FOCI:
-        # 2a or 2f can overflow: the argument check of sin_k and cos_k stays
-        den = _sin(kap, _check_finite(2.0 * fe.half_axis))
-        # the exact zero (2a at the antipode on the sphere) lands on a
-        # float residue ~1e-16, so degeneracy needs a snap window
-        if abs(den) < 1e-14:
-            raise DegenerateError(
-                f"degenerate axis: sin_k(2a) = 0 at a = {fe.half_axis!r}"
-            )
-        return _sin(kap, _check_finite(2.0 * fe.half_separation)) / den
-    den = _cos(kap, _check_finite(2.0 * fe.half_axis))
+    trig, zero = (_sin, "sin_k(2a) = 0 at a") if fe.kind is FocalKind.TWO_FOCI else (
+        _cos, "cos_k(2 alpha) = 0 at alpha")
+    # 2a or 2f can overflow: the argument check of sin_k and cos_k stays
+    den = trig(kap, _check_finite(2.0 * fe.half_axis))
+    # the exact zero (2a at the antipode on the sphere, 2 alpha at the
+    # equator) lands on a float residue ~1e-16, so degeneracy needs a snap window
     if abs(den) < 1e-14:
-        raise DegenerateError(
-            f"degenerate axis: cos_k(2 alpha) = 0 at alpha = {fe.half_axis!r}"
-        )
-    return _cos(kap, _check_finite(2.0 * fe.half_separation)) / den
+        raise DegenerateError(f"degenerate axis: {zero} = {fe.half_axis!r}")
+    return trig(kap, _check_finite(2.0 * fe.half_separation)) / den
 
 
 def focal_from_vertices(kappa, r_per: float, r_apo: float, axis: float = 0.0) -> FocalElements:
@@ -416,9 +408,8 @@ def periastron_family(kappa, r_per: float) -> PeriastronFamily:
     if not (math.isfinite(r_per) and r_per > 0.0):
         raise DomainError(f"periastron radius must be positive and finite, got {r_per!r}")
     t = _tan(kap, r_per)
-    if kap == 0.0:
-        return PeriastronFamily(kap, r_per, t, 2.0 * t, 2.0 * t, None)
-    c = math.sqrt(-kap)
+    # c = sqrt(-kappa), the ladder's u* (0 on the plane, where both landmarks are 2T)
+    c = _cot_floor(kap)
     # ct = tanh(c r_per) < 1, but it rounds to 1 (or a hair above) once
     # c r_per > 18.7, where 1 - ct would divide by zero
     ct = c * t
@@ -428,8 +419,17 @@ def periastron_family(kappa, r_per: float) -> PeriastronFamily:
     d_hh = 2.0 * t / (1.0 - ct)
     # the horohyperbola landmark crosses into the colatus chart once
     # d_hh exceeds the saturation size 1/c
-    colatus_tangent = (1.0 - ct) / (2.0 * c * c * t) if d_hh > 1.0 / c else None
+    colatus_tangent = (1.0 - ct) / (2.0 * c * c * t) if c * d_hh > 1.0 else None
     return PeriastronFamily(kap, r_per, t, d_he, d_hh, colatus_tangent)
+
+
+def _radius_at(kap: float, d: float, ecc: float, theta: float) -> float | None:
+    """Radius of Tan_k(r) = d/(1 + ecc cos(theta)) on the physical branch, or
+    None where the ray misses the conic (at or past an asymptote).  On plain
+    floats: a u that overflows (a huge ecc or a tiny d) reports the check
+    acot_k makes of its argument."""
+    u = _check_finite((1.0 + ecc * math.cos(theta)) / d)
+    return _acot(kap, u) if u > _cot_floor(kap) else None
 
 
 def sample_conic(spec: ConicSpec, phi_grid) -> list[PolarPoint]:
@@ -439,14 +439,11 @@ def sample_conic(spec: ConicSpec, phi_grid) -> list[PolarPoint]:
     asymptotes) are omitted; on the sphere every angle has a point and
     super-equatorial conics cross r = pi/(2 sqrt(kappa)) smoothly.
     """
-    kap = spec.kappa
-    d = spec.d
-    floor = _cot_floor(kap)
+    kap, d, ecc = spec.kappa, spec.d, spec.ecc
     out = []
     for phi in phi_grid:
         phi = _check_finite(phi)
-        # u overflows for a huge ecc or a tiny d
-        u = _check_finite((1.0 + spec.ecc * math.cos(phi)) / d)
-        if u > floor:
-            out.append(PolarPoint(_acot(kap, u), phi))
+        r = _radius_at(kap, d, ecc, phi)
+        if r is not None:
+            out.append(PolarPoint(r, phi))
     return out

@@ -22,7 +22,7 @@ the solution.  A step accepted right after a rejection may not grow
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import chain
 from typing import Callable, Sequence
@@ -795,6 +795,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     counts = [0, 0, 0, 0]  # by outcome: accepted, rejected_error, rejected_spike, rejected_stage
     steps = 0
     rejected = False
+    outcome = None
     while t < t_end:
         if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted after {steps} steps")
@@ -809,7 +810,10 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
             if (y[0] < _COLLISION_SOFT and y[2] < 0.0) or (k is not None and y[3] == 0.0 and y[2] <= 0.0):
                 event, event_time = "collision", t
                 break
-            raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
+            # the last attempt's outcome, by its StepStats field name, says why h shrank
+            last = "no attempt yet: h is the initial trial step" if outcome is None else (
+                f"last attempt: {fields(StepStats)[outcome].name}")
+            raise StiffnessError(f"step size underflow at t={t!r} (h={h!r}), r={y[0]!r}; {last}")
 
         outcome, calls, err, q_max, y_new, inv1, f_new, ks = attempt(y, f, h, inv0)
         rhs_calls += calls

@@ -23,9 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .conics import _radius_at
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
-from .ktrig import _acot, _acot_array, _check_finite, _cot_floor, curvature_value
+from .ktrig import _acot_array, _check_finite, _cot_floor, curvature_value
 
 #: eccentricities below this are treated as exactly circular
 CIRCULAR_ECC = 1e-13
@@ -105,11 +106,7 @@ def orbit_radius(oc: OrbitConstants, kappa, phi: float) -> float | None:
     on the plane and the hyperbolic plane angles where the conic has
     run off to (or past) infinity yield None.
     """
-    kap = curvature_value(kappa)
-    # u_closed on plain floats, as in sample_conic: an overflowed u
-    # reports the check acot_k makes of its argument, with no numpy warning
-    u = _check_finite((1.0 + oc.ecc * math.cos(_check_finite(phi) - oc.phi0)) / oc.d)
-    return _acot(kap, u) if u > _cot_floor(kap) else None
+    return _radius_at(curvature_value(kappa), oc.d, oc.ecc, _check_finite(phi) - oc.phi0)
 
 
 def binet_residual(oc: OrbitConstants, kappa, phi: float) -> float:

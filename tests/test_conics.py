@@ -14,6 +14,7 @@ from curvedkepler.conics import (
     FocalKind,
     classify_conic,
     conic_from_dynamics,
+    conic_thresholds,
     ecc_from_focal,
     equiparabola_ecc,
     focal_from_vertices,
@@ -106,7 +107,7 @@ def latus_spec(kappa, tanh_p, ecc):
     return ConicSpec(kappa, ecc, ConicFamily.LATUS, p=math.atanh(tanh_p))
 
 
-def test_hyperbolic_latus_ladder():
+def test_hyperbolic_latus_ladder(rng):
     # thresholds at 1 -/+ tanh(p) = 0.75 and 1.25
     assert classify_conic(latus_spec(-1.0, 0.25, 0.0)).label is ConicLabel.CIRCLE
     assert classify_conic(latus_spec(-1.0, 0.25, 0.5)).label is ConicLabel.ELLIPSE
@@ -115,6 +116,18 @@ def test_hyperbolic_latus_ladder():
     assert classify_conic(latus_spec(-1.0, 0.25, 1.25)).label is ConicLabel.HOROHYPERBOLA
     assert classify_conic(latus_spec(-1.0, 0.25, 1.5)).label is ConicLabel.HYPERBOLA
     assert classify_conic(latus_spec(-1.0, 0.25, math.inf)).label is ConicLabel.LINE_PAIR
+    # the far-apsis fences 1 -/+ D u* are 1 -/+ c tan_k(p) bit for bit, in
+    # the dict's key order
+    for kappa, p in zip(-np.exp(rng.uniform(-8.0, 4.0, size=500)), rng.uniform(0.0, 1.0, size=500)):
+        kappa, c = float(kappa), math.sqrt(-kappa)
+        p = float(0.01 + 12.0 * p) / c
+        spec = ConicSpec(kappa, 1.0, ConicFamily.LATUS, p=p)
+        th = conic_thresholds(spec)
+        assert list(th) == ["ecc_horoellipse", "ecc_horohyperbola", "ecc_equiparabola"]
+        t = c * tan_k(kappa, p)
+        assert th["ecc_horoellipse"] == 1.0 - t
+        assert th["ecc_horohyperbola"] == 1.0 + t
+        assert th["ecc_equiparabola"] == equiparabola_ecc(spec)
 
 
 def test_hyperbolic_equiparabola_is_detected():
@@ -122,7 +135,7 @@ def test_hyperbolic_equiparabola_is_detected():
     assert classify_conic(spec).label is ConicLabel.EQUIPARABOLA
 
 
-def test_colatus_ladder():
+def test_colatus_ladder(rng):
     p_tilde = math.atanh(0.5)
     mk = lambda ecc: ConicSpec(-1.0, ecc, ConicFamily.COLATUS, p_tilde=p_tilde)
     # threshold 1 + 1/tanh(p_tilde) = 3
@@ -131,13 +144,34 @@ def test_colatus_ladder():
     assert classify_conic(mk(3.0)).label is ConicLabel.HOROHYPERBOLA
     assert classify_conic(mk(4.0)).label is ConicLabel.HYPERBOLA
     assert classify_conic(mk(math.cosh(p_tilde))).label is ConicLabel.EQUIPARABOLA
+    # at p_tilde = 2 the equiparabola, cosh 2 = 3.76, lies above the
+    # horohyperbola, 1 + coth 2 = 2.04: it is a hyperbola
+    far = ConicSpec(-1.0, math.cosh(2.0), ConicFamily.COLATUS, p_tilde=2.0)
+    assert conic_thresholds(far)["ecc_horohyperbola"] < equiparabola_ecc(far)
+    assert classify_conic(far).label is ConicLabel.HYPERBOLA
+    # 1 + D u* with D = 1/(-kappa tan_k(p_tilde)) is 1 + 1/(c tan_k(p_tilde))
+    # rounded another way: within 4 ulp
+    for kappa, p_tilde in zip(-np.exp(rng.uniform(-8.0, 4.0, size=500)), rng.uniform(0.0, 1.0, size=500)):
+        kappa, c = float(kappa), math.sqrt(-kappa)
+        p_tilde = float(0.01 + 12.0 * p_tilde) / c
+        spec = ConicSpec(kappa, 1.0, ConicFamily.COLATUS, p_tilde=p_tilde)
+        th = conic_thresholds(spec)
+        assert list(th) == ["ecc_horohyperbola", "ecc_equiparabola"]
+        old = 1.0 + 1.0 / (c * tan_k(kappa, p_tilde))
+        assert abs(th["ecc_horohyperbola"] - old) <= 4.0 * math.ulp(old)
+        assert th["ecc_equiparabola"] == equiparabola_ecc(spec)
 
 
-def test_separatrix_ladder():
+def test_separatrix_ladder(rng):
     mk = lambda ecc: ConicSpec(-1.0, ecc, ConicFamily.SEPARATRIX)
     assert classify_conic(mk(1.9)).label is ConicLabel.PARABOLA
     assert classify_conic(mk(2.0)).label is ConicLabel.HOROHYPERBOLA
     assert classify_conic(mk(2.4)).label is ConicLabel.HYPERBOLA
+    # 1 + D u* with D = 1/sqrt(-kappa) and u* = sqrt(-kappa)
+    for kappa in -np.exp(rng.uniform(-12.0, 12.0, size=500)):
+        th = conic_thresholds(ConicSpec(float(kappa), 1.0, ConicFamily.SEPARATRIX))
+        assert list(th) == ["ecc_horohyperbola"]
+        assert abs(th["ecc_horohyperbola"] - 2.0) <= 2.0 * math.ulp(2.0)
 
 
 def test_flat_ladder():
@@ -148,6 +182,7 @@ def test_flat_ladder():
     assert classify_conic(mk(1.0 + 1e-11)).label is ConicLabel.PARABOLA  # band
     assert classify_conic(mk(2.0)).label is ConicLabel.HYPERBOLA
     assert classify_conic(mk(math.inf)).label is ConicLabel.LINE_PAIR
+    assert conic_thresholds(mk(0.5)) == {"ecc_parabola": 1.0}
 
 
 def test_spherical_conics_are_ellipses_with_equator_annotation():
@@ -159,6 +194,9 @@ def test_spherical_conics_are_ellipses_with_equator_annotation():
     assert eq.label is ConicLabel.ELLIPSE and eq.higgs == "equatorial"
     sup = classify_conic(mk(3.0))
     assert sup.label is ConicLabel.ELLIPSE and sup.higgs == "super"
+    assert conic_thresholds(mk(0.5)) == {"ecc_equatorial": 1.0}
+    # past the equator tan_k(p) < 0, and D u* = -0.0 leaves the fence at 1
+    assert conic_thresholds(ConicSpec(1.0, 0.5, ConicFamily.LATUS, p=2.0)) == {"ecc_equatorial": 1.0}
 
 
 def test_latus_intervals_partition_the_ecc_axis():

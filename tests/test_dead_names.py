@@ -6,7 +6,9 @@ kept correct, yet nothing would notice if it were wrong.  The check is
 by AST over the package sources, so tests reading a name do not count.
 A method or property is public API, so there tests and the benchmark
 count as readers too; one that nothing in ``src/``, ``tests/`` or
-``bench/`` reads is dead all the same.
+``bench/`` reads is dead all the same.  A name imported into a module
+of the package is read in that module, or re-exported through its
+``__all__``.
 """
 
 from __future__ import annotations
@@ -85,3 +87,37 @@ def test_every_method_is_read():
         if name not in read
     )
     assert dead == []
+
+
+def _imported(tree: ast.Module):
+    """Names an import statement binds anywhere in the module, but
+    ``from __future__`` switches."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def test_every_import_is_read_or_exported():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        kept = loaded | _exported(tree)
+        unused += [f"{path.name}:{name}" for name in _imported(tree) if name not in kept]
+    assert unused == []

@@ -507,8 +507,18 @@ def test_a_separable_fall_keeps_the_soft_collision_rule():
 
     state = PhaseState(5e-5, 0.0, 0.0, 0.0)
     f, df = (lambda r: -k / math.tanh(r)), (lambda r: k / math.sinh(r) ** 2)
-    with pytest.raises(StiffnessError, match="underflow at t=0.0"):
+    with pytest.raises(StiffnessError, match="underflow at t=0.0") as err:
         integrate_separable(-1.0, state, f, df, zero, zero, 1.0, tol=1e-9)
+    assert "r=5e-05; no attempt yet: h is the initial trial step" in str(err.value)
+
+
+def test_an_underflow_names_the_outcome_of_the_last_attempt():
+    # an escape on the hyperbolic plane reaches r ~ 355, where sinh(r)**2
+    # overflows: the steps shrink through a run of bad-stage rejections
+    with pytest.raises(StiffnessError, match=r"step size underflow at t=0\.518") as err:
+        integrate(PhaseState(60.0, 0.0, 0.5, 1e-23), KeplerParams(-1.0, 1.0), 5.0, tol=1e-9)
+    assert "r=355.5" in str(err.value)
+    assert str(err.value).endswith("; last attempt: rejected_stage")
 
 
 def test_the_step_budget_raises_stiffness_error(monkeypatch):
