@@ -70,7 +70,7 @@ class PhaseState:
 
     def __post_init__(self):
         vals = (self.r, self.phi, self.v_r, self.v_phi)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise DomainError(f"phase state must be finite, got {vals!r}")
 
 
@@ -442,8 +442,9 @@ class Trajectory:
     :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
     The interpolants are kept as two private arrays: step i starts at
     ``times[i]``, ``states[i]``, has size ``h[i]`` and coefficients
-    ``d[i]``, where ``d`` has shape (n, 7, 4), indexed (step, theta power,
-    component); the evaluators read the degree from ``d``.
+    ``d[:, i]``, where ``d`` has shape (7, n, 4), indexed (theta power, step,
+    component) and C-contiguous, so :meth:`sample` gathers each power as one
+    contiguous block; the evaluators read the degree from ``d``.
     Instances are immutable by
     convention: nothing in the package mutates them after construction,
     so they can be shared freely across threads.
@@ -488,7 +489,7 @@ class Trajectory:
         """Step i as plain floats (t0, h, y0, d), for scalar evaluation;
         d[c] lists component c's coefficients, lowest theta power first."""
         h, d = self._dense
-        return float(self.times[i]), float(h[i]), self.states[i].tolist(), d[i].T.tolist()
+        return float(self.times[i]), float(h[i]), self.states[i].tolist(), d[:, i].T.tolist()
 
     def state_at(self, t: float) -> PhaseState:
         """Dense-output state at any time inside the integrated span."""
@@ -517,11 +518,12 @@ class Trajectory:
         i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(h) - 1)
         hi = h[i]
         theta = ((ts - self.times[i]) / hi)[:, None]
-        di = d[i].transpose(1, 0, 2)
+        # power-major: each theta power gathers as one contiguous (n, 4) block
+        di = d.take(i, axis=1)
         poly = di[-1]
         for dm in di[-2::-1]:
             poly = dm + theta * poly
-        return self.states[i] + hi[:, None] * (theta * poly)
+        return self.states.take(i, axis=0) + hi[:, None] * (theta * poly)
 
     def first_crossing(self, func, t_lo=None, t_hi=None) -> float | None:
         """First time in [t_lo, t_hi] where func(t, state) crosses zero.
@@ -749,7 +751,7 @@ def _kernels(flow, dense):
     return _source(_kernel(flow, dense), "<dop853 kernel>", **names)["make"]
 
 
-def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense, k=None):
+def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, dense, k=None, *, names=None):
     """Generic DOP853 driver on 4-component float tuples.  Each attempt is one
     call of a :func:`_kernels` kernel, which calls ``rhs`` and ``invariants``
     or writes out the Kepler flow of coupling ``k``; the driver books it.
@@ -766,6 +768,8 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
     keeps isolated spikes near close approaches out of the output.  The next
     step grows by at most 5x, not at all right after a rejection, nor past
     0.9 q**(-1/9), q the largest watched change over that threshold (h**9).
+    An integral that is not finite, at the start or (one the guard does not
+    watch) at any accepted state, raises NumericalError; ``names`` name them.
     """
     rtol = _DRIFT_MARGIN * tol
     t = 0.0
@@ -850,13 +854,27 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, watched, den
         h *= fac
         rejected = False
 
+    invs = np.array(invs)
+    if not np.isfinite(invs).all():
+        # an integral the spike guard does not watch overflowed
+        row, col = np.argwhere(~np.isfinite(invs))[0].tolist()
+        name = names[col] if names else f"#{col}"
+        raise NumericalError(
+            f"first integral {name} of accepted state {row} (t={times[row]!r}) "
+            f"is not finite: {float(invs[row, col])!r}"
+        )
     hs = np.diff(times).tolist() or [0.0]
+    interpolants = None
+    if dense:
+        # kept power-major, (7, steps, 4) and C-contiguous; _dense_coefficients returns step-major
+        chunks = [c.transpose(1, 0, 2) for c in (*coeffs, _dense_coefficients(stages))]
+        interpolants = (np.array(steps_h), np.concatenate(chunks, axis=1))
     return Trajectory(
         kappa,
         times,
         states,
         invs,
-        dense=(np.array(steps_h), np.concatenate([*coeffs, _dense_coefficients(stages)])) if dense else None,
+        dense=interpolants,
         event=event,
         event_time=event_time,
         stats=StepStats(*counts, rhs_calls, min(hs), max(hs)),
@@ -899,7 +917,7 @@ def integrate(
 
     ``Trajectory.invariants`` keeps the (E, J, E_P, I3, I4) the spike guard
     evaluated at each state (:func:`integrate_separable` keeps (E, i1,
-    i2)); non-finite ones at the start raise :class:`NumericalError`.
+    i2)); non-finite ones at any accepted state raise :class:`NumericalError`.
     ``Trajectory.stats`` counts the accepted and rejected steps and the
     right-hand-side evaluations.
     A fall that reaches the collision radius, or whose steps underflow on
@@ -923,6 +941,7 @@ def integrate(
         2,  # the spike guard watches (E, J)
         dense,
         params.k,
+        names=("E", "J", "E_P", "I3", "I4"),
     )
 
 
@@ -963,4 +982,4 @@ def integrate_separable(
         e = _kinetic(s * s * vphi, vr, vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 
-    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, 3, dense)
+    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, 3, dense, names=("E", "i1", "i2"))

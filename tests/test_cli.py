@@ -22,6 +22,7 @@ from curvedkepler.cli import (
     main,
 )
 from curvedkepler.conics import ConicFamily, conic_from_dynamics
+from curvedkepler.dynamics import Trajectory
 
 
 def run_cli(capsys, argv):
@@ -548,8 +549,8 @@ def test_simulate_non_finite_invariants_exit_4_and_write_nothing(capsys):
 
 def test_simulate_invariant_overflowing_after_the_start_exits_4(capsys):
     # r ~ 355 on the hyperbolic plane, where sinh(r)**2 nears the largest
-    # double: I3 starts within a few ulps of it and overflows at the first
-    # step, which the spike guard (watching E and J) lets pass
+    # double: E_P and I3 start within a few ulps of it and overflow at the
+    # first step, which the spike guard (watching E and J) lets pass
     code, out, err = run_cli(
         capsys,
         [
@@ -560,7 +561,21 @@ def test_simulate_invariant_overflowing_after_the_start_exits_4(capsys):
     )
     assert code == EXIT_NUMERICAL
     assert out == ""
-    assert "drift not finite" in err and "inf" in err
+    assert "first integral E_P of accepted state 1" in err and "not finite: inf" in err
+
+
+def test_simulate_drift_overflowing_exits_4(capsys, monkeypatch):
+    # finite invariants of opposite sign near the largest double: their
+    # difference, the drift's numerator, overflows
+    invariants = [[0.0, 1.0, 0.0, 1e308, 0.0], [0.0, 1.0, 0.0, -1e308, 0.0]]
+    traj = Trajectory(-1.0, [0.0, 1.0], [[1.0, 0.0, 0.0, 1.0]] * 2, invariants)
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: traj)
+    code, out, err = run_cli(
+        capsys, ["simulate", "--kappa", "-1", "--k", "1", "--state", "1,0,0,1", "--t-end", "1"]
+    )
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "invariant drift not finite" in err and "inf" in err
 
 
 def test_simulate_span_below_the_underflow_bound(capsys):

@@ -636,6 +636,16 @@ def test_integrate_refuses_non_finite_initial_invariants():
         integrate(state, KeplerParams(0.0, 4.0166038089235546e-261), 1e-9)
 
 
+def test_integrate_refuses_an_unwatched_integral_overflowing_later():
+    # r ~ 355 on the hyperbolic plane: E_P and I3 start within a few ulps
+    # of the largest double and overflow at the first step, which the
+    # spike guard (watching E and J) lets pass
+    state = PhaseState(354.71857694721126, 0.0, 0.46915430281842907, 4.214796180251422e-154)
+    with pytest.raises(NumericalError) as info:
+        integrate(state, KeplerParams(-1.0, 1.0), 0.02, tol=1e-9)
+    assert str(info.value) == "first integral E_P of accepted state 1 (t=0.02) is not finite: inf"
+
+
 def test_integrate_extreme_first_step_raises_a_package_error():
     # the step-size estimate divides by a trial step that rounds to 0
     with pytest.raises(CurvedKeplerError):
@@ -886,7 +896,7 @@ def _scalar_state_at(traj, t):
     idx = int(np.searchsorted(traj.times, t, side="right")) - 1
     idx = min(max(idx, 0), len(h_all) - 1)
     t0, h = float(traj.times[idx]), float(h_all[idx])
-    y0, d = traj.states[idx].tolist(), d_all[idx].tolist()
+    y0, d = traj.states[idx].tolist(), d_all[:, idx].tolist()
     theta = (t - t0) / h
     out = []
     for i in range(4):
@@ -1378,11 +1388,14 @@ def test_integrate_separable_conserves_split_integrals(kappa, k, state):
 # ----------------------------------------------------------------------
 
 
-def test_phase_state_requires_finite_fields():
-    with pytest.raises(DomainError):
-        PhaseState(math.nan, 0.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        PhaseState(1.0, 0.0, math.inf, 0.0)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_phase_state_requires_finite_fields(field, bad):
+    vals = [1.0, 0.0, 0.0, 0.0]
+    vals[field] = bad
+    with pytest.raises(DomainError) as info:
+        PhaseState(*vals)
+    assert str(info.value) == f"phase state must be finite, got {tuple(vals)!r}"
 
 
 def test_params_require_attractive_coupling():
