@@ -29,7 +29,7 @@ from .conics import (
 )
 from .dynamics import KeplerParams, PhaseState, check_tol, integrate
 from .effective_potential import (
-    _critical, _escape_angular_momentum, _landmark, _radial_roots, _w, check_coupling,
+    OrbitLabel, _critical, _escape_angular_momentum, _landmark, _radial_roots, _w, check_coupling,
     classify_orbit, potential_profile, turning_points,
 )
 from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
@@ -348,7 +348,9 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
     if j == 0.0:
         record.update({"ecc": None, "d": None, "conic": None, "thresholds": None})
     else:
-        d, ecc, _, _ = _radial_roots(kap, k, j, e)
+        d, _, ecc, _, _ = _radial_roots(kap, k, j, e)
+        if orbit_class.label in (OrbitLabel.CIRCLE, OrbitLabel.HYP_CIRCLE):
+            ecc = 0.0  # in the circle's band of ecc**2: its conic is the circle
         spec = conic_from_dynamics(kap, d, ecc)
         conic_type = classify_conic(spec)
         record["ecc"] = float(ecc)

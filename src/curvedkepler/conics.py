@@ -21,8 +21,9 @@ from .errors import DegenerateError, DomainError, InfeasibleError
 from .geometry import PolarPoint, _distance
 from .ktrig import _acot, _atan, _chart_limit, _check_finite, _cos, _cot_floor, _sin, _tan, curvature_value
 
-#: relative half-width of the measure-zero classification boundaries
-BOUNDARY_RTOL = 1e-10
+#: half-width of every boundary class, relative in the far-apsis cotangent
+#: (``_ladder``) and, for an orbit's circle, to the terms of its ecc**2
+BOUNDARY_RTOL = 1e-9
 
 
 class ConicFamily(Enum):
@@ -157,10 +158,6 @@ class FocalElements:
         return cls(FocalKind.FOCUS_LINE, varphi, alpha, axis)
 
 
-def _near(x: float, target: float) -> bool:
-    return abs(x - target) <= BOUNDARY_RTOL * max(1.0, abs(target))
-
-
 def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
     """Conic of the orbit family with size D = d and eccentricity ecc.
 
@@ -188,21 +185,20 @@ def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
     return ConicSpec._checked(kap, ecc, ConicFamily.LATUS, p=_atan(kap, d))
 
 
-def _ladder(spec: ConicSpec) -> tuple[float | None, float | None, float]:
-    """(lo, equi, hi): the eccentricities where the far apsis u = (1 - ecc)/D
-    meets u* (the horoellipse, lo) and -u* (the horohyperbola, hi), with u* =
-    max(_cot_floor(kappa), 0) as in ``effective_potential._landmark``, and the
-    equiparabola.  On the plane and the sphere u* = 0 puts both fences at
-    ecc = 1, the parabola and the equator.  ``lo`` exists in the latus
-    chart only; ``equi`` is :func:`equiparabola_ecc`, off the separatrix on
-    the hyperbolic plane only."""
-    kap, family = spec.kappa, spec.family
+def _ladder(kap: float, d: float) -> tuple[float, float, float]:
+    """(lo, hi, band): the eccentricities where the far apsis u = (1 - ecc)/d
+    meets u* = max(_cot_floor(kappa), 0) (the horoellipse) and -u* (the
+    horohyperbola), both 1 on the plane and the sphere, and the half-width
+    in ecc of a band of ``BOUNDARY_RTOL`` max(1, u*) in u around a rung."""
     ustar = max(_cot_floor(kap), 0.0)
-    # u* = 0 on the plane and the sphere, where D u* = 0 needs no tangent for D
-    du = spec.d * ustar if ustar else 0.0
-    lo = 1.0 - du if family is ConicFamily.LATUS else None
-    equi = equiparabola_ecc(spec) if kap < 0.0 and family is not ConicFamily.SEPARATRIX else None
-    return lo, equi, 1.0 + du
+    return 1.0 - d * ustar, 1.0 + d * ustar, BOUNDARY_RTOL * abs(d) * max(1.0, ustar)
+
+
+def _side(x: float, rung: float, band: float) -> int:
+    """0, 1 or 2 as x is below, within band of, or above rung."""
+    if abs(x - rung) <= band:
+        return 1
+    return 0 if x < rung else 2
 
 
 def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
@@ -213,10 +209,13 @@ def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
     ``ecc_equiparabola`` in the latus and colatus charts and
     ``ecc_horoellipse`` in the latus chart only.
     """
-    lo, equi, hi = _ladder(spec)
-    if spec.kappa >= 0.0:  # lo = hi = 1
-        return {"ecc_equatorial" if spec.kappa > 0.0 else "ecc_parabola": hi}
-    named = {"ecc_horoellipse": lo, "ecc_horohyperbola": hi, "ecc_equiparabola": equi}
+    kap, family = spec.kappa, spec.family
+    if kap >= 0.0:  # lo = hi = 1 at every size, so D is not needed
+        return {"ecc_equatorial" if kap > 0.0 else "ecc_parabola": 1.0}
+    lo, hi, _ = _ladder(kap, spec.d)
+    equi = None if family is ConicFamily.SEPARATRIX else equiparabola_ecc(spec)
+    named = {"ecc_horoellipse": lo if family is ConicFamily.LATUS else None, "ecc_horohyperbola": hi,
+             "ecc_equiparabola": equi}
     return {name: ecc for name, ecc in named.items() if ecc is not None}
 
 
@@ -236,33 +235,31 @@ _CONIC_ROWS = (
 def classify_conic(spec: ConicSpec) -> ConicType:
     """Eccentricity-interval classification of a conic.
 
-    The thresholds are those of :func:`conic_thresholds`; measure-zero
-    boundary classes (horoellipse, horohyperbola, flat parabola,
-    equiparabola, spherical equatorial) are detected inside a relative
-    band of ``BOUNDARY_RTOL`` because floating-point orbits never sit
-    exactly on them.  The checks run lo, hi, equi: in the colatus chart
-    the equiparabola can lie above the horohyperbola, and is then a
-    hyperbola.
+    The thresholds are those of :func:`conic_thresholds`; each boundary
+    class (horoellipse, horohyperbola, flat parabola, equiparabola,
+    spherical equatorial) is the band of ``_ladder`` around its rung, as
+    in classify_orbit.  The circle is ecc = 0 (``cli.classify_record``
+    gives an orbit in its circle band that conic).  The checks run lo, hi,
+    equi: in the colatus chart the equiparabola can lie above the
+    horohyperbola, and is then a hyperbola.
     """
-    ecc = spec.ecc
+    ecc, kap, family = spec.ecc, spec.kappa, spec.family
     if math.isinf(ecc):
         return ConicType(ConicLabel.LINE_PAIR)
-    lo, equi, hi = _ladder(spec)
-    below, at_lo, between, at_hi, above = _CONIC_ROWS[(spec.kappa >= 0.0) + (spec.kappa > 0.0)]
-    if lo is not None:
+    lo, hi, band = _ladder(kap, spec.d)
+    row = _CONIC_ROWS[(kap >= 0.0) + (kap > 0.0)]
+    if family is ConicFamily.LATUS:
         if ecc == 0.0:
             return ConicType(ConicLabel.CIRCLE)
-        if _near(ecc, lo):
-            return at_lo
-        if ecc < lo:
-            return below
-    if _near(ecc, hi):
-        return at_hi
-    if ecc > hi:
-        return above
-    if equi is not None and _near(ecc, equi):
+        side = _side(ecc, lo, band)
+        if side < 2:
+            return row[side]
+    side = _side(ecc, hi, band)
+    if side:
+        return row[2 + side]
+    if kap < 0.0 and family is not ConicFamily.SEPARATRIX and _side(ecc, equiparabola_ecc(spec), band) == 1:
         return ConicType(ConicLabel.EQUIPARABOLA)
-    return between
+    return row[2]
 
 
 def equiparabola_ecc(spec: ConicSpec) -> float:

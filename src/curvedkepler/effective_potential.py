@@ -8,10 +8,11 @@ potential
 
 a quadratic in u, the same for every curvature.  The turning points
 are its closed-form roots mapped back to radii by acot_k, and the
-landmark energies that split the (j, E) plane into the orbit classes
-below are W at two cotangents: the vertex u = k/j**2 (the circle) and
-u* = max(_cot_floor(kappa), 0), the equator on the sphere and infinity
-elsewhere (bounded orbits lie below it, sub-equatorial ones on S^2).
+landmarks of the (j, E) plane are W at the vertex u = k/j**2 (the
+circle) and at u* = max(_cot_floor(kappa), 0), the equator on the sphere
+and infinity elsewhere.  The orbit classes are decided in eccentricity,
+as for the orbit's conic, by one test, ``conics._side``, and one
+constant, ``conics.BOUNDARY_RTOL`` (see ``_radial_roots``, ``conics._ladder``).
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .conics import BOUNDARY_RTOL, _ladder, _side
 from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
 from .geometry import check_interior_radius
 from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, curvature_value
 
-#: relative half-width of the bands around landmark energies inside
-#: which classify_orbit reports the boundary class itself
-LANDMARK_RTOL = 1e-9
-
+#: relative distance above the minimum of W that still has the double root
 _TANGENCY_RTOL = 1e-12
 
 
@@ -184,25 +183,24 @@ def escape_angular_momentum(kappa, k: float) -> float:
 
 
 def _radial_roots(kap: float, k: float, j: float, e: float):
-    """Conic elements (d, ecc, u_per, u_apo) of the pair (j, e), j != 0.
+    """Conic elements (d, circle, ecc, u_per, u_apo) of the pair (j, e), j != 0.
 
     W(u) = e is the quadratic (j**2/2) u**2 - k u + (kappa j**2/2 - e) = 0
-    with roots u = (1 +- ecc)/d, d = j**2/k.  The larger root comes from
-    the sum form and the smaller from the product of the roots,
-    kappa - 2e/j**2, so neither cancels as ecc -> 1.  A negative
-    discriminant (e below the minimum of the quadratic) is clamped to
-    the double root.
+    with roots u = (1 +- ecc)/d, d = j**2/k.  ``circle`` is the
+    ``conics._side`` of ecc**2 k**2 = k**2 + 2 j**2 (e - kappa j**2/2),
+    signed, against 0 in a band of ``BOUNDARY_RTOL`` times the terms it
+    sums, which scale its rounding and that of an e at the minimum of W:
+    0 below the minimum, 1 the circle.  The larger root comes from the
+    sum form and the smaller from the product of the roots, kappa -
+    2e/j**2, so neither cancels as ecc -> 1.  A negative ecc**2 is
+    clamped to the double root, ecc = 0.
     """
     j2 = j * j
-    root = math.sqrt(max(0.0, k * k + 2.0 * j2 * (e - 0.5 * kap * j2)))
+    disc = k * k + 2.0 * j2 * (e - 0.5 * kap * j2)
+    circle = _side(disc, 0.0, BOUNDARY_RTOL * (k * k + j2 * (2.0 * abs(e) + abs(kap) * j2)))
+    root = math.sqrt(max(0.0, disc))
     u_per = (k + root) / j2
-    return j2 / k, root / k, u_per, (kap - 2.0 * e / j2) / u_per
-
-
-def _near(value: float, landmark: float) -> bool:
-    """Whether value lies in the band where classify_orbit reports the
-    landmark's boundary class."""
-    return abs(value - landmark) <= LANDMARK_RTOL * max(1.0, abs(landmark))
+    return j2 / k, circle, root / k, u_per, (kap - 2.0 * e / j2) / u_per
 
 
 def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
@@ -211,52 +209,48 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     In u = cot_k(r) the potential is the quadratic
     W(u) = -k u + (j**2/2)(u**2 + kappa), so the roots are closed-form:
     ``_radial_roots`` for j != 0, the linear root u = -e/k for j = 0.
-    A root counts when it lies on the physical branch of acot_k; an
-    apoastron within ``_TANGENCY_RTOL`` of the hyperbolic plateau is the
-    plateau itself (the horoellipse, open at infinity).  Off the sphere,
-    an energy inside ``LANDMARK_RTOL`` of the escape energy has no
-    apoastron either, the rule by which classify_orbit labels it a
-    parabola or horoellipse.  Beyond the escape j (no minimum on the
-    hyperbolic plane) an energy at or below the plateau has no root, as
-    classify_orbit calls it infeasible.  Each radius is verified to satisfy
-    |W(r) - e| < 1e-11 * max(1, |e|) + 4 |dW/dr| ulp(r) + eps (k |u| +
-    (j**2/2)(u**2 + |kappa|)): one rounding of r moves W by |dW/dr| ulp(r),
-    and evaluating W rounds by eps times its terms; CurvedKeplerError
-    reports a miss.
+    A root counts when it lies on the physical branch of acot_k, and the
+    roots follow classify_orbit's class (``conics._side`` in eccentricity,
+    with the bands of ``conics.BOUNDARY_RTOL``): an open orbit has no
+    apoastron, and an energy below the minimum of W with ecc**2 in the
+    band of 0 (a circle) has the double root r_min.  Beyond the escape j
+    (no minimum on the hyperbolic plane) an energy at or below the
+    plateau has no root, as classify_orbit calls it infeasible.  Each
+    other radius is verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|) +
+    4 |dW/dr| ulp(r) + eps (k |u| + (j**2/2)(u**2 + |kappa|)): one rounding
+    of r moves W by |dW/dr| ulp(r), and evaluating W rounds by eps times
+    its terms; CurvedKeplerError reports a miss.
     """
     return _turning_points(*_inputs(kappa, k, j, e), j, e)
 
 
 def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
     crit = _critical(kap, k, j)
-    if crit is not None:
-        r_m, w_m = crit
-        if abs(e - w_m) <= _TANGENCY_RTOL * max(1.0, abs(e), abs(w_m)):
-            return [r_m, r_m]
-        if e < w_m:
-            return []
-    elif j != 0.0 and e <= _landmark(kap, k, j):
+    if j == 0.0:
+        us = [-e / k]
+    elif crit is None and e <= _landmark(kap, k, j):
         # saturated (kappa < 0, j beyond escape): W falls monotonically to
         # the plateau and never reaches it, so no energy up to it has a
         # root; classify_orbit calls these energies infeasible
         return []
-
-    if j == 0.0:
-        us = [-e / k]
     else:
-        _, _, u_per, u_apo = _radial_roots(kap, k, j, e)
-        us = [u_per, u_apo]
-        if kap <= 0.0 and _near(e, _landmark(kap, k, j)) and not (crit and _near(e, crit[1])):
-            # inside classify_orbit's band around the escape energy the
-            # orbit is the boundary class (parabola, horoellipse): open,
-            # with no apoastron
-            us = [u_per]
-    if kap <= 0.0:
-        # off the sphere a radius needs u beyond the plateau
-        floor = _cot_floor(kap) * (1.0 + _TANGENCY_RTOL)
-        us = [u for u in us if u > floor]
-    # a root that overflowed reports the check acot_k makes of its argument
-    pairs = sorted((_acot(kap, _check_finite(u)), u) for u in us)
+        d, circle, ecc, u_per, u_apo = _radial_roots(kap, k, j, e)
+        lo, _, band = _ladder(kap, d)
+        open_ = kap <= 0.0 and _side(ecc, lo, band)
+        if crit is not None:
+            r_m, w_m = crit
+            if not circle:  # below the minimum of W and its band
+                return []
+            # the double root is a circle's (below the minimum, the only
+            # root left); an open orbit has none, however shallow its well
+            if circle == 1 and not open_ and e - w_m <= _TANGENCY_RTOL * max(1.0, abs(e), abs(w_m)):
+                return [r_m, r_m]
+        us = [u_per] if open_ else [u_per, u_apo]
+    # a root that overflowed reports the check acot_k makes of its argument;
+    # then the radial stop, and a periastron one rounding above the plateau,
+    # have a radius only above the chart's far end
+    floor = _cot_floor(kap)
+    pairs = sorted((_acot(kap, u), u) for u in map(_check_finite, us) if u > floor)
 
     base_tol = 1e-11 * max(1.0, abs(e))
     for r, u in pairs:
@@ -279,7 +273,7 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
     return [r for r, _ in pairs]
 
 
-#: orbit classes below, at and above _landmark, for kappa < 0, = 0 and > 0
+#: orbit classes below, at and above lo of conics._ladder, for kappa < 0, = 0, > 0
 _CLASS_ROWS = tuple(
     tuple(OrbitClass(label, label in BOUNDED_LABELS) for label in row)
     for row in (
@@ -294,33 +288,36 @@ _CLASS_ROWS = tuple(
 def classify_orbit(kappa, k: float, j: float, e: float) -> OrbitClass:
     """Qualitative orbit class of an (energy, angular momentum) pair.
 
-    Classification is purely by landmark energies.  Energies within
-    ``LANDMARK_RTOL`` (relative) of a landmark get the boundary class;
-    energies below the attainable range raise InfeasibleError.
+    The class is its conic's, decided in eccentricity by ``conics._side``
+    with the one constant ``conics.BOUNDARY_RTOL``: the side of ecc against
+    lo = 1 - d u* of ``conics._ladder`` (the escape energy), in its band of
+    BOUNDARY_RTOL max(1, u*) in the far apsis u = (1 - ecc)/d, picks the
+    column; below it, ecc**2 in the circle band of ``_radial_roots`` is
+    the circle, and ecc**2 below that band InfeasibleError.  Without a
+    well (kappa < 0, j beyond escape) every orbit is open.
     """
     kap, k = _inputs(kappa, k, j, e)
     if j == 0.0:
         return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False)
 
     crit = _critical(kap, k, j)
-    landmark = _landmark(kap, k, j)
     if crit is None:
         # saturated: W falls monotonically to the plateau, never reaching it
+        landmark = _landmark(kap, k, j)
         if e <= landmark:
             raise InfeasibleError(
                 f"energy {e!r} not attainable without a potential well "
                 f"(plateau {landmark!r})"
             )
         return OrbitClass(OrbitLabel.HYP_OPEN, bounded=False)
-    w_m = crit[1]
-    if _near(e, w_m):
-        label = OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE
-        return OrbitClass(label, bounded=True)
-    if e < w_m:
-        raise InfeasibleError(f"energy {e!r} below the potential minimum {w_m!r}")
-
-    below, at, above = _CLASS_ROWS[(kap >= 0.0) + (kap > 0.0)]
-    return at if _near(e, landmark) else below if e < landmark else above
+    d, circle, ecc, _, _ = _radial_roots(kap, k, j, e)
+    if not circle:
+        raise InfeasibleError(f"energy {e!r} below the potential minimum {crit[1]!r}")
+    lo, _, band = _ladder(kap, d)
+    side = _side(ecc, lo, band)
+    if side == 0 and circle == 1:
+        return OrbitClass(OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE, bounded=True)
+    return _CLASS_ROWS[(kap >= 0.0) + (kap > 0.0)][side]
 
 
 def potential_profile(kappa, k: float, j: float) -> PotentialProfile:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import _radius_at
+from .conics import _ladder, _radius_at, _side
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
 from .ktrig import _acot_array, _check_finite, _cot_floor, curvature_value
@@ -438,12 +438,15 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
 
 
 def radial_period(oc: OrbitConstants, kappa) -> float:
-    """Full radial period of a bounded orbit (twice the apo-to-per leg)."""
+    """Full radial period of an orbit classify_orbit bounds (twice the apo-to-per leg)."""
     kap = curvature_value(kappa)
     if oc.ecc < CIRCULAR_ECC:
         raise DomainError("circular orbit: radius does not oscillate")
-    if oc.u_apoastron <= _cot_floor(kap):
-        raise DomainError("orbit is not radially bounded: no radial period")
+    # the class's band of ``conics._side``; _anomaly, propagate and time_from_u
+    # compute the motion of this ecc, and test u_apo > _cot_floor exactly
+    lo, _, band = _ladder(kap, oc.d)
+    if kap <= 0.0 and _side(oc.ecc, lo, band):
+        raise DomainError(f"orbit is not radially bounded (ecc {oc.ecc!r}): no radial period")
     # the apo-to-per leg exactly as time_from_u takes it: from the apoastron
     half = _g_apo(_frame(-oc.ecc, oc.d, kap))
     return 2.0 * (oc.d * oc.d / abs(oc.conserved.j) * half)

@@ -702,6 +702,30 @@ def test_classify_spherical_orbit_is_always_bounded(capsys):
     assert doc["label"].startswith("spherical_ellipse")
 
 
+@pytest.mark.parametrize(
+    "e,label,bounded,conic",
+    [
+        # ecc 4.7e-11 under the parabola's 1, the far apsis u = (1 - ecc)/d
+        # at 3.5e-9, above the band of 1e-9: the parent called this orbit a
+        # bounded flat ellipse and its conic a parabola
+        ("-5.223186524585646e-09", "flat_ellipse", True, "ellipse"),
+        # u at 6.8e-10, inside the band: a parabola throughout
+        ("-1e-09", "flat_parabola", False, "parabola"),
+    ],
+)
+def test_classify_near_the_parabola_is_one_class(capsys, e, label, bounded, conic):
+    code, out, _ = run_cli(
+        capsys,
+        ["classify", "--kappa", "0", "--k", "1.4770787061859296",
+         "--J", "0.13977197546947992", f"--E={e}"],
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["label"] == label
+    assert doc["bounded"] is bounded
+    assert doc["conic"]["label"] == conic
+
+
 def test_classify_infeasible_pair_exit_3(capsys):
     code, _, err = classify(capsys, 1, 1, 1, -1.0)  # below the spherical minimum
     assert code == EXIT_INFEASIBLE

@@ -4,9 +4,13 @@ import math
 
 import pytest
 from conftest import bounded_orbit_elements, random_states
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvedkepler import DomainError
-from curvedkepler.dynamics import KeplerParams, circular_state, energy
+from curvedkepler.cli import classify_record
+from curvedkepler.conics import ConicLabel, classify_conic, conic_from_dynamics
+from curvedkepler.dynamics import KeplerParams, PhaseState, circular_state, energy
 from curvedkepler.effective_potential import (
     BOUNDED_LABELS,
     OrbitClass,
@@ -21,6 +25,7 @@ from curvedkepler.effective_potential import (
 )
 from curvedkepler.errors import InfeasibleError, NumericalError, SingularityError
 from curvedkepler.ktrig import cos_k, sin_k
+from curvedkepler.orbit import orbit_constants, radial_period
 
 REGIMES = [1.0, 0.0, -1.0]
 
@@ -219,11 +224,13 @@ def test_turning_points_flat_parabola_inner_only():
 @pytest.mark.parametrize(
     "kappa,k,j,e",
     [
-        (0.0, 1.0, 1.0, -1e-10),  # FLAT_PARABOLA; the apoastron would sit at 1e10
-        (-1.0, 1.0, 0.5, -1.0 - 1e-10),  # HYP_HOROELLIPSE; it would sit at 11.7
+        # the band is BOUNDARY_RTOL max(1, u*) = 1e-9 in the far apsis
+        # u_apo = (1 - ecc)/d around u* (0 on the plane, 1 here on H^2)
+        (0.0, 1.0, 1.0, -1e-10),  # FLAT_PARABOLA, u_apo 1e-10; the apoastron would sit at 1e10
+        (-1.0, 1.0, 0.5, -1.0 - 1e-10),  # HYP_HOROELLIPSE, u_apo 1.3e-10 above u*; it would sit at 11.7
         (-1.0, 1.0, 0.5, -1.0 + 1e-10),
-        (0.0, 1.0, 1.0, -2e-9),  # just below the band: a bounded ellipse
-        (-1.0, 1.0, 0.5, -1.0 - 2e-9),
+        (0.0, 1.0, 1.0, -2e-9),  # u_apo 2e-9, beyond the band: a bounded ellipse
+        (-1.0, 1.0, 0.5, -1.0 - 2e-9),  # u_apo 2.7e-9 above u*: a bounded ellipse
     ],
 )
 def test_turning_points_agree_with_classify_in_landmark_band(kappa, k, j, e):
@@ -437,3 +444,78 @@ def test_profile_critical_derivative_invariant(rng):
                 - w_eff(kappa, k, j, prof.critical_radius - h)
             ) / (2 * h)
             assert abs(slope) < 1e-8
+
+
+# ----------------------------------------------------------------------
+# one boundary rule: orbit class, turning points, conic, radial period
+# ----------------------------------------------------------------------
+
+_HIGGS = {
+    OrbitLabel.SPHERICAL_ELLIPSE_SUB: "sub",
+    OrbitLabel.SPHERICAL_ELLIPSE_EQUATORIAL: "equatorial",
+    OrbitLabel.SPHERICAL_ELLIPSE_SUPER: "super",
+}
+
+
+@st.composite
+def near_boundary_cases(draw):
+    """(kappa, k, j, e) a relative 1e-13 to 1e-2 from the escape (equator,
+    parabola) energy or from the circle's, for |j| from 1e-2 to 1e2."""
+    kappa = draw(st.sampled_from([1.0, -1.0, 1e-6, -1e-6, 0.0]))
+    k = draw(st.floats(0.5, 2.0))
+    j = 10.0 ** draw(st.floats(-2.0, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    if kappa < 0.0:
+        # keep a well, down to one where lo = 1 - sqrt(-kappa) j**2/k is 1e-6
+        j = math.copysign(min(abs(j), math.sqrt((1.0 - 1e-6) * k / math.sqrt(-kappa))), j)
+    if draw(st.booleans()):
+        land = -k * math.sqrt(-kappa) if kappa < 0.0 else 0.5 * kappa * j * j
+    else:
+        land = 0.5 * (kappa * j * j - k * k / (j * j))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, -2.0))
+    return kappa, k, j, land + offset * max(1.0, abs(land))
+
+
+@given(near_boundary_cases())
+# ecc is 5e-11 under the parabola's 1, but u_apo = (1 - ecc)/d is 3.8e-9
+@example((0.0, 1.4770787061859296, 0.13977197546947992, -5.223186524585646e-09))
+@example((-1.0, 1.0, 0.5, -2.125 * (1.0 + 1e-11)))  # just below the circle
+# a well 5e-13 under the plateau, e above it: open, not a tangency
+@example((-1.0, 1.0600774599162244, -1.0296001164718098, -1.0600774599161848))
+# j = 100 on the sphere: ecc**2 at the rounded minimum of W, and the equator
+@example((1.0, 1.0, 100.0, critical_point(1.0, 1.0, 100.0)[1]))
+@example((1.0, 1.0, 100.0, 5000.0))
+# d = 1e-8: ecc 5e-10 under lo is u_apo 5% above the plateau, an ellipse
+@example((-1.0, 1.0, 1e-4, -1.05))
+@settings(max_examples=500, deadline=None)
+def test_orbit_class_turning_points_conic_and_period_agree(case):
+    kappa, k, j, e = case
+    try:
+        cls = classify_orbit(kappa, k, j, e)
+    except InfeasibleError:
+        assert turning_points(kappa, k, j, e) == []
+        return
+    roots = turning_points(kappa, k, j, e)
+    assert len(roots) == (2 if cls.bounded else 1)
+    circle = cls.label in (OrbitLabel.CIRCLE, OrbitLabel.HYP_CIRCLE)
+
+    s = sin_k(kappa, roots[0])
+    oc = orbit_constants(PhaseState(roots[0], 0.0, 0.0, j / (s * s)), KeplerParams(kappa, k))
+    conic = classify_conic(conic_from_dynamics(kappa, oc.d, oc.ecc))
+    assert (conic.label in (ConicLabel.CIRCLE, ConicLabel.ELLIPSE)) == cls.bounded
+    assert circle or conic.label is not ConicLabel.CIRCLE
+    if kappa > 0.0 and not circle:
+        assert conic.higgs == _HIGGS[cls.label]
+    # the circle's band is one of ecc**2 scaled by the energy, so a conic
+    # spec has no band of its own: the record gives a circle ecc 0
+    record = classify_record(kappa, k, j, e)
+    assert record["bounded"] == (record["conic"]["label"] in ("circle", "ellipse"))
+    assert (record["conic"]["label"] == "circle") == circle
+
+    if cls.bounded:
+        try:
+            assert 0.0 < radial_period(oc, kappa) < math.inf
+        except DomainError as exc:
+            assert oc.ecc == 0.0 and "circular" in str(exc)
+    else:
+        with pytest.raises(DomainError, match="not radially bounded"):
+            radial_period(oc, kappa)

@@ -25,9 +25,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 import numpy as np
+import pytest
 
+from curvedkepler.conics import ConicLabel, classify_conic, conic_from_dynamics
 from curvedkepler.dynamics import KeplerParams, PhaseState, integrate
 from curvedkepler.effective_potential import turning_points
+from curvedkepler.errors import DomainError
 from curvedkepler.ktrig import acot_k, sin_k
 from curvedkepler.orbit import orbit_constants, phi_from_time, propagate, radial_period, time_from_u
 
@@ -210,10 +213,14 @@ def test_time_of_flight_matches_mpmath_oracle(case):
     want, tol = _oracle_bound(kappa, oc.conserved.j, oc.d, oc.ecc, u_a, u_b)
     assert abs(got - want) <= tol, (got, want, tol)
 
-    asym = math.sqrt(-kappa) if kappa < 0.0 else 0.0
-    if kappa > 0.0 or oc.u_apoastron > asym:
+    # radial_period is defined exactly where the orbit's conic is closed
+    conic = classify_conic(conic_from_dynamics(kappa, oc.d, oc.ecc))
+    if conic.label in (ConicLabel.CIRCLE, ConicLabel.ELLIPSE):
         half = time_from_u(oc, kappa, oc.u_apoastron, oc.u_periastron)
         assert radial_period(oc, kappa) == 2.0 * half
+    else:
+        with pytest.raises(DomainError, match="not radially bounded"):
+            radial_period(oc, kappa)
 
 
 def test_near_escape_leg_matches_oracle_without_warnings():

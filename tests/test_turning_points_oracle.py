@@ -4,7 +4,7 @@
 oracle here never forms that quadratic: it writes W(r) with mpmath's
 trig functions at 40 digits and runs ``mp.findroot`` on W(r) - E in r.
 Root counts are checked against ``classify_orbit``, which decides
-bounded or open from the landmark energies alone.
+bounded or open in eccentricity, by the one rule of ``conics._side``.
 """
 
 import math
@@ -182,13 +182,17 @@ def test_small_j_roots_match_the_oracle():
     # a small j puts the periastron where W is steep in r: one ulp of r
     # moves W by more than 1e-11, and the correctly rounded root must pass
     rng = random.Random(3)
+    # d = j**2 = 1e-8: 5% under the escape energy is ecc 5e-10 under the
+    # horoellipse rung, but u_apo = 1.05, an apoastron at r ~ 1.86
+    cases = [(-1.0, 1e-4, -1.05)]
     for _ in range(150):
         kappa, j = rng.choice([1.0, 0.0, -1.0]), 10.0 ** rng.uniform(-4.0, -1.0)
         w_m = critical_point(kappa, 1.0, j)[1]
         land = 0.5 * kappa * j * j if kappa > 0.0 else -math.sqrt(-kappa)
         # log-spaced up from the well bottom or down from the landmark
         step = (land - w_m) * 10.0 ** rng.uniform(-8.0, -0.01)
-        e = w_m + step if rng.random() < 0.5 else land - step
+        cases.append((kappa, j, w_m + step if rng.random() < 0.5 else land - step))
+    for kappa, j, e in cases:
         roots = turning_points(kappa, 1.0, j, e)
         assert len(roots) == 2
         for r in roots:
@@ -229,8 +233,8 @@ def test_a_corrupted_root_fails_verification_and_names_its_values(monkeypatch):
     real = effective_potential._radial_roots
 
     def corrupted(kap, k, j, e):
-        d, ecc, u_per, u_apo = real(kap, k, j, e)
-        return d, ecc, u_per * (1.0 + 1e-9), u_apo
+        d, circle, ecc, u_per, u_apo = real(kap, k, j, e)
+        return d, circle, ecc, u_per * (1.0 + 1e-9), u_apo
 
     monkeypatch.setattr(effective_potential, "_radial_roots", corrupted)
     for k, j, e in _super_equatorial_cases(1e-8):
