@@ -27,7 +27,8 @@ import numpy as np
 from .conics import (
     classify_conic, conic_from_dynamics, conic_thresholds, periastron_family, sample_conic,
 )
-from .dynamics import KeplerParams, PhaseState, check_tol, integrate
+from .dop853 import check_tol
+from .dynamics import KeplerParams, PhaseState, integrate
 from .effective_potential import (
     OrbitLabel, _critical, _escape_angular_momentum, _landmark, _radial_roots, _w, check_coupling,
     classify_orbit, potential_profile, turning_points,
@@ -396,7 +397,9 @@ def cmd_potential_scan(args) -> tuple[int, str]:
     )
     _require(steps >= 2, f"need at least 2 grid steps, got {steps!r}")
     prof = potential_profile(kap, k, j)
-    rows = [(r, _w(kap, k, j, r)) for r in np.linspace(r_lo, r_hi, steps).tolist()]
+    # np.linspace's points, without its (steps - 1) * step: that overflows near the largest float, and is r_max
+    step = (r_hi - r_lo) / (steps - 1)
+    rows = [(r, _w(kap, k, j, r)) for r in [r_lo + i * step for i in range(steps - 1)] + [r_hi]]
     meta = [("kappa", kap, "k", k, "J", j)]
     if prof.critical_radius is not None:
         meta.append(("critical_r", prof.critical_radius, "critical_w", prof.critical_value))

@@ -109,8 +109,12 @@ def _inputs(kappa, k: float, j: float = 0.0, e: float | None = None):
 
 
 def _w_u(kap: float, k: float, j: float, u: float) -> float:
-    """W at the cotangent u = cot_k(r)."""
-    return -k * u + 0.5 * j * j * (u * u + kap)
+    """W at the cotangent u = cot_k(r); where u**2 overflows, j u goes first (j**2 may be 0)."""
+    uu = u * u
+    if uu == math.inf:
+        ju = j * u
+        return -k * u + 0.5 * (ju * ju + j * j * kap)
+    return -k * u + 0.5 * j * j * (uu + kap)
 
 
 def _w(kap: float, k: float, j: float, r: float) -> float:

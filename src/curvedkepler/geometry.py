@@ -44,6 +44,21 @@ class PolarPoint:
 
 
 @dataclass(frozen=True)
+class PhaseState:
+    """Point (r, phi, v_r, v_phi) of the tangent bundle of the polar chart."""
+
+    r: float
+    phi: float
+    v_r: float
+    v_phi: float
+
+    def __post_init__(self):
+        vals = (self.r, self.phi, self.v_r, self.v_phi)
+        if not all(map(math.isfinite, vals)):
+            raise DomainError(f"phase state must be finite, got {vals!r}")
+
+
+@dataclass(frozen=True)
 class AmbientPoint:
     """Point of the surface in its 3d ambient model."""
 

@@ -139,8 +139,8 @@ def _source(src: str, filename: str, **namespace) -> dict:
 
 
 # s, c = sin_k(r), cos_k(r) as source: per regime, a setup run once per curvature
-# and a text run per radius.  _sincos is compiled from them, and the integrator
-# writes them into its stage kernels (dynamics._kernels): the formula has one copy.
+# and a text run per radius.  _sincos is compiled from them, and the Kepler flow's
+# rows (dynamics._KEPLER_ROWS) write them into the DOP853 kernels: one copy.
 _SINCOS = {
     "flat": ("", "s, c = r, 1.0"),
     "curved": (

@@ -73,6 +73,8 @@ def test_classify(capsys, kappa, k, j, e):
 )
 @example(kappa="-1e300", k="3.14159", j="-1", r_min="1e-300", r_max="1e-8", steps=9)
 @example(kappa="2", k="1e-300", j="1e-300", r_min="1", r_max=None, steps=5)
+# np.linspace of this span overflows in (steps - 1) * step, and the warning is an error
+@example(kappa="0.0", k="1.0", j="0.0", r_min="1e-300", r_max="1.7976931348623157e+308", steps=7)
 def test_potential_scan(capsys, kappa, k, j, r_min, r_max, steps):
     argv = ["potential-scan", *flags(kappa=kappa, k=k), f"--J={j}", f"--r-min={r_min}", f"--steps={steps}"]
     if r_max is not None:

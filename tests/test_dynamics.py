@@ -10,7 +10,7 @@ import pytest
 from conftest import SEED, random_states
 from mpmath import mp, mpf
 
-from curvedkepler import DomainError, dynamics
+from curvedkepler import DomainError, dop853, dynamics
 from curvedkepler.dynamics import (
     ConservedSet,
     KeplerParams,
@@ -476,7 +476,7 @@ def test_a_fall_with_a_small_coupling_reaches_the_collision_radius():
     traj = integrate(PhaseState(1e-3, 0.0, 0.0, 0.0), KeplerParams(0.0, 1e-6), 1e6)
     assert traj.event == "collision"
     assert traj.event_time == traj.t_end < 1e6
-    assert 0.0 < traj.states[-1, 0] <= dynamics.COLLISION_RADIUS
+    assert 0.0 < traj.states[-1, 0] <= dop853.COLLISION_RADIUS
 
 
 # radial falls whose steps underflow above _COLLISION_SOFT: at a tight tol
@@ -522,7 +522,7 @@ def test_an_underflow_names_the_outcome_of_the_last_attempt():
 
 
 def test_the_step_budget_raises_stiffness_error(monkeypatch):
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
+    monkeypatch.setattr(dop853, "_MAX_STEPS", 3)
     with pytest.raises(StiffnessError, match="budget exhausted after 4 steps"):
         integrate(PhaseState(0.8, 0.3, 0.1, 1.2), KeplerParams(1.0, 1.0), 10.0)
 
@@ -698,7 +698,7 @@ def _spike_once_traj(spiked=(math.nan,)):
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
-    return dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, len(spiked), False)
+    return dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, len(spiked), False)
 
 
 # a NaN in the first or a later watched integral
@@ -734,7 +734,7 @@ def test_stats_count_a_stage_rejection(failure):
         return (-1e9, 0.0, 0.0, 0.0)
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False)
+    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False)
     stats = traj.stats
     assert stats.rejected_stage == 1
     assert stats.rhs_evaluations == 2 + 5 + 12 * (_attempts(stats) - 1)
@@ -767,9 +767,9 @@ def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
     # after the step passed its error and spike tests; it raises
     rhs = _kepler_calls_with(_raise_at(16))
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dynamics._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True)
+    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True)
     hs = np.diff(traj.times)
-    assert traj.stats == dynamics.StepStats(
+    assert traj.stats == dop853.StepStats(
         accepted=35,
         rejected_error=11,
         rejected_spike=0,
@@ -782,7 +782,7 @@ def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
     )
     assert len(traj) == 36
     # without the failure that attempt stands, and its retry takes half the step
-    clean = dynamics._integrate_adaptive(
+    clean = dop853._integrate_adaptive(
         _kepler_calls_with(lambda call, y: None), state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True
     )
     assert traj.times[1] == 0.5 * clean.times[1]
@@ -796,7 +796,7 @@ def test_stats_count_a_non_finite_solution():
             return (y[2], math.inf, 0.0, 0.0)
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dynamics._integrate_adaptive(
+    traj = dop853._integrate_adaptive(
         _kepler_calls_with(replace), state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False
     )
     stats = traj.stats
@@ -911,7 +911,7 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
     # the array build must reproduce, bit for bit, one step's DOP853 rows
     # F_j and their theta powers, each sum added left to right over the
     # nonzero weights
-    from curvedkepler.dynamics import _A, _D, _THETA_POWERS, _dense_coefficients
+    from curvedkepler.dop853 import _A, _D, _THETA_POWERS, _dense_coefficients
 
     rng = np.random.default_rng(SEED)
     columns = [
@@ -935,14 +935,14 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
         return [weighted(m, rows) for m in _THETA_POWERS]
 
     per_step = [[coefficients(ks) for ks in step] for step in columns]
-    want = [[[per_step[n][i][m] for i in range(4)] for m in range(7)] for n in range(300)]
+    want = [[[per_step[n][i][m] for i in range(4)] for n in range(300)] for m in range(7)]
     got = _dense_coefficients(stages)
-    assert got.shape == (300, 7, 4)
+    assert got.shape == (7, 300, 4)
     assert got.tolist() == want
 
 
 def test_dop853_weights_integrate_polynomials_to_degree_7():
-    from curvedkepler.dynamics import _A, _D, _E3, _E5, _THETA_POWERS
+    from curvedkepler.dop853 import _A, _D, _E3, _E5, _THETA_POWERS
 
     nodes = [math.fsum(row) for row in _A]
     assert [nodes[i] for i in (5, 6, 12, 13, 14, 15)] == pytest.approx(
@@ -977,7 +977,7 @@ def test_dop853_tableau_equals_scipys_copy_bit_for_bit():
     # scipy is no dependency of the package; where it is installed, its
     # table of the same published coefficients pins every last digit
     theirs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    from curvedkepler.dynamics import _A, _D, _E3, _E5
+    from curvedkepler.dop853 import _A, _D, _E3, _E5
 
     assert [list(row) for row in _A] == [theirs.A[i, :i].tolist() for i in range(16)]
     assert list(_E5) + [0.0] == theirs.E5.tolist()
@@ -991,11 +991,11 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
     y0 = (0.9, 0.0, 0.1, 1.2)
     # a local tolerance of 1 and no watched integral: every attempt is accepted
-    attempt = dynamics._kernels("call", True)(rhs, lambda *y: (), math.inf, 1.0, math.inf, 0)
+    attempt = dop853._kernels(dop853._CALL_FLOW, True)(rhs, lambda *y: (), math.inf, 1.0, math.inf, 0)
 
     def step(y, h):
         outcome, _, _, _, y1, _, _, ks = attempt(y, rhs(*y), h, ())
-        assert outcome == dynamics._ACCEPTED
+        assert outcome == dop853._ACCEPTED
         return y1, ks
 
     def fine(h):
@@ -1007,7 +1007,7 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     errors = []
     for h in (0.4, 0.2, 0.1):
         y1, ks = step(y0, h)
-        d = dynamics._dense_coefficients([ks])[0]
+        d = dop853._dense_coefficients([ks])[:, 0]
         poly = d[-1]
         for dm in d[-2::-1]:
             poly = dm + 0.5 * poly
@@ -1045,8 +1045,8 @@ def _reference_norm(h, y, y_new, k, rtol, atol):
     e5 = e3 = 0.0
     for c in range(4):
         scale = atol + rtol * max(abs(y[c]), abs(y_new[c]))
-        x5 = _left_to_right(dynamics._E5, [ks[c] for ks in k]) / scale
-        x3 = _left_to_right(dynamics._E3, [ks[c] for ks in k]) / scale
+        x5 = _left_to_right(dop853._E5, [ks[c] for ks in k]) / scale
+        x3 = _left_to_right(dop853._E3, [ks[c] for ks in k]) / scale
         e5 += x5 * x5
         e3 += x3 * x3
     return 0.0 if e5 == 0.0 else h * e5 / math.sqrt(4.0 * (e5 + 0.01 * e3))
@@ -1072,13 +1072,13 @@ def _reference_attempt(rhs, integrals, y, h, tol, spike, inv0, r_max=math.inf, s
 
     k = [rhs(*y)]
     rejected = (None, None, None, None, None, None)
-    states = stages(dynamics._A[1:13])
+    states = stages(dop853._A[1:13])
     if states is None or len(states) < 12 or not all(map(math.isfinite, states[-1])):
-        return (dynamics._STAGE, len(seen), *rejected)
+        return (dop853._STAGE, len(seen), *rejected)
     y_new = states[-1]
     err = _reference_norm(h, y, y_new, k[:12], tol, tol)
     if err > 1.0:
-        return (dynamics._ERROR, 12, err, *rejected[1:])
+        return (dop853._ERROR, 12, err, *rejected[1:])
     inv1 = integrals(*y_new)
     q_max = 0.0
     for was, now in zip(inv0[:2], inv1):
@@ -1086,12 +1086,12 @@ def _reference_attempt(rhs, integrals, y, h, tol, spike, inv0, r_max=math.inf, s
         if not q <= q_max:
             q_max = q
             if not q <= 1.0:
-                return (dynamics._SPIKE, 12, *rejected)
-    dense = stages(dynamics._A[13:])
+                return (dop853._SPIKE, 12, *rejected)
+    dense = stages(dop853._A[13:])
     if dense is None or len(dense) < 3:
-        return (dynamics._STAGE, len(seen), *rejected)
+        return (dop853._STAGE, len(seen), *rejected)
     flat = tuple(itertools.chain.from_iterable(k))
-    return (dynamics._ACCEPTED, 15, err, q_max, y_new, inv1, k[12], flat)
+    return (dop853._ACCEPTED, 15, err, q_max, y_new, inv1, k[12], flat)
 
 
 def _kernel_cases(kappa, rng, series=5):
@@ -1129,29 +1129,30 @@ def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     sc = dynamics._sincos(kappa)
     kepler = functools.partial(dynamics._kepler_rhs, sc, 1.3)
     integrals = functools.partial(dynamics._first_integrals, sc, 1.3)
-    make, make_plain = (dynamics._kernels("flat" if kappa == 0.0 else "curved", dense) for dense in (True, False))
+    row = dynamics._KEPLER_ROWS["flat" if kappa == 0.0 else "curved"]
+    make, make_plain = (dop853._kernels(row, dense) for dense in (True, False))
     outcomes = []
     for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng), integrals):
         # the spike bound of integrate: 10 x its tol, 10 x the local tolerance
-        attempt = make(kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
+        attempt = make(kepler, integrals, kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
         want = _reference_attempt(kepler, integrals, y, h, tol, 100.0 * tol, inv0)
         assert attempt(y, kepler(*y), h, inv0) == want
         # without dense output: the 12 step stages only
-        plain = make_plain(kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
-        accepted = want[0] == dynamics._ACCEPTED
+        plain = make_plain(kepler, integrals, kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
+        accepted = want[0] == dop853._ACCEPTED
         assert plain(y, kepler(*y), h, inv0) == ((want[0], 12, *want[2:7], None) if accepted else want)
         outcomes.append(want[0])
-    assert {dynamics._ACCEPTED, dynamics._ERROR, dynamics._SPIKE} <= set(outcomes)
+    assert {dop853._ACCEPTED, dop853._ERROR, dop853._SPIKE} <= set(outcomes)
     # steps that stay in the series branch of sincos_k are among the accepted
-    assert dynamics._ACCEPTED in outcomes[-25:]
+    assert dop853._ACCEPTED in outcomes[-25:]
     # a fall toward the centre whose stages leave the chart: a stage
     # rejection, and one right-hand-side evaluation per stage inside it
-    y, r_max = (0.3, 0.0, -2.0, 0.3), dynamics._chart_limit(kappa)
-    inside = len(_reference_stages(kepler, y, 0.2, dynamics._A[1:13], [kepler(*y)], r_max))
+    y, r_max = (0.3, 0.0, -2.0, 0.3), dop853._chart_limit(kappa)
+    inside = len(_reference_stages(kepler, y, 0.2, dop853._A[1:13], [kepler(*y)], r_max))
     assert 0 < inside < 12
-    attempt = make(kappa, 1.3, r_max, 1e-9, 1e-8, 2)
+    attempt = make(kepler, integrals, kappa, 1.3, r_max, 1e-9, 1e-8, 2)
     want = _reference_attempt(kepler, integrals, y, 0.2, 1e-9, 1e-8, integrals(*y), r_max)
-    assert want[:2] == (dynamics._STAGE, inside)
+    assert want[:2] == (dop853._STAGE, inside)
     assert attempt(y, kepler(*y), 0.2, integrals(*y)) == want
 
 
@@ -1176,7 +1177,7 @@ def test_call_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     # a separable right-hand side and its integrals
     separable = _separable_rhs(kappa)
     integrals = functools.partial(dynamics._first_integrals, dynamics._sincos(kappa), 1.3)
-    make = dynamics._kernels("call", True)
+    make = dop853._kernels(dop853._CALL_FLOW, True)
     outcomes = set()
     for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng, series=0), integrals):
         seen, want_seen = [], []
@@ -1190,7 +1191,7 @@ def test_call_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
         assert attempt(y, separable(*y), h, inv0) == want
         assert seen == want_seen
         outcomes.add(want[0])
-    assert {dynamics._ACCEPTED, dynamics._ERROR, dynamics._SPIKE} <= outcomes
+    assert {dop853._ACCEPTED, dop853._ERROR, dop853._SPIKE} <= outcomes
 
 
 def _neumaier_sum(values, start=0):
@@ -1210,7 +1211,7 @@ def test_integrate_bits_do_not_depend_on_the_sum_builtin(kappa, monkeypatch):
     params = KeplerParams(kappa, 1.0)
     state = PhaseState(0.8, 0.0, 0.1, 1.1)
     plain = integrate(state, params, 5.0, tol=1e-10)
-    monkeypatch.setattr(dynamics, "sum", _neumaier_sum, raising=False)
+    monkeypatch.setattr(dop853, "sum", _neumaier_sum, raising=False)
     compensated = integrate(state, params, 5.0, tol=1e-10)
     assert compensated.times.tolist() == plain.times.tolist()
     assert compensated.states.tolist() == plain.states.tolist()
@@ -1252,8 +1253,8 @@ def test_dense_output_reduced_in_chunks_samples_as_one_block(monkeypatch):
     # goes, against one reduction of all stages after the loop
     params, state = KeplerParams(-1.0, 4.0), PhaseState(0.8, 0.3, 0.4, 1.9)
     chunked = integrate(state, params, 100.0, tol=1e-11)
-    assert chunked.stats.accepted > 2 * dynamics._DENSE_CHUNK
-    monkeypatch.setattr(dynamics, "_DENSE_CHUNK", len(chunked))
+    assert chunked.stats.accepted > 2 * dop853._DENSE_CHUNK
+    monkeypatch.setattr(dop853, "_DENSE_CHUNK", len(chunked))
     whole = integrate(state, params, 100.0, tol=1e-11)
     grid = np.linspace(0.0, 100.0, 4001)
     assert chunked.sample(grid).tolist() == whole.sample(grid).tolist()
@@ -1326,7 +1327,7 @@ def test_false_position_matches_bisection_in_few_evaluations():
     step = traj._step(i)
 
     def v_r(t):
-        return dynamics._horner(step, t).v_r
+        return dop853._horner(step, t).v_r
 
     a, b = float(traj.times[i]), float(traj.times[i + 1])
     lo, hi = a, b
@@ -1342,11 +1343,11 @@ def test_false_position_matches_bisection_in_few_evaluations():
         calls.append(t)
         return state.v_r
 
-    t = dynamics._false_position(func, step, a, b, v_r(a), v_r(b))
+    t = dop853._false_position(func, step, a, b, v_r(a), v_r(b))
     assert abs(t - 0.5 * (lo + hi)) <= 1e-14 * abs(t)
     assert len(calls) <= 20
     # zero at both ends: no secant, the bisection's midpoint is a root
-    assert dynamics._false_position(lambda tt, s: 0.0, step, a, b, 0.0, 0.0) == 0.5 * (a + b)
+    assert dop853._false_position(lambda tt, s: 0.0, step, a, b, 0.0, 0.0) == 0.5 * (a + b)
 
 
 SEPARABLE_CASES = [

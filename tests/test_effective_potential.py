@@ -6,9 +6,10 @@ import pytest
 from conftest import bounded_orbit_elements, random_states
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from curvedkepler import DomainError
-from curvedkepler.cli import classify_record
+from curvedkepler.cli import classify_record, main
 from curvedkepler.conics import ConicLabel, classify_conic, conic_from_dynamics
 from curvedkepler.dynamics import KeplerParams, PhaseState, circular_state, energy
 from curvedkepler.effective_potential import (
@@ -70,6 +71,39 @@ def test_w_eff_validates_inputs():
         w_eff(0.0, -1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         w_eff(0.0, 1.0, math.inf, 1.0)
+
+
+# (kappa, k, j, r) where u = cot_k(r) passes 1.3e154, so u**2 overflows: with
+# j = 0, or a j**2 that underflows to 0 or to a subnormal, j**2 (u**2 + kappa)
+# was 0 * inf or inf, and W came out NaN or inf
+W_PAST_THE_SQUARE = [
+    (0.0, 1.0, 0.0, 1e-300),
+    (-1.0, 1.0, 0.0, 1e-200),
+    (0.0, 1.0, 1e-170, 1e-300),
+    (0.0, 1.0, 1e-160, 1e-300),
+    (1.0, 1.0, 1e-170, 1e-300),
+    (-1.0, 2.0, 1e-100, 1e-200),
+    (0.0, 1.0, 1e-100, 1e-200),
+]
+
+
+@pytest.mark.parametrize("kappa,k,j,r", W_PAST_THE_SQUARE)
+def test_w_eff_is_finite_past_the_overflow_of_the_squared_cotangent(kappa, k, j, r):
+    s, c = (mp.sin, mp.cos) if kappa > 0 else (mp.sinh, mp.cosh) if kappa < 0 else (lambda x: x, lambda x: 1)
+    with mp.workdps(60):
+        rt = mp.sqrt(abs(kappa)) if kappa else 1
+        sin_kr, cos_kr = s(rt * mpf(r)) / rt, c(rt * mpf(r))
+        want = -k * cos_kr / sin_kr + mpf(j) ** 2 / (2 * sin_kr**2)
+    got = w_eff(kappa, k, j, r)
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_potential_scan_prints_a_finite_w_next_to_the_centre(capsys):
+    argv = "potential-scan --kappa 0 --k 1 --J 0 --r-min 1e-200 --r-max 1 --steps 3"
+    assert main(argv.split()) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[rows.index("r,w") + 1] == "9.9999999999999998e-201,-9.9999999999999997e+199"
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import curvedkepler as ck
 from curvedkepler import cli, geometry, ktrig
 from curvedkepler.errors import DomainError
 
-MODULES = ("ktrig", "geometry", "dynamics", "effective_potential", "conics", "orbit", "cli")
+MODULES = ("ktrig", "geometry", "dop853", "dynamics", "effective_potential", "conics", "orbit", "cli")
 
 
 @pytest.fixture
@@ -209,6 +209,23 @@ RADIUS_OUT_OF_RANGE = {
 def test_state_radius_is_checked(name):
     with pytest.raises(DomainError, match="radius"):
         RADIUS_OUT_OF_RANGE[name]()
+
+
+INTEGRATORS = {
+    "integrate": lambda t_end: ck.integrate(ck.PhaseState(1, 0, 0, 1), ck.KeplerParams(-1.0, 1.0), t_end),
+    "integrate_separable": lambda t_end: ck.integrate_separable(
+        -1.0, ck.PhaseState(1, 0, 0, 1), lambda r: 0.0, lambda r: 0.0, lambda phi: 0.0, lambda phi: 0.0, t_end
+    ),
+}
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(INTEGRATORS))
+def test_integrators_refuse_a_span_that_is_not_positive_and_finite(name, t_end):
+    # integrate_separable once returned the initial state alone for a span
+    # of 0, -1 or NaN, and ran on until a StiffnessError for inf
+    with pytest.raises(DomainError, match=f"t_end must be positive and finite, got {t_end!r}"):
+        INTEGRATORS[name](t_end)
 
 
 def test_momenta_and_kinetic_energy_allow_the_origin():
