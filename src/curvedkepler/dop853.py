@@ -545,7 +545,7 @@ def _integrate_adaptive(
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise SingularityError(f"right-hand side failed at the initial state: {exc}")
+        raise SingularityError(f"right-hand side failed at the initial state {y!r}: {exc}")
     inv0 = invariants(*y)
     if not all(map(math.isfinite, inv0)):
         raise NumericalError(f"first integrals {inv0!r} of the initial state {y!r} are not finite")

@@ -263,10 +263,11 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
         residual = _w(kap, k, j, r) - e
         # the roots are exact in u, but where W is steep in r (near the
         # antipode of a nearly flat sphere, or close in for a small j) one
-        # ulp of r can move W by more than base_tol
-        shift = abs((j * j * u - k) * (u * u + kap)) * math.ulp(r)
+        # ulp of r can move W by more than base_tol, by |j**2 u - k| |u**2 + kappa|
+        # ulp(r) at most, here grouped so that it stays finite where u**2 overflows
+        shift = abs(j * j * u - k) * (abs(u) * (abs(u) * math.ulp(r)) + abs(kap) * math.ulp(r))
         # and where W's terms cancel (k u >> |e|), W's own rounding does
-        rounding = math.ulp(1.0) * (k * abs(u) + 0.5 * j * j * (u * u + abs(kap)))
+        rounding = math.ulp(1.0) * (k * abs(u) + 0.5 * ((j * u) ** 2 + j * j * abs(kap)))
         tol = base_tol + 4.0 * shift + rounding
         if not abs(residual) < tol:
             raise CurvedKeplerError(

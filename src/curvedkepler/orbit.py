@@ -470,17 +470,30 @@ _MAX_STEPS = 100
 #: half an ulp of 1.0, the relative error the inverse of G stops at
 _HALF_ULP = 2.0**-53
 
+#: 4-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(4)
+_GAUSS_NODES = np.array((-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526))
+_GAUSS_WEIGHTS = np.array((0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357))
 
-def _rise(ecc, theta):
-    """X - (1 - ecc) = 2 ecc cos(theta/2)**2 for X = 1 + ecc cos theta: added
-    to 1 - ecc - a, it gives X - a with no cancellation at theta = pi."""
-    half = np.cos(0.5 * theta)
-    return 2.0 * ecc * half * half
+#: ulps of G at its upper end within which the rule over a whole table
+#: interval must reproduce the closed-form difference for the interval to
+#: be certified; the closed form's own rounding takes up to about 50
+_CERTIFY_ULPS = 64
+
+
+def _half_angle(theta):
+    """tau = tan(theta/2) and w = 1 + cos theta = 2/(1 + tau**2); sin theta = tau w.
+
+    numpy's tan is several times cheaper than its cos and sin.  ecc w =
+    X - (1 - ecc) for X = 1 + ecc cos theta: added to 1 - ecc - a, it
+    gives X - a with no cancellation at theta = pi.
+    """
+    tau = np.tan(0.5 * theta)
+    return tau, 2.0 / (1.0 + tau * tau)
 
 
 def _hermite(nodes, table, slopes, target):
     """Cubic Hermite interpolant of theta(G) through the table, at each
-    target, and the table interval holding it."""
+    target, and the index of the table interval holding it."""
     i = np.clip(np.searchsorted(table, target, "right") - 1, 0, len(table) - 2)
     lo, hi = nodes[i], nodes[i + 1]
     width = table[i + 1] - table[i]
@@ -491,7 +504,22 @@ def _hermite(nodes, table, slopes, target):
         + hi * x2 * (3.0 - 2.0 * x)
         + width * x * (1.0 - x) * ((1.0 - x) / slopes[i] - x / slopes[i + 1])
     )
-    return np.clip(seed, lo, hi), lo, hi
+    return np.clip(seed, lo, hi), i
+
+
+def _gauss(rate, start, stop):
+    """integral_start^stop G' dtheta by the 4-point Gauss-Legendre rule,
+    elementwise, for G' = rate(1 + cos theta)."""
+    half = 0.5 * (stop - start)
+    # one row per node, so that every array operation runs along the queries
+    return half * (_GAUSS_WEIGHTS @ rate(_half_angle(_GAUSS_NODES[:, None] * half + (start + half))[1]))
+
+
+def _certify(rate, nodes, table):
+    """Table intervals on which ``_gauss`` reproduces the closed-form
+    difference of G to ``_CERTIFY_ULPS``; a non-finite one is not."""
+    miss = np.abs(_gauss(rate, nodes[:-1], nodes[1:]) - np.diff(table))
+    return miss <= _CERTIFY_ULPS * np.spacing(table[1:])
 
 
 def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
@@ -502,8 +530,9 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     bounded orbit G grows by 2 G(pi) per turn, so s is first reduced to
     [-G(pi), G(pi)] and theta lies in [-pi, pi]; an open orbit has
     |theta| < theta_inf, where 1 + ecc cos theta_inf = d sqrt(-kappa).
-    Beyond theta_inf (1 - 2**-_OPEN_REACH), the table's last node, theta
-    is held there: it is then within rounding of its limit.
+    Beyond the table's last node, theta_inf (1 - 2**-_OPEN_REACH) or
+    the last one at which the closed form is finite, theta is held
+    there: it is then within rounding of its limit.
 
     |s| is inverted on a table of exact G, at nodes evenly spaced in
     theta and at nodes evenly spaced in G (placed by the first ones), so
@@ -511,9 +540,14 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     cubic Hermite interpolant with the exact slopes G' = 1/((1 + ecc
     cos theta)**2 + kappa d**2) gives the seed, and the table interval
     holding |s| the bracket.  Newton steps finish it, bisecting whenever
-    a step leaves the bracket.  A Newton step of size h leaves an error
-    of about |G''/(2 G')| h**2; a query is done when that is below half
-    an ulp.
+    a step leaves the bracket.  The residual is the table's G at the
+    nearer end of the interval plus the 4-point Gauss-Legendre integral
+    of the real G' from there, on every interval where that rule over
+    the whole width reproduces the closed-form difference (``_certify``);
+    on the others it is the closed form itself.  A Newton step of size h
+    leaves an error of about |G''/(2 G')| h**2, bounded by the larger of
+    its values at both ends of the step; a query is done when that is
+    below half an ulp.
     """
     d, ecc = oc.d, oc.ecc
     if ecc == 0.0:
@@ -523,12 +557,20 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     if kap <= 0.0 and fr.c1_sq.real >= 0.0 and fr.c2_sq.real >= 0.0:
         # both partial fractions real with y_A >= 0: the arrays stay real
         fr = fr._make(c.real for c in fr)
+    # G' = 1/((X - a)(X + a)) with X = 1 + ecc cos theta, real also on the
+    # sphere, where a = d sqrt(-kappa) is imaginary: there X**2 - a**2
+    minus, plus, shift = (fr.q, fr.q, kap * d * d) if kap > 0.0 else (fr.q - fr.a.real, fr.q + fr.a.real, 0.0)
 
-    def rate(theta):
-        # X = 1 + ecc cos theta and G' = 1/((X - a)(X + a))
-        rise = _rise(ecc, theta)
-        q, a = fr.q, fr.a
-        return q + rise, 1.0 / ((q - a + rise) * (q + a + rise)).real
+    def rate(w):
+        # G' from w = 1 + cos theta
+        rise = ecc * w
+        return 1.0 / ((minus + rise) * (plus + rise) + shift)
+
+    def newton(theta):
+        # G' and |G''/(2 G')| = |ecc X sin(theta) G'|
+        tau, w = _half_angle(theta)
+        g = rate(w)
+        return g, np.abs(ecc * (fr.q + ecc * w) * (tau * w) * g)
 
     if oc.u_apoastron > _cot_floor(kap):
         half = _g_apo(fr)
@@ -539,10 +581,15 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
         turns = np.zeros_like(s)
         top = math.acos((fr.a.real - 1.0) / ecc)
         nodes = top * (1.0 - np.geomspace(1.0, 2.0**-_OPEN_REACH, 8 * _OPEN_REACH + 1))
-    table = _g_theta(_ARRAYS, fr, nodes)
+    with np.errstate(invalid="ignore"):
+        table = _g_theta(_ARRAYS, fr, nodes)
+    # next to the asymptote of a nearly parabolic orbit the closed form can
+    # come out 0/0; such nodes lie where propagate refuses the radius anyway
+    finite = np.isfinite(table)
+    nodes, table = nodes[finite], table[finite]
     target = np.minimum(np.abs(s), table[-1])
     last = target.max() if target.size else 0.0
-    extra, _, _ = _hermite(nodes, table, rate(nodes)[1], np.linspace(0.0, last, _TABLE_NODES)[1:-1])
+    extra, _ = _hermite(nodes, table, rate(_half_angle(nodes)[1]), np.linspace(0.0, last, _TABLE_NODES)[1:-1])
     nodes = np.concatenate((nodes, extra))
     order = np.argsort(nodes)
     nodes, table = nodes[order], np.concatenate((table, _g_theta(_ARRAYS, fr, extra)))[order]
@@ -550,21 +597,30 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     keep = np.diff(table, prepend=-math.inf) > 0.0
     nodes, table = nodes[keep], table[keep]
 
-    theta, lo, hi = _hermite(nodes, table, rate(nodes)[1], target)
+    theta, cell = _hermite(nodes, table, rate(_half_angle(nodes)[1]), target)
+    lo, hi = nodes[cell], nodes[cell + 1]
+    quick = _certify(rate, nodes, table)[cell]
     todo = np.arange(target.size)
     for _ in range(_MAX_STEPS):
         if not todo.size:
             break
         th = theta[todo]
-        res = _g_theta(_ARRAYS, fr, th) - target[todo]
+        # from the nearer end of each query's table interval
+        near = cell[todo] + (nodes[cell[todo] + 1] - th < th - nodes[cell[todo]])
+        res = (table[near] - target[todo]) + _gauss(rate, nodes[near], th)
+        slow = ~quick[todo]
+        if slow.any():
+            res[slow] = _g_theta(_ARRAYS, fr, th[slow]) - target[todo[slow]]
         lo_k = np.where(res < 0.0, th, lo[todo])
         hi_k = np.where(res > 0.0, th, hi[todo])
-        x, g1 = rate(th)
+        g1, bend = newton(th)
         step = res / g1
         new = th - step
         bisect = ~((new >= lo_k) & (new <= hi_k))
         new = np.where(bisect, 0.5 * (lo_k + hi_k), new)
-        left = np.abs(x * ecc * np.sin(th) * g1) * step * step
+        # the error a step of size h leaves, |G''/(2 G')| h**2, bounded by
+        # G'' at both of its ends, as G'' = 0 at an apsis
+        left = np.maximum(bend, newton(new)[1]) * step * step
         done = (res == 0.0) | (~bisect & (left <= _HALF_ULP * new)) | (hi_k - lo_k <= 4.0 * _HALF_ULP * hi_k)
         theta[todo] = np.where(res == 0.0, th, new)
         lo[todo], hi[todo] = lo_k, hi_k
@@ -579,7 +635,9 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
     passage, as an (n, 4) array.
 
     The time law t = (d**2/j) G(theta) is inverted for the anomaly theta =
-    phi - phi0 (``_anomaly``); then u = (1 + ecc cos theta)/d,
+    phi - phi0 (``_anomaly``: Newton steps on the table's exact G plus a
+    certified 4-point Gauss-Legendre integral of G', or on the closed form
+    where the rule is not certified); then u = (1 + ecc cos theta)/d,
     r = acot_k(u), v_r = j ecc sin(theta)/d and v_phi = j (u**2 + kappa).
     On a circular orbit t counts from phi = phi0.  Radial orbits (j = 0)
     have no OrbitConstants and stay on the integrator.
@@ -596,8 +654,9 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
         raise DomainError(f"propagate needs finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
     j, d, ecc = oc.conserved.j, oc.d, oc.ecc
     theta, turns = _anomaly(oc, kap, (j / (d * d)) * ts)
-    sin = np.sin(theta)
-    u = ((1.0 - ecc) + _rise(ecc, theta)) / d
+    tau, w = _half_angle(theta)
+    sin = tau * w
+    u = ((1.0 - ecc) + ecc * w) / d
     asym = _cot_floor(kap)
     # rounding of theta and of u itself
     blur = 2.0 * _HALF_ULP * (np.abs(theta) * ecc * np.abs(sin) / d + u)
@@ -620,15 +679,18 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
 def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
     """Polar angles at the requested times, from the inverted time law.
 
-    The trajectory supplies only its start and its span: every requested
-    time must lie inside the span.  The start's anomaly theta0 = phi -
-    phi0 gives its time since periastron, and phi(t) = phi_start +
-    theta(t) - theta0 with theta(t) from ``propagate``'s inverse, exact
-    up to rounding however far t lies from the start.  Radial orbits
-    (j = 0) have no OrbitConstants: their states come from the
-    integrator (``Trajectory.sample``).
+    The trajectory supplies only its start, its span and its curvature:
+    every requested time must lie inside the span, and kappa must be the
+    trajectory's (DomainError names both otherwise).  The start's anomaly
+    theta0 = phi - phi0 gives its time since periastron, and phi(t) =
+    phi_start + theta(t) - theta0 with theta(t) from ``propagate``'s
+    inverse, exact up to rounding however far t lies from the start.
+    Radial orbits (j = 0) have no OrbitConstants: their states come from
+    the integrator (``Trajectory.sample``).
     """
     kap = curvature_value(kappa)
+    if kap != trajectory.kappa:
+        raise DomainError(f"kappa={kap!r} is not the curvature {trajectory.kappa!r} of the trajectory")
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     t0, t1 = float(trajectory.times[0]), float(trajectory.t_end)
     if not ((ts >= t0) & (ts <= t1)).all():

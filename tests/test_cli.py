@@ -515,6 +515,16 @@ def test_simulate_infeasible_elements_exit_3(capsys):
     assert "infeasible" in err
 
 
+def test_simulate_radial_start_at_a_cotangent_of_1e200_exits_3(capsys):
+    # the turning point r = 1e-200 verifies; the right-hand side divides by
+    # zero there, and the refusal names the initial state
+    argv = ["simulate", "--kappa", "0", "--k", "1", "--elements=-1e200,0,0", "--t-end", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert "right-hand side failed at the initial state (1e-200, 0.0, 0.0, 0.0)" in err
+
+
 def test_simulate_beyond_escape_at_the_plateau_exits_3(capsys):
     # j beyond the escape value and E a hair below the plateau -k: the
     # energy classify calls infeasible, not a failed turning-point check

@@ -332,6 +332,13 @@ def test_turning_points_radial_orbit():
     assert turning_points(-1.0, 1.0, 0.0, -0.5) == []
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
+def test_turning_points_radial_stop_at_a_cotangent_of_1e200(kappa):
+    # u = 1e200: u**2 overflowed in the verification's tolerance, which
+    # came out nan and refused the exact root
+    assert turning_points(kappa, 1.0, 0.0, -1e200) == [1e-200]
+
+
 def test_turning_points_sphere_super_orbit_two_roots():
     # E above the equator value: the orbit straddles the equator
     kappa, k, j = 1.0, 1.0, 1.0

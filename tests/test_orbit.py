@@ -414,6 +414,18 @@ def test_sweep_rejects_times_outside_trajectory():
         phi_from_time(oc, 0.0, [-0.1, 0.5], traj)
 
 
+def test_sweep_refuses_a_curvature_that_is_not_the_trajectorys():
+    # read on kappa = 0, this sphere orbit gave phi = 0.774 where the
+    # trajectory says 5.818
+    params = KeplerParams(1.0, 1.0)
+    state = PhaseState(1.0, 0.0, 0.0, 0.9)
+    oc = orbit_constants(state, params)
+    traj = integrate(state, params, t_end=2.0, tol=1e-10, dense=True)
+    assert phi_from_time(oc, 1.0, 2.0, traj) == pytest.approx(traj.sample(2.0)[0, 1], abs=1e-8)
+    with pytest.raises(DomainError, match=r"kappa=0\.0 is not the curvature 1\.0 of the trajectory"):
+        phi_from_time(oc, 0.0, 2.0, traj)
+
+
 # ----------------------------------------------------------------------
 # propagate
 # ----------------------------------------------------------------------
@@ -511,6 +523,75 @@ def test_the_anomaly_inverse_gives_up_after_its_step_budget(monkeypatch):
     monkeypatch.setattr(orbit, "_MAX_STEPS", 1)
     with pytest.raises(CurvedKeplerError, match="did not converge for G = "):
         propagate(oc, kappa, ts)
+
+
+def test_propagate_just_past_the_parabola():
+    # ecc = 1 + 7.5e-8 on the plane: the closed form of G is 0/0 at the two
+    # table nodes next to theta_inf, which once made every time fail
+    kappa, k = 0.0, 1.0
+    oc = orbit_constants(periastron_state(kappa, k, 1.0, 1.0 + 7.5e-8), KeplerParams(kappa, k))
+    u = 0.5 * oc.u_periastron
+    t = time_from_u(oc, kappa, u, oc.u_periastron)
+    assert t == pytest.approx(0.667, abs=1e-3)
+    got = propagate(oc, kappa, [-t, t])
+    assert got[:, 0] == pytest.approx([acot_k(kappa, u)] * 2, rel=1e-13)
+    assert got[0, 1] == -got[1, 1]
+
+
+#: the curvatures of the ephemeris benchmark
+BENCH_CURVATURES = (1.0, 1e-6, 0.0, -1e-6, -1.0)
+
+
+def _spy_on_the_inverse(monkeypatch):
+    """Record each ``_certify`` verdict and count the closed-form calls."""
+    verdicts, closed = [], []
+    certify, g_theta = orbit._certify, orbit._g_theta
+    monkeypatch.setattr(orbit, "_certify", lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+    monkeypatch.setattr(orbit, "_g_theta", lambda *args: closed.append(args) or g_theta(*args))
+    return verdicts, closed
+
+
+@pytest.mark.parametrize("kappa", BENCH_CURVATURES)
+def test_bounded_orbits_invert_the_time_law_by_quadrature_alone(kappa, monkeypatch):
+    # ecc up to 0.9 of the bounded range, as the ephemeris benchmark draws
+    # them: every table interval is certified, so the closed form of G
+    # runs only on the table's two passes
+    verdicts, closed = _spy_on_the_inverse(monkeypatch)
+    k = 1.0
+    runs = 0
+    for j in (0.5, 0.75):
+        top = 1.0 - math.sqrt(max(-kappa, 0.0)) * j * j / k
+        for ecc in (0.05 * top, 0.5 * top, 0.9 * top):
+            oc = orbit_constants(periastron_state(kappa, k, j, ecc), KeplerParams(kappa, k))
+            propagate(oc, kappa, np.linspace(-2.0, 2.0, 401) * radial_period(oc, kappa))
+            runs += 1
+    assert len(verdicts) == runs and all(v.all() for v in verdicts)
+    assert len(closed) == 2 * runs
+
+
+def test_uncertified_intervals_keep_the_closed_form_residual(monkeypatch):
+    # 1e-6 short of the parabola G' peaks at 1e12 by the apoastron, where
+    # the 4-point rule over a table interval is far off
+    kappa, k = 0.0, 1.0
+    oc = orbit_constants(periastron_state(kappa, k, 1.0, 1.0 - 1e-6), KeplerParams(kappa, k))
+    ts = np.linspace(-1.0, 1.0, 401) * radial_period(oc, kappa)
+    verdicts, closed = _spy_on_the_inverse(monkeypatch)
+    got = propagate(oc, kappa, ts)[:, 1]
+    assert not verdicts[0].all()
+    assert len(closed) > 2
+    # nothing certified: every query on the closed form
+    monkeypatch.setattr(orbit, "_CERTIFY_ULPS", -1)
+    want = propagate(oc, kappa, ts)[:, 1]
+    assert np.max(np.abs(got - want)) <= 1e-14
+    # everything certified: the rule alone misses by 2.5e-4 rad
+    monkeypatch.setattr(orbit, "_CERTIFY_ULPS", math.inf)
+    assert np.max(np.abs(propagate(oc, kappa, ts)[:, 1] - want)) > 1e-4
+
+
+def test_gauss_rule_is_numpys_four_point_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert np.array_equal(orbit._GAUSS_NODES, nodes)
+    assert np.array_equal(orbit._GAUSS_WEIGHTS, weights)
 
 
 def test_phi_from_time_follows_open_orbit_to_its_asymptote():

@@ -20,7 +20,7 @@ the same kind of bound in the anomaly.
 import math
 import warnings
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -278,16 +278,23 @@ def _inverse_oracle(kappa, j, d, ecc, t, theta_guess):
         return float(total), TIME_RTOL * abs(float(total)) + float(spread) + 1e-30
 
 
-@given(
-    flight_cases(kinds=("generic", "beyond")),
-    st.sampled_from([0, 1, 7]),
-    st.sampled_from([-1.0, 1.0]),
-)
+@given(flight_cases(), st.sampled_from([0, 1, 7]), st.sampled_from([-1.0, 1.0]))
 @example((-1.0, 1.0, 0.8, 0.35821781083580917, 0.0, 0.0), 9, 1.0)  # the E = -1.001 orbit, apoastron
 @example((1e-10, 1.0, 1.0, 1.5, 1e-3, 0.0), 0, 1.0)  # just short of the equator, nearly flat sphere
 @example((0.0, 1.0, 1.0, 2.5, 1e-12, 0.0), 0, -1.0)  # flat hyperbola next to its asymptote
 @example((1.0, 1.0, 1.2, 0.6, 1.0, 0.0), 1, -1.0)  # a whole turn back to periastron
-@settings(max_examples=100, deadline=None)
+# Newton steps from a seed clipped to the apoastron, where G'' = 0, must
+# not be taken as final: 9% of the time off on a nearly flat sphere, and
+# next to the horoellipse
+@example((1e-10, 1.0, 0.5, 0.99999, 1e-6, 0.0), 0, -1.0)
+@example((-1.0, 1.0, 0.8944271909999159, 0.19999998000000008, 1e-7, 0.0), 0, -1.0)
+# a flat hyperbola 7.5e-8 past the parabola: the closed form is 0/0 at the
+# table nodes next to the asymptote
+@example((0.0, 1.0, 1.0, 1.0 + 7.5e-8, 0.5, 0.0), 0, -1.0)
+# a flat ellipse 1e-6 short of the parabola: the quadrature of G' over the
+# table intervals next to the apoastron is not certified
+@example((0.0, 1.0, 1.0, 1.0 - 1e-6, 0.02, 0.0), 0, 1.0)
+@settings(max_examples=400, deadline=None)
 def test_propagate_anomaly_matches_mpmath_inverse(case, turns, sign):
     kappa, k, j, ecc, frac, _ = case
     oc = _orbit(kappa, k, j, ecc)
@@ -296,11 +303,19 @@ def test_propagate_anomaly_matches_mpmath_inverse(case, turns, sign):
     bounded = kappa > 0.0 or oc.u_apoastron > asym
     t = time_from_u(oc, kappa, u, oc.u_periastron)
     if bounded:
+        # radial_period refuses an orbit inside the boundary band of its class
+        conic = classify_conic(conic_from_dynamics(kappa, oc.d, oc.ecc))
+        assume(conic.label in (ConicLabel.CIRCLE, ConicLabel.ELLIPSE))
         t += turns * radial_period(oc, kappa)
     t *= sign
     # the periastron state sits at phi = 0, so phi0 = -0.0 and phi is theta
     assert oc.phi0 == 0.0
-    got = float(propagate(oc, kappa, t)[0, 1])
+    try:
+        got = float(propagate(oc, kappa, t)[0, 1])
+    except DomainError as exc:
+        # propagate's documented refusal of a radius next to the asymptote
+        assume("not resolved in double precision" not in str(exc))
+        raise
     with mp.workdps(40):
         guess = float(mp.acos(min(mpf(1), max(mpf(-1), (mpf(oc.d) * mpf(u) - 1) / mpf(oc.ecc)))))
     want, tol = _inverse_oracle(kappa, oc.conserved.j, oc.d, oc.ecc, t, guess)
