@@ -184,9 +184,9 @@ def energy(state: PhaseState, params: KeplerParams, potential=None) -> float:
     return _state_kinetic(params.kappa, state) + potential(state.r)
 
 
-def runge_lenz(kappa, state: PhaseState, params: KeplerParams):
+def runge_lenz(state: PhaseState, params: KeplerParams):
     """The two Runge-Lenz-type integrals (i3, i4) of the curved Kepler flow."""
-    return _state_integrals(curvature_value(kappa), params.k, state)[3:]
+    return _state_integrals(params.kappa, params.k, state)[3:]
 
 
 def killing_fields(kappa, p: PolarPoint):

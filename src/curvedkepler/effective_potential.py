@@ -90,7 +90,6 @@ class PotentialProfile:
     critical_radius: float | None
     critical_value: float | None
     zero_crossings: tuple[float, ...]
-    e_cir: float | None
     e_infinity: float | None
     j_infinity: float | None
     notes: str | None = None
@@ -341,7 +340,6 @@ def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
         critical_radius=r_min,
         critical_value=w_min,
         zero_crossings=tuple(_turning_points(kap, k, j, 0.0)),
-        e_cir=w_min,
         e_infinity=_landmark(kap, k, j) if hyperbolic else None,
         j_infinity=_escape_angular_momentum(kap, k) if hyperbolic else None,
         notes=notes,

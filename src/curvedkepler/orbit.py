@@ -452,8 +452,8 @@ def radial_period(oc: OrbitConstants, kappa) -> float:
     return 2.0 * (oc.d * oc.d / abs(oc.conserved.j) * half)
 
 
-#: nodes of the table that seeds the inverse of G, at even steps of theta
-#: and again at even steps of G
+#: nodes of the table that seeds the inverse of G on a bounded orbit, at
+#: even steps of theta
 _TABLE_NODES = 129
 
 #: an open orbit's table reaches theta_inf (1 - 2**-_OPEN_REACH); closer
@@ -534,20 +534,21 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     the last one at which the closed form is finite, theta is held
     there: it is then within rounding of its limit.
 
-    |s| is inverted on a table of exact G, at nodes evenly spaced in
-    theta and at nodes evenly spaced in G (placed by the first ones), so
-    that it resolves both the fast and the slow arcs of the orbit.  A
-    cubic Hermite interpolant with the exact slopes G' = 1/((1 + ecc
-    cos theta)**2 + kappa d**2) gives the seed, and the table interval
-    holding |s| the bracket.  Newton steps finish it, bisecting whenever
-    a step leaves the bracket.  The residual is the table's G at the
-    nearer end of the interval plus the 4-point Gauss-Legendre integral
-    of the real G' from there, on every interval where that rule over
-    the whole width reproduces the closed-form difference (``_certify``);
-    on the others it is the closed form itself.  A Newton step of size h
-    leaves an error of about |G''/(2 G')| h**2, bounded by the larger of
-    its values at both ends of the step; a query is done when that is
-    below half an ulp.
+    |s| is inverted on one table of exact G, at nodes evenly spaced in
+    theta on a bounded orbit and in geometric steps towards theta_inf on
+    an open one.  A cubic Hermite interpolant with the exact slopes
+    G' = 1/((1 + ecc cos theta)**2 + kappa d**2) gives the seed, and the
+    table interval holding |s| the bracket.  Newton steps finish it,
+    bisecting whenever a step leaves the bracket or is longer than half
+    the step before the last: every two steps either halve the bracket
+    or halve the step, and no 2-cycle lasts.  The residual is the
+    table's G at the nearer end of the interval plus the 4-point
+    Gauss-Legendre integral of the real G' from there, on every interval
+    where that rule over the whole width reproduces the closed-form
+    difference (``_certify``); on the others it is the closed form
+    itself.  A Newton step of size h leaves an error of about
+    |G''/(2 G')| h**2, bounded by the larger of its values at both ends
+    of the step; a query is done when that is below half an ulp.
     """
     d, ecc = oc.d, oc.ecc
     if ecc == 0.0:
@@ -588,18 +589,12 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     finite = np.isfinite(table)
     nodes, table = nodes[finite], table[finite]
     target = np.minimum(np.abs(s), table[-1])
-    last = target.max() if target.size else 0.0
-    extra, _ = _hermite(nodes, table, rate(_half_angle(nodes)[1]), np.linspace(0.0, last, _TABLE_NODES)[1:-1])
-    nodes = np.concatenate((nodes, extra))
-    order = np.argsort(nodes)
-    nodes, table = nodes[order], np.concatenate((table, _g_theta(_ARRAYS, fr, extra)))[order]
-    # a node placed on top of another would make an empty interval
-    keep = np.diff(table, prepend=-math.inf) > 0.0
-    nodes, table = nodes[keep], table[keep]
 
     theta, cell = _hermite(nodes, table, rate(_half_angle(nodes)[1]), target)
     lo, hi = nodes[cell], nodes[cell + 1]
     quick = _certify(rate, nodes, table)[cell]
+    # the last two step lengths of each query, Newton or bisection
+    last, older = hi - lo, hi - lo
     todo = np.arange(target.size)
     for _ in range(_MAX_STEPS):
         if not todo.size:
@@ -616,8 +611,12 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
         g1, bend = newton(th)
         step = res / g1
         new = th - step
-        bisect = ~((new >= lo_k) & (new <= hi_k))
+        # bisect a step that leaves the bracket or is longer than half the
+        # step before the last (rtsafe, Numerical Recipes 9.4), so that a
+        # 2-cycle across a steep step of G cannot last
+        bisect = ~((new >= lo_k) & (new <= hi_k)) | (2.0 * np.abs(step) > older[todo])
         new = np.where(bisect, 0.5 * (lo_k + hi_k), new)
+        older[todo], last[todo] = last[todo], np.where(bisect, 0.5 * (hi_k - lo_k), np.abs(step))
         # the error a step of size h leaves, |G''/(2 G')| h**2, bounded by
         # G'' at both of its ends, as G'' = 0 at an apsis
         left = np.maximum(bend, newton(new)[1]) * step * step

@@ -298,14 +298,23 @@ def test_energy_custom_potential():
 def test_runge_lenz_radial_state():
     params = KeplerParams(-1.0, 2.5)
     state = PhaseState(r=0.8, phi=0.0, v_r=1.2, v_phi=0.0)
-    assert runge_lenz(-1.0, state, params) == (-2.5, 0.0)
+    assert runge_lenz(state, params) == (-2.5, 0.0)
+
+
+def test_runge_lenz_takes_kappa_from_the_params():
+    # a second, bare kappa = 0 beside the params' kappa = 1 would give
+    # (-0.19, 0.0); the orbit's ecc k is 0.7392410184178717
+    state = PhaseState(r=1.0, phi=0.0, v_r=0.0, v_phi=0.9)
+    params = KeplerParams(1.0, 1.0)
+    assert runge_lenz(state, params) == (-0.7392410184178717, 0.0)
+    assert -runge_lenz(state, params)[0] == orbit_constants(state, params).ecc * params.k
 
 
 def test_runge_lenz_vanishes_on_circular_orbits():
     for kappa, k, j in [(1.0, 1.0, 1.0), (0.0, 1.0, 1.2), (-1.0, 4.0, 1.0)]:
         params = KeplerParams(kappa, k)
         state = circular_state(params, j, phi=0.7)
-        i3, i4 = runge_lenz(kappa, state, params)
+        i3, i4 = runge_lenz(state, params)
         assert i3 * i3 + i4 * i4 < 1e-11 * k * k
 
 

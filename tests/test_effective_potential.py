@@ -427,7 +427,7 @@ def test_classify_bounded_flag_matches_label(rng):
 
 
 def test_classify_circle_matches_dynamics_energy():
-    # the landmark e_cir is exactly the energy of the circular state
+    # the critical value of W is exactly the energy of the circular state
     for kappa, k, j in [(1.0, 1.0, 1.0), (0.0, 1.0, 1.3), (-1.0, 4.0, 1.0)]:
         params = KeplerParams(kappa, k)
         e = energy(circular_state(params, j), params)
@@ -452,7 +452,6 @@ def test_profile_hyperbolic_landmarks():
     prof = potential_profile(-1.0, 1.0, 0.8)
     assert prof.j_infinity**2 == pytest.approx(1.0, rel=1e-15)
     assert prof.e_infinity == -1.0
-    assert prof.e_cir == prof.critical_value
     assert prof.notes is None
     assert len(prof.zero_crossings) == 1  # W < 0 well, single zero
 

@@ -555,7 +555,7 @@ def _spy_on_the_inverse(monkeypatch):
 def test_bounded_orbits_invert_the_time_law_by_quadrature_alone(kappa, monkeypatch):
     # ecc up to 0.9 of the bounded range, as the ephemeris benchmark draws
     # them: every table interval is certified, so the closed form of G
-    # runs only on the table's two passes
+    # runs only on the table
     verdicts, closed = _spy_on_the_inverse(monkeypatch)
     k = 1.0
     runs = 0
@@ -566,7 +566,7 @@ def test_bounded_orbits_invert_the_time_law_by_quadrature_alone(kappa, monkeypat
             propagate(oc, kappa, np.linspace(-2.0, 2.0, 401) * radial_period(oc, kappa))
             runs += 1
     assert len(verdicts) == runs and all(v.all() for v in verdicts)
-    assert len(closed) == 2 * runs
+    assert len(closed) == runs
 
 
 def test_uncertified_intervals_keep_the_closed_form_residual(monkeypatch):

@@ -14,7 +14,8 @@ change when ecc, d or either u endpoint moves by 4 ulps: near a turning
 point, the asymptote or a landmark eccentricity no double-precision
 input pins the time down further, whatever route computes it.  The
 inverse is held to ``mp.findroot`` on the same 40-digit time law, with
-the same kind of bound in the anomaly.
+the same kind of bound in the anomaly, and where Newton's method itself
+cycles, to that time law evaluated forward at the anomaly it returns.
 """
 
 import math
@@ -320,6 +321,40 @@ def test_propagate_anomaly_matches_mpmath_inverse(case, turns, sign):
         guess = float(mp.acos(min(mpf(1), max(mpf(-1), (mpf(oc.d) * mpf(u) - 1) / mpf(oc.ecc)))))
     want, tol = _inverse_oracle(kappa, oc.conserved.j, oc.d, oc.ecc, t, guess)
     assert abs(got - want) <= tol, (got, want, tol)
+
+
+#: (kappa, J, ecc) of nearly parabolic orbits that cross the equator of a
+#: nearly flat sphere, where G all but jumps: Newton steps alone swing
+#: across that step without end, between theta = 3.13893 and 3.14159 on
+#: the first
+CYCLING_ORBITS = [
+    (1e-10, 0.3013852227175854, 1.0000020925945643),
+    (1e-10, 0.7894545617471981, 1.000010688151606),
+    (1e-6, 0.13371534793700932, 1.0000519930214704),
+]
+
+
+@pytest.mark.parametrize("kappa, j, ecc", CYCLING_ORBITS)
+def test_propagate_inverts_the_time_law_across_the_equator(kappa, j, ecc):
+    # held to the 40-digit time law evaluated forward at each anomaly, as
+    # mp.findroot is Newton's method too: |t(theta) - t| over dt/dtheta
+    oc = _orbit(kappa, 1.0, j, ecc)
+    ts = np.linspace(-1.3, 1.3, 777) * radial_period(oc, kappa)
+    phi = propagate(oc, kappa, ts)[:, 1]
+    assert oc.phi0 == 0.0
+    worst = 0.0
+    with mp.workdps(40):
+        rate, _ = _time_law(kappa, oc.conserved.j, oc.d, oc.ecc)
+        # t(theta) is odd: sum it up over the sorted |theta|, one short leg each
+        t_at, reached = mpf(0), mpf(0)
+        for i in np.argsort(np.abs(phi)):
+            theta = mpf(abs(float(phi[i])))
+            if theta > reached:
+                t_at += mp.quad(rate, _breaks(oc.ecc, reached, theta))
+                reached = theta
+            miss = abs(math.copysign(1, phi[i]) * t_at - mpf(float(ts[i]))) / rate(theta)
+            worst = max(worst, float(miss))
+    assert worst <= 1e-13, worst
 
 
 def test_phi_from_time_over_ten_periods_by_the_horoellipse():

@@ -95,7 +95,6 @@ ONCE = {
         ck.integrate_separable, kap, STATE,
         lambda r: -1.0 / r, lambda r: 1.0 / (r * r), lambda phi: 0.0, lambda phi: 0.0, 0.5,
     ),
-    "runge_lenz": lambda kap: (ck.runge_lenz, kap, STATE, PARAMS[kap]),
     "momenta": lambda kap: (ck.momenta, kap, STATE),
     # orbits
     "orbit_radius": lambda kap: (ck.orbit_radius, ORBIT[kap], kap, 0.4),
@@ -114,6 +113,7 @@ NONE = {
     "ConservedSet.from_state": lambda kap: (ck.ConservedSet.from_state, STATE, PARAMS[kap]),
     "energy": lambda kap: (ck.energy, STATE, PARAMS[kap]),
     "eom_rhs": lambda kap: (ck.eom_rhs, STATE, PARAMS[kap]),
+    "runge_lenz": lambda kap: (ck.runge_lenz, STATE, PARAMS[kap]),
     "kepler_potential": lambda kap: (ck.kepler_potential, PARAMS[kap], 0.5),
     "gauss_law_flux": lambda kap: (ck.gauss_law_flux, PARAMS[kap], 0.5),
     "circular_state": lambda kap: (ck.circular_state, PARAMS[kap], 0.8),
