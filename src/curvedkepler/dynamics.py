@@ -37,7 +37,7 @@ class KeplerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", curvature_value(self.kappa))
-        check_coupling(self.k)
+        object.__setattr__(self, "k", check_coupling(self.k))
 
 
 @dataclass(frozen=True)

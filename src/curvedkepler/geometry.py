@@ -23,10 +23,15 @@ def reduce_angle(phi: float) -> float:
     winding survives; call this only at comparison boundaries."""
     if not math.isfinite(phi):
         raise DomainError(f"angle must be finite, got {phi!r}")
+    return _reduce(phi)
+
+
+def _reduce(phi: float) -> float:
     out = math.fmod(phi, TWO_PI)
     if out < 0.0:
         out += TWO_PI
-    return out
+    # a tiny negative angle plus 2*pi rounds to 2*pi: 0 is the same point
+    return out if out < TWO_PI else 0.0
 
 
 @dataclass(frozen=True)
@@ -145,9 +150,7 @@ def from_ambient(kappa, a: AmbientPoint) -> PolarPoint:
     """Invert :func:`to_ambient`.  The angle of the origin itself is 0."""
     k = curvature_value(kappa)
     rho = math.hypot(a.x, a.y)
-    phi = math.atan2(a.y, a.x) if rho > 0.0 else 0.0
-    if phi < 0.0:
-        phi += TWO_PI
+    phi = _reduce(math.atan2(a.y, a.x)) if rho > 0.0 else 0.0
     if k == 0.0:
         return PolarPoint(rho, phi)
     c = math.sqrt(abs(k))

@@ -14,7 +14,6 @@ curvature carries dimension 1/length**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from textwrap import indent
 
 import numpy as np
@@ -33,36 +32,8 @@ SERIES_THRESHOLD = 1e-8
 _POLE_SNAP = 1e-12
 
 
-@dataclass(frozen=True)
-class Curvature:
-    """Signed Gaussian curvature of the working surface."""
-
-    kappa: float
-
-    def __post_init__(self):
-        k = self.kappa
-        if not isinstance(k, (int, float)) or not math.isfinite(k):
-            raise DomainError(f"curvature must be a finite real, got {k!r}")
-
-    @property
-    def regime(self) -> str:
-        """'spherical', 'flat' or 'hyperbolic' according to the sign."""
-        if self.kappa > 0:
-            return "spherical"
-        if self.kappa < 0:
-            return "hyperbolic"
-        return "flat"
-
-    @property
-    def c(self) -> float:
-        """sqrt(|kappa|), the inverse length scale of the surface."""
-        return math.sqrt(abs(self.kappa))
-
-
 def curvature_value(kappa) -> float:
-    """Accept a ``Curvature`` or a bare number, return the float value."""
-    if isinstance(kappa, Curvature):
-        return kappa.kappa
+    """The curvature as a float; DomainError unless it is finite."""
     k = float(kappa)
     if not math.isfinite(k):
         raise DomainError(f"curvature must be a finite real, got {kappa!r}")

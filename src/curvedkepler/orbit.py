@@ -45,7 +45,10 @@ class OrbitConstants:
 
     ``d`` = j**2/k sets the size scale (tan_k of the semi-latus radius),
     ``ecc`` the shape, ``phi0`` the periastron direction, and
-    ``z`` = 2 j**2 e_p / k**2 the energy in conic units (ecc**2 = 1 + z).
+    ``z`` = 2 j**2 e_p / k**2 the energy in conic units (ecc**2 = 1 + z)
+    and ``kappa`` the curvature it was built on.  The orbit functions
+    compute with that curvature; the kappa they are passed must equal it
+    (DomainError names both otherwise).
     """
 
     conserved: ConservedSet
@@ -53,6 +56,7 @@ class OrbitConstants:
     ecc: float
     phi0: float
     z: float
+    kappa: float
 
     @property
     def u_periastron(self) -> float:
@@ -83,9 +87,16 @@ def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
     z = 2.0 * c.e_p * c.j * c.j / (k * k)
     ecc = math.hypot(c.i3, c.i4) / k
     if ecc < CIRCULAR_ECC:
-        return OrbitConstants(conserved=c, d=d, ecc=0.0, phi0=0.0, z=z)
+        return OrbitConstants(conserved=c, d=d, ecc=0.0, phi0=0.0, z=z, kappa=params.kappa)
     phi0 = math.atan2(-c.i4, c.i3)
-    return OrbitConstants(conserved=c, d=d, ecc=ecc, phi0=phi0, z=z)
+    return OrbitConstants(conserved=c, d=d, ecc=ecc, phi0=phi0, z=z, kappa=params.kappa)
+
+
+def _orbit_kappa(oc: OrbitConstants, kap: float) -> float:
+    """The orbit's curvature, once the checked kap is found to be it."""
+    if kap != oc.kappa:
+        raise DomainError(f"kappa={kap!r} is not the curvature {oc.kappa!r} of the orbit")
+    return oc.kappa
 
 
 def u_closed(oc: OrbitConstants, phi) -> float | np.ndarray:
@@ -106,12 +117,12 @@ def orbit_radius(oc: OrbitConstants, kappa, phi: float) -> float | None:
     on the plane and the hyperbolic plane angles where the conic has
     run off to (or past) infinity yield None.
     """
-    return _radius_at(curvature_value(kappa), oc.d, oc.ecc, _check_finite(phi) - oc.phi0)
+    return _radius_at(_orbit_kappa(oc, curvature_value(kappa)), oc.d, oc.ecc, _check_finite(phi) - oc.phi0)
 
 
 def binet_residual(oc: OrbitConstants, kappa, phi: float) -> float:
     """d2u/dphi2 + u - k/j**2 for the closed form, by exact differentiation."""
-    curvature_value(kappa)  # checked although the residual does not use it
+    _orbit_kappa(oc, curvature_value(kappa))
     dphi = _check_finite(phi) - oc.phi0
     d2u = -(oc.ecc / oc.d) * math.cos(dphi)
     u = (1.0 + oc.ecc * math.cos(dphi)) / oc.d
@@ -395,7 +406,7 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
     its side, or one closed-form piece (``_leg``) when it is short
     against that.  Returns the positive elapsed time.
     """
-    kap = curvature_value(kappa)
+    kap = _orbit_kappa(oc, curvature_value(kappa))
     if not (math.isfinite(u_start) and math.isfinite(u_end)):
         raise DomainError(f"need finite u values, got {u_start!r}, {u_end!r}")
     if u_start == u_end:
@@ -439,7 +450,7 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
 
 def radial_period(oc: OrbitConstants, kappa) -> float:
     """Full radial period of an orbit classify_orbit bounds (twice the apo-to-per leg)."""
-    kap = curvature_value(kappa)
+    kap = _orbit_kappa(oc, curvature_value(kappa))
     if oc.ecc < CIRCULAR_ECC:
         raise DomainError("circular orbit: radius does not oscillate")
     # the class's band of ``conics._side``; _anomaly, propagate and time_from_u
@@ -522,7 +533,7 @@ def _certify(rate, nodes, table):
     return miss <= _CERTIFY_ULPS * np.spacing(table[1:])
 
 
-def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
+def _anomaly(oc: OrbitConstants, s: np.ndarray):
     """Anomaly theta + 2 pi turns = phi - phi0 where G = s, for an array s.
 
     s is the time since the periastron passage in units of d**2/j, so it
@@ -550,7 +561,7 @@ def _anomaly(oc: OrbitConstants, kap: float, s: np.ndarray):
     |G''/(2 G')| h**2, bounded by the larger of its values at both ends
     of the step; a query is done when that is below half an ulp.
     """
-    d, ecc = oc.d, oc.ecc
+    d, ecc, kap = oc.d, oc.ecc, oc.kappa
     if ecc == 0.0:
         # circular: the sweep is uniform
         return s * (1.0 + kap * d * d), np.zeros_like(s)
@@ -647,12 +658,12 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
     exceeds ``_U_RTOL`` of it the radius would carry no trustworthy
     digits, and DomainError is raised: integrate such an orbit instead.
     """
-    kap = curvature_value(kappa)
+    kap = _orbit_kappa(oc, curvature_value(kappa))
     ts = np.asarray(t, dtype=float).reshape(-1)
     if not np.isfinite(ts).all():
         raise DomainError(f"propagate needs finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
     j, d, ecc = oc.conserved.j, oc.d, oc.ecc
-    theta, turns = _anomaly(oc, kap, (j / (d * d)) * ts)
+    theta, turns = _anomaly(oc, (j / (d * d)) * ts)
     tau, w = _half_angle(theta)
     sin = tau * w
     u = ((1.0 - ecc) + ecc * w) / d
@@ -680,17 +691,20 @@ def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
 
     The trajectory supplies only its start, its span and its curvature:
     every requested time must lie inside the span, and kappa must be the
-    trajectory's (DomainError names both otherwise).  The start's anomaly
-    theta0 = phi - phi0 gives its time since periastron, and phi(t) =
-    phi_start + theta(t) - theta0 with theta(t) from ``propagate``'s
-    inverse, exact up to rounding however far t lies from the start.
+    trajectory's and then the orbit's (DomainError names both otherwise).
+    The start's anomaly theta0 = phi - phi0 gives its time since
+    periastron, and phi(t) = phi_start + theta(t) - theta0 with theta(t)
+    from ``propagate``'s inverse, exact up to rounding however far t lies
+    from the start.  A t_grid of any shape gives one angle per time, in
+    C order, as ``propagate`` gives one state.
     Radial orbits (j = 0) have no OrbitConstants: their states come from
     the integrator (``Trajectory.sample``).
     """
     kap = curvature_value(kappa)
     if kap != trajectory.kappa:
         raise DomainError(f"kappa={kap!r} is not the curvature {trajectory.kappa!r} of the trajectory")
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    kap = _orbit_kappa(oc, kap)
+    ts = np.asarray(t_grid, dtype=float).reshape(-1)
     t0, t1 = float(trajectory.times[0]), float(trajectory.t_end)
     if not ((ts >= t0) & (ts <= t1)).all():
         raise DomainError(
@@ -699,6 +713,6 @@ def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
     phi_start = float(trajectory.states[0, 1])
     theta0 = math.remainder(phi_start - oc.phi0, 2.0 * math.pi)
     g0 = math.copysign(_g_theta(_SCALARS, _frame(oc.ecc, oc.d, kap), abs(theta0)), theta0)
-    theta, turns = _anomaly(oc, kap, oc.conserved.j / (oc.d * oc.d) * (ts - t0) + g0)
+    theta, turns = _anomaly(oc, oc.conserved.j / (oc.d * oc.d) * (ts - t0) + g0)
     out = phi_start + ((theta - theta0) + 2.0 * math.pi * turns)
     return out if np.ndim(t_grid) else float(out[0])

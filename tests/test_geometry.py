@@ -197,3 +197,11 @@ def test_reduce_angle():
     assert reduce_angle(2 * math.pi) == 0.0
     assert reduce_angle(-0.1) == pytest.approx(2 * math.pi - 0.1)
     assert reduce_angle(7.0) == pytest.approx(7.0 - 2 * math.pi)
+
+
+@pytest.mark.parametrize("eps", [1e-20, 1e-300])
+def test_a_tiny_negative_angle_reduces_to_zero(eps):
+    # -eps + 2*pi rounds to 2*pi, which lies outside [0, 2*pi)
+    assert reduce_angle(-eps) == 0.0
+    for kappa, z in ((1.0, math.sqrt(0.75)), (0.0, 0.0), (-1.0, math.sqrt(1.25))):
+        assert from_ambient(kappa, AmbientPoint(0.5, -eps, z)).phi == 0.0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from curvedkepler import (
-    Curvature,
     DomainError,
     PoleError,
     acot_k,
@@ -151,23 +150,11 @@ def test_acot_k_flat_rejects_nonpositive():
         acot_k(0.0, 0.0)
 
 
-def test_curvature_regime_tags():
-    assert Curvature(2.5).regime == "spherical"
-    assert Curvature(0.0).regime == "flat"
-    assert Curvature(-0.3).regime == "hyperbolic"
-    assert Curvature(-4.0).c == 2.0
-
-
 def test_curvature_rejects_nonfinite():
     with pytest.raises(DomainError):
-        Curvature(math.nan)
+        curvature_value(math.nan)
     with pytest.raises(DomainError):
         curvature_value(math.inf)
-
-
-def test_functions_accept_curvature_objects():
-    assert cos_k(Curvature(-1.0), 1.0) == cos_k(-1.0, 1.0)
-    assert radial_limit(Curvature(4.0)) == pytest.approx(math.pi / 2)
 
 
 def test_nonfinite_argument_rejected():

@@ -426,6 +426,41 @@ def test_sweep_refuses_a_curvature_that_is_not_the_trajectorys():
         phi_from_time(oc, 0.0, 2.0, traj)
 
 
+def test_phi_from_time_gives_one_angle_per_time_of_a_grid():
+    params = KeplerParams(1.0, 1.0)
+    state = PhaseState(1.0, 0.0, 0.0, 0.9)
+    oc = orbit_constants(state, params)
+    traj = integrate(state, params, t_end=2.0, tol=1e-10)
+    grid = [[0.1, 0.2], [0.3, 0.4]]
+    got = phi_from_time(oc, 1.0, grid, traj)
+    assert np.array_equal(got, phi_from_time(oc, 1.0, np.ravel(grid), traj))
+    assert phi_from_time(oc, 1.0, [[0.1, 0.2]], traj).shape == (2,)
+
+
+#: each orbit function on an orbit and, for phi_from_time, a trajectory
+#: read on the curvature kappa = 0
+WRONG_KAPPA = {
+    "orbit_radius": lambda oc, traj: orbit_radius(oc, 0.0, 0.4),
+    "binet_residual": lambda oc, traj: binet_residual(oc, 0.0, 0.4),
+    "time_from_u": lambda oc, traj: time_from_u(oc, 0.0, oc.u_periastron, 0.5 * oc.u_periastron),
+    "radial_period": lambda oc, traj: radial_period(oc, 0.0),
+    "propagate": lambda oc, traj: propagate(oc, 0.0, [0.5]),
+    "phi_from_time": lambda oc, traj: phi_from_time(oc, 0.0, 2.0, traj),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KAPPA))
+def test_orbit_functions_refuse_a_curvature_that_is_not_the_orbits(name):
+    # read on kappa = 0, this sphere orbit gave the period 5.324 where it
+    # is 2.487, and with a flat trajectory phi_from_time gave 0.774 where
+    # that trajectory says 2.352
+    state = PhaseState(1.0, 0.0, 0.0, 0.9)
+    oc = orbit_constants(state, KeplerParams(1.0, 1.0))
+    flat = integrate(state, KeplerParams(0.0, 1.0), t_end=2.0, tol=1e-10)
+    with pytest.raises(DomainError, match=r"kappa=0\.0 is not the curvature 1\.0 of the orbit"):
+        WRONG_KAPPA[name](oc, flat)
+
+
 # ----------------------------------------------------------------------
 # propagate
 # ----------------------------------------------------------------------

@@ -19,7 +19,9 @@ cycles, to that time law evaluated forward at the anomaly it returns.
 """
 
 import math
+import sys
 import warnings
+from contextlib import contextmanager
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,19 @@ ULPS = 4
 KINDS = ("generic", "beyond", "parabola", "horoellipse", "horohyperbola")
 #: open legs stop this share of the way from the asymptote to periastron
 OPEN_REACH = 1e-7
+
+
+@contextmanager
+def _untraced():
+    """Suspend a global trace hook, such as the statement trace's, around
+    pure mpmath work.  The hook runs on every Python call inside mp.quad
+    and mp.findroot, where the package runs no statement of its own."""
+    saved = sys.gettrace()
+    sys.settrace(None)
+    try:
+        yield
+    finally:
+        sys.settrace(saved)
 
 
 def _moved(x, n):
@@ -83,6 +98,7 @@ def _breaks(ecc, a, b):
     return sorted(m for m in marks if a <= m <= b)
 
 
+@_untraced()
 def _oracle_bound(kappa, j, d, ecc, u_a, u_b):
     """Oracle time between two u values of the orbit (j, d, ecc), and its tolerance.
 
@@ -239,6 +255,7 @@ def test_near_escape_leg_matches_oracle_without_warnings():
     assert abs(got - want) <= tol, (got, want, tol)
 
 
+@_untraced()
 def _inverse_oracle(kappa, j, d, ecc, t, theta_guess):
     """Anomaly theta = phi - phi0 at time t since periastron, and its tolerance.
 
@@ -343,7 +360,7 @@ def test_propagate_inverts_the_time_law_across_the_equator(kappa, j, ecc):
     phi = propagate(oc, kappa, ts)[:, 1]
     assert oc.phi0 == 0.0
     worst = 0.0
-    with mp.workdps(40):
+    with _untraced(), mp.workdps(40):
         rate, _ = _time_law(kappa, oc.conserved.j, oc.d, oc.ecc)
         # t(theta) is odd: sum it up over the sorted |theta|, one short leg each
         t_at, reached = mpf(0), mpf(0)

@@ -292,6 +292,6 @@ def test_an_overflowed_cotangent_on_the_sphere_reaches_the_finite_check():
     spec = ck.conic_from_dynamics(1.0, 1e-300, 1e300)
     with pytest.raises(DomainError, match="finite, got -inf"):
         ck.sample_conic(spec, [math.pi])
-    oc = ck.OrbitConstants(ORBIT[1.0].conserved, d=1e-300, ecc=1e300, phi0=0.0, z=0.0)
+    oc = ck.OrbitConstants(ORBIT[1.0].conserved, d=1e-300, ecc=1e300, phi0=0.0, z=0.0, kappa=1.0)
     with pytest.raises(DomainError, match="finite, got -inf"):
         ck.orbit_radius(oc, 1.0, math.pi)
