@@ -30,12 +30,11 @@ from .conics import (
 from .dop853 import check_tol
 from .dynamics import KeplerParams, PhaseState, integrate
 from .effective_potential import (
-    OrbitLabel, _critical, _escape_angular_momentum, _landmark, _radial_roots, _w, check_coupling,
-    classify_orbit, potential_profile, turning_points,
+    _inputs, _landmarks, _orbit, _w, check_coupling, potential_profile, turning_points,
 )
 from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
 from .geometry import _ambient, _poincare
-from .ktrig import _chart_limit, _sin, atan_k, cos_k, curvature_value, sin_k, tan_k
+from .ktrig import _chart_limit, _sin, atan_k, cos_k, sin_k, tan_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -334,9 +333,8 @@ def cmd_simulate(args) -> tuple[int, str]:
 
 def classify_record(kappa, k: float, j: float, e: float) -> dict:
     """Classification record for one (kappa, k, J, E) pair, JSON-ready."""
-    orbit_class = classify_orbit(kappa, k, j, e)  # raises InfeasibleError
-    kap = curvature_value(kappa)
-    crit = _critical(kap, k, j)
+    kap, k = _inputs(kappa, k, j, e)
+    orbit_class, d, ecc, _, _, crit = _orbit(kap, k, j, e)  # raises InfeasibleError
     record = {
         "schema": SCHEMA_VERSION,
         "kappa": float(kap),
@@ -346,12 +344,9 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
         "label": orbit_class.label.value,
         "bounded": orbit_class.bounded,
     }
-    if j == 0.0:
+    if d is None:
         record.update({"ecc": None, "d": None, "conic": None, "thresholds": None})
     else:
-        d, _, ecc, _, _ = _radial_roots(kap, k, j, e)
-        if orbit_class.label in (OrbitLabel.CIRCLE, OrbitLabel.HYP_CIRCLE):
-            ecc = 0.0  # in the circle's band of ecc**2: its conic is the circle
         spec = conic_from_dynamics(kap, d, ecc)
         conic_type = classify_conic(spec)
         record["ecc"] = float(ecc)
@@ -366,11 +361,9 @@ def classify_record(kappa, k: float, j: float, e: float) -> dict:
         record["thresholds"] = {
             key: float(val) for key, val in conic_thresholds(spec).items()
         }
-    hyperbolic = kap < 0.0
     record["landmarks"] = {
-        "e_circular": None if crit is None else float(crit[1]),
-        "e_infinity": float(_landmark(kap, k, j)) if hyperbolic else None,
-        "j_infinity": float(_escape_angular_momentum(kap, k)) if hyperbolic else None,
+        name: None if val is None else float(val)
+        for name, val in zip(("e_circular", "e_infinity", "j_infinity"), _landmarks(kap, k, j, crit))
     }
     return record
 

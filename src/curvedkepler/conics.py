@@ -201,6 +201,12 @@ def _side(x: float, rung: float, band: float) -> int:
     return 0 if x < rung else 2
 
 
+def _escape_side(kap: float, d: float, ecc: float) -> int:
+    """``_side`` of an orbit's ecc against lo of ``_ladder``, its escape rung."""
+    lo, _, band = _ladder(kap, d)
+    return _side(ecc, lo, band)
+
+
 def conic_thresholds(spec: ConicSpec) -> dict[str, float]:
     """Eccentricity thresholds of the conic's size chart, by name.
 
@@ -238,8 +244,8 @@ def classify_conic(spec: ConicSpec) -> ConicType:
     The thresholds are those of :func:`conic_thresholds`; each boundary
     class (horoellipse, horohyperbola, flat parabola, equiparabola,
     spherical equatorial) is the band of ``_ladder`` around its rung, as
-    in classify_orbit.  The circle is ecc = 0 (``cli.classify_record``
-    gives an orbit in its circle band that conic).  The checks run lo, hi,
+    in the orbit analysis ``effective_potential._orbit``.  The circle is
+    ecc = 0, the ecc that analysis gives a circle.  The checks run lo, hi,
     equi: in the colatus chart the equiparabola can lie above the
     horohyperbola, and is then a hyperbola.
     """
@@ -325,12 +331,15 @@ def verify_conic_definition(kappa, samples, fe: FocalElements, sign: str = "sum"
     symmetry axis at distance 2f: opposite the periastron (axis + pi)
     for a sum conic, through the periastron vertex (axis) for a
     difference conic, whose near branch bends around the origin focus.
+    Focus-line elements have no second focus: DomainError names the kind.
     """
     kap = curvature_value(kappa)
     if len(samples) < 8:
         raise DomainError(f"need at least 8 sample points, got {len(samples)}")
     if sign not in ("sum", "difference"):
         raise DomainError(f"sign must be 'sum' or 'difference', got {sign!r}")
+    if fe.kind is not FocalKind.TWO_FOCI:
+        raise DomainError(f"only two-foci elements can be verified, got kind {fe.kind.value!r}")
     origin = PolarPoint(0.0, 0.0)
     other_angle = fe.axis + math.pi if sign == "sum" else fe.axis
     other = PolarPoint(2.0 * fe.half_separation, other_angle)

@@ -10,9 +10,10 @@ a quadratic in u, the same for every curvature.  The turning points
 are its closed-form roots mapped back to radii by acot_k, and the
 landmarks of the (j, E) plane are W at the vertex u = k/j**2 (the
 circle) and at u* = max(_cot_floor(kappa), 0), the equator on the sphere
-and infinity elsewhere.  The orbit classes are decided in eccentricity,
-as for the orbit's conic, by one test, ``conics._side``, and one
-constant, ``conics.BOUNDARY_RTOL`` (see ``_radial_roots``, ``conics._ladder``).
+and infinity elsewhere.  One analysis of the pair, ``_orbit``, decides
+its class in eccentricity, as for the orbit's conic, and its turning
+points; classify_orbit, turning_points and the CLI's classify record all
+read it (see ``_radial_roots``, ``conics._escape_side``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .conics import BOUNDARY_RTOL, _ladder, _side
+from .conics import BOUNDARY_RTOL, _escape_side, _side
 from .errors import CurvedKeplerError, DomainError, InfeasibleError, NumericalError
 from .geometry import check_interior_radius
 from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, curvature_value
@@ -165,10 +166,6 @@ def _landmark(kap: float, k: float, j: float) -> float:
     return -k * max(_cot_floor(kap), 0.0) + 0.5 * max(kap, 0.0) * j * j
 
 
-def _escape_angular_momentum(kap: float, k: float) -> float:
-    return math.sqrt(k / math.sqrt(-kap))
-
-
 def escape_energy(kappa, k: float) -> float:
     """Plateau value of W at infinity on the hyperbolic plane, -k*sqrt(-kappa)."""
     kap, k = _inputs(kappa, k)
@@ -182,7 +179,7 @@ def escape_angular_momentum(kappa, k: float) -> float:
     kap, k = _inputs(kappa, k)
     if kap >= 0.0:
         raise DomainError("the escape angular momentum exists only for kappa < 0")
-    return _escape_angular_momentum(kap, k)
+    return _landmarks(kap, k, 0.0, None)[2]
 
 
 def _radial_roots(kap: float, k: float, j: float, e: float):
@@ -210,45 +207,29 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
     """All radii with W(r) = e, sorted; a tangency is reported twice.
 
     In u = cot_k(r) the potential is the quadratic
-    W(u) = -k u + (j**2/2)(u**2 + kappa), so the roots are closed-form:
-    ``_radial_roots`` for j != 0, the linear root u = -e/k for j = 0.
-    A root counts when it lies on the physical branch of acot_k, and the
-    roots follow classify_orbit's class (``conics._side`` in eccentricity,
-    with the bands of ``conics.BOUNDARY_RTOL``): an open orbit has no
-    apoastron, and an energy below the minimum of W with ecc**2 in the
-    band of 0 (a circle) has the double root r_min.  Beyond the escape j
-    (no minimum on the hyperbolic plane) an energy at or below the
-    plateau has no root, as classify_orbit calls it infeasible.  Each
-    other radius is verified to satisfy |W(r) - e| < 1e-11 * max(1, |e|) +
-    4 |dW/dr| ulp(r) + eps (k |u| + (j**2/2)(u**2 + |kappa|)): one rounding
-    of r moves W by |dW/dr| ulp(r), and evaluating W rounds by eps times
-    its terms; CurvedKeplerError reports a miss.
+    W(u) = -k u + (j**2/2)(u**2 + kappa), and the roots are the closed-form
+    cotangents of ``_orbit``, the one analysis of the pair that
+    classify_orbit reads too: an open orbit has no apoastron, and a pair it
+    calls infeasible no root.  A root counts when it lies on the physical
+    branch of acot_k.  An energy with ecc**2 in the circle band and within
+    _TANGENCY_RTOL of the minimum of W, on a bounded orbit, has the double
+    root r_min.  Each other radius is verified to satisfy |W(r) - e| <
+    1e-11 max(1, |e|) + 4 |dW/dr| ulp(r) + eps (k |u| + (j**2/2)(u**2 + |kappa|)):
+    one rounding of r moves W by |dW/dr| ulp(r), and evaluating W rounds by
+    eps times its terms; CurvedKeplerError reports a miss.
     """
     return _turning_points(*_inputs(kappa, k, j, e), j, e)
 
 
 def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
-    crit = _critical(kap, k, j)
-    if j == 0.0:
-        us = [-e / k]
-    elif crit is None and e <= _landmark(kap, k, j):
-        # saturated (kappa < 0, j beyond escape): W falls monotonically to
-        # the plateau and never reaches it, so no energy up to it has a
-        # root; classify_orbit calls these energies infeasible
+    try:
+        orbit_class, _, _, circle, us, crit = _orbit(kap, k, j, e)
+    except InfeasibleError:  # below the minimum of W, or up to the plateau without one
         return []
-    else:
-        d, circle, ecc, u_per, u_apo = _radial_roots(kap, k, j, e)
-        lo, _, band = _ladder(kap, d)
-        open_ = kap <= 0.0 and _side(ecc, lo, band)
-        if crit is not None:
-            r_m, w_m = crit
-            if not circle:  # below the minimum of W and its band
-                return []
-            # the double root is a circle's (below the minimum, the only
-            # root left); an open orbit has none, however shallow its well
-            if circle == 1 and not open_ and e - w_m <= _TANGENCY_RTOL * max(1.0, abs(e), abs(w_m)):
-                return [r_m, r_m]
-        us = [u_per] if open_ else [u_per, u_apo]
+    # the double root is a circle's (below the minimum, the only root left);
+    # an open orbit has none, however shallow its well, and a bounded one has a well
+    if orbit_class.bounded and circle and e - crit[1] <= _TANGENCY_RTOL * max(1.0, abs(e), abs(crit[1])):
+        return [crit[0], crit[0]]
     # a root that overflowed reports the check acot_k makes of its argument;
     # then the radial stop, and a periastron one rounding above the plateau,
     # have a radius only above the chart's far end
@@ -277,70 +258,86 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
     return [r for r, _ in pairs]
 
 
-#: orbit classes below, at and above lo of conics._ladder, for kappa < 0, = 0, > 0
+#: orbit classes below, at and above lo of conics._ladder, then the circle,
+#: for kappa < 0, = 0, > 0
 _CLASS_ROWS = tuple(
     tuple(OrbitClass(label, label in BOUNDED_LABELS) for label in row)
     for row in (
-        (OrbitLabel.HYP_ELLIPSE, OrbitLabel.HYP_HOROELLIPSE, OrbitLabel.HYP_OPEN),
-        (OrbitLabel.FLAT_ELLIPSE, OrbitLabel.FLAT_PARABOLA, OrbitLabel.FLAT_HYPERBOLA),
+        (OrbitLabel.HYP_ELLIPSE, OrbitLabel.HYP_HOROELLIPSE, OrbitLabel.HYP_OPEN, OrbitLabel.HYP_CIRCLE),
+        (OrbitLabel.FLAT_ELLIPSE, OrbitLabel.FLAT_PARABOLA, OrbitLabel.FLAT_HYPERBOLA, OrbitLabel.CIRCLE),
         (OrbitLabel.SPHERICAL_ELLIPSE_SUB, OrbitLabel.SPHERICAL_ELLIPSE_EQUATORIAL,
-         OrbitLabel.SPHERICAL_ELLIPSE_SUPER),
+         OrbitLabel.SPHERICAL_ELLIPSE_SUPER, OrbitLabel.CIRCLE),
     )
 )
+
+
+def _orbit(kap: float, k: float, j: float, e: float):
+    """The one analysis of the pair (j, e): (class, d, ecc, circle, us, crit).
+
+    ``crit`` is ``_critical``, (d, ecc) the conic of ``_radial_roots`` (ecc
+    0 for a circle, both None for j = 0), ``circle`` whether ecc**2 is in
+    its circle band, and ``us`` the cotangents of the turning points: -e/k
+    for j = 0, else (u_per, u_apo), the apoastron dropped when the class is
+    not bounded.  ``conics._escape_side`` of ecc picks the class's column;
+    below the escape rung ecc**2 in the circle band is the circle.  Without
+    a well (kappa < 0, j beyond escape) every orbit is open.  InfeasibleError
+    where no orbit has the pair: below the circle band, or without a well
+    at or below the plateau.
+    """
+    crit = _critical(kap, k, j)
+    if j == 0.0:
+        return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False), None, None, False, (-e / k,), crit
+    if crit is None:
+        # saturated: W falls monotonically to the plateau, never reaching it
+        landmark = _landmark(kap, k, j)
+        if e <= landmark:
+            raise InfeasibleError(f"energy {e!r} not attainable without a potential well (plateau {landmark!r})")
+    d, circle, ecc, u_per, u_apo = _radial_roots(kap, k, j, e)
+    if crit is not None and not circle:
+        raise InfeasibleError(f"energy {e!r} below the potential minimum {crit[1]!r}")
+    side = 2 if crit is None else _escape_side(kap, d, ecc)  # without a well, open
+    if side == 0 and circle == 1:
+        side, ecc = 3, 0.0  # the circle, whose conic has ecc 0
+    orbit_class = _CLASS_ROWS[(kap >= 0.0) + (kap > 0.0)][side]
+    return orbit_class, d, ecc, circle == 1, (u_per, u_apo) if orbit_class.bounded else (u_per,), crit
 
 
 def classify_orbit(kappa, k: float, j: float, e: float) -> OrbitClass:
     """Qualitative orbit class of an (energy, angular momentum) pair.
 
-    The class is its conic's, decided in eccentricity by ``conics._side``
-    with the one constant ``conics.BOUNDARY_RTOL``: the side of ecc against
-    lo = 1 - d u* of ``conics._ladder`` (the escape energy), in its band of
-    BOUNDARY_RTOL max(1, u*) in the far apsis u = (1 - ecc)/d, picks the
-    column; below it, ecc**2 in the circle band of ``_radial_roots`` is
-    the circle, and ecc**2 below that band InfeasibleError.  Without a
-    well (kappa < 0, j beyond escape) every orbit is open.
+    The class of the one analysis ``_orbit`` of the pair, which
+    turning_points and the CLI's classify record read too; InfeasibleError
+    where no orbit has the pair.
     """
-    kap, k = _inputs(kappa, k, j, e)
-    if j == 0.0:
-        return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False)
+    return _orbit(*_inputs(kappa, k, j, e), j, e)[0]
 
-    crit = _critical(kap, k, j)
-    if crit is None:
-        # saturated: W falls monotonically to the plateau, never reaching it
-        landmark = _landmark(kap, k, j)
-        if e <= landmark:
-            raise InfeasibleError(
-                f"energy {e!r} not attainable without a potential well "
-                f"(plateau {landmark!r})"
-            )
-        return OrbitClass(OrbitLabel.HYP_OPEN, bounded=False)
-    d, circle, ecc, _, _ = _radial_roots(kap, k, j, e)
-    if not circle:
-        raise InfeasibleError(f"energy {e!r} below the potential minimum {crit[1]!r}")
-    lo, _, band = _ladder(kap, d)
-    side = _side(ecc, lo, band)
-    if side == 0 and circle == 1:
-        return OrbitClass(OrbitLabel.HYP_CIRCLE if kap < 0.0 else OrbitLabel.CIRCLE, bounded=True)
-    return _CLASS_ROWS[(kap >= 0.0) + (kap > 0.0)][side]
+
+def _landmarks(kap: float, k: float, j: float, crit) -> tuple:
+    """(e_circular, e_infinity, j_infinity): W at the vertex ``crit`` (None
+    without one), and on the hyperbolic plane only the plateau and the escape
+    j, j**2 = k/sqrt(-kappa), beyond which W has no minimum."""
+    e_circular = None if crit is None else crit[1]
+    if kap < 0.0:
+        return e_circular, _landmark(kap, k, j), math.sqrt(k / math.sqrt(-kap))
+    return e_circular, None, None
 
 
 def potential_profile(kappa, k: float, j: float) -> PotentialProfile:
     """All landmarks of W for (kappa, k, j) in one record."""
     kap, k = _inputs(kappa, k, j)
     crit = _critical(kap, k, j)
-    r_min, w_min = crit or (None, None)
+    e_circular, e_infinity, j_infinity = _landmarks(kap, k, j, crit)
     notes = None if crit else (
         "no centrifugal barrier: potential is monotone" if j == 0.0 else "centrifugal term saturates: no minimum"
     )
-    hyperbolic = kap < 0.0
     return PotentialProfile(
         kappa=kap,
         k=k,
         j=j,
-        critical_radius=r_min,
-        critical_value=w_min,
+        critical_radius=None if crit is None else crit[0],
+        critical_value=e_circular,
         zero_crossings=tuple(_turning_points(kap, k, j, 0.0)),
-        e_infinity=_landmark(kap, k, j) if hyperbolic else None,
-        j_infinity=_escape_angular_momentum(kap, k) if hyperbolic else None,
+        e_infinity=e_infinity,
+        j_infinity=j_infinity,
         notes=notes,
     )

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import _ladder, _radius_at, _side
+from .conics import _escape_side, _radius_at
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
 from .errors import CurvedKeplerError, DomainError, RadialOrbitError
 from .ktrig import _acot_array, _check_finite, _cot_floor, curvature_value
@@ -453,10 +453,9 @@ def radial_period(oc: OrbitConstants, kappa) -> float:
     kap = _orbit_kappa(oc, curvature_value(kappa))
     if oc.ecc < CIRCULAR_ECC:
         raise DomainError("circular orbit: radius does not oscillate")
-    # the class's band of ``conics._side``; _anomaly, propagate and time_from_u
-    # compute the motion of this ecc, and test u_apo > _cot_floor exactly
-    lo, _, band = _ladder(kap, oc.d)
-    if kap <= 0.0 and _side(oc.ecc, lo, band):
+    # the class's escape test; _anomaly, propagate and time_from_u compute the
+    # motion of this ecc, and test u_apo > _cot_floor exactly
+    if kap <= 0.0 and _escape_side(kap, oc.d, oc.ecc):
         raise DomainError(f"orbit is not radially bounded (ecc {oc.ecc!r}): no radial period")
     # the apo-to-per leg exactly as time_from_u takes it: from the apoastron
     half = _g_apo(_frame(-oc.ecc, oc.d, kap))

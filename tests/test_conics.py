@@ -381,6 +381,14 @@ def test_hyperbolic_kepler_orbit_is_a_metric_ellipse(rng):
         assert ecc_from_focal(kappa, fe) == pytest.approx(ecc, abs=1e-9)
 
 
+def test_verification_refuses_focus_line_elements():
+    # a focus line is no point: measuring it as a second focus at distance
+    # 2 varphi gave 2.296 for this flat parabola, with no error
+    samples = sample_conic(conic_from_dynamics(0.0, 1.0, 1.0), np.linspace(-2.0, 2.0, 17))
+    with pytest.raises(DomainError, match="focus_line"):
+        verify_conic_definition(0.0, samples, FocalElements.focus_line(0.5, 0.5))
+
+
 def test_verification_needs_enough_samples_and_a_valid_sign():
     samples = [PolarPoint(1.0, 0.1 * i) for i in range(5)]
     fe = FocalElements.two_foci(0.0, 1.0)

@@ -293,6 +293,24 @@ def test_time_is_additive_along_a_leg(kappa):
     assert time_from_u(oc, kappa, u_per, u_apo) == pytest.approx(whole, rel=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, -1e-6, 0.0])
+def test_legs_of_a_nearly_parabolic_orbit_sum_to_half_its_period(kappa):
+    # a relative 1e-7 below the escape energy; the legs meet at 0.3 and
+    # 0.7 of [u_apo, u_per].  Each leg long against its distance from the
+    # apsis is a difference of G: one closed-form piece of it is off by
+    # up to 7e-8 here, and the sum then misses T/2 by as much
+    k, j = 1.0, 0.8
+    land = -k * math.sqrt(-kappa)
+    e = land - 1e-7 * max(1.0, abs(land))
+    r_per = turning_points(kappa, k, j, e)[0]
+    s = sin_k(kappa, r_per)
+    oc = orbit_constants(PhaseState(r_per, 0.0, 0.0, j / (s * s)), KeplerParams(kappa, k))
+    u_apo, u_per = oc.u_apoastron, oc.u_periastron
+    cuts = (u_apo, u_apo + 0.3 * (u_per - u_apo), u_apo + 0.7 * (u_per - u_apo), u_per)
+    legs = sum(time_from_u(oc, kappa, a, b) for a, b in zip(cuts, cuts[1:]))
+    assert legs == pytest.approx(0.5 * radial_period(oc, kappa), rel=1e-12)
+
+
 def test_open_orbit_leg_matches_integrator():
     kappa, k = -1.0, 1.0
     state = periastron_state(kappa, k, 1.0, 2.0)

@@ -1,0 +1,62 @@
+"""The pinned outputs, checked in process: the bytes of seven CLI runs and
+the dense ``sample`` digest that the CI workflow's baseline step pins by
+sha256 (.github/workflows/tests.yml), with the same values.  A change that
+moves one of them records old -> new and why."""
+
+import hashlib
+import shlex
+
+import numpy as np
+import pytest
+
+from curvedkepler.cli import EXIT_OK, main
+from curvedkepler.dynamics import KeplerParams, PhaseState, integrate
+
+# argv of each pinned run (its --out added), then the sha256 of its output
+PINNED_RUNS = {
+    "base.csv": (
+        "simulate --kappa 1 --k 1 --elements=-0.3,0.8,0 --t-end 200 --tol 1e-11",
+        "98ad8f963d47589b4bda5301df2197e6f177c3ca138047be0836b9e79aac6fc1",
+    ),
+    "base.json": (
+        "simulate --kappa -1 --k 1 --elements=-1.05,0.8,0 --t-end 20 --tol 1e-11"
+        " --chart poincare_disk --output json",
+        "3787805f9b959413830707b544f7004284be0404ef1259d8fce7c83bf0732fe9",
+    ),
+    "classify_bounded.json": (
+        "classify --kappa -1 --k 1 --J 0.8 --E -1.05",
+        "e3c3ee6fa58b8aa2f5c4e812d4b19986bb553320f3722b36fa119c1094b9ad9e",
+    ),
+    "classify_colatus.json": (
+        "classify --kappa -1 --k 1 --J 1.5 --E 0.5",
+        "4bc7e3d96c16c228538c98f8b3d658732a0e0eefb3798f1440727fc1c0b85e65",
+    ),
+    "classify_parabola.json": (
+        "classify --kappa 0 --k 1.4770787061859296 --J 0.13977197546947992 --E=-5.223186524585646e-09",
+        "63c4333c1c7ddfed17729e9298cde6df3433c970fc6a08264052ad94400b52d9",
+    ),
+    "conic.json": (
+        "conic --kappa -1 --periastron 0.6 --output json",
+        "4f9985dbde2f117c76d910f112010106ffa28aeb0d4c24349e5d1ea7c97ac539",
+    ),
+    "potential_scan.txt": (
+        "potential-scan --kappa -1 --k 1 --J 0.8",
+        "7e1326c4f397080d4f574d74954ba62bb407c3d9cb7f6d38f4107b3a43a5a9bb",
+    ),
+}
+
+SAMPLE_DIGEST = "3253ff2dd4e9f75a465d28764f6431dfdb812fe871828e336dea45e6a53734c6"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_run_writes_its_pinned_bytes(tmp_path, name):
+    argv, digest = PINNED_RUNS[name]
+    out = tmp_path / name
+    assert main([*shlex.split(argv), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_dense_sample_has_its_pinned_digest():
+    traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), KeplerParams(-1, 1), 20.0, tol=1e-11, dense=True)
+    digest = hashlib.sha256(traj.sample(np.linspace(0, 20, 4001)).tobytes()).hexdigest()
+    assert digest == SAMPLE_DIGEST
