@@ -438,6 +438,7 @@ def cmd_conic(args) -> tuple[int, str]:
     chart_names = _chart_names(args.chart)
 
     if args.periastron is not None:
+        _require(args.d is None and args.ecc is None, "give --periastron or --d and --ecc, not both")
         _require(
             0.0 < args.periastron < _chart_limit(kap),
             f"periastron must lie in the radial chart, got {args.periastron!r}",

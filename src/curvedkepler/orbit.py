@@ -48,7 +48,8 @@ class OrbitConstants:
     ``z`` = 2 j**2 e_p / k**2 the energy in conic units (ecc**2 = 1 + z)
     and ``kappa`` the curvature it was built on.  The orbit functions
     compute with that curvature; the kappa they are passed must equal it
-    (DomainError names both otherwise).
+    (DomainError names both otherwise); the time functions read its one
+    time law, ``_law``, built with it (``_time_law``).
     """
 
     conserved: ConservedSet
@@ -68,6 +69,9 @@ class OrbitConstants:
         reachable range for open orbits)."""
         return (1.0 - self.ecc) / self.d
 
+    def __post_init__(self):
+        object.__setattr__(self, "_law", _time_law(self))
+
 
 def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
     """Conic constants of the orbit through state0.
@@ -86,10 +90,15 @@ def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
     d = c.j * c.j / k
     z = 2.0 * c.e_p * c.j * c.j / (k * k)
     ecc = math.hypot(c.i3, c.i4) / k
-    if ecc < CIRCULAR_ECC:
+    if _circle(ecc):
         return OrbitConstants(conserved=c, d=d, ecc=0.0, phi0=0.0, z=z, kappa=params.kappa)
     phi0 = math.atan2(-c.i4, c.i3)
     return OrbitConstants(conserved=c, d=d, ecc=ecc, phi0=phi0, z=z, kappa=params.kappa)
+
+
+def _circle(ecc: float) -> bool:
+    """Whether an orbit of this eccentricity is treated as exactly circular."""
+    return ecc < CIRCULAR_ECC
 
 
 def _orbit_kappa(oc: OrbitConstants, kap: float) -> float:
@@ -303,9 +312,36 @@ def _g_apo(fr) -> float:
     return math.pi * (c_sum * c_sum + 4.0 * fr.ecc * fr.p / r) / (2.0 * r * c_prod * c_sum)
 
 
-def _sweep(fr, u_per: float, u_apo: float, us) -> list[float]:
-    """``_g`` at the anomaly theta in [0, pi] of each u in ``us`` on
-    u = (1 + ecc cos theta)/d.
+class _TimeLaw(NamedTuple):
+    """An orbit's time law (``OrbitConstants._law``): whether ecc < CIRCULAR_ECC
+    makes it a circle, u_apo > _cot_floor(kappa) periodic and the periastron
+    frame of G real-valued, the frames of G from the periastron and the
+    apoastron, and G(pi) in the latter, the one half period all readers take."""
+
+    circle: bool
+    periodic: bool
+    real: bool
+    per: _Frame
+    apo: _Frame | None
+    half: float
+
+
+def _time_law(oc: OrbitConstants) -> _TimeLaw:
+    kap, d, ecc = oc.kappa, oc.d, oc.ecc
+    per = _frame(ecc, d, kap)
+    circle, periodic = _circle(ecc), oc.u_apoastron > _cot_floor(kap)
+    # both partial fractions real with y_A >= 0: _anomaly's arrays can stay real
+    real = kap <= 0.0 and per.c1_sq.real >= 0.0 and per.c2_sq.real >= 0.0
+    # a circle sweeps uniformly and an open orbit never turns: neither needs the apoastron
+    apo = None if circle or not periodic else _frame(-ecc, d, kap)
+    fields = (circle, periodic, real, per, apo, math.nan if apo is None else _g_apo(apo))
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    return tuple.__new__(_TimeLaw, fields)
+
+
+def _g_u(fr, half: float, u_per: float, u_apo: float, u: float) -> float:
+    """``_g`` at the anomaly theta in [0, pi] of u on u = (1 + ecc cos theta)/d:
+    0 at u_per and the orbit's G(pi), ``half``, at u_apo.
 
     theta is counted from u_per = (1 + ecc)/d towards u_apo = (1 - ecc)/d;
     a negative ecc swaps the two, so theta runs from the apoastron.
@@ -313,19 +349,14 @@ def _sweep(fr, u_per: float, u_apo: float, us) -> list[float]:
     1 + y_A = 2 ecc (u -/+ sqrt(-kappa)) / ((A + ecc)(u - u_apo)) come
     from u without cancellation.
     """
-    ecc, root, below, above = fr.ecc, fr.root, fr.below, fr.above
-    out = []
-    for u in us:
-        if u == u_per:
-            out.append(0.0)
-        elif u == u_apo:
-            out.append(_g_apo(fr))
-        else:
-            tau2 = (u_per - u) / (u - u_apo)
-            lift = 2.0 * ecc / (u - u_apo)
-            v1, v2 = lift * (u - root) / below, lift * (u + root) / above
-            out.append(_g(_SCALARS, fr, math.sqrt(tau2), tau2, v1, v2))
-    return out
+    if u == u_per:
+        return 0.0
+    if u == u_apo:
+        return half
+    tau2 = (u_per - u) / (u - u_apo)
+    lift = 2.0 * fr.ecc / (u - u_apo)
+    v1, v2 = lift * (u - fr.root) / fr.below, lift * (u + fr.root) / fr.above
+    return _g(_SCALARS, fr, math.sqrt(tau2), tau2, v1, v2)
 
 
 def _g_theta(xp, fr, theta):
@@ -344,7 +375,7 @@ def _g_theta(xp, fr, theta):
 
 
 def _leg(fr, u_per: float, u_apo: float, u_far: float, u_near: float) -> float:
-    """G(theta_far) - G(theta_near) in one piece (``_sweep``'s notation).
+    """G(theta_far) - G(theta_near) in one piece (``_g_u``'s notation).
 
     With t = tan(theta/2), the arctangent difference of each partial
     fraction is again one arctangent:
@@ -413,7 +444,8 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
         return 0.0
     j = abs(oc.conserved.j)
     u_per, u_apo, asym = oc.u_periastron, oc.u_apoastron, _cot_floor(kap)
-    if oc.ecc < CIRCULAR_ECC:
+    law = oc._law
+    if law.circle:
         raise DomainError("circular orbit: u does not move")
 
     a, b = sorted((u_start, u_end))
@@ -436,12 +468,13 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
     elif kap > 0.0 and oc.ecc > 1.0:
         from_apo = b < 0.0
     else:
-        from_apo = u_apo > asym and a + b < u_per + u_apo
+        from_apo = law.periodic and a + b < u_per + u_apo
     if from_apo:
-        fr, start, stop, far, near = _frame(-oc.ecc, oc.d, kap), u_apo, u_per, b, a
+        fr, start, stop, far, near = law.apo, u_apo, u_per, b, a
     else:
-        fr, start, stop, far, near = _frame(oc.ecc, oc.d, kap), u_per, u_apo, a, b
-    g_far, g_near = _sweep(fr, start, stop, (far, near))
+        fr, start, stop, far, near = law.per, u_per, u_apo, a, b
+    g_far = _g_u(fr, law.half, start, stop, far)
+    g_near = _g_u(fr, law.half, start, stop, near)
     # a leg short against its distance from the apsis would cancel in
     # the difference (here by at most a factor of 19): take it in one piece
     g = g_far - g_near if g_near <= 0.9 * g_far else _leg(fr, start, stop, far, near)
@@ -449,17 +482,17 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
 
 
 def radial_period(oc: OrbitConstants, kappa) -> float:
-    """Full radial period of an orbit classify_orbit bounds (twice the apo-to-per leg)."""
+    """Full radial period of an orbit classify_orbit bounds: 2 G(pi) d**2/|j|, twice
+    time_from_u's apo-to-per leg bit for bit and the period propagate reduces by."""
     kap = _orbit_kappa(oc, curvature_value(kappa))
-    if oc.ecc < CIRCULAR_ECC:
+    law = oc._law
+    if law.circle:
         raise DomainError("circular orbit: radius does not oscillate")
     # the class's escape test; _anomaly, propagate and time_from_u compute the
     # motion of this ecc, and test u_apo > _cot_floor exactly
     if kap <= 0.0 and _escape_side(kap, oc.d, oc.ecc):
         raise DomainError(f"orbit is not radially bounded (ecc {oc.ecc!r}): no radial period")
-    # the apo-to-per leg exactly as time_from_u takes it: from the apoastron
-    half = _g_apo(_frame(-oc.ecc, oc.d, kap))
-    return 2.0 * (oc.d * oc.d / abs(oc.conserved.j) * half)
+    return 2.0 * (oc.d * oc.d / abs(oc.conserved.j) * law.half)
 
 
 #: nodes of the table that seeds the inverse of G on a bounded orbit, at
@@ -538,7 +571,8 @@ def _anomaly(oc: OrbitConstants, s: np.ndarray):
     s is the time since the periastron passage in units of d**2/j, so it
     carries the sense of rotation and theta follows its sign.  On a
     bounded orbit G grows by 2 G(pi) per turn, so s is first reduced to
-    [-G(pi), G(pi)] and theta lies in [-pi, pi]; an open orbit has
+    [-G(pi), G(pi)], by the G(pi) that radial_period doubles and that
+    ends the table, and theta lies in [-pi, pi]; an open orbit has
     |theta| < theta_inf, where 1 + ecc cos theta_inf = d sqrt(-kappa).
     Beyond the table's last node, theta_inf (1 - 2**-_OPEN_REACH) or
     the last one at which the closed form is finite, theta is held
@@ -560,14 +594,11 @@ def _anomaly(oc: OrbitConstants, s: np.ndarray):
     |G''/(2 G')| h**2, bounded by the larger of its values at both ends
     of the step; a query is done when that is below half an ulp.
     """
-    d, ecc, kap = oc.d, oc.ecc, oc.kappa
-    if ecc == 0.0:
+    d, ecc, kap, law = oc.d, oc.ecc, oc.kappa, oc._law
+    if law.circle:
         # circular: the sweep is uniform
         return s * (1.0 + kap * d * d), np.zeros_like(s)
-    fr = _frame(ecc, d, kap)
-    if kap <= 0.0 and fr.c1_sq.real >= 0.0 and fr.c2_sq.real >= 0.0:
-        # both partial fractions real with y_A >= 0: the arrays stay real
-        fr = fr._make(c.real for c in fr)
+    fr = law.per._make(c.real for c in law.per) if law.real else law.per
     # G' = 1/((X - a)(X + a)) with X = 1 + ecc cos theta, real also on the
     # sphere, where a = d sqrt(-kappa) is imaginary: there X**2 - a**2
     minus, plus, shift = (fr.q, fr.q, kap * d * d) if kap > 0.0 else (fr.q - fr.a.real, fr.q + fr.a.real, 0.0)
@@ -583,19 +614,20 @@ def _anomaly(oc: OrbitConstants, s: np.ndarray):
         g = rate(w)
         return g, np.abs(ecc * (fr.q + ecc * w) * (tau * w) * g)
 
-    if oc.u_apoastron > _cot_floor(kap):
-        half = _g_apo(fr)
-        turns = np.round(s / (2.0 * half))
-        s = s - 2.0 * half * turns
-        nodes = np.linspace(0.0, math.pi, _TABLE_NODES)
-    else:
-        turns = np.zeros_like(s)
-        top = math.acos((fr.a.real - 1.0) / ecc)
-        nodes = top * (1.0 - np.geomspace(1.0, 2.0**-_OPEN_REACH, 8 * _OPEN_REACH + 1))
-    with np.errstate(invalid="ignore"):
-        table = _g_theta(_ARRAYS, fr, nodes)
     # next to the asymptote of a nearly parabolic orbit the closed form can
     # come out 0/0; such nodes lie where propagate refuses the radius anyway
+    with np.errstate(invalid="ignore"):
+        if law.periodic:
+            turns = np.round(s / (2.0 * law.half))
+            s = s - 2.0 * law.half * turns
+            # the table ends on the G(pi) the turns are counted by
+            nodes = np.linspace(0.0, math.pi, _TABLE_NODES)
+            table = np.append(_g_theta(_ARRAYS, fr, nodes[:-1]), law.half)
+        else:
+            turns = np.zeros_like(s)
+            top = math.acos((fr.a.real - 1.0) / ecc)
+            nodes = top * (1.0 - np.geomspace(1.0, 2.0**-_OPEN_REACH, 8 * _OPEN_REACH + 1))
+            table = _g_theta(_ARRAYS, fr, nodes)
     finite = np.isfinite(table)
     nodes, table = nodes[finite], table[finite]
     target = np.minimum(np.abs(s), table[-1])
@@ -644,12 +676,12 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
     passage, as an (n, 4) array.
 
     The time law t = (d**2/j) G(theta) is inverted for the anomaly theta =
-    phi - phi0 (``_anomaly``: Newton steps on the table's exact G plus a
-    certified 4-point Gauss-Legendre integral of G', or on the closed form
-    where the rule is not certified); then u = (1 + ecc cos theta)/d,
+    phi - phi0 (``_anomaly``), a bounded orbit's t first reduced by the
+    period radial_period returns; then u = (1 + ecc cos theta)/d,
     r = acot_k(u), v_r = j ecc sin(theta)/d and v_phi = j (u**2 + kappa).
-    On a circular orbit t counts from phi = phi0.  Radial orbits (j = 0)
-    have no OrbitConstants and stay on the integrator.
+    On a circular orbit (ecc < CIRCULAR_ECC) u stays 1/d and t counts from
+    phi = phi0.  Radial orbits (j = 0) have no OrbitConstants and stay on
+    the integrator.
 
     Far out on an open orbit u closes in on its asymptote sqrt(-kappa)
     (0 on the plane), and the rounding of theta and of u moves
@@ -661,8 +693,10 @@ def propagate(oc: OrbitConstants, kappa, t) -> np.ndarray:
     ts = np.asarray(t, dtype=float).reshape(-1)
     if not np.isfinite(ts).all():
         raise DomainError(f"propagate needs finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
-    j, d, ecc = oc.conserved.j, oc.d, oc.ecc
+    j, d = oc.conserved.j, oc.d
     theta, turns = _anomaly(oc, (j / (d * d)) * ts)
+    # a circle's u does not move, whatever ecc below CIRCULAR_ECC it records
+    ecc = 0.0 if oc._law.circle else oc.ecc
     tau, w = _half_angle(theta)
     sin = tau * w
     u = ((1.0 - ecc) + ecc * w) / d
@@ -702,7 +736,7 @@ def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
     kap = curvature_value(kappa)
     if kap != trajectory.kappa:
         raise DomainError(f"kappa={kap!r} is not the curvature {trajectory.kappa!r} of the trajectory")
-    kap = _orbit_kappa(oc, kap)
+    _orbit_kappa(oc, kap)
     ts = np.asarray(t_grid, dtype=float).reshape(-1)
     t0, t1 = float(trajectory.times[0]), float(trajectory.t_end)
     if not ((ts >= t0) & (ts <= t1)).all():
@@ -711,7 +745,7 @@ def phi_from_time(oc: OrbitConstants, kappa, t_grid, trajectory: Trajectory):
         )
     phi_start = float(trajectory.states[0, 1])
     theta0 = math.remainder(phi_start - oc.phi0, 2.0 * math.pi)
-    g0 = math.copysign(_g_theta(_SCALARS, _frame(oc.ecc, oc.d, kap), abs(theta0)), theta0)
+    g0 = math.copysign(_g_theta(_SCALARS, oc._law.per, abs(theta0)), theta0)
     theta, turns = _anomaly(oc, oc.conserved.j / (oc.d * oc.d) * (ts - t0) + g0)
     out = phi_start + ((theta - theta0) + 2.0 * math.pi * turns)
     return out if np.ndim(t_grid) else float(out[0])

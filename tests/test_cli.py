@@ -873,6 +873,15 @@ def test_conic_requires_spec_or_periastron(capsys):
     assert code2 == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("extra", [["--d", "5", "--ecc", "0.3"], ["--d", "5"], ["--ecc", "0.3"]])
+def test_conic_refuses_periastron_with_d_or_ecc(capsys, extra):
+    # the family form and the single-conic form are two specs: neither is dropped
+    code, out, err = run_cli(capsys, ["conic", "--kappa", "-1", "--periastron", "0.6", *extra])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "--periastron" in err and "--d and --ecc" in err
+
+
 def test_conic_poincare_chart_needs_negative_curvature(capsys):
     code, _, err = run_cli(
         capsys,

@@ -1,5 +1,6 @@
 """Closed-form orbit tests: conic constants, radii, Binet, time laws."""
 
+import dataclasses
 import itertools
 import math
 
@@ -536,6 +537,45 @@ def test_propagate_starts_at_periastron_and_takes_scalars():
     assert got.shape == (1, 4)
     assert got[0] == pytest.approx([state.r, state.phi, 0.0, state.v_phi], abs=1e-14)
     assert propagate(oc, kappa, []).shape == (0, 4)
+
+
+def test_a_record_below_the_circle_threshold_is_a_circle_to_every_time_function():
+    # ecc < CIRCULAR_ECC makes the time law a circle's however the record
+    # was built: time_from_u and radial_period refuse it, and propagate
+    # moves it exactly as the circle, with no radial velocity
+    kappa, k = -1.0, 2.0
+    params = KeplerParams(kappa, k)
+    circle = orbit_constants(circular_state(params, 1.0), params)
+    oc = dataclasses.replace(circle, ecc=5e-14)
+    with pytest.raises(DomainError, match="circular orbit"):
+        time_from_u(oc, kappa, oc.u_apoastron, oc.u_periastron)
+    with pytest.raises(DomainError, match="circular orbit"):
+        radial_period(oc, kappa)
+    ts = np.linspace(-5.0, 5.0, 11)
+    got = propagate(oc, kappa, ts)
+    assert np.all(got[:, 2] == 0.0)
+    assert np.array_equal(got, propagate(circle, kappa, ts))
+
+
+#: (kappa, E) of bounded orbits with k = 1, J = 0.8: inside the well, and
+#: next to the horoellipse, the equator of a nearly flat sphere and the parabola
+RETURN_ORBITS = [(-1.0, -1.05), (1.0, -0.3), (0.0, -0.3), (-1.0, -1.0001), (1e-6, -1e-4), (0.0, -1e-5)]
+
+
+@pytest.mark.parametrize("kappa, e", RETURN_ORBITS)
+def test_whole_radial_periods_return_to_the_periastron_exactly(kappa, e):
+    # propagate counts turns by the G(pi) that radial_period doubles, and its
+    # table ends on that G(pi): whole periods land on the periastron and half
+    # periods on the apoastron, to the last bit (the parent missed by up to
+    # 2.4e-7 rad next to the parabola)
+    k, j = 1.0, 0.8
+    r_per = turning_points(kappa, k, j, e)[0]
+    s = sin_k(kappa, r_per)
+    oc = orbit_constants(PhaseState(r_per, 0.3, 0.0, j / (s * s)), KeplerParams(kappa, k))
+    period = radial_period(oc, kappa)
+    got = propagate(oc, kappa, np.array([1.0, 2.0, -1.0, 0.5, -0.5]) * period)[:, 1]
+    turns = [oc.phi0 + 2.0 * math.pi, oc.phi0 + 4.0 * math.pi, oc.phi0 - 2.0 * math.pi]
+    assert list(got) == [*turns, oc.phi0 + math.pi, oc.phi0 - math.pi]
 
 
 @pytest.mark.parametrize("j", [1.0, -1.0])

@@ -1,10 +1,13 @@
 """The pinned outputs, checked in process: the bytes of seven CLI runs and
 the dense ``sample`` digest that the CI workflow's baseline step pins by
-sha256 (.github/workflows/tests.yml), with the same values.  A change that
+sha256 (.github/workflows/tests.yml), with the same values, and the step
+counts and simulate bytes of ``bench/run.py --baseline``.  A change that
 moves one of them records old -> new and why."""
 
 import hashlib
+import importlib.util
 import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,12 @@ PINNED_RUNS = {
 
 SAMPLE_DIGEST = "3253ff2dd4e9f75a465d28764f6431dfdb812fe871828e336dea45e6a53734c6"
 
+#: steps of the three reference orbits, and bytes of the reference simulate run
+BASELINE_STEPS = [543, 1045, 699]
+BASELINE_BYTES = 932145
+
+BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline.py"
+
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_pinned_run_writes_its_pinned_bytes(tmp_path, name):
@@ -60,3 +69,15 @@ def test_dense_sample_has_its_pinned_digest():
     traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), KeplerParams(-1, 1), 20.0, tol=1e-11, dense=True)
     digest = hashlib.sha256(traj.sample(np.linspace(0, 20, 4001)).tobytes()).hexdigest()
     assert digest == SAMPLE_DIGEST
+
+
+def test_baseline_has_its_pinned_step_counts_and_bytes(tmp_path):
+    # bench/baseline.py, loaded as it is, integrates each orbit over ten
+    # radial_period, so a move of the period moves the step counts
+    spec = importlib.util.spec_from_file_location("baseline", BASELINE)
+    baseline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(baseline)
+    doc = baseline.measure(str(tmp_path))
+    assert [case["steps"] for case in doc["integrate"]] == BASELINE_STEPS
+    assert doc["simulate"]["exit_code"] == EXIT_OK
+    assert doc["simulate"]["bytes"] == BASELINE_BYTES
