@@ -78,8 +78,8 @@ def _csv(meta, columns, rows, footer=()) -> str:
 
 def _json(doc) -> str:
     """``json.dumps(doc, indent=2)`` and a newline; a top-level ``rows`` table
-    goes through a line template, as in :func:`_csv`.  json writes a finite
-    float as ``float.__repr__``, and the rows are finite: the integrator
+    is written value by value with ``repr``, in that layout.  json writes a
+    finite float as ``float.__repr__``, and the rows are finite: the integrator
     rejects non-finite solutions, ``cmd_simulate`` raises NumericalError on
     non-finite drift, conic rows hold finite PolarPoints, and the chart maps
     raise OverflowError."""
@@ -87,8 +87,7 @@ def _json(doc) -> str:
     if not rows:
         return json.dumps(doc, indent=2) + "\n"
     head, tail = json.dumps({**doc, "rows": None}, indent=2).split('\n  "rows": null', 1)
-    line = "    [\n" + ",\n".join(["      {!r}"] * len(rows[0])) + "\n    ]"
-    table = ",\n".join(line.format(*row) for row in rows)
+    table = ",\n".join("    [\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" for row in rows)
     return f'{head}\n  "rows": [\n{table}\n  ]{tail}\n'
 
 

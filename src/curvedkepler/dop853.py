@@ -3,8 +3,10 @@
 Order 8 with 5th- and 3rd-order error estimates, a dense output of degree
 7, step rejection on conserved-quantity spikes and collision termination
 at the chart's centre.  It knows no physics: a flow comes in as callables
-and a row of data (``_CALL_FLOW``).  Each attempt is one straight-line
-kernel that :func:`_kernels` compiles on the flow's first integration.
+and a row of data (a :class:`_Flow`: its source texts, and how many of its
+first integrals the spike guard watches).  Each attempt is one
+straight-line kernel that :func:`_kernels` compiles on the flow's first
+integration, with the flow's texts and the spike guard written out.
 A step accepted right after a rejection may not grow (Hairer, Norsett &
 Wanner, sec. II.4), nor past the spike guard's margin.
 """
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -359,15 +361,15 @@ def _dense_coefficients(stages) -> np.ndarray:
     """Coefficients d[m, i, c] of theta**(m + 1) for every step i at once,
     power-major as :class:`Trajectory` keeps them.
 
-    ``stages[i]`` holds step i's 16 stage derivatives, stage-major (a flat
-    64-tuple or 16 4-tuples).  The rows F_j of the dense output are formed as
+    ``stages[i]`` holds step i's 16 stage derivatives, stage-major, as a flat
+    64-tuple.  The rows F_j of the dense output are formed as
     in DOP853, F_0 from the weights B, F_1 = k_0 - F_0, F_2 = 2 F_0 -
     (k_12 + k_0) and F_3..F_6 from _D, then converted to theta powers by
     _THETA_POWERS.  F_0 with F_3..F_6, and the theta rows, are each summed as
     one stack, left to right over the terms any row weighs: a zero weight adds
     +-0.0, which leaves a finite sum as it is, so each sum has the bits of a
     loop over its nonzero weights (the tests hold it to that)."""
-    k = np.array(stages, dtype=float).reshape(-1, 16, 4).transpose(1, 0, 2)
+    k = np.fromiter(chain.from_iterable(stages), float, 64 * len(stages)).reshape(-1, 16, 4).transpose(1, 0, 2)
     # weights shaped (row, column, 1, 1) to broadcast over (step, component)
     weights, theta = (np.array(w, dtype=float)[:, :, None, None] for w in (_F_ROWS, _THETA_POWERS))
     f = np.zeros((len(_F_ROWS),) + k.shape[1:])
@@ -419,13 +421,24 @@ def _dot(row, c) -> str:
 
 # An attempt's outcome, the first value its kernel returns, in StepStats' order
 _ACCEPTED, _ERROR, _SPIKE, _STAGE = range(4)
-# How an attempt takes a flow, as one row of data: the kernel's parameters after rhs
-# and invariants, the state read besides r, the setup run once per integration, the
-# statements setting k{s}_0..k{s}_3, the integrals, the (name, value) pairs they read
-# besides isfinite and sqrt, and whether a state on a radial line (v_phi == 0.0)
-# that is not rising can only fall to the centre.  This row calls rhs and invariants.
-_CALL_FLOW = ((), ("phi", "v_r", "v_phi"), "", "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)",
-              "invariants(r, phi, v_r, v_phi)", (), False)
+
+
+class _Flow(NamedTuple):
+    """How an attempt takes a flow, as one row of data."""
+
+    params: tuple  # the kernel's parameters after rhs and invariants
+    reads: tuple  # the state read besides r
+    setup: str  # run once per integration
+    evaluate: str  # statements setting k{s}_0..k{s}_3 at the stage state
+    integrals: str  # statements setting inv1, the solution's first integrals
+    names: tuple  # the (name, value) pairs the texts read besides isfinite and sqrt
+    radial_fall: bool  # a state on a radial line (v_phi == 0.0) not rising can only fall to the centre
+    watched: int  # how many of the first integrals the spike guard watches
+
+
+# the row that calls rhs and invariants, and watches 3 integrals
+_CALL_FLOW = _Flow((), ("phi", "v_r", "v_phi"), "", "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)",
+                   "inv1 = invariants(r, phi, v_r, v_phi)", (), False, 3)
 _STATE = ("r", "phi", "v_r", "v_phi")
 
 
@@ -433,7 +446,7 @@ def _rejection(cause, calls="n", err="None") -> str:
     return f"return {cause}, {calls}, {err}, None, None, None, None, None"
 
 
-def _stages(rows, first, reads, evaluate) -> list[str]:
+def _stages(rows, first, flow) -> list[str]:
     """Source of a try block taking the stages first, first + 1, ... that
     ``rows`` build.  A component of the stage state y + h * (row . k) is
     written out where it is read: by the flow, whose right-hand side is taken
@@ -441,59 +454,65 @@ def _stages(rows, first, reads, evaluate) -> list[str]:
     solution.  A stage off the chart or a failed right-hand side rejects."""
     lines = ["        try:"]
     for n, row in enumerate(rows, first - 1):
-        read = [c for c in range(4) if c == 0 or n == 11 or _STATE[c] in reads]
+        read = [c for c in range(4) if c == 0 or n == 11 or _STATE[c] in flow.reads]
         r, *rest = (f"y{c} + h * ({_dot(row, c)})" for c in read)
         lines += [
             f"            r = {r}",
             f"            if not 0.0 < r < r_max: {_rejection(_STAGE, n)}",
             f"            {', '.join(_STATE[c] for c in read[1:])}, n = {', '.join(rest)}, {n + 1}",
-            *("            " + line for line in evaluate.format(s=n + 1).split("\n")),
+            *("            " + line for line in flow.evaluate.format(s=n + 1).split("\n")),
         ]
     lines.append("        except (ValueError, OverflowError, ZeroDivisionError):")
     return lines + [f"            {_rejection(_STAGE)}"]
 
 
 def _kernel(flow, dense) -> str:
-    """Source of ``make(rhs, invariants, <flow parameters>, r_max, tol, spike, watched)``, which
+    """Source of ``make(rhs, invariants, <flow parameters>, r_max, tol, spike)``, which
     returns ``attempt(y, f, h, inv0)``: one DOP853 step of size h from y, with
     derivative f and first integrals inv0.  It rejects a stage off the chart
     or a non-finite solution (_STAGE); an error estimate over 1 (_ERROR), the
     RMS of e5 = h E5.k in units of the local tolerance ``tol``, scaled by
     |e5|/sqrt(|e5|**2 + 0.01 |e3|**2), e3 = h E3.k; and a move of one of the
-    first ``watched`` integrals by over ``spike`` max(1, |value|), or to NaN
+    first ``flow.watched`` integrals by over ``spike`` max(1, |value|), or to NaN
     (_SPIKE).  With ``dense`` it takes the 3 dense stages (_STAGE if one fails).
     Returns (outcome, evaluations, err, q_max, solution, integrals, FSAL stage,
     the 16 stage derivatives as a flat 64-tuple or None), q_max the largest
-    watched move over its bound; a rejection sets the first three only."""
-    params, reads, setup, evaluate, integrals, _, _ = flow
+    watched move over its bound; a rejection sets the first three only.  Each
+    max() of two values is a conditional expression that picks as max() does:
+    the first value unless the second is greater, so a NaN first stays."""
     lines = [
-        f"def make({', '.join(('rhs', 'invariants', *params))}, r_max, tol, spike, watched):",
-        f"    {setup}",
+        f"def make({', '.join(('rhs', 'invariants', *flow.params))}, r_max, tol, spike):",
+        f"    {flow.setup}",
         "    def attempt(y, f, h, inv0):",
         "        y0, y1, y2, y3 = y",
         "        k0_0, k0_1, k0_2, k0_3 = f",
-        *_stages(_STEP_ROWS, 1, reads, evaluate),
+        *_stages(_STEP_ROWS, 1, flow),
         f"        if not (isfinite(phi) and isfinite(v_r) and isfinite(v_phi)): {_rejection(_STAGE, 12)}",
     ]
     for c, x in enumerate(_STATE):
         lines += [
-            f"        scale = tol + tol * max(abs(y{c}), abs({x}))",
+            f"        scale = tol + tol * (a1 if (a1 := abs({x})) > (a0 := abs(y{c})) else a0)",
             f"        x5_{c}, x3_{c} = ({_dot(_E5, c)}) / scale, ({_dot(_E3, c)}) / scale",
         ]
     lines += [f"        e{e} = " + " + ".join(f"x{e}_{c} * x{e}_{c}" for c in range(4)) for e in "53"]
     lines += [
         "        err = 0.0 if e5 == 0.0 else h * e5 / sqrt(4.0 * (e5 + 0.01 * e3))",
         f"        if err > 1.0: {_rejection(_ERROR, 12, 'err')}",
-        f"        inv1 = {integrals}",
+        *("        " + line for line in flow.integrals.split("\n")),
         # the largest watched change; "not <=" keeps a NaN
         "        q_max = 0.0",
-        "        for was, now in zip(inv0[:watched], inv1):",
-        "            q = abs(was - now) / (spike * max(1.0, abs(was)))",
-        "            if not q <= q_max:",
-        "                q_max = q",
-        f"                if not q <= 1.0: {_rejection(_SPIKE, 12)}",
+    ]
+    for i in range(flow.watched):
+        lines += [
+            f"        was = inv0[{i}]",
+            f"        q = abs(was - inv1[{i}]) / (spike * (a0 if (a0 := abs(was)) > 1.0 else 1.0))",
+            "        if not q <= q_max:",
+            "            q_max = q",
+            f"            if not q <= 1.0: {_rejection(_SPIKE, 12)}",
+        ]
+    lines += [
         "        y_new, k12 = (r, phi, v_r, v_phi), (k12_0, k12_1, k12_2, k12_3)",
-        *(_stages(_DENSE_ROWS, 13, reads, evaluate) if dense else ()),
+        *(_stages(_DENSE_ROWS, 13, flow) if dense else ()),
     ]
     ks = "(" + "".join(f"k{s}_0, k{s}_1, k{s}_2, k{s}_3, " for s in range(16)) + ")" if dense else "None"
     lines += [f"        return {_ACCEPTED}, {15 if dense else 12}, err, q_max, y_new, inv1, k12, {ks}"]
@@ -502,15 +521,15 @@ def _kernel(flow, dense) -> str:
 
 @cache
 def _kernels(flow, dense):
-    """The attempt kernel factory ``make`` of the flow row ``flow`` (see
-    ``_CALL_FLOW``), with or without the dense stages (see :func:`_kernel`).
+    """The attempt kernel factory ``make`` of the flow row ``flow`` (a
+    :class:`_Flow`), with or without the dense stages (see :func:`_kernel`).
     Compiled on the flow's first integration, not at import (milliseconds)."""
-    names = dict(flow[5], isfinite=math.isfinite, sqrt=math.sqrt)
+    names = dict(flow.names, isfinite=math.isfinite, sqrt=math.sqrt)
     return _source(_kernel(flow, dense), "<dop853 kernel>", **names)["make"]
 
 
 def _integrate_adaptive(
-    rhs, state0, t_end, tol, kappa, invariants, watched, dense, flow=_CALL_FLOW, lead=(), *, names=None
+    rhs, state0, t_end, tol, kappa, invariants, dense, flow=_CALL_FLOW, lead=(), *, names=None
 ):
     """DOP853 driver on 4-component float tuples over [0, t_end] on curvature
     ``kappa``.  It refuses a state off the open chart, a ``tol`` outside
@@ -525,7 +544,7 @@ def _integrate_adaptive(
 
     ``invariants`` maps a state tuple to a tuple of conserved values,
     recorded for every accepted state; a step that moves any of the first
-    ``watched`` of them by more than 10x the tolerance (relative), or
+    ``flow.watched`` of them by more than 10x the tolerance (relative), or
     makes one non-finite, is rejected and retried at half the step, which
     keeps isolated spikes near close approaches out of the output.  The next
     step grows by at most 5x, not at all right after a rejection, nor past
@@ -541,7 +560,7 @@ def _integrate_adaptive(
     t = 0.0
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
-    attempt = _kernels(flow, dense)(rhs, invariants, *lead, r_max, rtol, _SPIKE_FACTOR * tol, watched)
+    attempt = _kernels(flow, dense)(rhs, invariants, *lead, r_max, rtol, _SPIKE_FACTOR * tol)
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -570,8 +589,8 @@ def _integrate_adaptive(
             h = t_end - t
         elif h < 1e-14 * max(1.0, abs(t)):
             # the center is reached: a fall below _COLLISION_SOFT, or, where the flow's row
-            # (flow[6]) says it leads only there, a state on a radial line that is not rising
-            if (y[0] < _COLLISION_SOFT and y[2] < 0.0) or (flow[6] and y[3] == 0.0 and y[2] <= 0.0):
+            # says it leads only there, a state on a radial line that is not rising
+            if (y[0] < _COLLISION_SOFT and y[2] < 0.0) or (flow.radial_fall and y[3] == 0.0 and y[2] <= 0.0):
                 event, event_time = "collision", t
                 break
             # the last attempt's outcome, by its StepStats field name, says why h shrank

@@ -8,8 +8,8 @@ in the plane.
 
 The flows are integrated by DOP853 (:mod:`curvedkepler.dop853`).  The
 Kepler flow goes in as one row of data per ktrig regime: its kernel
-writes out the right-hand side and ktrig's sin_k, cos_k text, and forms
-phi, which it never reads, only for the solution.
+writes out the right-hand side, ktrig's sin_k, cos_k text and the first
+integrals, and forms phi, which it never reads, only for the solution.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from textwrap import indent
 from typing import Callable
 
-from .dop853 import Trajectory, _integrate_adaptive
+from .dop853 import Trajectory, _Flow, _integrate_adaptive
 from .effective_potential import _critical, check_coupling
 from .errors import DomainError, InfeasibleError
 from .geometry import PhaseState, PolarPoint, check_interior_radius, check_radius
@@ -69,43 +70,42 @@ class ConservedSet:
 # sc = sincos_k(kappa) and the formulas below
 # ----------------------------------------------------------------------
 
-
-def _potential(k: float, s: float, c: float) -> float:
-    """U = -k c/s, in cotangent form so the equator (kappa > 0) is an
-    ordinary zero instead of a tangent pole."""
-    if abs(c) < 1e-15:
-        # r sits within a couple of ulps of the equator radius
-        # pi/(2 sqrt(kappa)); the true cotangent there is below double
-        # resolution, so report the crossing value itself
-        return 0.0
-    return -k * c / s
-
-
-def _momenta(s, c, cphi, sphi, v_r, v_phi):
-    """(P1, P2, J) from s, c = sin_k(r), cos_k(r) and cos, sin of phi."""
-    cs_vphi = c * s * v_phi
-    return (cphi * v_r - sphi * cs_vphi, sphi * v_r + cphi * cs_vphi, s * s * v_phi)
-
-
-def _kinetic(j, v_r, v_phi):
-    """T = (v_r**2 + J v_phi)/2, with J = sin_k(r)**2 v_phi."""
-    return 0.5 * (v_r * v_r + j * v_phi)
-
-
-# (dr, dphi, dv_r, dv_phi) of the Kepler flow over s, c = sc(r): _kepler_rhs and its kernels compile it
+# The first integrals as source, over s, c = sin_k(r), cos_k(r) and cphi,
+# sphi = cos, sin of phi: the momenta (P1, P2, J); U = -k c/s in cotangent form,
+# so the equator (kappa > 0) is an ordinary zero instead of a tangent pole, and 0
+# where c is below 1e-15 (r within a couple of ulps of the equator, where the
+# true cotangent is below double resolution); T = (v_r**2 + J v_phi)/2; and
+# (E, J, E_P, I3, I4) as inv1, where E_P is (P1**2 + P2**2)/2 + U, as
+# E - kappa J**2/2 cancels where E ~ kappa J**2/2.
+_MOMENTA = "cphi * v_r - sphi * (csv := c * s * v_phi), sphi * v_r + cphi * csv, s * s * v_phi"
+_POTENTIAL = "0.0 if abs(c) < 1e-15 else -k * c / s"
+_KINETIC = "0.5 * (v_r * v_r + j * v_phi)"
+_INTEGRALS = (
+    f"cphi, sphi = mcos(phi), msin(phi)\np1, p2, j = {_MOMENTA}\npot = {_POTENTIAL}\n"
+    f"inv1 = ({_KINETIC} + pot, j, 0.5 * (p1 * p1 + p2 * p2) + pot, p2 * j - k * cphi, p1 * j + k * sphi)"
+)
+# (dr, dphi, dv_r, dv_phi) of the Kepler flow over s, c = sc(r)
 _KEPLER_FLOW = "v_r, v_phi, s * c * v_phi * v_phi - k / (s * s), -2.0 * (c / s) * v_r * v_phi"
-_kepler_rhs = _source(
-    f"def _kepler_rhs(sc, k, r, phi, v_r, v_phi):\n    s, c = sc(r)\n    return {_KEPLER_FLOW}", "<kepler flow>"
-)["_kepler_rhs"]
-
-
+# the functions of these texts; the Kepler flow's kernels write them out
+_formulas = _source(
+    f"""def _momenta(s, c, cphi, sphi, v_r, v_phi):
+    return {_MOMENTA}
+def _potential(k, s, c):
+    return {_POTENTIAL}
+def _kinetic(j, v_r, v_phi):
+    return {_KINETIC}
 def _integrals(k, s, c, phi, v_r, v_phi):
-    """(E, J, E_P, I3, I4) of a Kepler state, from s, c = sin_k(r), cos_k(r); E_P is
-    (P1**2 + P2**2)/2 + U, as E - kappa J**2/2 cancels where E ~ kappa J**2/2."""
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    p1, p2, j = _momenta(s, c, cphi, sphi, v_r, v_phi)
-    pot = _potential(k, s, c)
-    return (_kinetic(j, v_r, v_phi) + pot, j, 0.5 * (p1 * p1 + p2 * p2) + pot, p2 * j - k * cphi, p1 * j + k * sphi)
+{indent(_INTEGRALS, "    ")}
+    return inv1
+def _kepler_rhs(sc, k, r, phi, v_r, v_phi):
+    s, c = sc(r)
+    return {_KEPLER_FLOW}""",
+    "<kepler formulas>",
+    **_SINCOS_NAMES,
+)
+_momenta, _potential, _kinetic, _integrals, _kepler_rhs = (
+    _formulas[name] for name in ("_momenta", "_potential", "_kinetic", "_integrals", "_kepler_rhs")
+)
 
 
 def _first_integrals(sc, k, r, phi, v_r, v_phi):
@@ -113,12 +113,15 @@ def _first_integrals(sc, k, r, phi, v_r, v_phi):
     return _integrals(k, *sc(r), phi, v_r, v_phi)
 
 
-# The Kepler flow's DOP853 rows (see dop853._CALL_FLOW), by ktrig regime: the
-# kernel writes out the flow of coupling k and ktrig's sin_k, cos_k text, and a
-# state on a radial line (J = 0) that is not rising can only fall to the centre.
+# The Kepler flow's DOP853 rows, by ktrig regime: the kernel writes out the flow
+# of coupling k, ktrig's sin_k, cos_k text and the integrals, of which the spike
+# guard watches (E, J); a state on a radial line (J = 0) that is not rising can
+# only fall to the centre.
 _KEPLER_ROWS = {
-    regime: (("kappa", "k"), ("v_r", "v_phi"), setup, text + "\nk{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW,
-             "_integrals(k, s, c, phi, v_r, v_phi)", tuple(dict(_SINCOS_NAMES, _integrals=_integrals).items()), True)
+    regime: _Flow(
+        ("kappa", "k"), ("v_r", "v_phi"), setup, text + "\nk{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW,
+        _INTEGRALS, tuple(_SINCOS_NAMES.items()), True, 2,
+    )
     for regime, (setup, text) in _SINCOS.items()
 }
 
@@ -287,8 +290,8 @@ def integrate(
     kappa, k = params.kappa, params.k
     sc = _sincos(kappa)
     row = _KEPLER_ROWS["flat" if kappa == 0.0 else "curved"]
-    return _integrate_adaptive(  # the spike guard watches (E, J)
-        partial(_kepler_rhs, sc, k), state0, t_end, tol, kappa, partial(_first_integrals, sc, k), 2, dense, row,
+    return _integrate_adaptive(
+        partial(_kepler_rhs, sc, k), state0, t_end, tol, kappa, partial(_first_integrals, sc, k), dense, row,
         (kappa, k), names=("E", "J", "E_P", "I3", "I4"),
     )
 
@@ -328,4 +331,4 @@ def integrate_separable(
         e = _kinetic(s * s * vphi, vr, vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 
-    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, 3, dense, names=("E", "i1", "i2"))
+    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, dense, names=("E", "i1", "i2"))

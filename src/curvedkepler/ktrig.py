@@ -73,13 +73,38 @@ def _atan_series(y, ky2):
     return y * (1.0 - ky2 / 3.0 + 0.2 * ky2 * ky2)
 
 
-def _cos(k: float, x: float) -> float:
-    kx2 = k * x * x
-    if abs(kx2) < SERIES_THRESHOLD:
-        return 1.0 - kx2 / 2.0 + kx2 * kx2 / 24.0
+def _source(src: str, filename: str, **namespace) -> dict:
+    """The names that the source ``src`` defines, compiled as ``filename``."""
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace
+
+
+_SINCOS_NAMES = dict(sqrt=math.sqrt, msin=math.sin, mcos=math.cos, msinh=math.sinh, mcosh=math.cosh)
+# sin_k(r), cos_k(r) by their truncated series, as source over r and kr2 =
+# kappa r**2: _sin, _cos and the sincos text (_SINCOS) are compiled from it,
+# so the integrator's kernels take the series band without a call.
+_SERIES = ("r * (1.0 - kr2 / 6.0 + kr2 * kr2 / 120.0)", "1.0 - kr2 / 2.0 + kr2 * kr2 / 24.0")
+_trig = _source(
+    f"""def _cos(k, r):
+    kr2 = k * r * r
+    if abs(kr2) < {SERIES_THRESHOLD!r}:
+        return {_SERIES[1]}
     if k > 0:
-        return math.cos(math.sqrt(k) * x)
-    return math.cosh(math.sqrt(-k) * x)
+        return mcos(sqrt(k) * r)
+    return mcosh(sqrt(-k) * r)
+def _sin(k, r):
+    kr2 = k * r * r
+    if abs(kr2) < {SERIES_THRESHOLD!r}:
+        return {_SERIES[0]}
+    if k > 0:
+        rk = sqrt(k)
+        return msin(rk * r) / rk
+    rk = sqrt(-k)
+    return msinh(rk * r) / rk""",
+    "<sin_k, cos_k>",
+    **_SINCOS_NAMES,
+)
+_sin, _cos = _trig["_sin"], _trig["_cos"]
 
 
 def cos_k(kappa, x: float) -> float:
@@ -87,26 +112,9 @@ def cos_k(kappa, x: float) -> float:
     return _cos(curvature_value(kappa), _check_finite(x))
 
 
-def _sin(k: float, x: float) -> float:
-    kx2 = k * x * x
-    if abs(kx2) < SERIES_THRESHOLD:
-        return x * (1.0 - kx2 / 6.0 + kx2 * kx2 / 120.0)
-    if k > 0:
-        rk = math.sqrt(k)
-        return math.sin(rk * x) / rk
-    rk = math.sqrt(-k)
-    return math.sinh(rk * x) / rk
-
-
 def sin_k(kappa, x: float) -> float:
     """Tagged sine: sin(sqrt(k)x)/sqrt(k), x, or sinh(sqrt(-k)x)/sqrt(-k)."""
     return _sin(curvature_value(kappa), _check_finite(x))
-
-
-def _source(src: str, filename: str, **namespace) -> dict:
-    """The names that the source ``src`` defines, compiled as ``filename``."""
-    exec(compile(src, filename, "exec"), namespace)
-    return namespace
 
 
 # s, c = sin_k(r), cos_k(r) as source: per regime, a setup run once per curvature
@@ -117,13 +125,10 @@ _SINCOS = {
     "curved": (
         "rk = sqrt(abs(kappa)); sin, cos = (msin, mcos) if kappa > 0.0 else (msinh, mcosh)",
         "kr2 = kappa * r * r\n"
-        f"if {-SERIES_THRESHOLD!r} < kr2 < {SERIES_THRESHOLD!r}: s, c = _sin(kappa, r), _cos(kappa, r)\n"
+        f"if {-SERIES_THRESHOLD!r} < kr2 < {SERIES_THRESHOLD!r}: s, c = {_SERIES[0]}, {_SERIES[1]}\n"
         "else: a = rk * r; s, c = sin(a) / rk, cos(a)",
     ),
 }
-_SINCOS_NAMES = dict(
-    _sin=_sin, _cos=_cos, sqrt=math.sqrt, msin=math.sin, mcos=math.cos, msinh=math.sinh, mcosh=math.cosh
-)
 _sincos = _source(
     f"""def _sincos(kappa):
     if kappa == 0.0:

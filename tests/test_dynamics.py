@@ -696,6 +696,11 @@ def test_stats_count_steps_and_rhs_evaluations(kappa, k, state):
     )
 
 
+def _zero_integrals(*y):
+    # the three integrals the call flow watches, constant
+    return (0.0, 0.0, 0.0)
+
+
 def _spike_once_traj(spiked=(math.nan,)):
     # the watched invariants of the third state offered are ``spiked`` once:
     # that step is rejected by the spike guard, retried at half the size
@@ -707,7 +712,8 @@ def _spike_once_traj(spiked=(math.nan,)):
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
-    return dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, len(spiked), False)
+    flow = dop853._CALL_FLOW._replace(watched=len(spiked))
+    return dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, False, flow)
 
 
 # a NaN in the first or a later watched integral
@@ -743,7 +749,7 @@ def test_stats_count_a_stage_rejection(failure):
         return (-1e9, 0.0, 0.0, 0.0)
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False)
+    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, _zero_integrals, False)
     stats = traj.stats
     assert stats.rejected_stage == 1
     assert stats.rhs_evaluations == 2 + 5 + 12 * (_attempts(stats) - 1)
@@ -776,7 +782,7 @@ def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
     # after the step passed its error and spike tests; it raises
     rhs = _kepler_calls_with(_raise_at(16))
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True)
+    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, _zero_integrals, True)
     hs = np.diff(traj.times)
     assert traj.stats == dop853.StepStats(
         accepted=35,
@@ -792,7 +798,7 @@ def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
     assert len(traj) == 36
     # without the failure that attempt stands, and its retry takes half the step
     clean = dop853._integrate_adaptive(
-        _kepler_calls_with(lambda call, y: None), state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, True
+        _kepler_calls_with(lambda call, y: None), state, 2.0, 1e-9, 1.0, _zero_integrals, True
     )
     assert traj.times[1] == 0.5 * clean.times[1]
 
@@ -806,7 +812,7 @@ def test_stats_count_a_non_finite_solution():
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
     traj = dop853._integrate_adaptive(
-        _kepler_calls_with(replace), state, 2.0, 1e-9, 1.0, lambda *y: (0.0,), 1, False
+        _kepler_calls_with(replace), state, 2.0, 1e-9, 1.0, _zero_integrals, False
     )
     stats = traj.stats
     assert (stats.rejected_stage, stats.rejected_spike) == (1, 0)
@@ -927,8 +933,8 @@ def test_dense_coefficients_match_the_scalar_stage_sum():
         [list(rng.standard_normal(16) * 10.0 ** rng.uniform(-8, 8)) for _ in range(4)]
         for _ in range(300)
     ]
-    # stage-major, as the integrator keeps them: stages[n][s] is a 4-tuple
-    stages = [list(zip(*step)) for step in columns]
+    # stage-major, as the integrator keeps them: stages[n] is a flat 64-tuple
+    stages = [tuple(itertools.chain.from_iterable(zip(*step))) for step in columns]
 
     def weighted(weights, values):
         # an explicit loop: from Python 3.12 on, sum() of floats compensates
@@ -1000,7 +1006,8 @@ def test_dop853_step_is_of_order_8_and_its_interpolant_of_order_7():
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
     y0 = (0.9, 0.0, 0.1, 1.2)
     # a local tolerance of 1 and no watched integral: every attempt is accepted
-    attempt = dop853._kernels(dop853._CALL_FLOW, True)(rhs, lambda *y: (), math.inf, 1.0, math.inf, 0)
+    unwatched = dop853._CALL_FLOW._replace(watched=0)
+    attempt = dop853._kernels(unwatched, True)(rhs, lambda *y: (), math.inf, 1.0, math.inf)
 
     def step(y, h):
         outcome, _, _, _, y1, _, _, ks = attempt(y, rhs(*y), h, ())
@@ -1061,10 +1068,10 @@ def _reference_norm(h, y, y_new, k, rtol, atol):
     return 0.0 if e5 == 0.0 else h * e5 / math.sqrt(4.0 * (e5 + 0.01 * e3))
 
 
-def _reference_attempt(rhs, integrals, y, h, tol, spike, inv0, r_max=math.inf, seen=None):
+def _reference_attempt(rhs, integrals, watched, y, h, tol, spike, inv0, r_max=math.inf, seen=None):
     """What an attempt kernel returns, by a plain loop over the stages, the
-    error norm, the integrals ``integrals`` and the spike rule; the stage
-    states it evaluates ``rhs`` at go to ``seen``."""
+    error norm, the integrals ``integrals`` and the spike rule on the first
+    ``watched`` of them; the stage states it evaluates ``rhs`` at go to ``seen``."""
     seen = [] if seen is None else seen
 
     def counted(*x):
@@ -1090,7 +1097,7 @@ def _reference_attempt(rhs, integrals, y, h, tol, spike, inv0, r_max=math.inf, s
         return (dop853._ERROR, 12, err, *rejected[1:])
     inv1 = integrals(*y_new)
     q_max = 0.0
-    for was, now in zip(inv0[:2], inv1):
+    for was, now in zip(inv0[:watched], inv1):
         q = abs(was - now) / (spike * max(1.0, abs(was)))
         if not q <= q_max:
             q_max = q
@@ -1142,12 +1149,13 @@ def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     make, make_plain = (dop853._kernels(row, dense) for dense in (True, False))
     outcomes = []
     for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng), integrals):
-        # the spike bound of integrate: 10 x its tol, 10 x the local tolerance
-        attempt = make(kepler, integrals, kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
-        want = _reference_attempt(kepler, integrals, y, h, tol, 100.0 * tol, inv0)
+        # the spike bound of integrate: 10 x its tol, 10 x the local tolerance;
+        # the guard watches (E, J)
+        attempt = make(kepler, integrals, kappa, 1.3, math.inf, tol, 100.0 * tol)
+        want = _reference_attempt(kepler, integrals, 2, y, h, tol, 100.0 * tol, inv0)
         assert attempt(y, kepler(*y), h, inv0) == want
         # without dense output: the 12 step stages only
-        plain = make_plain(kepler, integrals, kappa, 1.3, math.inf, tol, 100.0 * tol, 2)
+        plain = make_plain(kepler, integrals, kappa, 1.3, math.inf, tol, 100.0 * tol)
         accepted = want[0] == dop853._ACCEPTED
         assert plain(y, kepler(*y), h, inv0) == ((want[0], 12, *want[2:7], None) if accepted else want)
         outcomes.append(want[0])
@@ -1159,8 +1167,8 @@ def test_compiled_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     y, r_max = (0.3, 0.0, -2.0, 0.3), dop853._chart_limit(kappa)
     inside = len(_reference_stages(kepler, y, 0.2, dop853._A[1:13], [kepler(*y)], r_max))
     assert 0 < inside < 12
-    attempt = make(kepler, integrals, kappa, 1.3, r_max, 1e-9, 1e-8, 2)
-    want = _reference_attempt(kepler, integrals, y, 0.2, 1e-9, 1e-8, integrals(*y), r_max)
+    attempt = make(kepler, integrals, kappa, 1.3, r_max, 1e-9, 1e-8)
+    want = _reference_attempt(kepler, integrals, 2, y, 0.2, 1e-9, 1e-8, integrals(*y), r_max)
     assert want[:2] == (dop853._STAGE, inside)
     assert attempt(y, kepler(*y), 0.2, integrals(*y)) == want
 
@@ -1183,24 +1191,29 @@ def _separable_rhs(kappa):
 def test_call_kernels_equal_a_left_to_right_loop_bit_for_bit(kappa, rng):
     # every stage state, and the outcome, evaluation count, err, q_max,
     # solution, integrals and stage derivatives, of the attempt that calls
-    # a separable right-hand side and its integrals
+    # a separable right-hand side and its integrals, of which it watches three
     separable = _separable_rhs(kappa)
     integrals = functools.partial(dynamics._first_integrals, dynamics._sincos(kappa), 1.3)
     make = dop853._kernels(dop853._CALL_FLOW, True)
-    outcomes = set()
-    for y, h, tol, inv0 in _attempts_of_cases(_kernel_cases(kappa, rng, series=0), integrals):
+    attempts = _attempts_of_cases(_kernel_cases(kappa, rng, series=0), integrals)
+    # and each case at tol 1e-6 with a NaN third integral, which only a guard watching three sees
+    nan_third = [(y, h, tol, (*inv0[:2], math.nan, *inv0[3:])) for y, h, tol, inv0 in attempts[::5]]
+    outcomes = []
+    for y, h, tol, inv0 in attempts + nan_third:
         seen, want_seen = [], []
 
         def rhs(*x):
             seen.append(x)
             return separable(*x)
 
-        attempt = make(rhs, integrals, math.inf, tol, 100.0 * tol, 2)
-        want = _reference_attempt(separable, integrals, y, h, tol, 100.0 * tol, inv0, seen=want_seen)
+        attempt = make(rhs, integrals, math.inf, tol, 100.0 * tol)
+        want = _reference_attempt(separable, integrals, 3, y, h, tol, 100.0 * tol, inv0, seen=want_seen)
         assert attempt(y, separable(*y), h, inv0) == want
         assert seen == want_seen
-        outcomes.add(want[0])
-    assert {dop853._ACCEPTED, dop853._ERROR, dop853._SPIKE} <= outcomes
+        outcomes.append(want[0])
+    assert {dop853._ACCEPTED, dop853._ERROR, dop853._SPIKE} <= set(outcomes)
+    # the NaN is rejected wherever the error estimate passes
+    assert set(outcomes[len(attempts):]) <= {dop853._ERROR, dop853._SPIKE} and dop853._SPIKE in outcomes[len(attempts):]
 
 
 def _neumaier_sum(values, start=0):

@@ -6,6 +6,7 @@ moves one of them records old -> new and why."""
 
 import hashlib
 import importlib.util
+import math
 import shlex
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from curvedkepler.cli import EXIT_OK, main
-from curvedkepler.dynamics import KeplerParams, PhaseState, integrate
+from curvedkepler.dynamics import KeplerParams, PhaseState, integrate, integrate_separable
 
 # argv of each pinned run (its --out added), then the sha256 of its output
 PINNED_RUNS = {
@@ -81,3 +82,46 @@ def test_baseline_has_its_pinned_step_counts_and_bytes(tmp_path):
     assert [case["steps"] for case in doc["integrate"]] == BASELINE_STEPS
     assert doc["simulate"]["exit_code"] == EXIT_OK
     assert doc["simulate"]["bytes"] == BASELINE_BYTES
+
+
+# Integrations the CLI pins do not reach: a bounded orbit on each curvature
+# regime and on the two nearly flat curvatures, where each periastron (r near
+# 0.087) dips into the series band |kappa r**2| < 1e-8 of sin_k, cos_k; a fall
+# from rest on the sphere and on the hyperbolic plane, whose last steps run
+# through that band to the collision event; and one separable orbit, which the
+# integrator takes through its call-flow kernel.
+INTEGRATOR_CASES = [(kappa, PhaseState(1.0, 0.0, 0.1, 0.4)) for kappa in (1.0, 1e-6, 0.0, -1e-6, -1.0)]
+INTEGRATOR_CASES += [(kappa, PhaseState(0.5, 0.0, 0.0, 0.0)) for kappa in (1.0, -1.0)]
+INTEGRATOR_DIGEST = "da9819d25fe5fecb7210d4d7efc15c8efb65a12d590752b2ee9a69102c55de0c"
+
+
+def _separable(dense, tol):
+    # the Kepler potential plus G(phi)/sin_k(r)**2 with G = 0.05 cos(phi)**2, on kappa = -1
+    def f(r):
+        return -1.0 / math.tanh(r)
+
+    def df(r):
+        return 1.0 / math.sinh(r) ** 2
+
+    def g(phi):
+        return 0.05 * math.cos(phi) ** 2
+
+    def dg(phi):
+        return -0.05 * math.sin(2.0 * phi)
+
+    return integrate_separable(-1.0, PhaseState(1.0, 0.0, 0.1, 0.5), f, df, g, dg, 10.0, tol=tol, dense=dense)
+
+
+def test_integrations_have_their_pinned_digest():
+    # times, states, invariants, stats, event and the dense (h, d) of each run
+    digest = hashlib.sha256()
+    for dense, tol in ((False, 1e-11), (True, 1e-9)):
+        runs = [
+            integrate(state, KeplerParams(kappa, 1.0), 20.0, tol=tol, dense=dense) for kappa, state in INTEGRATOR_CASES
+        ]
+        for traj in [*runs, _separable(dense, tol)]:
+            for array in (traj.times, traj.states, traj.invariants, *(traj._dense or ())):
+                digest.update(np.ascontiguousarray(array).tobytes())
+            digest.update(repr((traj.stats, traj.event, traj.event_time)).encode())
+    assert [traj.event for traj in runs[-2:]] == ["collision", "collision"]
+    assert digest.hexdigest() == INTEGRATOR_DIGEST
