@@ -3,8 +3,9 @@
 Order 8 with 5th- and 3rd-order error estimates, a dense output of degree
 7, step rejection on conserved-quantity spikes and collision termination
 at the chart's centre.  It knows no physics: a flow comes in as callables
-and a row of data (a :class:`_Flow`: its source texts, and how many of its
-first integrals the spike guard watches).  Each attempt is one
+and a row of data (a :class:`_Flow`: its source texts, how many of its
+first integrals the spike guard watches, and the fall law, if any, that
+times a fall on a radial line to the centre).  Each attempt is one
 straight-line kernel that :func:`_kernels` compiles on the flow's first
 integration, with the flow's texts and the spike guard written out.
 A step accepted right after a rejection may not grow (Hairer, Norsett &
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, partial
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .ktrig import _chart_limit, _source
 
 COLLISION_RADIUS = 1e-10
 # below this radius a step-size underflow is interpreted as reaching the
-# center: double precision cannot track the fall all the way to 1e-10
+# center: double precision cannot track the fall all the way to 1e-10.  A
+# fall on a radial line that a flow's fall law times ends here.
 _COLLISION_SOFT = 1e-4
 
 #: admissible range of the trajectory accuracy target ``tol``
@@ -200,7 +202,11 @@ class Trajectory:
     Stores the accepted step endpoints (``times``, ``states``), the first
     integrals evaluated at each of them (``invariants``, one row per
     state, as the flow's ``invariants`` return them), the step counts (``stats``, a
-    :class:`StepStats`) and, when dense output was requested, an
+    :class:`StepStats`), how a run that stopped short ended (``event``,
+    ``"collision"`` or None) and when (``event_time``: for a fall on a
+    radial line that a flow's fall law ends, the time the fall reaches
+    r = 0, later than the last row's; otherwise the last row's time) and,
+    when dense output was requested, an
     interpolant of degree 7 per step that
     :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
     The interpolants are kept as two private arrays: step i starts at
@@ -432,13 +438,15 @@ class _Flow(NamedTuple):
     evaluate: str  # statements setting k{s}_0..k{s}_3 at the stage state
     integrals: str  # statements setting inv1, the solution's first integrals
     names: tuple  # the (name, value) pairs the texts read besides isfinite and sqrt
-    radial_fall: bool  # a state on a radial line (v_phi == 0.0) not rising can only fall to the centre
+    # (*params, y, integrals) -> the time in which a state y on a radial line (v_phi == 0.0)
+    # that is not rising, of first integrals integrals, reaches the centre; None: no law
+    fall: Callable | None
     watched: int  # how many of the first integrals the spike guard watches
 
 
 # the row that calls rhs and invariants, and watches 3 integrals
 _CALL_FLOW = _Flow((), ("phi", "v_r", "v_phi"), "", "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = rhs(r, phi, v_r, v_phi)",
-                   "inv1 = invariants(r, phi, v_r, v_phi)", (), False, 3)
+                   "inv1 = invariants(r, phi, v_r, v_phi)", (), None, 3)
 _STATE = ("r", "phi", "v_r", "v_phi")
 
 
@@ -551,6 +559,13 @@ def _integrate_adaptive(
     0.9 q**(-1/9), q the largest watched change over that threshold (h**9).
     An integral that is not finite, at the start or (one the guard does not
     watch) at any accepted state, raises NumericalError; ``names`` name them.
+
+    A run ends in the ``collision`` event when an accepted state reaches
+    ``COLLISION_RADIUS``, or when the step size underflows on a fall below
+    ``_COLLISION_SOFT``.  A start on a radial line (v_phi == 0.0) of a row
+    with a fall law is decided once: it stops at the first accepted state
+    below ``_COLLISION_SOFT`` that is not rising, or at an underflow while
+    not rising, and its ``event_time`` adds the law's time to the centre.
     """
     check_interior_radius(kappa, state0.r)
     check_tol(tol)
@@ -561,6 +576,9 @@ def _integrate_adaptive(
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
     attempt = _kernels(flow, dense)(rhs, invariants, *lead, r_max, rtol, _SPIKE_FACTOR * tol)
+    # a start on a radial line of a row with a fall law stops below _COLLISION_SOFT
+    fall = partial(flow.fall, *lead) if flow.fall is not None and y[3] == 0.0 else None
+    floor = COLLISION_RADIUS if fall is None else _COLLISION_SOFT
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -588,10 +606,11 @@ def _integrate_adaptive(
             # so it is no underflow however small the span is
             h = t_end - t
         elif h < 1e-14 * max(1.0, abs(t)):
-            # the center is reached: a fall below _COLLISION_SOFT, or, where the flow's row
-            # says it leads only there, a state on a radial line that is not rising
-            if (y[0] < _COLLISION_SOFT and y[2] < 0.0) or (flow.radial_fall and y[3] == 0.0 and y[2] <= 0.0):
-                event, event_time = "collision", t
+            # the center is reached: a fall below _COLLISION_SOFT, or a state on a radial
+            # line that is not rising, which the row's fall law takes there
+            falling = fall is not None and y[2] <= 0.0
+            if falling or (y[0] < _COLLISION_SOFT and y[2] < 0.0):
+                event, event_time = "collision", (t + fall(y, inv0)) if falling else t
                 break
             # the last attempt's outcome, by its StepStats field name, says why h shrank
             last = "no attempt yet: h is the initial trial step" if outcome is None else (
@@ -619,8 +638,8 @@ def _integrate_adaptive(
         states.append(y_new)
         invs.append(inv1)
 
-        if y_new[0] <= COLLISION_RADIUS:
-            event, event_time = "collision", t_new
+        if y_new[0] <= floor and (fall is None or y_new[2] <= 0.0):
+            event, event_time = "collision", t_new if fall is None else t_new + fall(y_new, inv1)
             break
 
         # the solution's stage is the next step's first (FSAL)
@@ -633,7 +652,9 @@ def _integrate_adaptive(
         h *= fac
         rejected = False
 
-    invs = np.array(invs)
+    n = len(times)
+    states = np.fromiter(chain.from_iterable(states), float, 4 * n).reshape(n, 4)
+    invs = np.fromiter(chain.from_iterable(invs), float, n * len(inv0)).reshape(n, -1)
     if not np.isfinite(invs).all():
         # an integral the spike guard does not watch overflowed
         row, col = np.argwhere(~np.isfinite(invs))[0].tolist()

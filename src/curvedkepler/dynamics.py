@@ -10,10 +10,13 @@ The flows are integrated by DOP853 (:mod:`curvedkepler.dop853`).  The
 Kepler flow goes in as one row of data per ktrig regime: its kernel
 writes out the right-hand side, ktrig's sin_k, cos_k text and the first
 integrals, and forms phi, which it never reads, only for the solution.
+The row also carries the closed-form fall law, which times the rest of
+a fall on a radial line to the centre.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +27,9 @@ from .dop853 import Trajectory, _Flow, _integrate_adaptive
 from .effective_potential import _critical, check_coupling
 from .errors import DomainError, InfeasibleError
 from .geometry import PhaseState, PolarPoint, check_interior_radius, check_radius
-from .ktrig import _SINCOS, _SINCOS_NAMES, _check_finite, _cos, _sin, _sincos, _source, curvature_value
+from .ktrig import (
+    _SCALARS, _SINCOS, _SINCOS_NAMES, _check_finite, _cos, _phi_pair, _sin, _sincos, _source, curvature_value,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -113,14 +118,45 @@ def _first_integrals(sc, k, r, phi, v_r, v_phi):
     return _integrals(k, *sc(r), phi, v_r, v_phi)
 
 
+def _fall_time(kappa: float, k: float, r: float, v_r: float, e: float) -> float:
+    """Time a state on a radial line (J = 0) at radius r, with v_r <= 0 and
+    energy e, takes to reach the centre.
+
+    With w = |v_r| and u = cot_k(r), w**2/2 = e + k u and du/dr = -(u**2 + kappa),
+    so dt = 4k dw/((w**2 - 2e)**2 + 4k**2 kappa).  Its partial fractions
+    1/(w**2 + c), c = -2e -/+ 2k sqrt(-kappa), integrate from w to infinity to
+    phi(y)/w with y = c/w**2 (phi as in ``ktrig._phi_pair``), and
+
+        T = -(4k/w**3) (phi(y_A) - phi(y_B))/(y_A - y_B),
+
+    with 1 + y_A,B = 2k (u -/+ sqrt(-kappa))/w**2 and the gap -4k sqrt(-kappa)/w**2
+    exact; at kappa = 0 the two points coincide.  From rest it is
+    T = 2 pi k/(a b (a + b)), a, b = sqrt(2k (u -/+ sqrt(-kappa))), complex
+    conjugates on the sphere; that form is taken wherever w/|a|, the size of
+    the next term, is below rounding.
+    """
+    s, c = _sincos(kappa)(r)
+    u = c / s
+    root = cmath.sqrt(-kappa)
+    lift_a, lift_b = 2.0 * k * (u - root), 2.0 * k * (u + root)
+    w2 = v_r * v_r
+    if w2 <= 1e-32 * abs(lift_a):
+        a, b = cmath.sqrt(lift_a), cmath.sqrt(lift_b)
+        return (2.0 * math.pi * k / (a * b * (a + b))).real
+    y_a, y_b = -(2.0 * e + 2.0 * k * root) / w2, -(2.0 * e - 2.0 * k * root) / w2
+    _, diff = _phi_pair(_SCALARS, y_a, lift_a / w2, y_b, lift_b / w2, -4.0 * k * root / w2)
+    return 4.0 * k / (w2 * v_r) * diff.real
+
+
 # The Kepler flow's DOP853 rows, by ktrig regime: the kernel writes out the flow
 # of coupling k, ktrig's sin_k, cos_k text and the integrals, of which the spike
-# guard watches (E, J); a state on a radial line (J = 0) that is not rising can
-# only fall to the centre.
+# guard watches (E, J); a state on a radial line (J = 0) that is not rising falls
+# to the centre in the time _fall_time gives it.
 _KEPLER_ROWS = {
     regime: _Flow(
         ("kappa", "k"), ("v_r", "v_phi"), setup, text + "\nk{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW,
-        _INTEGRALS, tuple(_SINCOS_NAMES.items()), True, 2,
+        _INTEGRALS, tuple(_SINCOS_NAMES.items()),
+        lambda kappa, k, y, integrals: _fall_time(kappa, k, y[0], y[2], integrals[0]), 2,
     )
     for regime, (setup, text) in _SINCOS.items()
 }
@@ -283,9 +319,14 @@ def integrate(
     ``Trajectory.stats`` counts the accepted and rejected steps and the
     right-hand-side evaluations.
     A fall that reaches the collision radius, or whose steps underflow on
-    the way there (a fall below ``dop853._COLLISION_SOFT``, or a radial
-    state that is not rising), truncates the trajectory and records the
-    ``collision`` event instead of raising.
+    the way there below ``dop853._COLLISION_SOFT``, truncates the
+    trajectory and records the ``collision`` event instead of raising.
+    A start on a radial line (v_phi == 0, so J = 0) is not integrated into
+    the centre: it stops at its first accepted state below
+    ``_COLLISION_SOFT`` that is not rising, or where its steps underflow
+    while it is not rising, and ``Trajectory.event_time`` is that state's
+    time plus the closed-form fall law's time from it to r = 0, later
+    than the last row's.
     """
     kappa, k = params.kappa, params.k
     sc = _sincos(kappa)

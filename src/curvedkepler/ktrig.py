@@ -5,7 +5,8 @@ interpolate smoothly between circular (kappa > 0), linear (kappa = 0)
 and hyperbolic (kappa < 0) behaviour, plus their principal inverses.
 Everything downstream (metric, potentials, orbits, conics) is written
 in terms of these functions, so one code path serves the sphere, the
-plane and the hyperbolic plane.
+plane and the hyperbolic plane.  The kernel of the closed-form time
+laws, phi(y) = atan(sqrt(y))/sqrt(y), and its pairs live here too.
 
 Conventions: lengths are geodesic lengths, angles are radians and the
 curvature carries dimension 1/length**2.
@@ -13,8 +14,10 @@ curvature carries dimension 1/length**2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from textwrap import indent
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -250,3 +253,116 @@ def _acot_array(k: float, u) -> np.ndarray:
     direct = 0.5 * np.log1p(2.0 * rk / (u - rk)) / rk
     return np.where(u * u * SERIES_THRESHOLD > -k, _atan_series(w, k * w * w), direct)
 
+
+#: |y| up to which _phi_pair sums the series of phi(y)
+_PHI_SERIES_Y = 0.03
+
+#: Taylor coefficients (-1)**n / (2n + 1) of phi(y) = atan(sqrt(y))/sqrt(y);
+#: at _PHI_SERIES_Y the first term left out is below 1e-18
+_PHI_COEFFS = tuple((-1) ** n / (2 * n + 1) for n in range(13))
+
+# phi(y) = atan(sqrt(y))/sqrt(y), the kernel of the closed-form time laws (the
+# orbit's in orbit, the radial fall's in dynamics), is written once and evaluated
+# through one of two math namespaces: Python complex scalars, and numpy complex
+# arrays for propagate.  A choice between two formulas is an ``if`` on scalars
+# and a mask on arrays.
+_SCALARS = SimpleNamespace(sqrt=cmath.sqrt, log=cmath.log, tan=math.tan)
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, log=np.log, tan=np.tan)
+
+
+def _phi(xp, z, v):
+    """phi = atan(z)/z (1 at z = 0) for complex z off the cuts, given v = 1 + z**2.
+
+    Near z**2 = -1 atan(z) is i log(1 - iz) - (i/2) log(v) (or the mirror
+    form for Im z < 0): the first logarithm's argument has modulus >= 1,
+    so v carries all the cancellation and can be supplied exactly.
+    """
+    if xp is _SCALARS:
+        if abs(v) <= 0.5:
+            return _atan_near(xp, z, v) / z
+        return cmath.atan(z) / z if z else 1.0
+    flat = z == 0.0
+    safe = np.where(flat, 1.0, z)
+    out = np.where(flat, 1.0, np.arctan(safe) / safe)
+    near = np.abs(v) <= 0.5
+    if near.any():
+        out[near] = _atan_near(xp, z[near], v[near]) / z[near]
+    return out
+
+
+def _atan_near(xp, z, v):
+    sign = 2.0 * (z.imag >= 0.0) - 1.0
+    return sign * 1j * (xp.log(1.0 - sign * 1j * z) - 0.5 * xp.log(v))
+
+
+def _phi_pair(xp, y1, v1, y2, v2, gap):
+    """Mean and divided difference of phi over the pair (y1, y2).
+
+    phi(y) = atan(sqrt(y))/sqrt(y) = integral_0^1 dw / (1 + y w**2) is
+    analytic off the cut (-inf, -1]; v = 1 + y is passed separately
+    because y -> -1 is where the orbit meets an asymptote, and so is the
+    gap y1 - y2, which the caller has without cancellation.  The pair is
+    real or complex conjugate, and both results come back as complex
+    numbers whose real parts are wanted.  Three routes keep them free
+    of cancellation:
+
+    * both |y| <= ``_PHI_SERIES_Y``: the power series of phi, through the
+      power sums of the pair, so y1 - y2 never divides a difference;
+    * a close pair away from 0 and -1: atan(z1) - atan(z2) =
+      atan((z1 - z2)/(1 + z1 z2)) with z = sqrt(y) taken on a common side;
+    * otherwise the plain difference quotient, which loses at most a
+      factor of about 1/_PHI_SERIES_Y to rounding.
+
+    On arrays each route runs on its own elements only.
+    """
+    if xp is _SCALARS and abs(y1) <= _PHI_SERIES_Y and abs(y2) <= _PHI_SERIES_Y:
+        return _pair_series(y1, y2)
+    mid = 0.5 * (y1 + y2).real
+    reach = 2.0 * abs(gap)
+    close = (reach <= abs(mid)) & (reach < 1.0 + mid)
+    if xp is _SCALARS:
+        return (_pair_close if close else _pair_plain)(xp, y1, v1, y2, v2, gap)
+    series = (abs(y1) <= _PHI_SERIES_Y) & (abs(y2) <= _PHI_SERIES_Y)
+    mean, diff = np.empty_like(y1), np.empty_like(y1)
+    if series.any():
+        mean[series], diff[series] = _pair_series(y1[series], y2[series])
+    for take, route in ((~series & close, _pair_close), (~(series | close), _pair_plain)):
+        if take.any():
+            mean[take], diff[take] = route(xp, y1[take], v1[take], y2[take], v2[take], gap[take])
+    return mean, diff
+
+
+def _pair_series(y1, y2):
+    # (y1**n + y2**n)/2 and (y1**n - y2**n)/(y1 - y2) obey the same
+    # three-term recurrence in the pair's sum and product
+    total, prod = (y1 + y2).real, (y1 * y2).real
+    pow0, pow1, div0, div1 = 1.0, 0.5 * total, 0.0, 1.0
+    mean = _PHI_COEFFS[0] + _PHI_COEFFS[1] * pow1
+    diff = _PHI_COEFFS[1]
+    for c in _PHI_COEFFS[2:]:
+        pow0, pow1 = pow1, total * pow1 - prod * pow0
+        div0, div1 = div1, total * div1 - prod * div0
+        mean += c * pow1
+        diff += c * div1
+    return mean, diff
+
+
+def _pair_close(xp, y1, v1, y2, v2, gap):
+    # y2/y1 = 1 - gap/y1 is close to 1, so z2 = z1 sqrt(y2/y1) is on z1's side
+    z1 = xp.sqrt(y1)
+    root = xp.sqrt(1.0 - gap / y1)
+    z2 = z1 * root
+    # w = 1 + z1 z2 = v1 - gap/(1 + root), with no cancellation as z1 z2 -> -1
+    w = v1 - gap / (1.0 + root)
+    phi1, phi2 = _phi(xp, z1, v1), _phi(xp, z2, v2)
+    total = z1 + z2
+    # atan(z1) - atan(z2) = atan(delta) with delta = (z1 - z2)/w
+    delta = gap / (total * w)
+    ratio = _phi(xp, delta, 1.0 + delta * delta)
+    return 0.5 * (phi1 + phi2), (ratio / w - phi2) / (total * z1)
+
+
+def _pair_plain(xp, y1, v1, y2, v2, gap):
+    z1, z2 = xp.sqrt(y1), xp.sqrt(y2)
+    phi1, phi2 = _phi(xp, z1, v1), _phi(xp, z2, v2)
+    return 0.5 * (phi1 + phi2), (phi1 - phi2) / gap

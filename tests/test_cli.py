@@ -22,7 +22,7 @@ from curvedkepler.cli import (
     main,
 )
 from curvedkepler.conics import ConicFamily, conic_from_dynamics
-from curvedkepler.dynamics import Trajectory
+from curvedkepler.dynamics import Trajectory, _fall_time
 
 
 def run_cli(capsys, argv):
@@ -119,22 +119,24 @@ def test_simulate_radial_drop_truncates_with_collision_row(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "kappa,k,argv",
     [
         # steps underflow at r ~ 1.2e-4 as E's rounding outgrows the spike bound
-        ["--kappa", "0", "--k", "1", "--state", "1,0,0,0", "--t-end", "10", "--tol", "1e-13"],
-        ["--kappa", "1", "--k", "1", "--elements=-1,0,0", "--t-end", "10", "--tol", "1e-13"],
+        (0.0, 1.0, ["--state", "1,0,0,0", "--t-end", "10", "--tol", "1e-13"]),
+        (1.0, 1.0, ["--elements=-1,0,0", "--t-end", "10", "--tol", "1e-13"]),
         # at rest next to the centre the first trial step is below the bound
-        ["--kappa", "-1", "--k", "20", "--state", "5e-5,0,0,0", "--t-end", "1", "--tol", "1e-9"],
+        (-1.0, 20.0, ["--state", "5e-5,0,0,0", "--t-end", "1", "--tol", "1e-9"]),
     ],
     ids=["flat", "sphere", "at rest"],
 )
-def test_simulate_radial_drop_with_underflowing_steps_collides(capsys, argv):
-    code, out, err = run_cli(capsys, ["simulate", *argv, "--output", "json"])
+def test_simulate_radial_drop_with_underflowing_steps_collides(capsys, kappa, k, argv):
+    code, out, err = run_cli(capsys, ["simulate", f"--kappa={kappa!r}", f"--k={k!r}", *argv, "--output", "json"])
     assert (code, err) == (EXIT_INFEASIBLE, "")
     doc = json.loads(out)
     assert doc["event"]["kind"] == "collision"
-    assert doc["event"]["t"] == doc["rows"][-1][0]
+    # the event comes one fall law after the last row: (t, r, phi, v_r, v_phi, E, ...)
+    t, r, _, v_r, _, e = doc["rows"][-1][:6]
+    assert doc["event"]["t"] == t + _fall_time(kappa, k, r, v_r, e) > t
 
 
 def test_simulate_elements_start_at_periastron(capsys):

@@ -38,7 +38,7 @@ from curvedkepler.errors import (
     StiffnessError,
 )
 from curvedkepler.geometry import PolarPoint
-from curvedkepler.ktrig import cos_k, sin_k
+from curvedkepler.ktrig import acot_k, cos_k, sin_k
 from curvedkepler.orbit import orbit_constants, radial_period
 
 FOUR_PI = 12.566370614359172  # 4*pi
@@ -480,12 +480,25 @@ def test_integrate_flat_radial_drop_collides():
 
 
 def test_a_fall_with_a_small_coupling_reaches_the_collision_radius():
-    # k = 1e-6 falls slowly enough that the steps never underflow: the
-    # last accepted state lies inside COLLISION_RADIUS itself
-    traj = integrate(PhaseState(1e-3, 0.0, 0.0, 0.0), KeplerParams(0.0, 1e-6), 1e6)
+    # the flat Kepler fall of k = 1e-6 as a separable potential F = -k/r, whose
+    # row has no fall law: it falls slowly enough that the steps never
+    # underflow, and the last accepted state lies inside COLLISION_RADIUS itself
+    k = 1e-6
+
+    def zero(x):
+        return 0.0
+
+    state = PhaseState(1e-3, 0.0, 0.0, 0.0)
+    traj = integrate_separable(0.0, state, lambda r: -k / r, lambda r: k / (r * r), zero, zero, 1e6)
     assert traj.event == "collision"
     assert traj.event_time == traj.t_end < 1e6
     assert 0.0 < traj.states[-1, 0] <= dop853.COLLISION_RADIUS
+
+
+def _fall_law(params, traj):
+    """The fall law's time from the last state of a radial trajectory to the centre."""
+    r, _, v_r, _ = traj.states[-1].tolist()
+    return dynamics._fall_time(params.kappa, params.k, r, v_r, float(traj.invariants[-1, 0]))
 
 
 # radial falls whose steps underflow above _COLLISION_SOFT: at a tight tol
@@ -500,10 +513,55 @@ UNDERFLOWING_FALLS = [
 
 @pytest.mark.parametrize("state,params,t_end,tol", UNDERFLOWING_FALLS, ids=["tight tol", "at rest"])
 def test_a_radial_fall_whose_steps_underflow_collides(state, params, t_end, tol):
+    # the rest of the fall, from the last row to the centre, is the fall law's
     traj = integrate(state, params, t_end, tol=tol, dense=False)
     assert traj.event == "collision"
-    assert traj.event_time == traj.t_end < t_end
+    assert traj.t_end < t_end
+    assert traj.event_time == traj.t_end + _fall_law(params, traj) > traj.t_end
     assert np.all(traj.states[:, 3] == 0.0) and np.all(traj.states[1:, 2] < 0.0)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e-6, 0.0, -1e-6, -1.0])
+def test_a_fall_from_rest_collides_at_the_time_of_the_fall_law(kappa):
+    # the integrator stops below _COLLISION_SOFT and adds the fall law's time
+    # from there: the collision lands on the rest form's time from the start
+    params = KeplerParams(kappa, 1.3)
+    state = PhaseState(0.8, 0.0, 0.0, 0.0)
+    traj = integrate(state, params, 10.0, tol=1e-11, dense=False)
+    assert traj.event == "collision"
+    assert traj.states[-1, 0] <= dop853._COLLISION_SOFT < traj.states[-2, 0]
+    exact = dynamics._fall_time(kappa, 1.3, 0.8, 0.0, float(traj.invariants[0, 0]))
+    assert abs(traj.event_time - exact) <= 1e-11 * exact
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+def test_the_fall_law_meets_its_rest_form_at_the_switch(kappa):
+    # below w/|a| = 1e-16 the rest form is exact to rounding, and the moving
+    # form's w**3 would underflow at the smallest speeds; above, the moving
+    # form starts at the rest form, about 0.6 w/|a| below it
+    u = cos_k(kappa, 0.5) / sin_k(kappa, 0.5)
+    rest = dynamics._fall_time(kappa, 1.0, 0.5, 0.0, -u)
+    for v_r in (-1e-200, -1e-17):
+        assert dynamics._fall_time(kappa, 1.0, 0.5, v_r, 0.5 * v_r * v_r - u) == rest
+    assert dynamics._fall_time(kappa, 1.0, 0.5, -1e-15, 5e-31 - u) == pytest.approx(rest, rel=2e-15, abs=0.0)
+
+
+def test_a_radial_state_rising_below_the_soft_radius_integrates_until_it_falls():
+    # from r0 = 5e-5 up to the apex at 8e-5 and back: no state on the way up
+    # ends the run, the first falling one does.  The collision comes after the
+    # rise (the fall from the apex less the fall from r0 at the start's speed)
+    # and one more fall from the apex
+    params = KeplerParams(-1.0, 1.0)
+    e = -1.0 / math.tanh(8e-5)
+    v_r0 = math.sqrt(2.0 * (e + 1.0 / math.tanh(5e-5)))
+    traj = integrate(PhaseState(5e-5, 0.0, v_r0, 0.0), params, 1.0, tol=1e-11, dense=False)
+    assert traj.event == "collision"
+    assert np.all(traj.states[:, 0] < dop853._COLLISION_SOFT)
+    assert np.all(traj.states[:-1, 2] > 0.0) and traj.states[-1, 2] < 0.0
+    apex = acot_k(-1.0, -e)
+    rise = dynamics._fall_time(-1.0, 1.0, apex, 0.0, e) - dynamics._fall_time(-1.0, 1.0, 5e-5, -v_r0, e)
+    exact = rise + dynamics._fall_time(-1.0, 1.0, apex, 0.0, e)
+    assert abs(traj.event_time - exact) <= 1e-11 * exact
 
 
 def test_a_separable_fall_keeps_the_soft_collision_rule():
@@ -1285,8 +1343,10 @@ def test_dense_output_reduced_in_chunks_samples_as_one_block(monkeypatch):
 def test_dense_queries_on_a_trajectory_without_steps():
     # collision at t = 0: one row, no accepted step, the span is [0, 0]
     state = PhaseState(2e-10, 0.0, -1.0, 0.0)
-    traj = integrate(state, KeplerParams(0.0, 1.0), 1.0)
-    assert len(traj) == 1 and traj.event_time == 0.0
+    params = KeplerParams(0.0, 1.0)
+    traj = integrate(state, params, 1.0)
+    # the fall law times the rest of the fall: about pi (2e-10)**1.5/sqrt(8)
+    assert len(traj) == 1 and traj.event_time == _fall_law(params, traj) == pytest.approx(3.14e-15, rel=1e-3)
     assert (traj.stats.h_min, traj.stats.h_max) == (0.0, 0.0)
     assert traj.state_at(0.0) == state
     assert traj.sample([0.0, 0.0]).tolist() == [[state.r, state.phi, state.v_r, state.v_phi]] * 2

@@ -84,15 +84,17 @@ def test_baseline_has_its_pinned_step_counts_and_bytes(tmp_path):
     assert doc["simulate"]["bytes"] == BASELINE_BYTES
 
 
-# Integrations the CLI pins do not reach: a bounded orbit on each curvature
-# regime and on the two nearly flat curvatures, where each periastron (r near
-# 0.087) dips into the series band |kappa r**2| < 1e-8 of sin_k, cos_k; a fall
-# from rest on the sphere and on the hyperbolic plane, whose last steps run
-# through that band to the collision event; and one separable orbit, which the
-# integrator takes through its call-flow kernel.
-INTEGRATOR_CASES = [(kappa, PhaseState(1.0, 0.0, 0.1, 0.4)) for kappa in (1.0, 1e-6, 0.0, -1e-6, -1.0)]
-INTEGRATOR_CASES += [(kappa, PhaseState(0.5, 0.0, 0.0, 0.0)) for kappa in (1.0, -1.0)]
-INTEGRATOR_DIGEST = "da9819d25fe5fecb7210d4d7efc15c8efb65a12d590752b2ee9a69102c55de0c"
+# Integrations the CLI pins do not reach, in two parts.  The orbits: a bounded
+# orbit on each curvature regime and on the two nearly flat curvatures, where
+# each periastron (r near 0.087) dips into the series band |kappa r**2| < 1e-8
+# of sin_k, cos_k, and one separable orbit, which the integrator takes through
+# its call-flow kernel.  The falls: from rest on the sphere and on the
+# hyperbolic plane, whose last steps run through that band until the fall law
+# ends them in the collision event.
+ORBIT_CASES = [(kappa, PhaseState(1.0, 0.0, 0.1, 0.4)) for kappa in (1.0, 1e-6, 0.0, -1e-6, -1.0)]
+FALL_CASES = [(kappa, PhaseState(0.5, 0.0, 0.0, 0.0)) for kappa in (1.0, -1.0)]
+ORBIT_DIGEST = "7129f5cc92baec8b579c7382511cb96df129fbfff0ba2278754020eb26606351"
+FALL_DIGEST = "d1286b4cf16daf5dca4fa8933328c11a2a8cf02c8c221b11ec703a96df94af13"
 
 
 def _separable(dense, tol):
@@ -112,16 +114,23 @@ def _separable(dense, tol):
     return integrate_separable(-1.0, PhaseState(1.0, 0.0, 0.1, 0.5), f, df, g, dg, 10.0, tol=tol, dense=dense)
 
 
-def test_integrations_have_their_pinned_digest():
-    # times, states, invariants, stats, event and the dense (h, d) of each run
-    digest = hashlib.sha256()
+def _digest(cases, separable):
+    """sha256 over times, states, invariants, stats, event and the dense (h, d)
+    of each case, plain at tol 1e-11 and dense at 1e-9, and of the events."""
+    digest, events = hashlib.sha256(), []
     for dense, tol in ((False, 1e-11), (True, 1e-9)):
-        runs = [
-            integrate(state, KeplerParams(kappa, 1.0), 20.0, tol=tol, dense=dense) for kappa, state in INTEGRATOR_CASES
-        ]
-        for traj in [*runs, _separable(dense, tol)]:
+        runs = [integrate(state, KeplerParams(kappa, 1.0), 20.0, tol=tol, dense=dense) for kappa, state in cases]
+        for traj in [*runs, *([_separable(dense, tol)] if separable else [])]:
             for array in (traj.times, traj.states, traj.invariants, *(traj._dense or ())):
                 digest.update(np.ascontiguousarray(array).tobytes())
             digest.update(repr((traj.stats, traj.event, traj.event_time)).encode())
-    assert [traj.event for traj in runs[-2:]] == ["collision", "collision"]
-    assert digest.hexdigest() == INTEGRATOR_DIGEST
+            events.append(traj.event)
+    return digest.hexdigest(), events
+
+
+def test_orbit_integrations_have_their_pinned_digest():
+    assert _digest(ORBIT_CASES, True) == (ORBIT_DIGEST, [None] * 12)
+
+
+def test_fall_integrations_have_their_pinned_digest():
+    assert _digest(FALL_CASES, False) == (FALL_DIGEST, ["collision"] * 4)
