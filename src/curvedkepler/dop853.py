@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -438,8 +438,9 @@ class _Flow(NamedTuple):
     evaluate: str  # statements setting k{s}_0..k{s}_3 at the stage state
     integrals: str  # statements setting inv1, the solution's first integrals
     names: tuple  # the (name, value) pairs the texts read besides isfinite and sqrt
-    # (*params, y, integrals) -> the time in which a state y on a radial line (v_phi == 0.0)
-    # that is not rising, of first integrals integrals, reaches the centre; None: no law
+    # (*params, r, v_r, E) -> the time in which a state on a radial line (v_phi == 0.0) at
+    # r, not rising (v_r <= 0), of energy E (its first integral 0) reaches the centre;
+    # None: no law
     fall: Callable | None
     watched: int  # how many of the first integrals the spike guard watches
 
@@ -565,7 +566,9 @@ def _integrate_adaptive(
     ``_COLLISION_SOFT``.  A start on a radial line (v_phi == 0.0) of a row
     with a fall law is decided once: it stops at the first accepted state
     below ``_COLLISION_SOFT`` that is not rising, or at an underflow while
-    not rising, and its ``event_time`` adds the law's time to the centre.
+    not rising, and its ``event_time`` adds the law's time to the centre,
+    provided that the sum is at most ``t_end``; a fall the law ends after
+    ``t_end`` integrates on by the rules above.
     """
     check_interior_radius(kappa, state0.r)
     check_tol(tol)
@@ -577,7 +580,7 @@ def _integrate_adaptive(
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
     attempt = _kernels(flow, dense)(rhs, invariants, *lead, r_max, rtol, _SPIKE_FACTOR * tol)
     # a start on a radial line of a row with a fall law stops below _COLLISION_SOFT
-    fall = partial(flow.fall, *lead) if flow.fall is not None and y[3] == 0.0 else None
+    fall = flow.fall if y[3] == 0.0 else None
     floor = COLLISION_RADIUS if fall is None else _COLLISION_SOFT
     try:
         f = rhs(*y)
@@ -606,11 +609,15 @@ def _integrate_adaptive(
             # so it is no underflow however small the span is
             h = t_end - t
         elif h < 1e-14 * max(1.0, abs(t)):
-            # the center is reached: a fall below _COLLISION_SOFT, or a state on a radial
-            # line that is not rising, which the row's fall law takes there
-            falling = fall is not None and y[2] <= 0.0
-            if falling or (y[0] < _COLLISION_SOFT and y[2] < 0.0):
-                event, event_time = "collision", (t + fall(y, inv0)) if falling else t
+            # the center is reached: a state on a radial line that is not rising, which
+            # the row's fall law takes there within the span, or a fall below _COLLISION_SOFT
+            if fall is not None and y[2] <= 0.0:
+                t_fall = t + fall(*lead, y[0], y[2], inv0[0])
+                if t_fall <= t_end:
+                    event, event_time = "collision", t_fall
+                    break
+            if y[0] < _COLLISION_SOFT and y[2] < 0.0:
+                event, event_time = "collision", t
                 break
             # the last attempt's outcome, by its StepStats field name, says why h shrank
             last = "no attempt yet: h is the initial trial step" if outcome is None else (
@@ -638,9 +645,17 @@ def _integrate_adaptive(
         states.append(y_new)
         invs.append(inv1)
 
-        if y_new[0] <= floor and (fall is None or y_new[2] <= 0.0):
-            event, event_time = "collision", t_new if fall is None else t_new + fall(y_new, inv1)
-            break
+        if y_new[0] <= floor:
+            if fall is None:
+                event, event_time = "collision", t_new
+                break
+            # a radial state that is not rising ends here if the law takes it to the
+            # centre within the span; otherwise the run goes on to t_end
+            if y_new[2] <= 0.0:
+                t_fall = t_new + fall(*lead, y_new[0], y_new[2], inv1[0])
+                if t_fall <= t_end:
+                    event, event_time = "collision", t_fall
+                    break
 
         # the solution's stage is the next step's first (FSAL)
         y, f, t = y_new, f_new, t_new

@@ -156,7 +156,7 @@ _KEPLER_ROWS = {
     regime: _Flow(
         ("kappa", "k"), ("v_r", "v_phi"), setup, text + "\nk{s}_0, k{s}_1, k{s}_2, k{s}_3 = " + _KEPLER_FLOW,
         _INTEGRALS, tuple(_SINCOS_NAMES.items()),
-        lambda kappa, k, y, integrals: _fall_time(kappa, k, y[0], y[2], integrals[0]), 2,
+        _fall_time, 2,
     )
     for regime, (setup, text) in _SINCOS.items()
 }
@@ -326,7 +326,8 @@ def integrate(
     ``_COLLISION_SOFT`` that is not rising, or where its steps underflow
     while it is not rising, and ``Trajectory.event_time`` is that state's
     time plus the closed-form fall law's time from it to r = 0, later
-    than the last row's.
+    than the last row's.  A fall that the law takes to r = 0 only after
+    ``t_end`` integrates on to ``t_end``.
     """
     kappa, k = params.kappa, params.k
     sc = _sincos(kappa)

@@ -139,6 +139,20 @@ def test_simulate_radial_drop_with_underflowing_steps_collides(capsys, kappa, k,
     assert doc["event"]["t"] == t + _fall_time(kappa, k, r, v_r, e) > t
 
 
+def test_simulate_radial_drop_whose_fall_ends_after_t_end_runs_to_t_end(capsys):
+    # the flat k = 1 drop from r = 1 reaches the centre at pi/(2 sqrt 2); a t_end
+    # 2e-7 before that lies after the drop crosses r = 1e-4, so the fall law would
+    # end the run past t_end: it runs to t_end instead, with no event
+    t_end = math.pi / (2.0 * math.sqrt(2.0)) - 2e-7
+    argv = ["simulate", "--kappa", "0", "--k", "1", "--state", "1,0,0,0", f"--t-end={t_end!r}", "--output", "json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["event"] is None
+    t, r, _, v_r = doc["rows"][-1][:4]
+    assert t == t_end and 0.0 < r < 1e-4 and v_r < 0.0
+
+
 def test_simulate_elements_start_at_periastron(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -546,6 +546,36 @@ def test_the_fall_law_meets_its_rest_form_at_the_switch(kappa):
     assert dynamics._fall_time(kappa, 1.0, 0.5, -1e-15, 5e-31 - u) == pytest.approx(rest, rel=2e-15, abs=0.0)
 
 
+# a flat k = 1 drop from rest at r = 1 reaches the centre at pi/(2 sqrt 2)
+FLAT_DROP_COLLISION = math.pi / (2.0 * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("early", [4e-7, 2e-7, 1e-8])
+def test_a_radial_fall_the_law_ends_after_the_span_runs_to_t_end(early):
+    # t_end lies after the fall crosses _COLLISION_SOFT but before the fall law's
+    # collision: the run reaches t_end with no event, and the fall law from its
+    # last state still lands on the collision time
+    params = KeplerParams(0.0, 1.0)
+    t_end = FLAT_DROP_COLLISION - early
+    traj = integrate(PhaseState(1.0, 0.0, 0.0, 0.0), params, t_end, tol=1e-11, dense=False)
+    assert traj.event is None and traj.event_time is None
+    assert traj.t_end == t_end
+    assert 0.0 < traj.states[-1, 0] < dop853._COLLISION_SOFT and traj.states[-1, 2] < 0.0
+    assert abs(traj.t_end + _fall_law(params, traj) - FLAT_DROP_COLLISION) <= 1e-11 * FLAT_DROP_COLLISION
+
+
+def test_a_radial_fall_whose_steps_underflow_before_a_span_the_law_outlasts_ends_in_the_span():
+    # t_end lies after the step size underflows (near r = 1.8e-6) but before the
+    # fall law's collision: the underflow below _COLLISION_SOFT while falling
+    # ends the run at its last row, as for any fall, not at a time past t_end
+    params = KeplerParams(0.0, 1.0)
+    t_end = FLAT_DROP_COLLISION - 1e-10
+    traj = integrate(PhaseState(1.0, 0.0, 0.0, 0.0), params, t_end, tol=1e-11, dense=False)
+    assert traj.event == "collision"
+    assert traj.event_time == traj.t_end < t_end < traj.t_end + _fall_law(params, traj)
+    assert traj.states[-1, 0] < dop853._COLLISION_SOFT and traj.states[-1, 2] < 0.0
+
+
 def test_a_radial_state_rising_below_the_soft_radius_integrates_until_it_falls():
     # from r0 = 5e-5 up to the apex at 8e-5 and back: no state on the way up
     # ends the run, the first falling one does.  The collision comes after the
