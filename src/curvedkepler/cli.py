@@ -47,6 +47,8 @@ CHARTS = ("polar", "ambient", "poincare_disk")
 
 TRIG_CHECK_TOL = 1e-13
 
+MAX_GRID = 10**6  # rows of a scan or conic grid at most: a table is held as text before it is written
+
 
 class ConfigError(Exception):
     """Anything wrong with flags or the config file (exit code 2)."""
@@ -387,7 +389,7 @@ def cmd_potential_scan(args) -> tuple[int, str]:
         0.0 < r_lo < r_hi < limit,
         f"need 0 < r_min < r_max < {limit!r}, got [{r_lo!r}, {r_hi!r}]",
     )
-    _require(steps >= 2, f"need at least 2 grid steps, got {steps!r}")
+    _require(2 <= steps <= MAX_GRID, f"need 2 to {MAX_GRID} grid steps, got {steps!r}")
     prof = potential_profile(kap, k, j)
     # np.linspace's points, without its (steps - 1) * step: that overflows near the largest float, and is r_max
     step = (r_hi - r_lo) / (steps - 1)
@@ -433,7 +435,7 @@ def _family_specimens(fam) -> list[tuple[str, float]]:
 def cmd_conic(args) -> tuple[int, str]:
     kap = args.kappa
     _check_chart(args.chart, kap)
-    _require(args.phi_steps >= 8, f"need at least 8 angles, got {args.phi_steps!r}")
+    _require(8 <= args.phi_steps <= MAX_GRID, f"need 8 to {MAX_GRID} angles, got {args.phi_steps!r}")
     chart_names = _chart_names(args.chart)
 
     if args.periastron is not None:

@@ -206,17 +206,15 @@ class Trajectory:
     ``"collision"`` or None) and when (``event_time``: for a fall on a
     radial line that a flow's fall law ends, the time the fall reaches
     r = 0, later than the last row's; otherwise the last row's time) and,
-    when dense output was requested, an
-    interpolant of degree 7 per step that
-    :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
+    when dense output was requested, an interpolant of degree 7 per step
+    that :meth:`state_at`, :meth:`sample` and :meth:`first_crossing` evaluate.
     The interpolants are kept as two private arrays: step i starts at
     ``times[i]``, ``states[i]``, has size ``h[i]`` and coefficients
     ``d[:, i]``, where ``d`` has shape (7, n, 4), indexed (theta power, step,
     component) and C-contiguous, so :meth:`sample` gathers each power as one
-    contiguous block; the evaluators read the degree from ``d``.
-    Instances are immutable by
-    convention: nothing in the package mutates them after construction,
-    so they can be shared freely across threads.
+    contiguous block; the evaluators read the degree from ``d``.  Instances
+    are immutable by convention: nothing in the package mutates them after
+    construction, so they can be shared freely across threads.
     """
 
     def __init__(self, kappa, times, states, invariants, dense=None, event=None, event_time=None, stats=None):
@@ -395,12 +393,12 @@ def _rms(values) -> float:
     return math.sqrt((a**2 + b**2 + c**2 + d**2) / 4.0)
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    """First trial step and the number of right-hand-side calls it made."""
+def _initial_step(rhs, y0, f0, t_end, tol):
+    """First trial step at the local tolerance ``tol``, and the right-hand-side calls it made."""
     h0 = 1e-6
     calls = 0
     try:
-        scale = [atol + rtol * abs(v) for v in y0]
+        scale = [tol + tol * abs(v) for v in y0]
         d0 = _rms(y / s for y, s in zip(y0, scale))
         d1 = _rms(f / s for f, s in zip(f0, scale))
         if not (d0 < 1e-5 or d1 < 1e-5):
@@ -537,9 +535,7 @@ def _kernels(flow, dense):
     return _source(_kernel(flow, dense), "<dop853 kernel>", **names)["make"]
 
 
-def _integrate_adaptive(
-    rhs, state0, t_end, tol, kappa, invariants, dense, flow=_CALL_FLOW, lead=(), *, names=None
-):
+def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense, flow=_CALL_FLOW, lead=()):
     """DOP853 driver on 4-component float tuples over [0, t_end] on curvature
     ``kappa``.  It refuses a state off the open chart, a ``tol`` outside
     ``TOL_RANGE`` and a span that is not positive and finite, in that order.
@@ -563,12 +559,14 @@ def _integrate_adaptive(
 
     A run ends in the ``collision`` event when an accepted state reaches
     ``COLLISION_RADIUS``, or when the step size underflows on a fall below
-    ``_COLLISION_SOFT``.  A start on a radial line (v_phi == 0.0) of a row
-    with a fall law is decided once: it stops at the first accepted state
-    below ``_COLLISION_SOFT`` that is not rising, or at an underflow while
-    not rising, and its ``event_time`` adds the law's time to the centre,
+    ``_COLLISION_SOFT`` of a row without a fall law or of a radial start.
+    A start on a radial line (v_phi == 0.0) of a row with a fall law is
+    decided once: it stops at the first accepted state below
+    ``_COLLISION_SOFT`` that is not rising, or at an underflow while not
+    rising, and its ``event_time`` adds the law's time to the centre,
     provided that the sum is at most ``t_end``; a fall the law ends after
-    ``t_end`` integrates on by the rules above.
+    ``t_end`` integrates on by the rules above.  Off the radial line such a
+    row turns at a periastron, and an underflow raises StiffnessError.
     """
     check_interior_radius(kappa, state0.r)
     check_tol(tol)
@@ -582,6 +580,12 @@ def _integrate_adaptive(
     # a start on a radial line of a row with a fall law stops below _COLLISION_SOFT
     fall = flow.fall if y[3] == 0.0 else None
     floor = COLLISION_RADIUS if fall is None else _COLLISION_SOFT
+
+    def fall_end(t, y, inv):
+        # the time in the span at which the law takes y, at t and not rising, to the centre, or None
+        t_fall = t + fall(*lead, y[0], y[2], inv[0]) if fall is not None and y[2] <= 0.0 else math.inf
+        return t_fall if t_fall <= t_end else None
+
     try:
         f = rhs(*y)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -592,14 +596,12 @@ def _integrate_adaptive(
 
     times, states, invs = [0.0], [y], [inv0]
     steps_h, stages, coeffs = [], [], []
-    event = event_time = None
+    event_time = None
 
-    h, rhs_calls = _initial_step(rhs, y, f, t_end, rtol, rtol)
+    h, rhs_calls = _initial_step(rhs, y, f, t_end, rtol)
     rhs_calls += 1
     counts = [0, 0, 0, 0]  # by outcome: accepted, rejected_error, rejected_spike, rejected_stage
-    steps = 0
-    rejected = False
-    outcome = None
+    steps, rejected, outcome = 0, False, None
     while t < t_end:
         if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted after {steps} steps")
@@ -609,19 +611,20 @@ def _integrate_adaptive(
             # so it is no underflow however small the span is
             h = t_end - t
         elif h < 1e-14 * max(1.0, abs(t)):
-            # the center is reached: a state on a radial line that is not rising, which
-            # the row's fall law takes there within the span, or a fall below _COLLISION_SOFT
-            if fall is not None and y[2] <= 0.0:
-                t_fall = t + fall(*lead, y[0], y[2], inv0[0])
-                if t_fall <= t_end:
-                    event, event_time = "collision", t_fall
-                    break
-            if y[0] < _COLLISION_SOFT and y[2] < 0.0:
-                event, event_time = "collision", t
+            # the center is reached: a state on a radial line that is not rising, which the row's
+            # fall law takes there within the span, or a fall below _COLLISION_SOFT of a row
+            # without a fall law or of a radial start; off that line a Kepler orbit turns
+            event_time = fall_end(t, y, inv0)
+            near = y[0] < _COLLISION_SOFT and y[2] < 0.0
+            if event_time is None and near and (fall is not None or flow.fall is None):
+                event_time = t
+            if event_time is not None:
                 break
             # the last attempt's outcome, by its StepStats field name, says why h shrank
             last = "no attempt yet: h is the initial trial step" if outcome is None else (
                 f"last attempt: {fields(StepStats)[outcome].name}")
+            if near:  # a row with a fall law, off the radial line
+                last += "; off a radial line, the steps cannot show whether the orbit turns before the centre"
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r}), r={y[0]!r}; {last}")
 
         outcome, calls, err, q_max, y_new, inv1, f_new, ks = attempt(y, f, h, inv0)
@@ -646,16 +649,10 @@ def _integrate_adaptive(
         invs.append(inv1)
 
         if y_new[0] <= floor:
-            if fall is None:
-                event, event_time = "collision", t_new
+            # a radial state not rising ends here if the law takes it to the centre within the span
+            event_time = t_new if fall is None else fall_end(t_new, y_new, inv1)
+            if event_time is not None:
                 break
-            # a radial state that is not rising ends here if the law takes it to the
-            # centre within the span; otherwise the run goes on to t_end
-            if y_new[2] <= 0.0:
-                t_fall = t_new + fall(*lead, y_new[0], y_new[2], inv1[0])
-                if t_fall <= t_end:
-                    event, event_time = "collision", t_fall
-                    break
 
         # the solution's stage is the next step's first (FSAL)
         y, f, t = y_new, f_new, t_new
@@ -673,9 +670,8 @@ def _integrate_adaptive(
     if not np.isfinite(invs).all():
         # an integral the spike guard does not watch overflowed
         row, col = np.argwhere(~np.isfinite(invs))[0].tolist()
-        name = names[col] if names else f"#{col}"
         raise NumericalError(
-            f"first integral {name} of accepted state {row} (t={times[row]!r}) "
+            f"first integral {names[col]} of accepted state {row} (t={times[row]!r}) "
             f"is not finite: {float(invs[row, col])!r}"
         )
     hs = np.diff(times).tolist() or [0.0]
@@ -683,4 +679,5 @@ def _integrate_adaptive(
     if dense:
         interpolants = (np.array(steps_h), np.concatenate([*coeffs, _dense_coefficients(stages)], axis=1))
     stats = StepStats(*counts, rhs_calls, min(hs), max(hs))
+    event = None if event_time is None else "collision"
     return Trajectory(kappa, times, states, invs, dense=interpolants, event=event, event_time=event_time, stats=stats)

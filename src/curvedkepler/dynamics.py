@@ -318,23 +318,24 @@ def integrate(
     i2)); non-finite ones at any accepted state raise :class:`NumericalError`.
     ``Trajectory.stats`` counts the accepted and rejected steps and the
     right-hand-side evaluations.
-    A fall that reaches the collision radius, or whose steps underflow on
-    the way there below ``dop853._COLLISION_SOFT``, truncates the
-    trajectory and records the ``collision`` event instead of raising.
+    A fall that reaches the collision radius truncates the trajectory and
+    records the ``collision`` event instead of raising.
     A start on a radial line (v_phi == 0, so J = 0) is not integrated into
     the centre: it stops at its first accepted state below
-    ``_COLLISION_SOFT`` that is not rising, or where its steps underflow
-    while it is not rising, and ``Trajectory.event_time`` is that state's
-    time plus the closed-form fall law's time from it to r = 0, later
-    than the last row's.  A fall that the law takes to r = 0 only after
-    ``t_end`` integrates on to ``t_end``.
+    ``dop853._COLLISION_SOFT`` that is not rising, or where its steps
+    underflow while it is not rising, and ``Trajectory.event_time`` is that
+    state's time plus the closed-form fall law's time from it to r = 0,
+    later than the last row's.  A fall that the law takes to r = 0 only
+    after ``t_end`` integrates on to ``t_end``.  Off the radial line the
+    orbit turns at a periastron: an underflow raises :class:`StiffnessError`,
+    even if the periastron lies inside the collision radius.
     """
     kappa, k = params.kappa, params.k
     sc = _sincos(kappa)
     row = _KEPLER_ROWS["flat" if kappa == 0.0 else "curved"]
     return _integrate_adaptive(
-        partial(_kepler_rhs, sc, k), state0, t_end, tol, kappa, partial(_first_integrals, sc, k), dense, row,
-        (kappa, k), names=("E", "J", "E_P", "I3", "I4"),
+        partial(_kepler_rhs, sc, k), state0, t_end, tol, kappa, partial(_first_integrals, sc, k),
+        ("E", "J", "E_P", "I3", "I4"), dense, row, (kappa, k),
     )
 
 
@@ -373,4 +374,4 @@ def integrate_separable(
         e = _kinetic(s * s * vphi, vr, vphi) + f(r) + g(phi) / (s * s)
         return (e, i1, i2)
 
-    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, dense, names=("E", "i1", "i2"))
+    return _integrate_adaptive(rhs, state0, t_end, tol, k, inv, ("E", "i1", "i2"), dense)

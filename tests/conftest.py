@@ -1,6 +1,9 @@
-"""Shared fixtures: seeded random generators and state samplers."""
+"""Shared fixtures: seeded random generators, state samplers and a guard
+that keeps a global trace hook out of pure mpmath work."""
 
 import math
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,6 +14,19 @@ SEED = 42
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+@contextmanager
+def untraced():
+    """Suspend a global trace hook, such as the statement trace's, around
+    pure mpmath work.  The hook runs on every Python call inside mp.quad
+    where the package runs no statement of its own."""
+    saved = sys.gettrace()
+    sys.settrace(None)
+    try:
+        yield
+    finally:
+        sys.settrace(saved)
 
 
 def random_states(kappa, n, rng, r_lo=0.1, v_max=3.0, r_hi=None):

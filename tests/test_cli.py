@@ -153,6 +153,16 @@ def test_simulate_radial_drop_whose_fall_ends_after_t_end_runs_to_t_end(capsys):
     assert t == t_end and 0.0 < r < 1e-4 and v_r < 0.0
 
 
+def test_simulate_a_non_radial_fall_whose_steps_underflow_exits_4(capsys):
+    # J = 1e-3 on the flat plane: the orbit turns at its periastron 5e-7, and
+    # the steps underflow on the way near r = 1.7e-6; that is no collision
+    argv = ["simulate", "--kappa", "0", "--k", "1", "--state", "1,0,0,0.001", "--t-end", "3", "--tol", "1e-11"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "step size underflow at t=1.11072156623564" in err
+    assert "off a radial line" in err and "Traceback" not in err
+
+
 def test_simulate_elements_start_at_periastron(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -823,6 +833,22 @@ def test_scan_out_of_range_grid_exit_2(capsys):
     assert code == EXIT_CONFIG
     code2, _, _ = scan(capsys, ["--kappa", "0", "--k", "1", "--J", "1", "--r-min", "0"])
     assert code2 == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["potential-scan", "--kappa", "-1", "--k", "1", "--J", "0.8", f"--steps={2**62}"],
+        ["conic", "--kappa", "-1", "--d", "0.5", "--ecc", "0.3", f"--phi-steps={2**62}"],
+        ["conic", "--kappa", "-1", "--periastron", "0.6", f"--phi-steps={2**62}"],
+    ],
+    ids=["potential-scan", "conic", "conic family"],
+)
+def test_a_grid_above_max_grid_exits_2(capsys, argv):
+    # refused before a row is built: the rows would exhaust the memory
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert str(cli.MAX_GRID) in err and "Traceback" not in err
 
 
 def test_scan_failing_midway_writes_nothing(capsys):

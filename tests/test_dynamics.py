@@ -37,6 +37,7 @@ from curvedkepler.errors import (
     SingularityError,
     StiffnessError,
 )
+from curvedkepler.effective_potential import OrbitLabel, classify_orbit, turning_points
 from curvedkepler.geometry import PolarPoint
 from curvedkepler.ktrig import acot_k, cos_k, sin_k
 from curvedkepler.orbit import orbit_constants, radial_period
@@ -609,6 +610,19 @@ def test_a_separable_fall_keeps_the_soft_collision_rule():
     assert "r=5e-05; no attempt yet: h is the initial trial step" in str(err.value)
 
 
+def test_a_kepler_fall_off_the_radial_line_is_no_collision():
+    # J = 1e-3 on the flat plane: a flat ellipse that turns at its periastron
+    # 5e-7, above COLLISION_RADIUS.  Its steps underflow near r = 1.7e-6 while
+    # it falls; below _COLLISION_SOFT that is no collision off the radial line
+    params, state = KeplerParams(0.0, 1.0), PhaseState(1.0, 0.0, 0.0, 1e-3)
+    e = energy(state, params)
+    assert classify_orbit(0.0, 1.0, 1e-3, e).label is OrbitLabel.FLAT_ELLIPSE
+    assert turning_points(0.0, 1.0, 1e-3, e)[0] > dop853.COLLISION_RADIUS
+    with pytest.raises(StiffnessError, match=r"underflow at t=1\.11072156623564 ") as err:
+        integrate(state, params, 3.0, tol=1e-11)
+    assert "r=1.655148112978938e-06; last attempt: rejected_spike; off a radial line" in str(err.value)
+
+
 def test_an_underflow_names_the_outcome_of_the_last_attempt():
     # an escape on the hyperbolic plane reaches r ~ 355, where sinh(r)**2
     # overflows: the steps shrink through a run of bad-stage rejections
@@ -789,6 +803,10 @@ def _zero_integrals(*y):
     return (0.0, 0.0, 0.0)
 
 
+# the names of the integrals that the call flow watches, as integrate_separable gives them
+CALL_NAMES = ("E", "i1", "i2")
+
+
 def _spike_once_traj(spiked=(math.nan,)):
     # the watched invariants of the third state offered are ``spiked`` once:
     # that step is rejected by the spike guard, retried at half the size
@@ -801,7 +819,7 @@ def _spike_once_traj(spiked=(math.nan,)):
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
     rhs = functools.partial(dynamics._kepler_rhs, dynamics._sincos(1.0), 1.0)
     flow = dop853._CALL_FLOW._replace(watched=len(spiked))
-    return dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, False, flow)
+    return dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, invariants, CALL_NAMES, False, flow)
 
 
 # a NaN in the first or a later watched integral
@@ -837,7 +855,7 @@ def test_stats_count_a_stage_rejection(failure):
         return (-1e9, 0.0, 0.0, 0.0)
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, _zero_integrals, False)
+    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, _zero_integrals, CALL_NAMES, False)
     stats = traj.stats
     assert stats.rejected_stage == 1
     assert stats.rhs_evaluations == 2 + 5 + 12 * (_attempts(stats) - 1)
@@ -870,7 +888,7 @@ def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
     # after the step passed its error and spike tests; it raises
     rhs = _kepler_calls_with(_raise_at(16))
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
-    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, _zero_integrals, True)
+    traj = dop853._integrate_adaptive(rhs, state, 2.0, 1e-9, 1.0, _zero_integrals, CALL_NAMES, True)
     hs = np.diff(traj.times)
     assert traj.stats == dop853.StepStats(
         accepted=35,
@@ -886,7 +904,7 @@ def test_stats_count_a_dense_stage_rejection_after_the_step_passed():
     assert len(traj) == 36
     # without the failure that attempt stands, and its retry takes half the step
     clean = dop853._integrate_adaptive(
-        _kepler_calls_with(lambda call, y: None), state, 2.0, 1e-9, 1.0, _zero_integrals, True
+        _kepler_calls_with(lambda call, y: None), state, 2.0, 1e-9, 1.0, _zero_integrals, CALL_NAMES, True
     )
     assert traj.times[1] == 0.5 * clean.times[1]
 
@@ -900,7 +918,7 @@ def test_stats_count_a_non_finite_solution():
 
     state = PhaseState(0.9, 0.0, 0.1, 1.2)
     traj = dop853._integrate_adaptive(
-        _kepler_calls_with(replace), state, 2.0, 1e-9, 1.0, _zero_integrals, False
+        _kepler_calls_with(replace), state, 2.0, 1e-9, 1.0, _zero_integrals, CALL_NAMES, False
     )
     stats = traj.stats
     assert (stats.rejected_stage, stats.rejected_spike) == (1, 0)

@@ -19,10 +19,9 @@ and every other f the closed forms (|y| > ``ktrig._PHI_SERIES_Y``).
 
 import cmath
 import math
-import sys
-from contextlib import contextmanager
 
 import pytest
+from conftest import untraced
 from mpmath import mp, mpf
 
 from curvedkepler.dynamics import _fall_time
@@ -37,18 +36,6 @@ SPEEDS = [0.0, 1e-6, 0.5, 1.0, 2.0, 1e4]
 #: of T, kappa = -1 at r = 0.3 and f = 1e4, where y_A is 1e-4 above the cut
 #: at -1); the bound leaves a margin of 4.5
 FALL_RTOL = 1e-14
-
-
-@contextmanager
-def _untraced():
-    """Suspend a global trace hook, such as the statement trace's, around
-    pure mpmath work."""
-    saved = sys.gettrace()
-    sys.settrace(None)
-    try:
-        yield
-    finally:
-        sys.settrace(saved)
 
 
 def _sin_k(kappa, x):
@@ -87,7 +74,7 @@ def _oracle(kappa, k, r, v_r):
 
     E + k cot_k(x) is written as v_r**2/2 + k sin_k(r - x)/(sin_k(x) sin_k(r)),
     which stays positive next to a turning point at r."""
-    with mp.workdps(40), _untraced():
+    with mp.workdps(40), untraced():
         kap, r_mp, v_mp = mpf(kappa), mpf(r), mpf(v_r)
         s_r = _sin_k(kap, r_mp)
 

@@ -1,8 +1,8 @@
-"""The pinned outputs, checked in process: the bytes of seven CLI runs and
-the dense ``sample`` digest that the CI workflow's baseline step pins by
-sha256 (.github/workflows/tests.yml), with the same values, and the step
-counts and simulate bytes of ``bench/run.py --baseline``.  A change that
-moves one of them records old -> new and why."""
+"""The pinned outputs, checked in process, and their one home: the sha256
+of the bytes of seven CLI runs and of the dense ``sample``, the step
+counts and simulate bytes of ``bench/run.py --baseline``, and the digests
+of integrations that the CLI runs do not reach.  A change that moves one
+of them records old -> new and why."""
 
 import hashlib
 import importlib.util

@@ -19,10 +19,9 @@ bound in the anomaly.
 """
 
 import math
-import sys
 import warnings
-from contextlib import contextmanager
 
+from conftest import untraced
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
@@ -43,19 +42,6 @@ ULPS = 4
 KINDS = ("generic", "beyond", "parabola", "horoellipse", "horohyperbola")
 #: open legs stop this share of the way from the asymptote to periastron
 OPEN_REACH = 1e-7
-
-
-@contextmanager
-def _untraced():
-    """Suspend a global trace hook, such as the statement trace's, around
-    pure mpmath work.  The hook runs on every Python call inside mp.quad
-    where the package runs no statement of its own."""
-    saved = sys.gettrace()
-    sys.settrace(None)
-    try:
-        yield
-    finally:
-        sys.settrace(saved)
 
 
 def _moved(x, n):
@@ -98,7 +84,7 @@ def _breaks(ecc, a, b):
     return sorted(m for m in marks if a <= m <= b)
 
 
-@_untraced()
+@untraced()
 def _oracle_bound(kappa, j, d, ecc, u_a, u_b):
     """Oracle time between two u values of the orbit (j, d, ecc), and its tolerance.
 
@@ -255,7 +241,7 @@ def test_near_escape_leg_matches_oracle_without_warnings():
     assert abs(got - want) <= tol, (got, want, tol)
 
 
-@_untraced()
+@untraced()
 def _forward_miss(kappa, j, d, ecc, t, theta):
     """|t(theta) - t| over dt/dtheta at the anomaly theta = phi - phi0 that
     came back for the time t since periastron, and its tolerance.
@@ -362,7 +348,7 @@ def test_propagate_inverts_the_time_law_across_the_equator(kappa, j, ecc):
     phi = propagate(oc, kappa, ts)[:, 1]
     assert oc.phi0 == 0.0
     worst = 0.0
-    with _untraced(), mp.workdps(40):
+    with untraced(), mp.workdps(40):
         rate, _ = _time_law(kappa, oc.conserved.j, oc.d, oc.ecc)
         # t(theta) is odd: sum it up over the sorted |theta|, one short leg each
         t_at, reached = mpf(0), mpf(0)
