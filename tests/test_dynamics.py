@@ -30,6 +30,7 @@ from curvedkepler.dynamics import (
     runge_lenz,
     separable_integrals,
 )
+from curvedkepler.effective_potential import OrbitLabel, classify_orbit, turning_points
 from curvedkepler.errors import (
     CurvedKeplerError,
     InfeasibleError,
@@ -37,7 +38,6 @@ from curvedkepler.errors import (
     SingularityError,
     StiffnessError,
 )
-from curvedkepler.effective_potential import OrbitLabel, classify_orbit, turning_points
 from curvedkepler.geometry import PolarPoint
 from curvedkepler.ktrig import acot_k, cos_k, sin_k
 from curvedkepler.orbit import orbit_constants, radial_period
