@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -48,6 +49,11 @@ CHARTS = ("polar", "ambient", "poincare_disk")
 TRIG_CHECK_TOL = 1e-13
 
 MAX_GRID = 10**6  # rows of a scan or conic grid at most: a table is held as text before it is written
+
+# an argument that starts like a negative number is a value, never a flag: argparse of
+# Python 3.10 to 3.13.0 takes only -1 and -.5 as numbers, and reads --E -3e-1 as a flag
+# without its value
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 class ConfigError(Exception):
@@ -385,6 +391,8 @@ def cmd_potential_scan(args) -> tuple[int, str]:
     limit = _chart_limit(kap)
     if r_hi is None:
         r_hi = 0.9 * limit if kap > 0.0 else 5.0
+    if r_lo is None:
+        r_lo = min(0.1, 0.1 * r_hi)
     _require(
         0.0 < r_lo < r_hi < limit,
         f"need 0 < r_min < r_max < {limit!r}, got [{r_lo!r}, {r_hi!r}]",
@@ -585,8 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--kappa", type=_finite_flag, required=True)
     scan.add_argument("--k", type=_finite_flag, required=True)
     scan.add_argument("--J", dest="j", type=_finite_flag, required=True)
-    scan.add_argument("--r-min", dest="r_min", type=_finite_flag, default=0.1)
-    scan.add_argument("--r-max", dest="r_max", type=_finite_flag, default=None)
+    scan.add_argument("--r-min", dest="r_min", type=_finite_flag, help="default 0.1, at most r_max/10")
+    scan.add_argument("--r-max", dest="r_max", type=_finite_flag)
     scan.add_argument("--steps", type=int, default=200)
     scan.add_argument("--out")
     scan.set_defaults(run=cmd_potential_scan)
@@ -610,6 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trig.add_argument("--pairs", type=int, default=100_000)
     trig.add_argument("--out")
     trig.set_defaults(run=cmd_trig_check)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -5,7 +5,9 @@ focus at the pole.  On the sphere D = tan_k(p) for a unique semi-latus
 length p.  On the hyperbolic plane tan_k saturates at 1/sqrt(-kappa), so
 the size parameter D needs three charts: a latus length p while
 D < 1/sqrt(-kappa), a complementary "colatus" length p_tilde beyond it,
-and the separatrix exactly at the saturation value.  Classification by
+and the separatrix exactly at the saturation value.  A conic is recorded
+by (kappa, D, ecc), :class:`ConicSpec`; its chart and chart length are
+derived from D.  Classification by
 eccentricity then depends on the size chart: hyperbolic geometry splits
 the flat parabola point e = 1 into a whole interval of parabolas fenced
 by horoellipses below and horohyperbolas above.
@@ -52,61 +54,55 @@ class FocalKind(Enum):
 
 @dataclass(frozen=True)
 class ConicSpec:
-    """A conic: curvature, eccentricity and a size parameter.
+    """A conic Tan_k(r) = d/(1 + ecc cos(phi)): curvature, size D and eccentricity.
 
-    Exactly one of ``p`` (latus family), ``p_tilde`` (colatus family,
-    hyperbolic plane only) or neither (separatrix, hyperbolic plane
-    only) is set, matching ``family``.
+    The constructor is the one check of a conic: kappa finite, D positive
+    and finite, ecc >= 0 (inf is the line pair) and, on the hyperbolic
+    plane, a periastron, D/(1 + ecc) below the saturation length
+    1/sqrt(-kappa).  ``family``, ``p`` and ``p_tilde`` name the size chart
+    that D falls in and its length; they are derived from D.
     """
 
     kappa: float
+    d: float
     ecc: float
-    family: ConicFamily
-    p: float | None = None
-    p_tilde: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", curvature_value(self.kappa))
-        self._check_lengths()
-
-    @classmethod
-    def _checked(cls, kap: float, ecc: float, family: ConicFamily, p=None, p_tilde=None):
-        """Spec of an already checked float kappa, built past the kappa check
-        of ``__post_init__``; the lengths are checked as usual."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(kappa=kap, ecc=ecc, family=family, p=p, p_tilde=p_tilde)
-        spec._check_lengths()
-        return spec
-
-    def _check_lengths(self):
-        if not self.ecc >= 0.0:
-            raise DomainError(f"eccentricity must be >= 0, got {self.ecc!r}")
-        if self.family is ConicFamily.LATUS:
-            if self.p is None or not 0.0 < self.p < _chart_limit(self.kappa):
-                raise DomainError(f"latus family needs 0 < p in range, got {self.p!r}")
-            if self.p_tilde is not None:
-                raise DomainError("latus family takes no p_tilde")
-        elif self.family is ConicFamily.COLATUS:
-            if self.kappa >= 0.0:
-                raise DomainError("colatus family exists only for kappa < 0")
-            if self.p_tilde is None or not 0.0 < self.p_tilde < math.inf:
-                raise DomainError(f"colatus family needs p_tilde > 0, got {self.p_tilde!r}")
-            if self.p is not None:
-                raise DomainError("colatus family takes no p")
-        else:
-            if self.kappa >= 0.0:
-                raise DomainError("the separatrix exists only for kappa < 0")
-            if self.p is not None or self.p_tilde is not None:
-                raise DomainError("the separatrix has no length parameter")
+        kap, d, ecc = curvature_value(self.kappa), float(self.d), float(self.ecc)
+        if not (math.isfinite(d) and d > 0.0):
+            raise DomainError(f"conic size must be positive and finite, got {d!r}")
+        if not ecc >= 0.0:
+            raise DomainError(f"eccentricity must be >= 0, got {ecc!r}")
+        if kap < 0.0 and d / (1.0 + ecc) >= 1.0 / math.sqrt(-kap):
+            raise DomainError(
+                f"no periastron: d/(1+ecc) = {d / (1.0 + ecc)!r} does not stay "
+                f"below the saturation length {1.0 / math.sqrt(-kap)!r}"
+            )
+        object.__setattr__(self, "kappa", kap)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ecc", ecc)
 
     @property
-    def d(self) -> float:
-        """Size parameter D of Tan_k(r) = D/(1 + ecc cos(phi))."""
-        if self.family is ConicFamily.LATUS:
-            return _tan(self.kappa, self.p)
-        if self.family is ConicFamily.COLATUS:
-            return 1.0 / ((-self.kappa) * _tan(self.kappa, self.p_tilde))
-        return 1.0 / math.sqrt(-self.kappa)
+    def family(self) -> ConicFamily:
+        """The latus chart below the saturation length 1/sqrt(-kappa) (and
+        on the plane and the sphere), the separatrix at it, the colatus
+        chart beyond it."""
+        d, sat = self.d, 1.0 / math.sqrt(-self.kappa) if self.kappa < 0.0 else math.inf
+        if d < sat:
+            return ConicFamily.LATUS
+        return ConicFamily.SEPARATRIX if d == sat else ConicFamily.COLATUS
+
+    @property
+    def p(self) -> float | None:
+        """Semi-latus length, tan_k(p) = D, in the latus chart; else None."""
+        return _atan(self.kappa, self.d) if self.family is ConicFamily.LATUS else None
+
+    @property
+    def p_tilde(self) -> float | None:
+        """Colatus length, tan_k(p_tilde) = 1/(-kappa D), in the colatus chart; else None."""
+        if self.family is not ConicFamily.COLATUS:
+            return None
+        return _atan(self.kappa, 1.0 / ((-self.kappa) * self.d))
 
 
 @dataclass(frozen=True)
@@ -159,30 +155,8 @@ class FocalElements:
 
 
 def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
-    """Conic of the orbit family with size D = d and eccentricity ecc.
-
-    Solves the size chart: latus length when tan_k(p) = d has a
-    solution, otherwise (hyperbolic plane, d beyond saturation) the
-    complementary colatus length, or the separatrix at the saturation
-    value exactly.
-    """
-    kap = curvature_value(kappa)
-    if not (math.isfinite(d) and d > 0.0):
-        raise DomainError(f"conic size must be positive and finite, got {d!r}")
-    if not ecc >= 0.0:
-        raise DomainError(f"eccentricity must be >= 0, got {ecc!r}")
-    if kap < 0.0:
-        sat = 1.0 / math.sqrt(-kap)
-        if d / (1.0 + ecc) >= sat:
-            raise DomainError(
-                f"no periastron: d/(1+ecc) = {d / (1.0 + ecc)!r} does not stay "
-                f"below the saturation length {sat!r}"
-            )
-        if d == sat:
-            return ConicSpec._checked(kap, ecc, ConicFamily.SEPARATRIX)
-        if d > sat:
-            return ConicSpec._checked(kap, ecc, ConicFamily.COLATUS, p_tilde=_atan(kap, 1.0 / ((-kap) * d)))
-    return ConicSpec._checked(kap, ecc, ConicFamily.LATUS, p=_atan(kap, d))
+    """Conic of the orbit family with size D = d and eccentricity ecc."""
+    return ConicSpec(kappa, d, ecc)
 
 
 def _ladder(kap: float, d: float) -> tuple[float, float, float]:

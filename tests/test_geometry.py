@@ -164,6 +164,39 @@ def test_from_ambient_rejects_lower_sheet():
         from_ambient(-1.0, AmbientPoint(0.0, 0.0, -1.0))
 
 
+@pytest.mark.parametrize(
+    "kappa, point",
+    [
+        (1.0, (5.0, 0.0, 0.0)),  # was r = pi/2
+        (0.0, (1.0, 0.0, 5.0)),  # z was ignored
+        (-1.0, (1.0, 0.0, 5.0)),  # was r = 0.88
+        (1.0, (0.0, 0.0, 0.0)),  # the sphere's centre
+        (1.0, (1e308, 1e308, 0.0)),  # x**2 + y**2 overflows
+    ],
+)
+def test_from_ambient_refuses_a_point_off_the_surface(kappa, point):
+    with pytest.raises(DomainError, match="off the"):
+        from_ambient(kappa, AmbientPoint(*point))
+
+
+@pytest.mark.parametrize("kappa", [4.0, 1.0, -1.0, -4.0])
+def test_from_ambient_takes_points_within_ambient_rtol_of_the_surface(kappa):
+    a = to_ambient(kappa, PolarPoint(0.7, 0.4))
+    for scale, on in ((1.0 + 1e-14, True), (1.0 + 1e-12, False), (1.0 - 1e-12, False)):
+        moved = AmbientPoint(a.x * scale, a.y * scale, a.z * scale)
+        if on:
+            assert from_ambient(kappa, moved).r == pytest.approx(0.7, rel=1e-12)
+        else:
+            with pytest.raises(DomainError, match="off the surface"):
+                from_ambient(kappa, moved)
+
+
+def test_from_ambient_reaches_the_far_hyperboloid():
+    # z and rho near 1e303: their squares would overflow
+    far = to_ambient(-1.0, PolarPoint(700.0, 1.0))
+    assert from_ambient(-1.0, far) == PolarPoint(700.0, 1.0)
+
+
 def test_poincare_disk_center():
     assert to_poincare_disk(-1.0, PolarPoint(0.0, 0.7)) == (0.0, 0.0)
 

@@ -41,7 +41,7 @@ PINNED_RUNS = {
     ),
     "conic.json": (
         "conic --kappa -1 --periastron 0.6 --output json",
-        "4f9985dbde2f117c76d910f112010106ffa28aeb0d4c24349e5d1ea7c97ac539",
+        "8e4a031c19e0b588c34299cd122d1e3cfa0bbe8f4439ea33b1ccff33fafd7fe4",
     ),
     "potential_scan.txt": (
         "potential-scan --kappa -1 --k 1 --J 0.8",

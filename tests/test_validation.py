@@ -64,6 +64,7 @@ ONCE = {
     "critical_point": lambda kap: (ck.critical_point, kap, 1.0, 0.8),
     "w_eff": lambda kap: (ck.w_eff, kap, 1.0, 0.8, 0.5),
     # conics
+    "ConicSpec": lambda kap: (ck.ConicSpec, kap, 0.64, 0.5),
     "conic_from_dynamics": lambda kap: (ck.conic_from_dynamics, kap, 0.64, 0.5),
     "periastron_family": lambda kap: (ck.periastron_family, min(kap, 0.0), 0.5),
     "ecc_from_focal": lambda kap: (ck.ecc_from_focal, kap, ck.FocalElements.two_foci(0.2, 0.6)),
@@ -108,6 +109,7 @@ ONCE = {
 NONE = {
     "classify_conic": lambda kap: (ck.classify_conic, ck.conic_from_dynamics(kap, 0.64, 0.5)),
     "ConicSpec.d": lambda kap: (lambda s: s.d, ck.conic_from_dynamics(kap, 0.64, 0.5)),
+    "ConicSpec chart": lambda kap: (lambda s: (s.family, s.p, s.p_tilde), ck.conic_from_dynamics(kap, 0.64, 0.5)),
     "sample_conic": lambda kap: (ck.sample_conic, ck.conic_from_dynamics(kap, 0.64, 0.5), [0.0, 1.0]),
     "orbit_constants": lambda kap: (ck.orbit_constants, STATE, PARAMS[kap]),
     "ConservedSet.from_state": lambda kap: (ck.ConservedSet.from_state, STATE, PARAMS[kap]),
@@ -132,6 +134,12 @@ def test_public_function_checks_kappa_at_most_once(checks, name, kap):
 def test_checked_objects_are_trusted(checks, name, kap):
     call = NONE[name](kap)  # building the object may check kappa; the call may not
     assert checks(*call) == 0
+
+
+@pytest.mark.parametrize("build", [ck.ConicSpec, ck.conic_from_dynamics])
+def test_a_conic_checks_kappa_exactly_once(checks, build):
+    # conic_from_dynamics builds the record, whose constructor is the one check
+    assert checks(build, -1.0, 0.64, 0.5) == 1
 
 
 def test_bounded_turning_points_check_kappa_exactly_once(checks):
@@ -269,8 +277,8 @@ REFUSED = {
     "turning_points at an infinite j": lambda: ck.turning_points(1.0, 1.0, math.inf, -0.3),
     "conic_from_dynamics with a NaN eccentricity": lambda: ck.conic_from_dynamics(1.0, 0.5, math.nan),
     "conic_from_dynamics with a negative eccentricity": lambda: ck.conic_from_dynamics(-1.0, 0.5, -0.1),
-    "a colatus ConicSpec with p": lambda: ck.ConicSpec(-1.0, 0.5, ck.ConicFamily.COLATUS, p=0.3, p_tilde=0.5),
-    "a separatrix ConicSpec with p": lambda: ck.ConicSpec(-1.0, 0.5, ck.ConicFamily.SEPARATRIX, p=0.3),
+    "a ConicSpec without a periastron": lambda: ck.ConicSpec(-1.0, 2.0, 0.5),
+    "a ConicSpec with an infinite size": lambda: ck.ConicSpec(-1.0, math.inf, 0.5),
     "FocalElements with a negative half separation": lambda: ck.FocalElements.two_foci(-0.1, 1.0),
     "FocalElements with a NaN half separation": lambda: ck.FocalElements.focus_line(math.nan, 1.0),
     "FocalElements with a zero half axis": lambda: ck.FocalElements.two_foci(0.1, 0.0),
