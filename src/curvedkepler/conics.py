@@ -5,12 +5,13 @@ focus at the pole.  On the sphere D = tan_k(p) for a unique semi-latus
 length p.  On the hyperbolic plane tan_k saturates at 1/sqrt(-kappa), so
 the size parameter D needs three charts: a latus length p while
 D < 1/sqrt(-kappa), a complementary "colatus" length p_tilde beyond it,
-and the separatrix exactly at the saturation value.  A conic is recorded
+and the separatrix at the saturation value.  A conic is recorded
 by (kappa, D, ecc), :class:`ConicSpec`; its chart and chart length are
 derived from D.  Classification by
 eccentricity then depends on the size chart: hyperbolic geometry splits
 the flat parabola point e = 1 into a whole interval of parabolas fenced
-by horoellipses below and horohyperbolas above.
+by horoellipses below and horohyperbolas above.  Circles, ellipses and
+hyperbolas also have a point second focus: :func:`focal_elements`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateError, DomainError, InfeasibleError
+from .errors import DegenerateError, DomainError
 from .geometry import PolarPoint, _distance
-from .ktrig import _acot, _atan, _chart_limit, _check_finite, _cos, _cot_floor, _sin, _tan, curvature_value
+from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, _tan, curvature_value
 
 #: half-width of every boundary class, relative in the far-apsis cotangent
 #: (``_ladder``) and, for an orbit's circle, to the terms of its ecc**2
@@ -48,8 +49,10 @@ class ConicLabel(Enum):
 
 
 class FocalKind(Enum):
-    TWO_FOCI = "two_foci"
-    FOCUS_LINE = "focus_line"
+    """Which is constant: the sum of the distances to the foci, or their difference."""
+
+    SUM = "sum"
+    DIFFERENCE = "difference"
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,16 @@ class ConicSpec:
     def family(self) -> ConicFamily:
         """The latus chart below the saturation length 1/sqrt(-kappa) (and
         on the plane and the sphere), the separatrix at it, the colatus
-        chart beyond it."""
-        d, sat = self.d, 1.0 / math.sqrt(-self.kappa) if self.kappa < 0.0 else math.inf
+        chart beyond it, as far as atan_k inverts its tangent: a D that
+        rounds 1/(-kappa D) to saturation is the separatrix."""
+        kap, d = self.kappa, self.d
+        sat = 1.0 / math.sqrt(-kap) if kap < 0.0 else math.inf
         if d < sat:
             return ConicFamily.LATUS
-        return ConicFamily.SEPARATRIX if d == sat else ConicFamily.COLATUS
+        # the saturation test of _atan, on the tangent p_tilde reads
+        if d > sat and _colatus_tangent(kap, d) * math.sqrt(-kap) < 1.0:
+            return ConicFamily.COLATUS
+        return ConicFamily.SEPARATRIX
 
     @property
     def p(self) -> float | None:
@@ -102,7 +110,11 @@ class ConicSpec:
         """Colatus length, tan_k(p_tilde) = 1/(-kappa D), in the colatus chart; else None."""
         if self.family is not ConicFamily.COLATUS:
             return None
-        return _atan(self.kappa, 1.0 / ((-self.kappa) * self.d))
+        return _atan(self.kappa, _colatus_tangent(self.kappa, self.d))
+
+
+def _colatus_tangent(kap: float, d: float) -> float:
+    return 1.0 / ((-kap) * d)  # tan_k(p_tilde), the colatus chart's tangent
 
 
 @dataclass(frozen=True)
@@ -120,22 +132,22 @@ class ConicType:
 
 @dataclass(frozen=True)
 class FocalElements:
-    """Metric elements of a conic definition.
+    """Metric elements of a conic with a point second focus.
 
-    Two-foci conics: ``half_separation`` = f (half the focal distance),
-    ``half_axis`` = a (half the distance sum for ellipses, half the
-    absolute difference for hyperbolas).  Focus-line conics use the
-    analogous halves of the point-line data.  ``axis`` is the polar
-    angle of the periastron direction; the second focus sits at
-    (2f, axis + pi).
+    ``half_separation`` = f is half the distance between the foci,
+    ``half_axis`` = a half their constant distance sum or difference
+    (``kind``), and ``axis`` the polar angle of the periastron direction.
+    The constructor checks kappa, as ``ConicSpec`` does, and f and a.
     """
 
+    kappa: float
     kind: FocalKind
     half_separation: float
     half_axis: float
     axis: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa", curvature_value(self.kappa))
         if not (math.isfinite(self.half_separation) and self.half_separation >= 0.0):
             raise DomainError(
                 f"half separation must be finite and >= 0, got {self.half_separation!r}"
@@ -144,14 +156,6 @@ class FocalElements:
             raise DomainError(
                 f"half axis must be finite and > 0, got {self.half_axis!r}"
             )
-
-    @classmethod
-    def two_foci(cls, f: float, a: float, axis: float = 0.0) -> "FocalElements":
-        return cls(FocalKind.TWO_FOCI, f, a, axis)
-
-    @classmethod
-    def focus_line(cls, varphi: float, alpha: float, axis: float = 0.0) -> "FocalElements":
-        return cls(FocalKind.FOCUS_LINE, varphi, alpha, axis)
 
 
 def conic_from_dynamics(kappa, d: float, ecc: float) -> ConicSpec:
@@ -256,72 +260,64 @@ def equiparabola_ecc(spec: ConicSpec) -> float:
     raise DegenerateError("the separatrix chart carries no equiparabola value")
 
 
-def ecc_from_focal(kappa, fe: FocalElements) -> float:
-    """Eccentricity from metric focal elements.
+def focal_elements(spec: ConicSpec, axis: float = 0.0) -> FocalElements:
+    """Focal elements of the conic, its periastron direction at angle ``axis``.
 
-    sin_k(2f)/sin_k(2a) for two-foci conics, cos_k(2 varphi)/cos_k(2 alpha)
-    for focus-line conics (identically 1 on the flat plane).
+    The kind follows :func:`classify_conic`.  Circles and ellipses, every
+    sphere conic among them, are sum conics: their vertices r_per and
+    r_apo lie on one geodesic through the origin focus, so
+    f = (r_apo - r_per)/2 and a = (r_per + r_apo)/2.  Hyperbolas are
+    difference conics: tan_k(2a) = sin_k(2 r_per)/(ecc - cos_k(2 r_per)),
+    which is 2D/(ecc**2 - 1 + kappa D**2), and f = a + r_per.  Every other
+    class has no point second focus; :class:`DomainError` names it.
     """
-    kap = curvature_value(kappa)
-    trig, zero = (_sin, "sin_k(2a) = 0 at a") if fe.kind is FocalKind.TWO_FOCI else (
-        _cos, "cos_k(2 alpha) = 0 at alpha")
-    # 2a or 2f can overflow: the argument check of sin_k and cos_k stays
-    den = trig(kap, _check_finite(2.0 * fe.half_axis))
-    # the exact zero (2a at the antipode on the sphere, 2 alpha at the
-    # equator) lands on a float residue ~1e-16, so degeneracy needs a snap window
-    if abs(den) < 1e-14:
-        raise DegenerateError(f"degenerate axis: {zero} = {fe.half_axis!r}")
-    return trig(kap, _check_finite(2.0 * fe.half_separation)) / den
+    label = classify_conic(spec).label
+    if label not in (ConicLabel.CIRCLE, ConicLabel.ELLIPSE, ConicLabel.HYPERBOLA):
+        raise DomainError(f"a {label.value} has no point second focus, so no focal elements")
+    kap, d, ecc = spec.kappa, spec.d, spec.ecc
+    r_per = _radius_at(kap, d, ecc, 0.0)
+    if label is ConicLabel.HYPERBOLA:
+        # cot_k(2a), scaled so that ecc**2 and D**2 are never formed
+        a = 0.5 * _acot(kap, _check_finite(0.5 * ((ecc - 1.0) / d * (ecc + 1.0) + kap * d)))
+        return FocalElements(kap, FocalKind.DIFFERENCE, a + r_per, a, axis)
+    r_apo = _radius_at(kap, d, ecc, math.pi)
+    return FocalElements(kap, FocalKind.SUM, 0.5 * (r_apo - r_per), 0.5 * (r_per + r_apo), axis)
 
 
-def focal_from_vertices(kappa, r_per: float, r_apo: float, axis: float = 0.0) -> FocalElements:
-    """Two-foci elements of the conic with vertices at r_per and r_apo.
-
-    Both vertices lie on the symmetry axis on opposite sides of the
-    origin focus, so the focal half-separation and half-axis follow
-    from plain lengths along one geodesic: f = (r_apo - r_per)/2,
-    a = (r_per + r_apo)/2.
-    """
-    kap = curvature_value(kappa)
-    if not math.isfinite(r_apo):
-        raise InfeasibleError("unbounded orbit: no outer vertex, no focal elements")
-    if not 0.0 < r_per <= r_apo:
-        raise DomainError(f"need 0 < r_per <= r_apo, got {r_per!r}, {r_apo!r}")
-    limit = _chart_limit(kap)
-    if r_apo >= limit:
-        raise DomainError(f"outer vertex {r_apo!r} reaches the antipode bound {limit!r}")
-    return FocalElements.two_foci(
-        0.5 * (r_apo - r_per), 0.5 * (r_per + r_apo), axis=axis
-    )
+def ecc_from_focal(fe: FocalElements) -> float:
+    """Eccentricity sin_k(2f)/sin_k(2a) of focal elements of either kind."""
+    kap = fe.kappa
+    # 2a or 2f can overflow: the argument check of sin_k stays
+    den = _sin(kap, _check_finite(2.0 * fe.half_axis))
+    # sin_k(2a) = 0 at 2 sqrt(kappa) a = pi lands on a float residue: snap in
+    # the rescaled sine, as sin_k scales as 1/sqrt(kappa), away from a = 0
+    rk = math.sqrt(kap) if kap > 0.0 else 0.0
+    if rk * abs(den) < 1e-14 and rk * fe.half_axis > 1.0:
+        raise DegenerateError(f"degenerate axis: sin_k(2a) = 0 at a = {fe.half_axis!r}")
+    return _sin(kap, _check_finite(2.0 * fe.half_separation)) / den
 
 
-def verify_conic_definition(kappa, samples, fe: FocalElements, sign: str = "sum") -> float:
+def verify_conic_definition(fe: FocalElements, samples) -> float:
     """Max deviation of samples from the metric conic definition.
 
     For each sample point computes the geodesic distances d1, d2 to the
-    origin focus and to the second focus, and returns
-    max |(d1 + d2) - 2a| (sign="sum", ellipses) or max ||d1 - d2| - 2a|
-    (sign="difference", hyperbolas).  The second focus sits on the
-    symmetry axis at distance 2f: opposite the periastron (axis + pi)
-    for a sum conic, through the periastron vertex (axis) for a
-    difference conic, whose near branch bends around the origin focus.
-    Focus-line elements have no second focus: DomainError names the kind.
+    origin focus and to the second focus, and returns max |(d1 + d2) - 2a|
+    for a sum conic or max ||d1 - d2| - 2a| for a difference conic.  The
+    second focus sits on the symmetry axis at distance 2f: opposite the
+    periastron (axis + pi) for a sum conic, through the periastron vertex
+    (axis) for a difference conic, whose near branch bends around the
+    origin focus.
     """
-    kap = curvature_value(kappa)
     if len(samples) < 8:
         raise DomainError(f"need at least 8 sample points, got {len(samples)}")
-    if sign not in ("sum", "difference"):
-        raise DomainError(f"sign must be 'sum' or 'difference', got {sign!r}")
-    if fe.kind is not FocalKind.TWO_FOCI:
-        raise DomainError(f"only two-foci elements can be verified, got kind {fe.kind.value!r}")
+    kap, total = fe.kappa, fe.kind is FocalKind.SUM
     origin = PolarPoint(0.0, 0.0)
-    other_angle = fe.axis + math.pi if sign == "sum" else fe.axis
-    other = PolarPoint(2.0 * fe.half_separation, other_angle)
+    other = PolarPoint(2.0 * fe.half_separation, fe.axis + math.pi if total else fe.axis)
     worst = 0.0
     for pt in samples:
         d1 = _distance(kap, pt, origin)
         d2 = _distance(kap, pt, other)
-        combined = d1 + d2 if sign == "sum" else abs(d1 - d2)
+        combined = d1 + d2 if total else abs(d1 - d2)
         worst = max(worst, abs(combined - 2.0 * fe.half_axis))
     return worst
 

@@ -208,19 +208,14 @@ def momenta(kappa, state: PhaseState) -> Momenta:
 
 def kinetic_energy(kappa, state: PhaseState) -> float:
     """T = (v_r**2 + sin_k(r)**2 v_phi**2) / 2."""
-    return _state_kinetic(curvature_value(kappa), state)
-
-
-def _state_kinetic(kappa: float, state: PhaseState) -> float:
+    kappa = curvature_value(kappa)
     s = _sin(kappa, check_radius(kappa, state.r))
     return _kinetic(s * s * state.v_phi, state.v_r, state.v_phi)
 
 
-def energy(state: PhaseState, params: KeplerParams, potential=None) -> float:
-    """Total energy T + U.  ``potential`` overrides the Kepler default."""
-    if potential is None:
-        return _state_integrals(params.kappa, params.k, state)[0]
-    return _state_kinetic(params.kappa, state) + potential(state.r)
+def energy(state: PhaseState, params: KeplerParams) -> float:
+    """Total Kepler energy T + U."""
+    return _state_integrals(params.kappa, params.k, state)[0]
 
 
 def runge_lenz(state: PhaseState, params: KeplerParams):

@@ -211,18 +211,19 @@ def _acot(k: float, u: float) -> float:
     floor = _cot_floor(k)
     if u <= floor:
         raise DomainError(f"acot_k: no radius has cotangent {u!r} <= {floor!r}, the chart's far end")
+    if k == 0:
+        return 1.0 / u
+    if u > 0.0 and u * u * SERIES_THRESHOLD > abs(k):
+        # |kappa|/u^2 < threshold: the atan_k series applied to 1/u, which
+        # also keeps u/sqrt(kappa) from overflowing on a nearly flat sphere
+        w = 1.0 / u
+        return _atan_series(w, k * w * w)
     if k > 0:
         rk = math.sqrt(k)
         # atan2(1, u/rk) is the principal arccotangent on (0, pi); it is
         # exact for large |u| where pi/2 - atan would cancel.
         return math.atan2(1.0, u / rk) / rk
-    if k == 0:
-        return 1.0 / u
     rk = floor
-    if u * u * SERIES_THRESHOLD > -k:
-        # |kappa|/u^2 < threshold: the atan_k series applied to 1/u
-        w = 1.0 / u
-        return _atan_series(w, k * w * w)
     # atanh(rk/u) written so that u - rk, exact near the plateau, is
     # what atanh's amplification acts on instead of the rounding of rk/u
     return 0.5 * math.log1p(2.0 * rk / (u - rk)) / rk
@@ -243,15 +244,15 @@ def _acot_array(k: float, u) -> np.ndarray:
     """acot_k of an array of cotangents on the physical branch (unchecked):
     bit for bit on the series branch, elsewhere within 2 ulp (numpy)."""
     u = np.asarray(u, dtype=float)
-    if k > 0.0:
-        rk = math.sqrt(k)
-        return np.arctan2(1.0, u / rk) / rk
     if k == 0.0:
         return 1.0 / u
-    rk = math.sqrt(-k)
-    w = 1.0 / u
-    direct = 0.5 * np.log1p(2.0 * rk / (u - rk)) / rk
-    return np.where(u * u * SERIES_THRESHOLD > -k, _atan_series(w, k * w * w), direct)
+    rk = math.sqrt(abs(k))
+    # both branches of _acot on every entry: where a branch is not taken it
+    # may overflow (u*u, u/rk) or divide by the equator's u = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 1.0 / u
+        rest = np.arctan2(1.0, u / rk) / rk if k > 0.0 else 0.5 * np.log1p(2.0 * rk / (u - rk)) / rk
+        return np.where((u > 0.0) & (u * u * SERIES_THRESHOLD > abs(k)), _atan_series(w, k * w * w), rest)
 
 
 #: |y| up to which _phi_pair sums the series of phi(y)

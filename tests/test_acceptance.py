@@ -17,8 +17,9 @@ from mpmath import mp, mpf
 
 from conftest import bounded_orbit_elements, random_states
 from curvedkepler.conics import (
+    ConicSpec,
     ecc_from_focal,
-    focal_from_vertices,
+    focal_elements,
     periastron_family,
     verify_conic_definition,
 )
@@ -446,15 +447,13 @@ def test_criterion_08_bounded_hyperbolic_orbits_are_metric_ellipses():
         axis = float(rng.uniform(-3.0, 3.0))
         state = periastron_state(kappa, k, j, ecc, axis)
         oc = orbit_constants(state, params)
-        r_per = acot_k(kappa, oc.u_periastron)
-        r_apo = acot_k(kappa, oc.u_apoastron)
-        fe = focal_from_vertices(kappa, r_per, r_apo, axis=axis)
+        fe = focal_elements(ConicSpec(kappa, oc.d, oc.ecc), axis)
         samples = []
         for phi in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
             r = orbit_radius(oc, kappa, axis + phi)
             samples.append(PolarPoint(r, axis + phi))
-        worst_def = max(worst_def, verify_conic_definition(kappa, samples, fe))
-        worst_ecc = max(worst_ecc, abs(ecc_from_focal(kappa, fe) - oc.ecc))
+        worst_def = max(worst_def, verify_conic_definition(fe, samples))
+        worst_ecc = max(worst_ecc, abs(ecc_from_focal(fe) - oc.ecc))
     assert worst_def < 1e-8
     assert worst_ecc < 1e-9
 

@@ -947,6 +947,17 @@ def test_conic_single_json_matches_csv_membership(capsys):
         assert x == pytest.approx(r * math.cos(phi), abs=1e-12)
 
 
+def test_conic_on_a_nearly_flat_sphere_keeps_its_radius(capsys):
+    # u/sqrt(kappa) overflowed in acot_k, and this circle of radius 1e-300
+    # came out as rows at r = 0
+    code, out, _ = run_cli(
+        capsys, ["conic", "--kappa", "1e-20", "--d", "1e-300", "--ecc", "0", "--phi-steps", "8"]
+    )
+    assert code == EXIT_OK
+    _, _, rows = parse_csv(out)
+    assert [float(row[1]) for row in rows] == [1e-300] * 8
+
+
 def test_conic_infeasible_spec_exit_3(capsys):
     # d/(1+ecc) at or beyond the asymptote radius: no periastron exists
     code, _, err = run_cli(

@@ -290,12 +290,6 @@ def test_energy_circular_formula_all_regimes(rng):
             assert energy(state, params) == pytest.approx(expected, rel=1e-12)
 
 
-def test_energy_custom_potential():
-    state = PhaseState(r=2.0, phi=0.0, v_r=1.0, v_phi=0.0)
-    params = KeplerParams(0.0, 1.0)
-    assert energy(state, params, potential=lambda r: 0.0) == 0.5
-
-
 def test_runge_lenz_radial_state():
     params = KeplerParams(-1.0, 2.5)
     state = PhaseState(r=0.8, phi=0.0, v_r=1.2, v_phi=0.0)

@@ -274,6 +274,20 @@ def test_acot_array_within_two_ulp_of_acot_k(kappa):
             assert abs(g - want) <= 2 * math.ulp(want), u
 
 
+def test_acot_k_on_a_nearly_flat_sphere_takes_the_series():
+    # u/sqrt(kappa) overflowed to inf, and atan2(1, inf) gave r = 0; the
+    # radius is 1/u to double precision
+    assert acot_k(1e-20, 1e300) == 1e-300
+    assert acot_k(5e-324, 1e200) == 1e-200
+    us = [1e300, 1e200, 1.0, 0.0, -1.0, -1e300]
+    for kappa in (1e-20, 5e-324):
+        # pytest turns an overflow warning of the array form into an error
+        got = _acot_array(kappa, np.array(us)).tolist()
+        for u, g in zip(us, got):
+            want = acot_k(kappa, u)
+            assert abs(g - want) <= 2 * math.ulp(want), u
+
+
 @pytest.mark.parametrize("kappa", [-1.0, -4.0, -0.25])
 def test_acot_k_near_hyperbolic_plateau_within_one_ulp(kappa):
     # sqrt(-kappa) is exact for these curvatures, so the 40-digit

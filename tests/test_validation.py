@@ -67,13 +67,8 @@ ONCE = {
     "ConicSpec": lambda kap: (ck.ConicSpec, kap, 0.64, 0.5),
     "conic_from_dynamics": lambda kap: (ck.conic_from_dynamics, kap, 0.64, 0.5),
     "periastron_family": lambda kap: (ck.periastron_family, min(kap, 0.0), 0.5),
-    "ecc_from_focal": lambda kap: (ck.ecc_from_focal, kap, ck.FocalElements.two_foci(0.2, 0.6)),
-    "verify_conic_definition": lambda kap: (
-        ck.verify_conic_definition,
-        kap,
-        [ck.PolarPoint(0.5, 0.4 * i) for i in range(8)],
-        ck.FocalElements.two_foci(0.2, 0.6),
-    ),
+    "FocalElements": lambda kap: (ck.FocalElements, kap, ck.FocalKind.SUM, 0.2, 0.6),
+    "focal_elements": lambda kap: (ck.focal_elements, ck.ConicSpec(kap, 0.64, 0.2)),
     # geometry
     "to_ambient": lambda kap: (ck.to_ambient, kap, ck.PolarPoint(0.5, 0.3)),
     "metric_coefficient": lambda kap: (ck.metric_coefficient, kap, 0.5),
@@ -111,6 +106,12 @@ NONE = {
     "ConicSpec.d": lambda kap: (lambda s: s.d, ck.conic_from_dynamics(kap, 0.64, 0.5)),
     "ConicSpec chart": lambda kap: (lambda s: (s.family, s.p, s.p_tilde), ck.conic_from_dynamics(kap, 0.64, 0.5)),
     "sample_conic": lambda kap: (ck.sample_conic, ck.conic_from_dynamics(kap, 0.64, 0.5), [0.0, 1.0]),
+    "ecc_from_focal": lambda kap: (ck.ecc_from_focal, ck.FocalElements(kap, ck.FocalKind.SUM, 0.2, 0.6)),
+    "verify_conic_definition": lambda kap: (
+        ck.verify_conic_definition,
+        ck.FocalElements(kap, ck.FocalKind.DIFFERENCE, 0.2, 0.6),
+        [ck.PolarPoint(0.5, 0.4 * i) for i in range(8)],
+    ),
     "orbit_constants": lambda kap: (ck.orbit_constants, STATE, PARAMS[kap]),
     "ConservedSet.from_state": lambda kap: (ck.ConservedSet.from_state, STATE, PARAMS[kap]),
     "energy": lambda kap: (ck.energy, STATE, PARAMS[kap]),
@@ -207,9 +208,6 @@ def test_cli_checks_do_not_grow_with_rows(checks, monkeypatch, capsys, name):
 RADIUS_OUT_OF_RANGE = {
     "momenta past the antipode": lambda: ck.momenta(1.0, ck.PhaseState(4.0, 0, 0, 0)),
     "kinetic_energy below zero": lambda: ck.kinetic_energy(1.0, ck.PhaseState(-4.0, 0, 0, 1.0)),
-    "energy with a potential": lambda: ck.energy(
-        ck.PhaseState(4.0, 0, 0, 1), ck.KeplerParams(1, 1), potential=lambda r: 0.0
-    ),
 }
 
 
@@ -279,10 +277,11 @@ REFUSED = {
     "conic_from_dynamics with a negative eccentricity": lambda: ck.conic_from_dynamics(-1.0, 0.5, -0.1),
     "a ConicSpec without a periastron": lambda: ck.ConicSpec(-1.0, 2.0, 0.5),
     "a ConicSpec with an infinite size": lambda: ck.ConicSpec(-1.0, math.inf, 0.5),
-    "FocalElements with a negative half separation": lambda: ck.FocalElements.two_foci(-0.1, 1.0),
-    "FocalElements with a NaN half separation": lambda: ck.FocalElements.focus_line(math.nan, 1.0),
-    "FocalElements with a zero half axis": lambda: ck.FocalElements.two_foci(0.1, 0.0),
-    "FocalElements with an infinite half axis": lambda: ck.FocalElements.focus_line(0.1, math.inf),
+    "FocalElements with a negative half separation": lambda: ck.FocalElements(0.0, ck.FocalKind.SUM, -0.1, 1.0),
+    "FocalElements with a NaN half separation": lambda: ck.FocalElements(0.0, ck.FocalKind.SUM, math.nan, 1.0),
+    "FocalElements with a zero half axis": lambda: ck.FocalElements(0.0, ck.FocalKind.DIFFERENCE, 0.1, 0.0),
+    "FocalElements with an infinite half axis": lambda: ck.FocalElements(0.0, ck.FocalKind.SUM, 0.1, math.inf),
+    "FocalElements with a NaN curvature": lambda: ck.FocalElements(math.nan, ck.FocalKind.SUM, 0.1, 1.0),
 }
 
 
