@@ -27,10 +27,9 @@ from .geometry import PhaseState, check_interior_radius
 from .ktrig import _chart_limit, _source
 
 COLLISION_RADIUS = 1e-10
-# below this radius a step-size underflow is interpreted as reaching the
-# center: double precision cannot track the fall all the way to 1e-10.  A
-# fall on a radial line that a flow's fall law times ends here.
-_COLLISION_SOFT = 1e-4
+# below this radius a fall on a radial line that a flow's fall law times ends
+# by the law: double precision cannot track the fall all the way to 1e-10
+_FALL_RADIUS = 1e-4
 
 #: admissible range of the trajectory accuracy target ``tol``
 TOL_RANGE = (1e-13, 1e-6)
@@ -557,16 +556,15 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
     An integral that is not finite, at the start or (one the guard does not
     watch) at any accepted state, raises NumericalError; ``names`` name them.
 
-    A run ends in the ``collision`` event when an accepted state reaches
-    ``COLLISION_RADIUS``, or when the step size underflows on a fall below
-    ``_COLLISION_SOFT`` of a row without a fall law or of a radial start.
-    A start on a radial line (v_phi == 0.0) of a row with a fall law is
-    decided once: it stops at the first accepted state below
-    ``_COLLISION_SOFT`` that is not rising, or at an underflow while not
-    rising, and its ``event_time`` adds the law's time to the centre,
-    provided that the sum is at most ``t_end``; a fall the law ends after
-    ``t_end`` integrates on by the rules above.  Off the radial line such a
-    row turns at a periastron, and an underflow raises StiffnessError.
+    A run reaches the centre, the ``collision`` event, in one of two ways:
+    at an accepted state at or below ``COLLISION_RADIUS``, at its own time;
+    or, for a start on a radial line (v_phi == 0.0) of a row with a fall
+    law, at its first accepted state below ``_FALL_RADIUS`` that is not
+    rising, or at an underflow while not rising, with ``event_time`` that
+    state's time plus the law's time to the centre, provided that the sum
+    is at most ``t_end``.  Every other step-size underflow raises
+    StiffnessError: the steps cannot show whether a fall turns before the
+    centre.
     """
     check_interior_radius(kappa, state0.r)
     check_tol(tol)
@@ -577,9 +575,9 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
     y = tuple(map(float, (state0.r, state0.phi, state0.v_r, state0.v_phi)))
     r_max = _chart_limit(kappa)  # inf off the sphere: no antipode to reach
     attempt = _kernels(flow, dense)(rhs, invariants, *lead, r_max, rtol, _SPIKE_FACTOR * tol)
-    # a start on a radial line of a row with a fall law stops below _COLLISION_SOFT
+    # a start on a radial line of a row with a fall law stops below _FALL_RADIUS
     fall = flow.fall if y[3] == 0.0 else None
-    floor = COLLISION_RADIUS if fall is None else _COLLISION_SOFT
+    floor = COLLISION_RADIUS if fall is None else _FALL_RADIUS
 
     def fall_end(t, y, inv):
         # the time in the span at which the law takes y, at t and not rising, to the centre, or None
@@ -611,20 +609,16 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
             # so it is no underflow however small the span is
             h = t_end - t
         elif h < 1e-14 * max(1.0, abs(t)):
-            # the center is reached: a state on a radial line that is not rising, which the row's
-            # fall law takes there within the span, or a fall below _COLLISION_SOFT of a row
-            # without a fall law or of a radial start; off that line a Kepler orbit turns
+            # the center is reached only by a state on a radial line that is not rising,
+            # which the row's fall law takes there within the span
             event_time = fall_end(t, y, inv0)
-            near = y[0] < _COLLISION_SOFT and y[2] < 0.0
-            if event_time is None and near and (fall is not None or flow.fall is None):
-                event_time = t
             if event_time is not None:
                 break
             # the last attempt's outcome, by its StepStats field name, says why h shrank
             last = "no attempt yet: h is the initial trial step" if outcome is None else (
                 f"last attempt: {fields(StepStats)[outcome].name}")
-            if near:  # a row with a fall law, off the radial line
-                last += "; off a radial line, the steps cannot show whether the orbit turns before the centre"
+            if y[0] < _FALL_RADIUS and y[2] < 0.0:
+                last += f"; falling below r={_FALL_RADIUS:g}, the steps cannot show whether it turns before the centre"
             raise StiffnessError(f"step size underflow at t={t!r} (h={h!r}), r={y[0]!r}; {last}")
 
         outcome, calls, err, q_max, y_new, inv1, f_new, ks = attempt(y, f, h, inv0)

@@ -25,7 +25,7 @@ from typing import Callable
 
 from .dop853 import Trajectory, _Flow, _integrate_adaptive
 from .effective_potential import _critical, check_coupling
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, NumericalError
 from .geometry import PhaseState, PolarPoint, check_interior_radius, check_radius
 from .ktrig import (
     _SCALARS, _SINCOS, _SINCOS_NAMES, _check_finite, _cos, _phi_pair, _sin, _sincos, _source, curvature_value,
@@ -67,6 +67,8 @@ class ConservedSet:
 
     @classmethod
     def from_state(cls, state: PhaseState, params: KeplerParams) -> "ConservedSet":
+        """The integrals of ``state``; NumericalError where sin_k or cos_k of
+        its r overflows (far out on the hyperbolic plane)."""
         return cls(*_state_integrals(params.kappa, params.k, state))
 
 
@@ -164,7 +166,10 @@ _KEPLER_ROWS = {
 
 def _state_integrals(kappa: float, k: float, state: PhaseState):
     r = check_interior_radius(kappa, state.r)
-    return _first_integrals(_sincos(kappa), k, r, state.phi, state.v_r, state.v_phi)
+    try:
+        return _first_integrals(_sincos(kappa), k, r, state.phi, state.v_r, state.v_phi)
+    except OverflowError:
+        raise NumericalError(f"sin_k and cos_k of r={r!r} overflow on kappa={kappa!r}") from None
 
 
 def kepler_potential(params: KeplerParams, r: float) -> float:
@@ -313,17 +318,16 @@ def integrate(
     i2)); non-finite ones at any accepted state raise :class:`NumericalError`.
     ``Trajectory.stats`` counts the accepted and rejected steps and the
     right-hand-side evaluations.
-    A fall that reaches the collision radius truncates the trajectory and
-    records the ``collision`` event instead of raising.
-    A start on a radial line (v_phi == 0, so J = 0) is not integrated into
-    the centre: it stops at its first accepted state below
-    ``dop853._COLLISION_SOFT`` that is not rising, or where its steps
-    underflow while it is not rising, and ``Trajectory.event_time`` is that
-    state's time plus the closed-form fall law's time from it to r = 0,
-    later than the last row's.  A fall that the law takes to r = 0 only
-    after ``t_end`` integrates on to ``t_end``.  Off the radial line the
-    orbit turns at a periastron: an underflow raises :class:`StiffnessError`,
-    even if the periastron lies inside the collision radius.
+    A run reaches the centre, truncating the trajectory with the
+    ``collision`` event, at an accepted state at or below
+    ``dop853.COLLISION_RADIUS`` (1e-10), or, from a start on a radial line
+    (v_phi == 0, so J = 0), at its first accepted state below
+    ``dop853._FALL_RADIUS`` (1e-4) that is not rising, or where its steps
+    underflow while not rising, if the closed-form fall law takes it to
+    r = 0 within ``t_end``: ``Trajectory.event_time`` is then that time,
+    later than the last row's.  Every other step-size underflow raises
+    :class:`StiffnessError`: off the radial line the orbit turns at a
+    periastron, even inside the collision radius, and the steps cannot show it.
     """
     kappa, k = params.kappa, params.k
     sc = _sincos(kappa)
@@ -349,7 +353,8 @@ def integrate_separable(
 
     ``f``/``df`` evaluate F and dF/dr, ``g``/``dg`` evaluate G and
     dG/dphi.  The conserved-spike guard watches the separability
-    integrals (i1, i2) and the energy.
+    integrals (i1, i2) and the energy.  With no fall law, a run ends in
+    ``collision`` only at ``dop853.COLLISION_RADIUS``; an underflow raises.
     """
     k = curvature_value(kappa)
     sc = _sincos(k)

@@ -127,15 +127,22 @@ def w_eff(kappa, k: float, j: float, r: float) -> float:
     return _w(*_inputs(kappa, k, j), j, r)
 
 
-def _critical(kap: float, k: float, j: float):
-    """(r_min, w_min) at the vertex u = k/j**2 of W, or None without one;
-    NumericalError unless j**2 and d = j**2/k are positive finite floats."""
-    if j == 0.0:
-        return None
+def _conic_size(k: float, j: float):
+    """(j**2, d = j**2/k), the conic size of j != 0; NumericalError unless
+    both are positive finite floats."""
     j2 = j * j
     d = j2 / k
     if not 0.0 < d < math.inf:
         raise NumericalError(f"j={j!r} gives j**2 = {j2!r} and j**2/k = {d!r}, not positive finite")
+    return j2, d
+
+
+def _critical(kap: float, k: float, j: float):
+    """(r_min, w_min) at the vertex u = k/j**2 of W, or None without one;
+    ``_conic_size`` checks j."""
+    if j == 0.0:
+        return None
+    j2, d = _conic_size(k, j)
     if kap < 0.0 and d * math.sqrt(-kap) >= 1.0:
         # hyperbolic saturation: tan_k never reaches d, the test _atan makes
         return None
@@ -195,12 +202,12 @@ def _radial_roots(kap: float, k: float, j: float, e: float):
     2e/j**2, so neither cancels as ecc -> 1.  A negative ecc**2 is
     clamped to the double root, ecc = 0.
     """
-    j2 = j * j
+    j2, d = _conic_size(k, j)
     disc = k * k + 2.0 * j2 * (e - 0.5 * kap * j2)
     circle = _side(disc, 0.0, BOUNDARY_RTOL * (k * k + j2 * (2.0 * abs(e) + abs(kap) * j2)))
     root = math.sqrt(max(0.0, disc))
     u_per = (k + root) / j2
-    return j2 / k, circle, root / k, u_per, (kap - 2.0 * e / j2) / u_per
+    return d, circle, root / k, u_per, (kap - 2.0 * e / j2) / u_per
 
 
 def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
@@ -247,7 +254,8 @@ def _turning_points(kap: float, k: float, j: float, e: float) -> list[float]:
         # ulp(r) at most, here grouped so that it stays finite where u**2 overflows
         shift = abs(j * j * u - k) * (abs(u) * (abs(u) * math.ulp(r)) + abs(kap) * math.ulp(r))
         # and where W's terms cancel (k u >> |e|), W's own rounding does
-        rounding = math.ulp(1.0) * (k * abs(u) + 0.5 * ((j * u) ** 2 + j * j * abs(kap)))
+        ju = j * u
+        rounding = math.ulp(1.0) * (k * abs(u) + 0.5 * (ju * ju + j * j * abs(kap)))
         tol = base_tol + 4.0 * shift + rounding
         if not abs(residual) < tol:
             raise CurvedKeplerError(

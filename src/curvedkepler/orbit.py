@@ -24,7 +24,8 @@ import numpy as np
 
 from .conics import _escape_side, _radius_at
 from .dynamics import ConservedSet, KeplerParams, PhaseState, Trajectory
-from .errors import CurvedKeplerError, DomainError, RadialOrbitError
+from .effective_potential import _conic_size
+from .errors import CurvedKeplerError, DomainError, NumericalError, RadialOrbitError
 from .ktrig import _ARRAYS, _SCALARS, _acot_array, _check_finite, _cot_floor, _phi_pair, curvature_value
 
 #: eccentricities below this are treated as exactly circular
@@ -79,9 +80,12 @@ def orbit_constants(state0: PhaseState, params: KeplerParams) -> OrbitConstants:
             "radial orbit: no conic constants; integrate it directly"
         )
     k = params.k
-    d = c.j * c.j / k
-    z = 2.0 * c.e_p * c.j * c.j / (k * k)
+    d = _conic_size(k, c.j)[1]
+    # no k**2, which can underflow
+    z = 2.0 * d * c.e_p / k
     ecc = math.hypot(c.i3, c.i4) / k
+    if not (math.isfinite(ecc) and math.isfinite(z)):
+        raise NumericalError(f"orbit constants of {state0!r} overflow: ecc = {ecc!r}, z = {z!r}")
     if _circle(ecc):
         return OrbitConstants(conserved=c, d=d, ecc=0.0, phi0=0.0, z=z, kappa=params.kappa)
     phi0 = math.atan2(-c.i4, c.i3)
@@ -422,11 +426,12 @@ def _half_angle(theta):
 
 def _hermite(nodes, table, slopes, target):
     """Cubic Hermite interpolant of theta(G) through the table, at each
-    target, and the index of the table interval holding it."""
+    target, and the index of the table interval holding it.  A target on
+    the top of a table whose last G values are equal seeds the last node."""
     i = np.clip(np.searchsorted(table, target, "right") - 1, 0, len(table) - 2)
     lo, hi = nodes[i], nodes[i + 1]
     width = table[i + 1] - table[i]
-    x = (target - table[i]) / width
+    x = np.divide(target - table[i], width, out=np.ones_like(width), where=width != 0.0)
     x2 = x * x
     seed = (
         lo * (1.0 + x2 * (2.0 * x - 3.0))

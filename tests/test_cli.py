@@ -160,7 +160,26 @@ def test_simulate_a_non_radial_fall_whose_steps_underflow_exits_4(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert "step size underflow at t=1.11072156623564" in err
-    assert "off a radial line" in err and "Traceback" not in err
+    assert "falling below r=0.0001" in err and "Traceback" not in err
+
+
+def test_simulate_a_radial_fall_whose_steps_underflow_before_t_end_exits_4(capsys):
+    # the flat k = 1 drop from r = 1 reaches the centre at pi/(2 sqrt 2); a t_end
+    # 1e-10 before that lies after the steps underflow near r = 1.8e-6, and
+    # the fall law ends the run past t_end: no collision, and no row at t_end
+    argv = ["simulate", "--kappa", "0", "--k", "1", "--state", "1,0,0,0", "--t-end", "1.1107207344395915", "--tol", "1e-11"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "step size underflow" in err and "falling below r=0.0001" in err and "Traceback" not in err
+
+
+def test_simulate_a_periastron_whose_w_overflows_exits_4_by_name(capsys):
+    # the turning-point check of u_per = 2e+154 overflows; it reports the
+    # miss, not a bare "Numerical result out of range"
+    argv = ["simulate", "--kappa", "-1", "--k", "1e154", "--elements", "13691822.331287837,-1,0", "--t-end", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "turning point verification failed at r=5e-155" in err and "Traceback" not in err
 
 
 def test_simulate_elements_start_at_periastron(capsys):

@@ -290,6 +290,13 @@ def test_energy_circular_formula_all_regimes(rng):
             assert energy(state, params) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("call", [ConservedSet.from_state, energy, runge_lenz, orbit_constants])
+def test_a_radius_whose_sinh_overflows_has_no_integrals(call):
+    # sinh(800) overflows: a math range error, as integrate's start refuses it too
+    with pytest.raises(NumericalError, match=r"of r=800\.0 overflow on kappa=-1\.0"):
+        call(PhaseState(800.0, 0.0, 0.0, 1.0), KeplerParams(-1.0, 1.0))
+
+
 def test_runge_lenz_radial_state():
     params = KeplerParams(-1.0, 2.5)
     state = PhaseState(r=0.8, phi=0.0, v_r=1.2, v_phi=0.0)
@@ -496,7 +503,7 @@ def _fall_law(params, traj):
     return dynamics._fall_time(params.kappa, params.k, r, v_r, float(traj.invariants[-1, 0]))
 
 
-# radial falls whose steps underflow above _COLLISION_SOFT: at a tight tol
+# radial falls whose steps underflow above _FALL_RADIUS: at a tight tol
 # the rounding of E's terms, about k eps/r, outgrows the spike bound
 # 10 tol max(1, |E|) near r ~ k eps/(10 tol); from rest next to the centre
 # the first trial step is already below the underflow bound
@@ -518,13 +525,13 @@ def test_a_radial_fall_whose_steps_underflow_collides(state, params, t_end, tol)
 
 @pytest.mark.parametrize("kappa", [1.0, 1e-6, 0.0, -1e-6, -1.0])
 def test_a_fall_from_rest_collides_at_the_time_of_the_fall_law(kappa):
-    # the integrator stops below _COLLISION_SOFT and adds the fall law's time
+    # the integrator stops below _FALL_RADIUS and adds the fall law's time
     # from there: the collision lands on the rest form's time from the start
     params = KeplerParams(kappa, 1.3)
     state = PhaseState(0.8, 0.0, 0.0, 0.0)
     traj = integrate(state, params, 10.0, tol=1e-11, dense=False)
     assert traj.event == "collision"
-    assert traj.states[-1, 0] <= dop853._COLLISION_SOFT < traj.states[-2, 0]
+    assert traj.states[-1, 0] <= dop853._FALL_RADIUS < traj.states[-2, 0]
     exact = dynamics._fall_time(kappa, 1.3, 0.8, 0.0, float(traj.invariants[0, 0]))
     assert abs(traj.event_time - exact) <= 1e-11 * exact
 
@@ -547,7 +554,7 @@ FLAT_DROP_COLLISION = math.pi / (2.0 * math.sqrt(2.0))
 
 @pytest.mark.parametrize("early", [4e-7, 2e-7, 1e-8])
 def test_a_radial_fall_the_law_ends_after_the_span_runs_to_t_end(early):
-    # t_end lies after the fall crosses _COLLISION_SOFT but before the fall law's
+    # t_end lies after the fall crosses _FALL_RADIUS but before the fall law's
     # collision: the run reaches t_end with no event, and the fall law from its
     # last state still lands on the collision time
     params = KeplerParams(0.0, 1.0)
@@ -555,20 +562,18 @@ def test_a_radial_fall_the_law_ends_after_the_span_runs_to_t_end(early):
     traj = integrate(PhaseState(1.0, 0.0, 0.0, 0.0), params, t_end, tol=1e-11, dense=False)
     assert traj.event is None and traj.event_time is None
     assert traj.t_end == t_end
-    assert 0.0 < traj.states[-1, 0] < dop853._COLLISION_SOFT and traj.states[-1, 2] < 0.0
+    assert 0.0 < traj.states[-1, 0] < dop853._FALL_RADIUS and traj.states[-1, 2] < 0.0
     assert abs(traj.t_end + _fall_law(params, traj) - FLAT_DROP_COLLISION) <= 1e-11 * FLAT_DROP_COLLISION
 
 
-def test_a_radial_fall_whose_steps_underflow_before_a_span_the_law_outlasts_ends_in_the_span():
+def test_a_radial_fall_whose_steps_underflow_before_a_span_the_law_outlasts_raises():
     # t_end lies after the step size underflows (near r = 1.8e-6) but before the
-    # fall law's collision: the underflow below _COLLISION_SOFT while falling
-    # ends the run at its last row, as for any fall, not at a time past t_end
-    params = KeplerParams(0.0, 1.0)
+    # fall law's collision: the centre lies past the span, and the steps cannot
+    # reach t_end, so the underflow raises
     t_end = FLAT_DROP_COLLISION - 1e-10
-    traj = integrate(PhaseState(1.0, 0.0, 0.0, 0.0), params, t_end, tol=1e-11, dense=False)
-    assert traj.event == "collision"
-    assert traj.event_time == traj.t_end < t_end < traj.t_end + _fall_law(params, traj)
-    assert traj.states[-1, 0] < dop853._COLLISION_SOFT and traj.states[-1, 2] < 0.0
+    with pytest.raises(StiffnessError, match="step size underflow at t=1.110720") as err:
+        integrate(PhaseState(1.0, 0.0, 0.0, 0.0), KeplerParams(0.0, 1.0), t_end, tol=1e-11, dense=False)
+    assert str(err.value).endswith("; falling below r=0.0001, the steps cannot show whether it turns before the centre")
 
 
 def test_a_radial_state_rising_below_the_soft_radius_integrates_until_it_falls():
@@ -581,7 +586,7 @@ def test_a_radial_state_rising_below_the_soft_radius_integrates_until_it_falls()
     v_r0 = math.sqrt(2.0 * (e + 1.0 / math.tanh(5e-5)))
     traj = integrate(PhaseState(5e-5, 0.0, v_r0, 0.0), params, 1.0, tol=1e-11, dense=False)
     assert traj.event == "collision"
-    assert np.all(traj.states[:, 0] < dop853._COLLISION_SOFT)
+    assert np.all(traj.states[:, 0] < dop853._FALL_RADIUS)
     assert np.all(traj.states[:-1, 2] > 0.0) and traj.states[-1, 2] < 0.0
     apex = acot_k(-1.0, -e)
     rise = dynamics._fall_time(-1.0, 1.0, apex, 0.0, e) - dynamics._fall_time(-1.0, 1.0, 5e-5, -v_r0, e)
@@ -607,14 +612,51 @@ def test_a_separable_fall_keeps_the_soft_collision_rule():
 def test_a_kepler_fall_off_the_radial_line_is_no_collision():
     # J = 1e-3 on the flat plane: a flat ellipse that turns at its periastron
     # 5e-7, above COLLISION_RADIUS.  Its steps underflow near r = 1.7e-6 while
-    # it falls; below _COLLISION_SOFT that is no collision off the radial line
+    # it falls; below _FALL_RADIUS that is no collision off the radial line
     params, state = KeplerParams(0.0, 1.0), PhaseState(1.0, 0.0, 0.0, 1e-3)
     e = energy(state, params)
     assert classify_orbit(0.0, 1.0, 1e-3, e).label is OrbitLabel.FLAT_ELLIPSE
     assert turning_points(0.0, 1.0, 1e-3, e)[0] > dop853.COLLISION_RADIUS
     with pytest.raises(StiffnessError, match=r"underflow at t=1\.11072156623564 ") as err:
         integrate(state, params, 3.0, tol=1e-11)
-    assert "r=1.655148112978938e-06; last attempt: rejected_spike; off a radial line" in str(err.value)
+    assert "r=1.655148112978938e-06; last attempt: rejected_spike; falling below r=0.0001" in str(err.value)
+
+
+def _separable_fall(state, g, tol):
+    """A flat k = 1 fall from ``state`` as a separable potential F = -1/r, with G = g."""
+
+    def zero(x):
+        return 0.0
+
+    return integrate_separable(0.0, state, lambda r: -1.0 / r, lambda r: 1.0 / (r * r), g, zero, 3.0, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "state,g",
+    [
+        # the flat ellipse above, J = 1e-3, turning at its periastron 5e-7
+        (PhaseState(1.0, 0.0, 0.0, 1e-3), lambda p: 0.0),
+        # a radial fall on whose line the barrier G/r**2 of G = 2.5e-7 turns it near 2.5e-7
+        (PhaseState(1.0, 0.0, 0.0, 0.0), lambda p: 2.5e-7),
+    ],
+    ids=["off the radial line", "a G barrier"],
+)
+def test_a_separable_fall_whose_steps_underflow_raises(state, g):
+    # both turn above COLLISION_RADIUS; near the turn the steps underflow while
+    # falling, which shows no collision
+    with pytest.raises(StiffnessError, match=r"step size underflow at t=1\.1107") as err:
+        _separable_fall(state, g, 1e-11)
+    assert str(err.value).endswith("; falling below r=0.0001, the steps cannot show whether it turns before the centre")
+
+
+def test_a_separable_fall_turned_by_its_g_barrier_bounces():
+    # at a looser tol the steps follow the G barrier's bounce through the span:
+    # E = -1 turns where r**2 - r + G = 0
+    traj = _separable_fall(PhaseState(1.0, 0.0, 0.0, 0.0), lambda p: 2.5e-7, 1e-9)
+    assert traj.event is None and traj.t_end == 3.0
+    turn = 0.5 * (1.0 - math.sqrt(1.0 - 1e-6))
+    assert 0.999 * turn < traj.states[:, 0].min() < 1.01 * turn
+    assert (traj.states[:, 2] > 0.0).any()
 
 
 def test_an_underflow_names_the_outcome_of_the_last_attempt():

@@ -10,7 +10,7 @@ import pytest
 from curvedkepler import orbit
 from curvedkepler.dynamics import KeplerParams, PhaseState, circular_state, integrate
 from curvedkepler.effective_potential import turning_points
-from curvedkepler.errors import CurvedKeplerError, DomainError, RadialOrbitError
+from curvedkepler.errors import CurvedKeplerError, DomainError, NumericalError, RadialOrbitError
 from curvedkepler.ktrig import acot_k, cos_k, sin_k
 from curvedkepler.orbit import (
     binet_residual,
@@ -104,6 +104,30 @@ def test_near_equatorial_circular_orbits_on_the_sphere_have_conic_constants(kapp
         for dr, v_r in itertools.product((-1e-9, 0.0, 1e-9), repeat=2):
             oc = orbit_constants(PhaseState(circ.r * (1.0 + dr), 0.3, v_r, circ.v_phi), params)
             assert abs(oc.ecc**2 - (1.0 + oc.z)) <= 2e-15 * max(1.0, abs(oc.z))
+
+
+@pytest.mark.parametrize("kappa", REGIMES)
+def test_ecc_squared_is_one_plus_z_where_k_squared_is_subnormal(kappa):
+    # k = 1e-160: k**2 = 1e-320 keeps a few bits, so z = 2 e_p j**2/k**2 was
+    # off by 1e-5; z = 2 d e_p/k forms no k**2
+    oc = orbit_constants(PhaseState(1.0, 0.0, 0.5, 1e-100), KeplerParams(kappa, 1e-160))
+    assert abs(oc.ecc**2 - (1.0 + oc.z)) <= 1e-12 * oc.z
+
+
+@pytest.mark.parametrize(
+    "state,params,match",
+    [
+        # J = sin(1)**2 1e200: j**2 overflows, and d = ecc = z = inf gave a nan
+        # radial_period and an IndexError from propagate
+        (PhaseState(1.0, 0.0, 0.0, 1e200), KeplerParams(1.0, 1.0), r"j\*\*2 = inf and j\*\*2/k = inf"),
+        # k = 1e-200: d = 1e200 is finite, z = 2 d e_p/k is not (k**2 = 0 was a ZeroDivisionError)
+        (PhaseState(1.0, 0.0, 0.5, 1.0), KeplerParams(0.0, 1e-200), r"overflow: ecc = 1\.118\d*e\+200, z = inf"),
+    ],
+    ids=["j squared", "z"],
+)
+def test_orbit_constants_refuse_a_conic_that_leaves_the_float_range(state, params, match):
+    with pytest.raises(NumericalError, match=match):
+        orbit_constants(state, params)
 
 
 @pytest.mark.parametrize("kappa", REGIMES)
@@ -699,6 +723,20 @@ def test_phi_from_time_follows_open_orbit_to_its_asymptote():
     ts = np.linspace(0.0, 60.0, 241)
     got = phi_from_time(oc, kappa, ts, traj)
     assert np.max(np.abs(got - traj.sample(ts)[:, 1])) < 1e-11
+
+
+def test_an_open_orbit_whose_table_tops_out_leaks_no_warning():
+    # ecc = 11880: the last values of G's table are equal, and the Hermite
+    # seed of a query at the top was 0/0 (numpy's RuntimeWarning, an error
+    # under this suite's filter); the query is held at the last node
+    kappa = -1.0
+    state, params = PhaseState(2.606, 0.0, -1.33, 1.28), KeplerParams(kappa, 0.287)
+    oc = orbit_constants(state, params)
+    with pytest.raises(DomainError, match="radius is not resolved"):
+        propagate(oc, kappa, [-50.0])
+    traj = integrate(state, params, t_end=20.0, tol=1e-12)
+    ts = np.linspace(0.0, 20.0, 81)
+    assert np.max(np.abs(phi_from_time(oc, kappa, ts, traj) - traj.sample(ts)[:, 1])) < 1e-11
 
 
 # ----------------------------------------------------------------------
