@@ -8,8 +8,9 @@ first integrals the spike guard watches, and the fall law, if any, that
 times a fall on a radial line to the centre).  Each attempt is one
 straight-line kernel that :func:`_kernels` compiles on the flow's first
 integration, with the flow's texts and the spike guard written out.
-A step accepted right after a rejection may not grow (Hairer, Norsett &
-Wanner, sec. II.4), nor past the spike guard's margin.
+Steps follow Gustafsson's predictive controller (Hairer & Wanner, Solving
+ODEs II, sec. IV.8); a step accepted right after a rejection may not grow
+(Hairer, Norsett & Wanner, sec. II.4), nor past the spike guard's margin.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ _THETA_POWERS = (
 # the stage weights of F_0 and F_3..F_6, and the stages they read
 _F_ROWS = (_A[12] + (0.0,) * 4, *_D)
 _F_STAGES = [s for s in range(16) if any(row[s] for row in _F_ROWS)]
+# both as weights shaped (row, column, 1, 1) to broadcast over (step, component)
+_F_WEIGHTS, _THETA_WEIGHTS = (np.array(w, dtype=float)[:, :, None, None] for w in (_F_ROWS, _THETA_POWERS))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -170,6 +173,11 @@ _MAX_STEPS = 5_000_000
 _DRIFT_MARGIN = 0.1
 # dense output reduces the 16 stages per step to coefficients this many steps at a time
 _DENSE_CHUNK = 1024
+
+
+def _least(fac, x):
+    """min(fac, max(_MIN_FACTOR, x)), compared, not called: the step-size rule runs once a step."""
+    return fac if fac <= x else (x if x > _MIN_FACTOR else _MIN_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -282,11 +290,12 @@ class Trajectory:
         i = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(h) - 1)
         hi = h[i]
         theta = ((ts - self.times[i]) / hi)[:, None]
-        # power-major: each theta power gathers as one contiguous (n, 4) block
+        # power-major: each theta power gathers as one contiguous (n, 4) block, summed in place
         di = d.take(i, axis=1)
         poly = di[-1]
         for dm in di[-2::-1]:
-            poly = dm + theta * poly
+            poly *= theta
+            poly += dm
         return self.states.take(i, axis=0) + hi[:, None] * (theta * poly)
 
     def first_crossing(self, func, t_lo=None, t_hi=None) -> float | None:
@@ -315,7 +324,7 @@ class Trajectory:
         points = chain(
             [(lo, self.state_at(lo), min(i0, len(h)) - 1)],
             ((t, PhaseState(*row), i) for t, row, i in nodes),
-            [(hi, self.state_at(hi), None)],
+            ((t, self.state_at(t), None) for t in (hi,)),  # only if the scan gets that far
         )
         prev_t = prev_g = prev_i = None
         for t, state, i in points:
@@ -373,15 +382,13 @@ def _dense_coefficients(stages) -> np.ndarray:
     +-0.0, which leaves a finite sum as it is, so each sum has the bits of a
     loop over its nonzero weights (the tests hold it to that)."""
     k = np.fromiter(chain.from_iterable(stages), float, 64 * len(stages)).reshape(-1, 16, 4).transpose(1, 0, 2)
-    # weights shaped (row, column, 1, 1) to broadcast over (step, component)
-    weights, theta = (np.array(w, dtype=float)[:, :, None, None] for w in (_F_ROWS, _THETA_POWERS))
     f = np.zeros((len(_F_ROWS),) + k.shape[1:])
     for s in _F_STAGES:
-        f += weights[:, s] * k[s]
+        f += _F_WEIGHTS[:, s] * k[s]
     rows = np.stack((f[0], k[0] - f[0], 2.0 * f[0] - (k[12] + k[0]), *f[1:]))
     d = np.zeros(rows.shape)
     for j, row in enumerate(rows):
-        d += theta[:, j] * row
+        d += _THETA_WEIGHTS[:, j] * row
     return d
 
 
@@ -550,9 +557,10 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
     recorded for every accepted state; a step that moves any of the first
     ``flow.watched`` of them by more than 10x the tolerance (relative), or
     makes one non-finite, is rejected and retried at half the step, which
-    keeps isolated spikes near close approaches out of the output.  The next
-    step grows by at most 5x, not at all right after a rejection, nor past
-    0.9 q**(-1/9), q the largest watched change over that threshold (h**9).
+    keeps isolated spikes near close approaches out of the output.  The next step
+    scales by the lesser of 0.9 err**(-1/8) and Gustafsson's 0.9 (h/h_acc) (err_acc/err**2)**(1/8),
+    h_acc and err_acc = max(1e-2, err) of the last accepted step, by at most 5x, not at all right
+    after a rejection, nor past 0.9 q**(-1/9), q the largest watched change over that threshold (h**9).
     An integral that is not finite, at the start or (one the guard does not
     watch) at any accepted state, raises NumericalError; ``names`` name them.
 
@@ -599,7 +607,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
     h, rhs_calls = _initial_step(rhs, y, f, t_end, rtol)
     rhs_calls += 1
     counts = [0, 0, 0, 0]  # by outcome: accepted, rejected_error, rejected_spike, rejected_stage
-    steps, rejected, outcome = 0, False, None
+    steps, rejected, outcome, h_acc = 0, False, None, 0.0
     while t < t_end:
         if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted after {steps} steps")
@@ -608,7 +616,7 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
             # the last step, clipped to the span: it still advances t,
             # so it is no underflow however small the span is
             h = t_end - t
-        elif h < 1e-14 * max(1.0, abs(t)):
+        elif h < 1e-14 * (t if t > 1.0 else 1.0):  # t >= 0
             # the center is reached only by a state on a radial line that is not rising,
             # which the row's fall law takes there within the span
             event_time = fall_end(t, y, inv0)
@@ -652,11 +660,13 @@ def _integrate_adaptive(rhs, state0, t_end, tol, kappa, invariants, names, dense
         y, f, t = y_new, f_new, t_new
         fac = 1.0 if rejected else _MAX_FACTOR
         if err != 0.0:
-            fac = min(fac, max(_MIN_FACTOR, _SAFETY * err**_EXPONENT))
+            fac = _least(fac, _SAFETY * err**_EXPONENT)
+            if h_acc and err * err > 0.0:  # the prediction divides by err**2, which may underflow
+                fac = _least(fac, _SAFETY * (h / h_acc) * (err_acc / (err * err)) ** -_EXPONENT)
         if q_max > 0.0:
-            fac = min(fac, max(_MIN_FACTOR, _SAFETY * q_max ** (-1.0 / 9.0)))
+            fac = _least(fac, _SAFETY * q_max ** (-1.0 / 9.0))
+        h_acc, err_acc, rejected = h, err if err > 1e-2 else 1e-2, False
         h *= fac
-        rejected = False
 
     n = len(times)
     states = np.fromiter(chain.from_iterable(states), float, 4 * n).reshape(n, 4)

@@ -302,9 +302,9 @@ def integrate(
         over long runs stays near tol; 10x tol is the conserved-quantity
         spike threshold.  tol bounds the drift of the invariants, not
         the phase: the error in phi grows linearly in time and with tol
-        (after ten radial periods at k = 1, J = 0.8: 1.9e-7 rad at tol
+        (after ten radial periods at k = 1, J = 0.8: 1.3e-7 rad at tol
         1e-12 on kappa = -1, E = -1.001, near the horoellipse; at most
-        8.2e-9 rad at tol 1e-11 on kappa = 1, 0 at E = -0.3 and on
+        4.9e-9 rad at tol 1e-11 on kappa = 1, 0 at E = -0.3 and on
         kappa = -1 at E = -1.05).  For an exact phase use
         ``orbit.propagate`` or ``orbit.phi_from_time``.
     dense : bool

@@ -161,6 +161,8 @@ def _frame(ecc: float, d: float, kap: float) -> _Frame:
     a = d * root
     below, above = p - a, p + a
     r = (below * above).real
+    if r == 0.0:
+        raise NumericalError(f"time law of kappa={kap!r}, d={d!r}, ecc={ecc!r}: 1 + ecc - d sqrt(-kappa) rounds to 0")
     fields = (ecc, p, q, root, a, below, above, r, (q - a) / below, (q + a) / above, a * (-4.0 * ecc / r))
     # tuple.__new__ skips the Python-level __new__ of the named tuple
     return tuple.__new__(_Frame, fields)

@@ -24,7 +24,7 @@ from curvedkepler.effective_potential import (
     turning_points,
     w_eff,
 )
-from curvedkepler.errors import CurvedKeplerError, InfeasibleError, NumericalError, SingularityError
+from curvedkepler.errors import InfeasibleError, NumericalError, SingularityError
 from curvedkepler.ktrig import cos_k, sin_k
 from curvedkepler.orbit import orbit_constants, radial_period
 
@@ -171,11 +171,11 @@ def test_a_j_whose_square_leaves_the_float_range_raises(call):
         call()
 
 
-def test_a_root_whose_w_overflows_fails_its_verification_by_name():
-    # u_per = 2e154: (j u)**2 raised a bare OverflowError in the tolerance;
-    # as a product it is inf, and W(r) - e = -inf + inf is the reported miss
-    with pytest.raises(CurvedKeplerError, match=r"verification failed at r=5e-155: W\(r\) - e = nan.*u=2e\+154"):
-        turning_points(-1.0, 1e154, -1.0, 13691822.331287837)
+def test_a_root_whose_k_u_and_square_overflow_passes_its_verification():
+    # u_per = 2e154 is exact, but k u and (j u)**2 both overflow: W(r) - e was
+    # -inf + inf = nan, a refused root; with u factored out W stays finite
+    assert turning_points(-1.0, 1e154, -1.0, 13691822.331287837) == [5e-155]
+    assert math.isfinite(w_eff(-1.0, 1e154, -1.0, 5e-155))
 
 
 def test_classify_beyond_the_escape_j_keeps_the_exact_plateau():

@@ -122,8 +122,15 @@ def test_ecc_squared_is_one_plus_z_where_k_squared_is_subnormal(kappa):
         (PhaseState(1.0, 0.0, 0.0, 1e200), KeplerParams(1.0, 1.0), r"j\*\*2 = inf and j\*\*2/k = inf"),
         # k = 1e-200: d = 1e200 is finite, z = 2 d e_p/k is not (k**2 = 0 was a ZeroDivisionError)
         (PhaseState(1.0, 0.0, 0.5, 1.0), KeplerParams(0.0, 1e-200), r"overflow: ecc = 1\.118\d*e\+200, z = inf"),
+        # d = 2.1e52 on kappa = -4: 1 + ecc - 2 d rounds to 0, and the time
+        # law's frame was a complex ZeroDivisionError
+        (
+            PhaseState(13.89809551082224, 1.8873975421003681, 3.733934549268728, 463.9925857844521),
+            KeplerParams(-4.0, 0.07629306754416253),
+            r"kappa=-4\.0, d=2\.134\d*e\+52, ecc=4\.268\d*e\+52: 1 \+ ecc - d sqrt\(-kappa\) rounds to 0",
+        ),
     ],
-    ids=["j squared", "z"],
+    ids=["j squared", "z", "frame"],
 )
 def test_orbit_constants_refuse_a_conic_that_leaves_the_float_range(state, params, match):
     with pytest.raises(NumericalError, match=match):
@@ -542,7 +549,7 @@ def test_propagate_matches_integrator(kappa, k, j, ecc, t_end):
 def test_integrated_phase_stays_on_propagate_for_ten_periods(kappa, e):
     # the baseline cases (k = 1, J = 0.8, from periastron): tol bounds the
     # drift of the invariants, not the phase, whose error grows with time;
-    # at tol 1e-11 it reaches 8.2e-9 rad after ten radial periods on the plane
+    # at tol 1e-11 it reaches 4.9e-9 rad after ten radial periods on the plane
     k, j = 1.0, 0.8
     r_per = turning_points(kappa, k, j, e)[0]
     state = PhaseState(r_per, 0.0, 0.0, j / sin_k(kappa, r_per) ** 2)

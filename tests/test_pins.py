@@ -1,6 +1,7 @@
 """The pinned outputs, checked in process, and their one home: the sha256
 of the bytes of seven CLI runs and of the dense ``sample``, the step
-counts and simulate bytes of ``bench/run.py --baseline``, and the digests
+counts and simulate bytes of ``bench/run.py --baseline`` with the step-size
+controller's counts on its three orbits, and the digests
 of integrations that the CLI runs do not reach.  A change that moves one
 of them records old -> new and why."""
 
@@ -15,17 +16,20 @@ import pytest
 
 from curvedkepler.cli import EXIT_OK, main
 from curvedkepler.dynamics import KeplerParams, PhaseState, integrate, integrate_separable
+from curvedkepler.effective_potential import turning_points
+from curvedkepler.ktrig import sin_k
+from curvedkepler.orbit import orbit_constants, radial_period
 
 # argv of each pinned run (its --out added), then the sha256 of its output
 PINNED_RUNS = {
     "base.csv": (
         "simulate --kappa 1 --k 1 --elements=-0.3,0.8,0 --t-end 200 --tol 1e-11",
-        "98ad8f963d47589b4bda5301df2197e6f177c3ca138047be0836b9e79aac6fc1",
+        "31b397bd8d76dbc347dddbd1d61448d8b4cd7e1ca65b32949ae350808c94cff8",
     ),
     "base.json": (
         "simulate --kappa -1 --k 1 --elements=-1.05,0.8,0 --t-end 20 --tol 1e-11"
         " --chart poincare_disk --output json",
-        "3787805f9b959413830707b544f7004284be0404ef1259d8fce7c83bf0732fe9",
+        "f5a51e3e9695d4f202df9c1e01eda8951824f742b11cb285a815f6d9206aecd0",
     ),
     "classify_bounded.json": (
         "classify --kappa -1 --k 1 --J 0.8 --E -1.05",
@@ -49,13 +53,23 @@ PINNED_RUNS = {
     ),
 }
 
-SAMPLE_DIGEST = "3253ff2dd4e9f75a465d28764f6431dfdb812fe871828e336dea45e6a53734c6"
+SAMPLE_DIGEST = "63bb3cd15dc3c1c0e3f8b42d8b363b4f908f3868d0a05cd6b54b08c2f819501c"
 
 #: steps of the three reference orbits, and bytes of the reference simulate run
-BASELINE_STEPS = [543, 1045, 699]
-BASELINE_BYTES = 932145
+BASELINE_STEPS = [551, 1066, 719]
+BASELINE_BYTES = 944607
+#: (accepted, rejected_error, rhs_evaluations) of the step-size controller on the three reference orbits
+BASELINE_COUNTS = [(551, 0, 6614), (1066, 8, 12890), (719, 18, 8846)]
 
 BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline.py"
+
+
+def _baseline():
+    """bench/baseline.py, loaded as it is."""
+    spec = importlib.util.spec_from_file_location("baseline", BASELINE)
+    baseline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(baseline)
+    return baseline
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
@@ -73,15 +87,27 @@ def test_dense_sample_has_its_pinned_digest():
 
 
 def test_baseline_has_its_pinned_step_counts_and_bytes(tmp_path):
-    # bench/baseline.py, loaded as it is, integrates each orbit over ten
-    # radial_period, so a move of the period moves the step counts
-    spec = importlib.util.spec_from_file_location("baseline", BASELINE)
-    baseline = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(baseline)
-    doc = baseline.measure(str(tmp_path))
+    # bench/baseline.py integrates each orbit over ten radial_period, so a
+    # move of the period moves the step counts
+    doc = _baseline().measure(str(tmp_path))
     assert [case["steps"] for case in doc["integrate"]] == BASELINE_STEPS
     assert doc["simulate"]["exit_code"] == EXIT_OK
     assert doc["simulate"]["bytes"] == BASELINE_BYTES
+
+
+def test_baseline_orbits_have_their_pinned_controller_counts():
+    # the reference orbits of bench/baseline.py, started at periastron as it
+    # starts them; the counts do not depend on timing, unlike its seconds
+    baseline = _baseline()
+    counts = []
+    for kappa, e in baseline.INTEGRATE_CASES:
+        params = KeplerParams(kappa, baseline.K)
+        r_per = turning_points(kappa, baseline.K, baseline.J, e)[0]
+        state = PhaseState(r_per, 0.0, 0.0, baseline.J / sin_k(kappa, r_per) ** 2)
+        period = radial_period(orbit_constants(state, params), kappa)
+        stats = integrate(state, params, 10.0 * period, tol=baseline.TOL, dense=False).stats
+        counts.append((stats.accepted, stats.rejected_error, stats.rhs_evaluations))
+    assert counts == BASELINE_COUNTS
 
 
 # Integrations the CLI pins do not reach, in two parts.  The orbits: a bounded
@@ -93,8 +119,8 @@ def test_baseline_has_its_pinned_step_counts_and_bytes(tmp_path):
 # ends them in the collision event.
 ORBIT_CASES = [(kappa, PhaseState(1.0, 0.0, 0.1, 0.4)) for kappa in (1.0, 1e-6, 0.0, -1e-6, -1.0)]
 FALL_CASES = [(kappa, PhaseState(0.5, 0.0, 0.0, 0.0)) for kappa in (1.0, -1.0)]
-ORBIT_DIGEST = "7129f5cc92baec8b579c7382511cb96df129fbfff0ba2278754020eb26606351"
-FALL_DIGEST = "d1286b4cf16daf5dca4fa8933328c11a2a8cf02c8c221b11ec703a96df94af13"
+ORBIT_DIGEST = "0adda84fa7cff6ea3e8741fed73e3b7bce48ade17fb5a4791c8caef6004020db"
+FALL_DIGEST = "cc9e851e39e297b01ab2f35c9bf1bec2156aa009bb945868270ba1800ffde5c5"
 
 
 def _separable(dense, tol):
