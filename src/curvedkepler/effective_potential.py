@@ -13,11 +13,12 @@ circle) and at u* = max(_cot_floor(kappa), 0), the equator on the sphere
 and infinity elsewhere.  One analysis of the pair, ``_orbit``, decides
 its class in eccentricity, as for the orbit's conic, and its turning
 points; classify_orbit, turning_points and the CLI's classify record all
-read it (see ``_radial_roots``, ``conics._escape_side``).
+read it, memoized per pair (see ``_radial_roots``, ``conics._escape_side``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +30,8 @@ from .ktrig import _acot, _atan, _check_finite, _cos, _cot_floor, _sin, curvatur
 
 #: relative distance above the minimum of W that still has the double root
 _TANGENCY_RTOL = 1e-12
+#: pairs ``_orbit`` remembers; a caller asks its questions of one pair in a row
+_ORBIT_MEMO = 32
 
 
 def check_coupling(k: float) -> float:
@@ -216,12 +219,13 @@ def turning_points(kappa, k: float, j: float, e: float) -> list[float]:
 
     In u = cot_k(r) the potential is the quadratic
     W(u) = -k u + (j**2/2)(u**2 + kappa), and the roots are the closed-form
-    cotangents of ``_orbit``, the one analysis of the pair that
-    classify_orbit reads too: an open orbit has no apoastron, and a pair it
-    calls infeasible no root.  A root counts when it lies on the physical
-    branch of acot_k.  An energy with ecc**2 in the circle band and within
-    _TANGENCY_RTOL of the minimum of W, on a bounded orbit, has the double
-    root r_min.  Each other radius is verified to satisfy |W(r) - e| <
+    cotangents of ``_orbit``, the one analysis of the pair that classify_orbit
+    reads too, in a bounded memo of pure results that threads share: an open
+    orbit has no apoastron, and a pair it calls infeasible no root.  A root
+    counts when it lies on the physical branch of acot_k.  An energy with
+    ecc**2 in the circle band and within _TANGENCY_RTOL of the minimum of W,
+    on a bounded orbit, has the double root r_min.  Each other radius is
+    verified to satisfy |W(r) - e| <
     1e-11 max(1, |e|) + 4 |dW/dr| ulp(r) + eps (k |u| + (j**2/2)(u**2 + |kappa|)):
     one rounding of r moves W by |dW/dr| ulp(r), and evaluating W rounds by
     eps times its terms; CurvedKeplerError reports a miss.
@@ -280,22 +284,26 @@ _CLASS_ROWS = tuple(
 )
 
 
+@functools.lru_cache(maxsize=_ORBIT_MEMO, typed=True)
 def _orbit(kap: float, k: float, j: float, e: float):
     """The one analysis of the pair (j, e): (class, d, ecc, circle, us, crit).
 
     ``crit`` is ``_critical``, (d, ecc) the conic of ``_radial_roots`` (ecc
     0 for a circle, both None for j = 0), ``circle`` whether ecc**2 is in
-    its circle band, and ``us`` the cotangents of the turning points: -e/k
-    for j = 0, else (u_per, u_apo), the apoastron dropped when the class is
-    not bounded.  ``conics._escape_side`` of ecc picks the class's column;
-    below the escape rung ecc**2 in the circle band is the circle.  Without
-    a well (kappa < 0, j beyond escape) every orbit is open.  InfeasibleError
-    where no orbit has the pair: below the circle band, or without a well
-    at or below the plateau.
+    its circle band, and ``us`` the cotangents of the turning points: 0 - e/k
+    for j = 0 (+0 at e = +-0), else (u_per, u_apo), the apoastron dropped
+    when the class is not bounded.  ``conics._escape_side`` of ecc picks the
+    class's column; below the escape rung ecc**2 in the circle band is the
+    circle.  Without a well (kappa < 0, j beyond escape) every orbit is open.
+    InfeasibleError where no orbit has the pair: below the circle band, or
+    without a well at or below the plateau.
+
+    Memoized by value and type for ``_ORBIT_MEMO`` pairs: the immutable
+    result is the pair's alone, so threads share it; errors are not kept.
     """
     crit = _critical(kap, k, j)
     if j == 0.0:
-        return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False), None, None, False, (-e / k,), crit
+        return OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False), None, None, False, (0.0 - e / k,), crit
     if crit is None:
         # saturated: W falls monotonically to the plateau, never reaching it
         landmark = _landmark(kap, k, j)
@@ -315,8 +323,8 @@ def classify_orbit(kappa, k: float, j: float, e: float) -> OrbitClass:
     """Qualitative orbit class of an (energy, angular momentum) pair.
 
     The class of the one analysis ``_orbit`` of the pair, which
-    turning_points and the CLI's classify record read too; InfeasibleError
-    where no orbit has the pair.
+    turning_points and the CLI's classify record read too, memoized: both
+    decide a pair once.  InfeasibleError where no orbit has the pair.
     """
     return _orbit(*_inputs(kappa, k, j, e), j, e)[0]
 

@@ -340,14 +340,14 @@ def time_from_u(oc: OrbitConstants, kappa, u_start: float, u_end: float) -> floa
     if law.circle:
         raise DomainError("circular orbit: u does not move")
 
-    a, b = sorted((u_start, u_end))
-    pad = 1e-12 * max(1.0, abs(u_per), abs(u_apo))
+    a, b = (u_start, u_end) if u_start < u_end else (u_end, u_start)
+    pad = 1e-12 * (u_per if u_per > 1.0 else 1.0)  # ecc >= 0, so |u_apo| <= u_per
     if b > u_per + pad or a < u_apo - pad:
         raise DomainError(
             f"[{a!r}, {b!r}] leaves the radial range "
             f"[{u_apo!r}, {u_per!r}] of this orbit"
         )
-    a, b = max(a, u_apo), min(b, u_per)
+    a, b = u_apo if u_apo > a else a, u_per if u_per < b else b
     if a <= asym:
         raise DomainError(
             f"u={a!r} is at or beyond the infinity asymptote {asym!r}"

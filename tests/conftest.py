@@ -11,6 +11,15 @@ import pytest
 SEED = 42
 
 
+@pytest.fixture(autouse=True)
+def _fresh_orbit_memo():
+    """Start each test with an empty ``_orbit`` memo, so that no test reads
+    an analysis another made, perhaps under a patched callee."""
+    from curvedkepler.effective_potential import _orbit
+
+    _orbit.cache_clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from conftest import bounded_orbit_elements, random_states
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from curvedkepler import DomainError
+from curvedkepler import DomainError, effective_potential
 from curvedkepler.cli import classify_record, main
 from curvedkepler.conics import ConicLabel, classify_conic, conic_from_dynamics
 from curvedkepler.dynamics import KeplerParams, PhaseState, circular_state, energy
@@ -421,6 +422,56 @@ def test_classify_spherical_ladder():
 def test_classify_radial():
     oc = classify_orbit(1.0, 1.0, 0.0, 0.3)
     assert oc == OrbitClass(OrbitLabel.RADIAL_COLLISION, bounded=False)
+
+
+def test_the_analysis_does_not_see_the_sign_of_a_zero():
+    # the memo keys on float equality, so a pair whose zero changes sign
+    # must be analysed to the same bits, sign of zero included
+    analyse = effective_potential._orbit.__wrapped__
+
+    def outcome(args):
+        try:
+            return repr(analyse(*args))  # repr keeps the sign of a zero
+        except InfeasibleError:
+            return "infeasible"
+
+    grid = [
+        (kap, k, j, e)
+        for kap in (-1.0, 0.0, -0.0, 1.0)
+        for k in (1.0, 2.5)
+        for j in (0.0, -0.0, 0.5, -1.5)
+        for e in (0.0, -0.0, -0.3, 0.7)
+    ]
+    flips = [
+        (args, args[:i] + (-args[i],) + args[i + 1:])
+        for args in grid
+        for i in range(4)
+        if args[i] == 0.0
+    ]
+    assert len(flips) == 192
+    assert [flip for flip in flips if outcome(flip[0]) != outcome(flip[1])] == []
+
+
+def test_classify_and_turning_points_decide_a_pair_once(monkeypatch):
+    calls = []
+    real = effective_potential._radial_roots
+    monkeypatch.setattr(effective_potential, "_radial_roots", lambda *args: calls.append(args) or real(*args))
+    classify_orbit(1.0, 1.0, 1.0, 0.2)
+    turning_points(1.0, 1.0, 1.0, 0.2)
+    assert len(calls) == 1
+    turning_points(0.0, 1.0, 1.0, -0.2)
+    turning_points(0.0, 1.0, 1.0, -0.2)
+    assert len(calls) == 2
+    # an error is not remembered: the infeasible pair is analysed, and refused, each time
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            classify_orbit(0.0, 1.0, 1.0, -0.7)
+    assert len(calls) == 4
+    # keyed by type too: a circle's double root is _atan's, numpy for a numpy
+    # j on its series branch, and a float caller still gets floats
+    e = critical_point(1e-12, 1.0, 0.5)[1]
+    assert [type(r) for r in turning_points(1e-12, 1.0, np.float64(0.5), e)] == [np.float64, np.float64]
+    assert [type(r) for r in turning_points(1e-12, 1.0, 0.5, e)] == [float, float]
 
 
 def test_classify_bounded_flag_matches_label(rng):
